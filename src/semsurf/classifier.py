@@ -11,11 +11,11 @@ Wilcoxon comparisons downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .corpus import Dataset, FoldAssignment, GROUP_AD, GROUP_CONTROL, split_folds
+from .corpus import Dataset, FoldAssignment, GROUP_AD, GROUP_CONTROL, fixed_split, split_folds
 from .providers import ProviderClient, ProviderConfig
 from .transform import TransformedCorpus
 
@@ -89,11 +89,12 @@ class ClassificationRun:
             "macro_f1": self.macro_f1,
             "acc_ad": self.acc_ad,
             "acc_c": self.acc_c,
-            "folds": [
-                {"fold": f.fold, "macro_f1": f.macro_f1, "acc_ad": f.acc_ad, "acc_c": f.acc_c}
-                for f in self.folds
-            ],
+            "folds": [asdict(f) for f in self.folds],
         }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ClassificationRun":
+        return cls(d["seed"], [FoldResult(**f) for f in d["folds"]])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -245,7 +246,23 @@ def _embed_corpus(
     }
 
 
-def run_seeds(master_seed: int, n_runs: int = 10) -> list[int]:
+def _evaluate(
+    fold: int,
+    train_ids: list[str],
+    test_ids: list[str],
+    vectors: dict[str, np.ndarray],
+    labels: dict[str, str],
+    cfg: TrainConfig,
+) -> FoldResult:
+    """Train on train_ids, score the predictions for test_ids."""
+    head = train(np.stack([vectors[i] for i in train_ids]), [labels[i] for i in train_ids], cfg)
+    pred, _ = predict(head, np.stack([vectors[i] for i in test_ids]))
+    gold = [labels[i] for i in test_ids]
+    acc_ad, acc_c = per_class_accuracy(pred, gold)
+    return FoldResult(fold, macro_f1(pred, gold), acc_ad, acc_c)
+
+
+def run_seeds(master_seed: int, n_runs: int) -> list[int]:
     """Derived run seeds: a documented counter scheme over one master seed."""
     return [master_seed * 10007 + i for i in range(n_runs)]
 
@@ -274,17 +291,10 @@ def cross_validate(
             test_ids = [i for i in corpus.ids() if assignment.assignments[i] == fold]
             train_ids = [i for i in corpus.ids() if assignment.assignments[i] != fold]
             try:
-                head = train(
-                    np.stack([vectors[i] for i in train_ids]),
-                    [labels[i] for i in train_ids],
-                    replace(cfg, seed=seed),
-                )
-                pred, _ = predict(head, np.stack([vectors[i] for i in test_ids]))
+                result = _evaluate(fold, train_ids, test_ids, vectors, labels, replace(cfg, seed=seed))
             except TrainingError as exc:
                 raise TrainingError(f"seed {seed} fold {fold}: {exc}") from exc
-            gold = [labels[i] for i in test_ids]
-            acc_ad, acc_c = per_class_accuracy(pred, gold)
-            run.folds.append(FoldResult(fold, macro_f1(pred, gold), acc_ad, acc_c))
+            run.folds.append(result)
         runs.append(run)
     return runs
 
@@ -298,24 +308,12 @@ def fixed_split_evaluate(
     cfg: TrainConfig,
 ) -> list[ClassificationRun]:
     """Train on the tagged train split, evaluate on the tagged test split, per seed."""
-    from .corpus import fixed_split
-
     train_ds, test_ds = fixed_split(dataset)
     labels = {t.id: t.group for t in dataset.transcripts}
     vectors = _embed_corpus(corpus, client, embed_cfg)
     train_ids = train_ds.ids()
     test_ids = test_ds.ids()
-    runs = []
-    for seed in seeds:
-        head = train(
-            np.stack([vectors[i] for i in train_ids]),
-            [labels[i] for i in train_ids],
-            replace(cfg, seed=seed),
-        )
-        pred, _ = predict(head, np.stack([vectors[i] for i in test_ids]))
-        gold = [labels[i] for i in test_ids]
-        acc_ad, acc_c = per_class_accuracy(pred, gold)
-        run = ClassificationRun(seed=seed)
-        run.folds.append(FoldResult(0, macro_f1(pred, gold), acc_ad, acc_c))
-        runs.append(run)
-    return runs
+    return [
+        ClassificationRun(seed, [_evaluate(0, train_ids, test_ids, vectors, labels, replace(cfg, seed=seed))])
+        for seed in seeds
+    ]

@@ -5,253 +5,117 @@ executes them all in order. Stage artifacts are plain files in the run
 directory, so stages are independently re-runnable, and with a warm cache
 (or mock providers) every stage is network-free and byte-deterministic.
 
-Exit codes: 0 ok, 1 usage error, 2 data error, 3 provider/transport error.
+Exit codes: 0 ok, 1 usage error (any config error, reported before a stage
+runs), 2 data error, 3 provider/transport error.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 import click
 
 from . import classifier, lexstats, report, stattests, textmetrics
+from .config import Config, StageError, config_digest
 from .corpus import DataError, Dataset, dataset_stats, load_dataset, save_dataset
-from .providers import (
-    OfflineViolation,
-    ProviderClient,
-    ProviderConfig,
-    ProviderError,
-    ResponseCache,
-    TransportError,
-)
-from .transform import (
-    KIND_ORDER,
-    PipelineConfig,
-    PromptSet,
-    TransformationKind,
-    TransformedCorpus,
-    TransformError,
-    run_pipeline,
-)
+from .providers import OfflineViolation, ProviderClient, ProviderError, ResponseCache, TransportError
+from .transform import KIND_ORDER, TransformationKind, TransformedCorpus, TransformError, run_pipeline
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PROVIDER = 3
 
-SIMILARITY_TABLE_KINDS = [
-    TransformationKind.SHORT_SUMMARY,
-    TransformationKind.MEDIUM_SUMMARY,
-    TransformationKind.LONG_SUMMARY,
-    TransformationKind.STORYBOARD,
-    TransformationKind.IMAGE_DESCRIPTION,
-]
-
-
-class StageError(RuntimeError):
-    def __init__(self, message: str, exit_code: int):
-        super().__init__(message)
-        self.exit_code = exit_code
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-
-def parse_config(path: Path) -> dict[str, str]:
-    """Flat key = value text; '#' starts a comment."""
-    config: dict[str, str] = {}
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise StageError(f"cannot read config {path}: {exc}", EXIT_USAGE) from exc
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise StageError(f"{path}:{lineno}: expected 'key = value'", EXIT_USAGE)
-        key, value = stripped.split("=", 1)
-        config[key.strip()] = value.strip()
-    return config
-
-
-def config_digest(config: dict[str, str]) -> str:
-    canonical = json.dumps(config, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+K = TransformationKind
+# the five kinds the pipeline derives from the reference text
+SIMILARITY_TABLE_KINDS = [K.SHORT_SUMMARY, K.MEDIUM_SUMMARY, K.LONG_SUMMARY, K.STORYBOARD, K.IMAGE_DESCRIPTION]
 
 
 class RunContext:
     def __init__(self, config_path: Path, run_dir: Path, offline: bool):
+        self.config = Config(config_path)
         self.run_dir = run_dir
+        self.reports_dir = run_dir / "reports"
+        for key in ("frequency_table", "pos_lexicon"):
+            if self.config[key] is not None and not self.resolve(self.config[key]).is_file():
+                raise self.config.error(key, "no such file")
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        self.config = parse_config(config_path)
-        self.offline = offline
-        cache_root = self.resolve(self.config.get("cache_root", "cache"))
+        cache_root = self.resolve(self.config["cache_root"])
         self.client = ProviderClient(ResponseCache(cache_root), offline=offline)
 
-    def resolve(self, p: str) -> Path:
+    def resolve(self, p: str | None) -> Path | None:
+        """A config path, relative to the run directory unless absolute; None stays None."""
+        if p is None:
+            return None
         path = Path(p)
         return path if path.is_absolute() else self.run_dir / path
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.config.get(key, default)
-
-    def getint(self, key: str, default: int) -> int:
-        raw = self.config.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise StageError(f"config {key} must be an integer, got {raw!r}", EXIT_USAGE)
-
-    def provider(self, role: str, kind: str) -> ProviderConfig | None:
-        endpoint = self.get(f"{role}.endpoint")
-        if endpoint is None:
-            return None
-        return ProviderConfig(
-            kind=kind,
-            endpoint=endpoint,
-            model=self.get(f"{role}.model", f"mock-{role}"),
-            temperature=float(self.get(f"{role}.temperature", "0")),
-            max_tokens=(
-                int(self.get(f"{role}.max_tokens")) if self.get(f"{role}.max_tokens") else None
-            ),
-            seed=int(self.get(f"{role}.seed", "0")),
-            credential_env=self.get(f"{role}.credential_env"),
-            embed_dimension=(
-                int(self.get(f"{role}.dimension")) if self.get(f"{role}.dimension") else None
-            ),
-        )
-
-    def require_provider(self, role: str, kind: str) -> ProviderConfig:
-        cfg = self.provider(role, kind)
-        if cfg is None:
-            raise StageError(f"config is missing {role}.endpoint", EXIT_USAGE)
-        return cfg
-
-    def prompts(self) -> PromptSet:
-        prompts = PromptSet()
-        for key, value in self.config.items():
-            if key.startswith("prompt."):
-                kind = TransformationKind(key.split(".", 1)[1])
-                prompts.override(kind, value)
-        return prompts
-
-    def enabled_kinds(self) -> set[TransformationKind]:
-        raw = self.get("enabled")
-        if raw is None:
-            return set(KIND_ORDER)
-        return {TransformationKind(name.strip()) for name in raw.split(",") if name.strip()}
-
-    def train_config(self) -> classifier.TrainConfig:
-        return classifier.TrainConfig(
-            max_epochs=self.getint("train.max_epochs", 10),
-            early_stop_patience=self.getint("train.patience", 3),
-            learning_rate=float(self.get("train.learning_rate", "0.1")),
-            l2=float(self.get("train.l2", "1e-4")),
-            validation_fraction=float(self.get("train.validation_fraction", "0.2")),
-            class_weighting=self.get("train.class_weighting", "true").lower() != "false",
-        )
-
-    def seeds(self) -> list[int]:
-        return classifier.run_seeds(
-            self.getint("master_seed", 42), self.getint("runs", 10)
-        )
-
-    # -- stage artifacts ----------------------------------------------------
-
-    @property
-    def dataset_path(self) -> Path:
-        return self.run_dir / "dataset.jsonl"
-
-    @property
-    def transformed_dir(self) -> Path:
-        return self.run_dir / "transformed"
-
-    @property
-    def reports_dir(self) -> Path:
-        return self.run_dir / "reports"
-
-    def artifact(self, name: str) -> Path:
-        return self.run_dir / name
-
-    def need(self, path: Path, producer: str) -> Path:
+    def need(self, artifact: str) -> Path:
+        path = self.run_dir / artifact
         if not path.exists():
-            raise StageError(f"missing artifact {path.name}; run `{producer}` first", EXIT_DATA)
+            raise StageError(
+                f"missing artifact {artifact}; run `semsurf {PRODUCER[artifact]}` first", EXIT_DATA
+            )
         return path
 
+    def write_json(self, artifact: str, obj) -> None:
+        (self.run_dir / artifact).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
     def load_ingested(self) -> Dataset:
-        self.need(self.dataset_path, "semsurf ingest")
-        return load_dataset(self.dataset_path, "jsonl", name=self.get("dataset_name"))
+        return load_dataset(self.need("dataset.jsonl"), "jsonl", name=self.config["dataset_name"])
 
     def load_transformed(self) -> dict[TransformationKind, TransformedCorpus]:
-        self.need(self.transformed_dir / "manifest.json", "semsurf transform")
-        dataset_name = self.get("dataset_name", "dataset")
-        out = {}
-        for path in sorted(self.transformed_dir.glob("*.jsonl")):
-            corpus = TransformedCorpus.load(path, dataset_name)
-            out[corpus.kind] = corpus
-        return out
+        paths = sorted(self.need("transformed/manifest.json").parent.glob("*.jsonl"))
+        corpora = [TransformedCorpus.load(p, self.config["dataset_name"]) for p in paths]
+        return {corpus.kind: corpus for corpus in corpora}
 
 
 # ---------------------------------------------------------------------------
-# stage implementations
+# the stage table
+
+STAGES: list[tuple[str, Callable[[RunContext], None]]] = []  # (name, stage function), in run order
+PRODUCER: dict[str, str] = {}  # artifact (relative to the run directory) -> stage writing it
 
 
+def stage(*artifacts: str):
+    """Append the decorated `stage_<name>` to STAGES as the producer of `artifacts`."""
+
+    def register(fn):
+        name = fn.__name__.removeprefix("stage_")
+        STAGES.append((name, fn))
+        PRODUCER.update(dict.fromkeys(artifacts, name))
+        return fn
+
+    return register
+
+
+@stage("dataset.jsonl", "dataset_stats.json")
 def stage_ingest(ctx: RunContext) -> None:
-    raw = ctx.get("dataset")
-    if raw is None:
-        raise StageError("config is missing `dataset`", EXIT_USAGE)
-    dataset = load_dataset(ctx.resolve(raw), ctx.get("format"), name=ctx.get("dataset_name"))
-    save_dataset(dataset, ctx.dataset_path)
-    stats = dataset_stats(dataset)
-    ctx.artifact("dataset_stats.json").write_text(
-        json.dumps(
-            {
-                g: {
-                    "count": s.count,
-                    "mean_tokens": s.mean_tokens,
-                    "std_tokens": s.std_tokens,
-                    "degenerate": s.degenerate,
-                }
-                for g, s in stats.per_group.items()
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    click.echo(f"ingested {len(dataset)} transcripts -> {ctx.dataset_path}")
+    cfg = ctx.config
+    dataset = load_dataset(ctx.resolve(cfg["dataset"]), cfg["format"], name=cfg["dataset_name"])
+    cfg.check_language(dataset.source_language)
+    save_dataset(dataset, ctx.run_dir / "dataset.jsonl")
+    ctx.write_json("dataset_stats.json", dataset_stats(dataset).to_dict())
+    click.echo(f"ingested {len(dataset)} transcripts -> {ctx.run_dir / 'dataset.jsonl'}")
 
 
+@stage("transformed/manifest.json")
 def stage_transform(ctx: RunContext) -> None:
     dataset = ctx.load_ingested()
-    prompts = ctx.prompts()
-    config = PipelineConfig(
-        chat=ctx.require_provider("chat", "chat"),
-        translate=ctx.provider("translate", "translate"),
-        text_to_image=ctx.provider("t2i", "text_to_image"),
-        image_to_text=ctx.provider("i2t", "image_to_text"),
-        prompts=prompts,
-        enabled=ctx.enabled_kinds(),
-        max_workers=ctx.getint("max_workers", 4),
-        strict=ctx.get("mode", "strict") != "lenient",
-        lenient_threshold=float(ctx.get("lenient_threshold", "0.8")),
-    )
+    config = ctx.config.pipeline(dataset.source_language)
     corpora, failures = run_pipeline(dataset, config, ctx.client)
-    ctx.transformed_dir.mkdir(exist_ok=True)
+    out_dir = ctx.run_dir / "transformed"
+    out_dir.mkdir(exist_ok=True)
     for kind, corpus in corpora.items():
-        corpus.save(ctx.transformed_dir / f"{kind.value}.jsonl")
+        corpus.save(out_dir / f"{kind.value}.jsonl")
     manifest = {
         "dataset_name": dataset.name,
-        "config_digest": config_digest(ctx.config),
-        "prompts": {k.value: v for k, v in prompts.prompts.items()},
-        "prompt_overrides": sorted(k.value for k in prompts.overridden),
+        "config_digest": config_digest(ctx.config.raw),
+        "prompts": {k.value: v for k, v in config.prompts.prompts.items()},
+        "prompt_overrides": sorted(k.value for k in config.prompts.overridden),
         "kinds": sorted(k.value for k in corpora),
         "item_cache_keys": {
             kind.value: {i: list(p) for i, p in corpus.provenance.items()}
@@ -259,58 +123,44 @@ def stage_transform(ctx: RunContext) -> None:
         },
         "failures": failures,
     }
-    (ctx.transformed_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    ctx.write_json("transformed/manifest.json", manifest)
     click.echo(f"transformed -> {sorted(k.value for k in corpora)}")
 
 
-def _reference_kind(corpora: dict[TransformationKind, TransformedCorpus]) -> TransformationKind:
-    if TransformationKind.TRANSLATED in corpora:
-        return TransformationKind.TRANSLATED
-    return TransformationKind.ORIGINAL
-
-
+@stage("similarity.json")
 def stage_similarity(ctx: RunContext) -> None:
     corpora = ctx.load_transformed()
-    embed_cfg = ctx.require_provider("embed", "embed")
-    reference = _reference_kind(corpora)
-    scores: dict[str, dict[str, float]] = {}
-    for kind in SIMILARITY_TABLE_KINDS:
-        if kind not in corpora:
-            continue
-        scores[kind.value] = {
-            metric: textmetrics.mean_similarity(
-                corpora[kind], corpora[reference], metric, ctx.client, embed_cfg
-            )
-            for metric in textmetrics.METRICS
-        }
-    ordered = [corpora[k] for k in KIND_ORDER if k in corpora]
+    embed_cfg = ctx.config.providers["embed"]
+    reference = K.TRANSLATED if K.TRANSLATED in corpora else K.ORIGINAL
+    if reference not in corpora:
+        raise StageError(f"similarity needs the {reference.value} corpus; add it to `enabled`", EXIT_USAGE)
+    ordered = [k for k in KIND_ORDER if k in corpora]
+    # the scores against the reference are the matrix's reference column
+    ref_col = ordered.index(reference)
+    scores: dict[str, dict[str, float]] = {
+        k.value: {} for k in SIMILARITY_TABLE_KINDS if k in corpora
+    }
     ctx.reports_dir.mkdir(exist_ok=True)
     for metric in textmetrics.METRICS:
-        matrix = textmetrics.pairwise_matrix(ordered, metric, ctx.client, embed_cfg)
+        matrix = textmetrics.pairwise_matrix(
+            [corpora[k] for k in ordered], metric, ctx.client, embed_cfg
+        )
         (ctx.reports_dir / f"matrix_{metric}.csv").write_text(matrix.to_csv())
-    ctx.artifact("similarity.json").write_text(
-        json.dumps({"reference": reference.value, "scores": scores}, indent=2, sort_keys=True)
-        + "\n"
-    )
+        for kind, row in zip(ordered, matrix.values):
+            if kind.value in scores:
+                scores[kind.value][metric] = row[ref_col]
+    ctx.write_json("similarity.json", {"reference": reference.value, "scores": scores})
     click.echo(f"similarity vs {reference.value}: {len(scores)} transformations")
 
 
+@stage("lexical.json")
 def stage_lexical(ctx: RunContext) -> None:
     dataset = ctx.load_ingested()
     corpora = ctx.load_transformed()
     groups = {t.id: t.group for t in dataset.transcripts}
-    table_path = ctx.get("frequency_table")
-    freq = lexstats.FrequencyTable.load(
-        ctx.resolve(table_path)
-        if table_path
-        else Path(__file__).parent / "data" / "zipf_en.tsv"
-    )
-    oov_floor = float(ctx.get("zipf_oov_floor", "0"))
-    tagger = lexstats.BaselineTagger.load(
-        ctx.resolve(ctx.get("pos_lexicon")) if ctx.get("pos_lexicon") else None
-    )
+    freq = lexstats.FrequencyTable.load(ctx.resolve(ctx.config["frequency_table"]))
+    tagger = lexstats.BaselineTagger.load(ctx.resolve(ctx.config["pos_lexicon"]))
+    oov_floor = ctx.config["zipf_oov_floor"]
 
     results: dict[str, dict[str, dict]] = {}
     for kind, corpus in corpora.items():
@@ -337,55 +187,41 @@ def stage_lexical(ctx: RunContext) -> None:
             except (ValueError, stattests.DegenerateDataError) as exc:
                 results[kind.value][measure] = {"error": str(exc)}
                 continue
-            results[kind.value][measure] = {
-                "mean_control": comp.mean_control,
-                "mean_ad": comp.mean_ad,
-                "p_value": comp.p_value,
-                "test": comp.test,
-                "n_control": comp.n_control,
-                "n_ad": comp.n_ad,
-                "excluded": comp.excluded,
-            }
-    ctx.artifact("lexical.json").write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+            results[kind.value][measure] = comp.to_dict()
+    ctx.write_json("lexical.json", results)
     click.echo(f"lexical measures for {len(results)} corpora")
 
 
+@stage("classification.json")
 def stage_classify(ctx: RunContext) -> None:
     dataset = ctx.load_ingested()
     corpora = ctx.load_transformed()
-    embed_cfg = ctx.require_provider("embed", "embed")
-    cfg = ctx.train_config()
-    seeds = ctx.seeds()
-    k = ctx.getint("k", 5)
+    embed_cfg = ctx.config.providers["embed"]
+    cfg = ctx.config.train
+    seeds = classifier.run_seeds(ctx.config["master_seed"], ctx.config["runs"])
+    k = ctx.config["k"]
     use_fixed = all(t.split is not None for t in dataset.transcripts)
 
     results = {}
     for kind, corpus in corpora.items():
         if use_fixed:
-            runs = classifier.fixed_split_evaluate(
-                corpus, dataset, seeds, ctx.client, embed_cfg, cfg
-            )
+            runs = classifier.fixed_split_evaluate(corpus, dataset, seeds, ctx.client, embed_cfg, cfg)
         else:
-            runs = classifier.cross_validate(
-                corpus, dataset, k, seeds, ctx.client, embed_cfg, cfg
-            )
+            runs = classifier.cross_validate(corpus, dataset, k, seeds, ctx.client, embed_cfg, cfg)
         results[kind.value] = [r.to_dict() for r in runs]
     payload = {
         "protocol": "fixed_split" if use_fixed else f"cv{k}",
         "seeds": seeds,
         "runs": results,
     }
-    ctx.artifact("classification.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    ctx.write_json("classification.json", payload)
     click.echo(f"classified {len(results)} corpora ({payload['protocol']}, {len(seeds)} seeds)")
 
 
+@stage("stats.json")
 def stage_stats(ctx: RunContext) -> None:
-    sim_path = ctx.need(ctx.artifact("similarity.json"), "semsurf similarity")
-    cls_path = ctx.need(ctx.artifact("classification.json"), "semsurf classify")
-    sim = json.loads(sim_path.read_text())
-    cls = json.loads(cls_path.read_text())
+    sim = json.loads(ctx.need("similarity.json").read_text())
+    cls = json.loads(ctx.need("classification.json").read_text())
 
     baseline = sim["reference"]
     out: dict = {"wilcoxon_vs_baseline": {}, "pearson": None}
@@ -402,84 +238,60 @@ def stage_stats(ctx: RunContext) -> None:
                 out["wilcoxon_vs_baseline"][kind] = {"error": str(exc)}
                 continue
             out["wilcoxon_vs_baseline"][kind] = {
-                "statistic": res.statistic,
-                "p_value": res.p_value,
-                "method": res.method,
+                "statistic": res.statistic, "p_value": res.p_value, "method": res.method
             }
 
     # semantic similarity vs classification performance across transformations
     kinds = [k for k in sim["scores"] if k in cls["runs"]]
     if len(kinds) >= 3:
         cosines = [sim["scores"][k]["cosine"] for k in kinds]
-        f1s = [
-            sum(r["macro_f1"] for r in cls["runs"][k]) / len(cls["runs"][k]) for k in kinds
-        ]
+        f1s = [sum(r["macro_f1"] for r in cls["runs"][k]) / len(cls["runs"][k]) for k in kinds]
         try:
             res = stattests.pearson(cosines, f1s)
-            out["pearson"] = {
-                "kinds": kinds,
-                "r": res.statistic,
-                "df": res.df,
-                "p_value": res.p_value,
-            }
+            out["pearson"] = {"kinds": kinds, "r": res.statistic, "df": res.df, "p_value": res.p_value}
         except stattests.DegenerateDataError as exc:
             out["pearson"] = {"error": str(exc)}
-    ctx.artifact("stats.json").write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    ctx.write_json("stats.json", out)
     click.echo("stats written")
 
 
+@stage()
 def stage_report(ctx: RunContext) -> None:
     dataset = ctx.load_ingested()
     ctx.reports_dir.mkdir(exist_ok=True)
-    fmt_list = ("md", "csv", "json")
 
     def write(table: report.ReportTable, name: str) -> None:
-        for fmt in fmt_list:
+        for fmt in ("md", "csv", "json"):
             (ctx.reports_dir / f"table_{name}.{fmt}").write_text(report.emit(table, fmt))
 
     write(report.dataset_table(dataset.name, dataset_stats(dataset)), "dataset")
 
-    sim_path = ctx.artifact("similarity.json")
+    sim_path = ctx.run_dir / "similarity.json"
     if sim_path.exists():
         sim = json.loads(sim_path.read_text())
-        scores = {
-            TransformationKind(k): v for k, v in sim["scores"].items()
-        }
-        write(
-            report.similarity_table(scores, TransformationKind(sim["reference"])),
-            "similarity",
-        )
+        scores = {K(k): v for k, v in sim["scores"].items()}
+        write(report.similarity_table(scores, K(sim["reference"])), "similarity")
 
-    cls_path = ctx.artifact("classification.json")
+    cls_path = ctx.run_dir / "classification.json"
     if cls_path.exists():
         cls = json.loads(cls_path.read_text())
         runs = {
-            TransformationKind(kind): [
-                _run_from_dict(d) for d in run_dicts
-            ]
+            K(kind): [classifier.ClassificationRun.from_dict(d) for d in run_dicts]
             for kind, run_dicts in cls["runs"].items()
         }
-        baseline = TransformationKind.ORIGINAL
-        write(report.classification_table(runs, baseline), "classification")
-        back_kinds = [
-            TransformationKind.ORIGINAL,
-            TransformationKind.TRANSLATED,
-            TransformationKind.BACK_TRANSLATED,
-        ]
+        write(report.classification_table(runs, K.ORIGINAL), "classification")
+        back_kinds = [K.ORIGINAL, K.TRANSLATED, K.BACK_TRANSLATED]
         if all(k in runs for k in back_kinds):
-            write(
-                report.classification_table(
-                    {k: runs[k] for k in back_kinds}, TransformationKind.ORIGINAL
-                ),
-                "backtranslation",
-            )
+            back_runs = {k: runs[k] for k in back_kinds}
+            write(report.classification_table(back_runs, K.ORIGINAL), "backtranslation")
 
-    lex_path = ctx.artifact("lexical.json")
+    lex_path = ctx.run_dir / "lexical.json"
     if lex_path.exists():
         lex = json.loads(lex_path.read_text())
         comparisons = {
-            TransformationKind(kind): {
-                m: _comparison_from_dict(d) for m, d in measures.items()
+            K(kind): {
+                m: None if "error" in d else lexstats.GroupComparison.from_dict(d)
+                for m, d in measures.items()
             }
             for kind, measures in lex.items()
         }
@@ -498,40 +310,6 @@ def stage_report(ctx: RunContext) -> None:
             "pos",
         )
     click.echo(f"reports -> {ctx.reports_dir}")
-
-
-def _run_from_dict(d: dict) -> classifier.ClassificationRun:
-    run = classifier.ClassificationRun(seed=d["seed"])
-    for f in d["folds"]:
-        run.folds.append(
-            classifier.FoldResult(f["fold"], f["macro_f1"], f["acc_ad"], f["acc_c"])
-        )
-    return run
-
-
-def _comparison_from_dict(d: dict) -> lexstats.GroupComparison | None:
-    if "error" in d:
-        return None
-    return lexstats.GroupComparison(
-        mean_control=d["mean_control"],
-        mean_ad=d["mean_ad"],
-        p_value=d["p_value"],
-        test=d["test"],
-        n_control=d["n_control"],
-        n_ad=d["n_ad"],
-        excluded=d["excluded"],
-    )
-
-
-STAGES = [
-    ("ingest", stage_ingest),
-    ("transform", stage_transform),
-    ("similarity", stage_similarity),
-    ("lexical", stage_lexical),
-    ("classify", stage_classify),
-    ("stats", stage_stats),
-    ("report", stage_report),
-]
 
 
 def _run_stage(fn, config: str, run_dir: str, offline: bool) -> int:
@@ -585,15 +363,12 @@ def cmd_run(config, run_dir, offline):
     def all_stages(ctx: RunContext) -> None:
         for name, fn in STAGES:
             fn(ctx)
-        manifest = {
-            "config": ctx.config,
-            "config_digest": config_digest(ctx.config),
+        ctx.write_json("run_manifest.json", {
+            "config": ctx.config.raw,
+            "config_digest": config_digest(ctx.config.raw),
             "stages": [name for name, _ in STAGES],
             "network_calls": ctx.client.network_calls,
-        }
-        ctx.artifact("run_manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
+        })
 
     sys.exit(_run_stage(all_stages, config, run_dir, offline))
 

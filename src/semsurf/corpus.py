@@ -7,7 +7,7 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .lexstats import tokenize
@@ -76,9 +76,6 @@ class Dataset:
     def by_group(self, group: str) -> list[Transcript]:
         return [t for t in self.transcripts if t.group == group]
 
-    def texts_by_id(self) -> dict[str, str]:
-        return {t.id: t.text for t in self.transcripts}
-
 
 @dataclass(frozen=True)
 class GroupStats:
@@ -95,6 +92,9 @@ class DatasetStats:
     @property
     def total(self) -> int:
         return sum(g.count for g in self.per_group.values())
+
+    def to_dict(self) -> dict:
+        return {g: asdict(s) for g, s in self.per_group.items()}
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,21 @@
 """Lexical and part-of-speech diagnostics for transcript corpora.
 
 Covers tokenization, type-token ratio, average Zipf frequency against a
-TSV frequency table, a pluggable POS tagger (lexicon + suffix baseline or
-external annotations), and Welch-based group comparison of any per-document
-measure.
+TSV frequency table, a lexicon + suffix-rule baseline POS tagger, and
+Welch-based group comparison of any per-document measure.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
 from .stattests import StatTestResult, welch_t
+
+_DATA = Path(__file__).parent / "data"
 
 # word = letters/digits/underscore runs, apostrophes internal to words kept
 _WORD_RE = re.compile(r"\w+(?:['’]\w+)*", re.UNICODE)
@@ -48,7 +48,9 @@ class FrequencyTable:
                 raise ValueError(f"probability out of (0,1] for {w!r}: {p}")
 
     @classmethod
-    def load(cls, path: str | Path, language: str = "en") -> "FrequencyTable":
+    def load(cls, path: str | Path | None = None, language: str = "en") -> "FrequencyTable":
+        """Load a TSV table; the shipped English table when path is None."""
+        path = Path(path) if path is not None else _DATA / "zipf_en.tsv"
         probs: dict[str, float] = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -109,7 +111,7 @@ _SUFFIX_RULES: list[tuple[str, PosTag]] = [
     ("s", PosTag.NOUN),
 ]
 
-_DEFAULT_LEXICON = Path(__file__).parent / "data" / "pos_lexicon.tsv"
+_DEFAULT_LEXICON = _DATA / "pos_lexicon.tsv"
 
 
 @dataclass
@@ -156,41 +158,6 @@ class BaselineTagger:
         return out
 
 
-@dataclass
-class AnnotationTagger:
-    """Tagger backed by external pre-tagged JSONL: {"id": ..., "tags": [...]}."""
-
-    annotations: dict[str, list[PosTag]]
-
-    @classmethod
-    def load(cls, path: str | Path) -> "AnnotationTagger":
-        annotations: dict[str, list[PosTag]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                annotations[row["id"]] = [PosTag(t) for t in row["tags"]]
-        return cls(annotations)
-
-    def tag_document(self, doc_id: str, tokens: list[str]) -> list[PosTag]:
-        tags = self.annotations.get(doc_id)
-        if tags is None:
-            raise KeyError(f"no POS annotation for document {doc_id!r}")
-        if len(tags) != len(tokens):
-            raise ValueError(
-                f"annotation length {len(tags)} != token count {len(tokens)} for {doc_id!r}"
-            )
-        return tags
-
-
-def pos_tag(tokens: list[str], tagger: BaselineTagger | None = None) -> list[PosTag]:
-    """One tag per token using the baseline tagger (default lexicon)."""
-    if tagger is None:
-        tagger = BaselineTagger.load()
-    return tagger.tag(tokens)
-
-
 @dataclass(frozen=True)
 class PosRatios:
     pnr: float | None  # pronouns per noun; None when the text has no nouns
@@ -227,6 +194,13 @@ class GroupComparison:
     @property
     def significant(self) -> bool:
         return self.p_value < 0.05
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "GroupComparison":
+        return cls(**d)
 
 
 def group_compare(values_control: list[float | None], values_ad: list[float | None]) -> GroupComparison:

@@ -16,6 +16,7 @@ import math
 import os
 import struct
 import tempfile
+import threading
 import time
 import zlib
 from dataclasses import dataclass
@@ -276,7 +277,8 @@ class ProviderClient:
         self.offline = offline
         self._session = session
         self._sleep = sleep
-        self.network_calls = 0
+        self._lock = threading.Lock()
+        self.network_calls = 0  # HTTP requests sent, retries included
 
     # -- public operations ------------------------------------------------
 
@@ -405,9 +407,10 @@ class ProviderClient:
         body.pop("op", None)
         last_err = None
         for attempt in range(1, RETRY_ATTEMPTS + 1):
+            with self._lock:
+                self.network_calls += 1
             try:
                 resp = session.post(cfg.endpoint, json=body, headers=headers, timeout=120)
-                self.network_calls += 1
             except requests.RequestException as exc:
                 last_err = str(exc)
             else:
@@ -422,17 +425,13 @@ class ProviderClient:
 
     @staticmethod
     def _parse_response(cfg: ProviderConfig, resp, image: bool):
-        if image:
-            obj = resp.json()
-            return base64.b64decode(obj["data"][0]["b64_json"])
         obj = resp.json()
+        if image:
+            return base64.b64decode(obj["data"][0]["b64_json"])
         if cfg.kind == "embed":
             return json.dumps(obj["data"][0]["embedding"])
-        if cfg.kind in ("chat", "image_to_text"):
+        if cfg.kind == "translate" and "choices" not in obj:
+            return obj["translation"]  # translation servers return either envelope
+        if cfg.kind in ("chat", "image_to_text", "translate"):
             return obj["choices"][0]["message"]["content"]
-        if cfg.kind == "translate":
-            # same envelope; translation servers return either shape
-            if "choices" in obj:
-                return obj["choices"][0]["message"]["content"]
-            return obj["translation"]
         raise ProviderError(f"no parser for provider kind {cfg.kind!r}")

@@ -36,11 +36,6 @@ class Cell:
         text += self.stars
         return f"**{text}**" if self.bold else text
 
-    def raw(self):
-        if isinstance(self.value, float):
-            return self.value
-        return self.value
-
 
 @dataclass
 class ReportTable:
@@ -74,7 +69,7 @@ def emit(table: ReportTable, fmt: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([""] + table.columns)
         for label, cells in table.rows:
-            writer.writerow([label] + ["" if c.value is None else c.raw() for c in cells])
+            writer.writerow([label] + ["" if c.value is None else c.value for c in cells])
         return buf.getvalue()
     if fmt == "json":
         obj = {
@@ -84,7 +79,7 @@ def emit(table: ReportTable, fmt: str) -> str:
                 {
                     "label": label,
                     "cells": [
-                        {"value": c.raw(), "bold": c.bold, "stars": c.stars} for c in cells
+                        {"value": c.value, "bold": c.bold, "stars": c.stars} for c in cells
                     ],
                 }
                 for label, cells in table.rows
@@ -95,22 +90,6 @@ def emit(table: ReportTable, fmt: str) -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def parse_json_table(text: str) -> ReportTable:
-    obj = json.loads(text)
-    return ReportTable(
-        title=obj["title"],
-        columns=obj["columns"],
-        rows=[
-            (
-                row["label"],
-                [Cell(c["value"], c["bold"], c["stars"]) for c in row["cells"]],
-            )
-            for row in obj["rows"]
-        ],
-        footer=obj["footer"],
-    )
-
-
 def _ordered(kinds) -> list[TransformationKind]:
     return [k for k in KIND_ORDER if k in kinds]
 
@@ -119,24 +98,16 @@ DATASET_FOOTER = "Token lengths: lowercased Unicode word tokenizer; sample (n-1)
 
 
 def dataset_table(name: str, stats: DatasetStats) -> ReportTable:
-    rows = []
-    cells = []
-    order = ["AD", "C"]
-    for g in order:
-        s = stats.per_group[g]
-        cells.append(Cell(s.count))
-    cells.append(Cell(stats.total))
-    for g in order:
-        s = stats.per_group[g]
-        text = f"{s.mean_tokens:.0f}(±{s.std_tokens:.0f})"
-        if s.degenerate:
-            text += " (degenerate)"
-        cells.append(Cell(text))
-    rows.append((name, cells))
+    groups = [stats.per_group[g] for g in ("AD", "C")]
+    lengths = [
+        f"{s.mean_tokens:.0f}(±{s.std_tokens:.0f})" + (" (degenerate)" if s.degenerate else "")
+        for s in groups
+    ]
+    cells = [Cell(s.count) for s in groups] + [Cell(stats.total)] + [Cell(text) for text in lengths]
     return ReportTable(
         title="Dataset statistics",
         columns=["AD", "Control", "Total", "Length AD", "Length Control"],
-        rows=rows,
+        rows=[(name, cells)],
         footer=[DATASET_FOOTER],
     )
 
@@ -153,19 +124,10 @@ def similarity_table(
     missing: list[TransformationKind] | None = None,
 ) -> ReportTable:
     """Per-transformation mean chrF/BLEU/cosine against the reference corpus."""
-    rows = []
-    for kind in _ordered(scores):
-        s = scores[kind]
-        rows.append(
-            (
-                kind.value,
-                [
-                    Cell(s["chrf"], precision=2),
-                    Cell(s["bleu"], precision=2),
-                    Cell(s["cosine"], precision=2),
-                ],
-            )
-        )
+    rows = [
+        (kind.value, [Cell(scores[kind][m], precision=2) for m in ("chrf", "bleu", "cosine")])
+        for kind in _ordered(scores)
+    ]
     footer = [f"Reference corpus: {reference.value}.", SIMILARITY_FOOTER]
     for kind in missing or []:
         footer.append(f"Row omitted (not computed): {kind.value}.")
@@ -204,27 +166,22 @@ def classification_table(
 
     rows = []
     for kind in _ordered(runs):
-        f1_mean, ad_mean, c_mean = means[kind]
         stars = ""
         if kind != baseline:
             kind_f1 = [r.macro_f1 for r in runs[kind]]
             if any(a != b for a, b in zip(kind_f1, base_f1)):
                 res: StatTestResult = wilcoxon_signed_rank(kind_f1, base_f1)
-                improved = f1_mean > means[baseline][0]
+                improved = means[kind][0] > means[baseline][0]
                 if improved and res.p_value < 0.01:
                     stars = "**"
                 elif improved and res.p_value < 0.05:
                     stars = "*"
-        rows.append(
-            (
-                kind.value,
-                [
-                    Cell(f1_mean, bold=f1_mean == maxima[0], stars=stars, precision=3),
-                    Cell(ad_mean, bold=ad_mean == maxima[1], precision=3),
-                    Cell(c_mean, bold=c_mean == maxima[2], precision=3),
-                ],
-            )
-        )
+        # stars mark the macro-F1 column only
+        cells = [
+            Cell(mean, bold=mean == maxima[i], stars=stars if i == 0 else "", precision=3)
+            for i, mean in enumerate(means[kind])
+        ]
+        rows.append((kind.value, cells))
     footer = [
         f"Mean metrics across {n_runs} paired runs. Baseline: {baseline.value}. "
         "Stars: Wilcoxon signed-rank improvement over baseline (* p<0.05, ** p<0.01).",
@@ -255,14 +212,12 @@ def group_measure_table(
         for m in measures:
             comp = comparisons[kind].get(m)
             if comp is None:
-                cells += [Cell(None), Cell(None), Cell(None)]
+                cells += [Cell(None)] * 3
                 excluded_notes.append(f"{kind.value}/{m}: undefined for this corpus.")
                 continue
             bold = comp.p_value < 0.05
             cells += [
-                Cell(comp.mean_control, bold=bold, precision=3),
-                Cell(comp.mean_ad, bold=bold, precision=3),
-                Cell(comp.p_value, bold=bold, precision=3),
+                Cell(v, bold=bold, precision=3) for v in (comp.mean_control, comp.mean_ad, comp.p_value)
             ]
             if comp.excluded:
                 excluded_notes.append(

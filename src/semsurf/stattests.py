@@ -79,36 +79,27 @@ def normal_cdf(z: float) -> float:
     return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
 
 
+def _nonzero(v: float) -> float:
+    return _LENTZ_TINY if abs(v) < _LENTZ_TINY else v
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _LENTZ_TINY:
-        d = _LENTZ_TINY
-    d = 1.0 / d
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _LENTZ_MAX_ITER):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
+        d = 1.0 / _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
+        d = 1.0 / _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _LENTZ_EPS:

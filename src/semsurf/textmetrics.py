@@ -108,19 +108,6 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     return dot / (na * nb)
 
 
-@dataclass(frozen=True)
-class SimilarityScore:
-    bleu: float
-    chrf: float
-    cosine: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.bleu <= 1.0) or not (0.0 <= self.chrf <= 1.0):
-            raise ValueError("bleu/chrf out of [0,1]")
-        if not (-1.0 <= self.cosine <= 1.0 + 1e-12):
-            raise ValueError("cosine out of [-1,1]")
-
-
 def _paired_texts(a: TransformedCorpus, b: TransformedCorpus) -> list[tuple[str, str, str]]:
     ta, tb = a.texts_by_id(), b.texts_by_id()
     missing = sorted(set(ta) ^ set(tb))

@@ -29,17 +29,8 @@ class TransformationKind(str, Enum):
     BACK_TRANSLATED = "BackTranslated"
 
 
-# report row order follows the pipeline's step order
-KIND_ORDER = [
-    TransformationKind.ORIGINAL,
-    TransformationKind.TRANSLATED,
-    TransformationKind.SHORT_SUMMARY,
-    TransformationKind.MEDIUM_SUMMARY,
-    TransformationKind.LONG_SUMMARY,
-    TransformationKind.STORYBOARD,
-    TransformationKind.IMAGE_DESCRIPTION,
-    TransformationKind.BACK_TRANSLATED,
-]
+# report row order follows the pipeline's step order, as the members are declared
+KIND_ORDER = list(TransformationKind)
 
 DEFAULT_PROMPTS: dict[TransformationKind, str] = {
     TransformationKind.SHORT_SUMMARY: (

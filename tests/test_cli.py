@@ -4,14 +4,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from semsurf.cli import (
-    EXIT_DATA,
-    EXIT_OK,
-    EXIT_USAGE,
-    config_digest,
-    main,
-    parse_config,
-)
+from semsurf.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from semsurf.config import StageError, config_digest, parse_config
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -67,8 +61,6 @@ class TestConfigParsing:
     def test_missing_equals(self, tmp_path):
         p = tmp_path / "c.conf"
         p.write_text("just a line\n")
-        from semsurf.cli import StageError
-
         with pytest.raises(StageError) as err:
             parse_config(p)
         assert err.value.exit_code == EXIT_USAGE
@@ -239,3 +231,68 @@ class TestFullRun:
                 main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"]
             )
             assert result.exit_code == EXIT_OK, (stage, result.output)
+
+
+# each case: a line added to the config, a key whose line is dropped, the key the error names
+CONFIG_ERRORS = {
+    "unknown key": ("train.learning_rte = 5", None, "train.learning_rte"),
+    "malformed int": ("k = five", None, "k"),
+    "malformed float": ("train.l2 = abc", None, "train.l2"),
+    "malformed bool": ("train.class_weighting = no", None, "train.class_weighting"),
+    "bad mode": ("mode = lenent", None, "mode"),
+    "bad enabled kind": ("enabled = Original,ShortSumary", None, "enabled"),
+    "bad prompt kind": ("prompt.ShortSumary = Be brief.", None, "prompt.ShortSumary"),
+    "missing frequency table": ("frequency_table = no_such.tsv", None, "frequency_table"),
+    "translate missing for pt": (None, "translate.endpoint", "translate.endpoint"),
+    "t2i missing for ImageDescription": (None, "t2i.endpoint", "t2i.endpoint"),
+    "i2t missing for ImageDescription": (None, "i2t.endpoint", "i2t.endpoint"),
+}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("extra, drop, key", CONFIG_ERRORS.values(), ids=list(CONFIG_ERRORS))
+    def test_exits_1_naming_key_before_any_stage_writes(self, tmp_path, runner, extra, drop, key):
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path), extra=extra or "")
+        lines = [line for line in conf.read_text().splitlines() if not (drop and line.startswith(drop))]
+        conf.write_text("\n".join(lines) + "\n")
+        run_dir = tmp_path / "run"
+        result = runner.invoke(
+            main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"]
+        )
+        assert result.exit_code == EXIT_USAGE, result.output
+        where = f"{conf}:{lines.index(extra) + 1}" if extra else str(conf)
+        assert f"{where}: {key}: " in result.output
+        assert not (run_dir / "dataset.jsonl").exists()
+
+    def test_translate_not_required_for_english(self, tmp_path, runner):
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path, language="en"))
+        conf.write_text(conf.read_text().replace("translate.endpoint = mock:translate\n", ""))
+        result = runner.invoke(
+            main, ["ingest", "--config", str(conf), "--run-dir", str(tmp_path / "run")]
+        )
+        assert result.exit_code == EXIT_OK, result.output
+
+    def test_similarity_needs_the_reference_kind(self, tmp_path, runner):
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path, language="en"), extra="enabled = ShortSummary")
+        result = runner.invoke(
+            main, ["run", "--config", str(conf), "--run-dir", str(tmp_path / "run"), "--offline"]
+        )
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert "similarity needs the Original corpus" in result.output
+
+
+def test_dataset_name_defaults_to_file_stem(tmp_path, runner):
+    conf = tmp_path / "c.conf"
+    write_config(conf, FIXTURES / "dogstory40.jsonl")
+    conf.write_text(conf.read_text().replace("dataset_name = clitest\n", ""))
+    run_dir = tmp_path / "run"
+    for stage in ("ingest", "report"):
+        result = runner.invoke(
+            main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"]
+        )
+        assert result.exit_code == EXIT_OK, (stage, result.output)
+    rows = (run_dir / "reports" / "table_dataset.md").read_text().splitlines()
+    assert rows[4].startswith("| dogstory40 | "), rows

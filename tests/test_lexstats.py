@@ -1,17 +1,14 @@
-import json
 import math
 
 import pytest
 
 from semsurf.lexstats import (
-    AnnotationTagger,
     BaselineTagger,
     FrequencyTable,
     PosTag,
     avg_zipf,
     group_compare,
     pos_ratios,
-    pos_tag,
     tokenize,
     ttr,
 )
@@ -85,7 +82,7 @@ class TestZipf:
 
 class TestTagging:
     def test_lexicon_hits(self):
-        tags = pos_tag(tokenize("the boy is running quickly"))
+        tags = BaselineTagger.load().tag(tokenize("the boy is running quickly"))
         assert tags[0] == PosTag.DET
         assert tags[1] == PosTag.NOUN
 
@@ -101,16 +98,6 @@ class TestTagging:
     def test_lexicon_beats_suffix(self):
         tagger = BaselineTagger(lexicon={"running": PosTag.NOUN})
         assert tagger.tag(["running"]) == [PosTag.NOUN]
-
-    def test_annotation_tagger(self, tmp_path):
-        p = tmp_path / "tags.jsonl"
-        p.write_text(json.dumps({"id": "d1", "tags": ["NOUN", "VERB"]}) + "\n")
-        tagger = AnnotationTagger.load(p)
-        assert tagger.tag_document("d1", ["cat", "runs"]) == [PosTag.NOUN, PosTag.VERB]
-        with pytest.raises(KeyError):
-            tagger.tag_document("missing", ["x"])
-        with pytest.raises(ValueError, match="length"):
-            tagger.tag_document("d1", ["only"])
 
 
 class TestRatios:

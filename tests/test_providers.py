@@ -266,6 +266,7 @@ class TestHttpPath:
         text, _ = client.chat_generate(HTTP_CFG, "sys", "input")
         assert text == "ok"
         assert sleeps == [1.0, 2.0]  # exponential backoff
+        assert client.network_calls == 3
 
     def test_retries_exhausted(self, tmp_path):
         session = FakeSession([FakeResponse(500)] * 3)
@@ -288,6 +289,7 @@ class TestHttpPath:
         client = make_client(tmp_path, session=session, sleep=lambda s: None)
         text, _ = client.chat_generate(HTTP_CFG, "sys", "input")
         assert text == "ok"
+        assert client.network_calls == 2
 
     def test_credential_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TEST_API_KEY", "sk-secret")
