@@ -262,6 +262,13 @@ def _evaluate(
     return FoldResult(fold, macro_f1(pred, gold), acc_ad, acc_c)
 
 
+def _present(dataset: Dataset, corpus: TransformedCorpus) -> Dataset:
+    """The transcripts that `corpus` has: in lenient mode every corpus lacks
+    the same failed ids, so folds and splits drawn over these stay paired."""
+    ids = set(corpus.ids())
+    return replace(dataset, transcripts=tuple(t for t in dataset.transcripts if t.id in ids))
+
+
 def run_seeds(master_seed: int, n_runs: int) -> list[int]:
     """Derived run seeds: a documented counter scheme over one master seed."""
     return [master_seed * 10007 + i for i in range(n_runs)]
@@ -278,14 +285,16 @@ def cross_validate(
 ) -> list[ClassificationRun]:
     """Per-seed stratified k-fold CV.
 
-    The fold assignment depends only on (dataset, k, seed) — not on the
-    transformation — which is the pairing guarantee for signed-rank tests.
+    The fold assignment depends only on (dataset, k, seed) and the ids the
+    corpus has, which all corpora of a run share — not on the transformation —
+    which is the pairing guarantee for signed-rank tests.
     """
     labels = {t.id: t.group for t in dataset.transcripts}
     vectors = _embed_corpus(corpus, client, embed_cfg)
+    present = _present(dataset, corpus)
     runs = []
     for seed in seeds:
-        assignment: FoldAssignment = split_folds(dataset, k, seed)
+        assignment: FoldAssignment = split_folds(present, k, seed)
         run = ClassificationRun(seed=seed)
         for fold in range(k):
             test_ids = [i for i in corpus.ids() if assignment.assignments[i] == fold]
@@ -307,8 +316,8 @@ def fixed_split_evaluate(
     embed_cfg: ProviderConfig,
     cfg: TrainConfig,
 ) -> list[ClassificationRun]:
-    """Train on the tagged train split, evaluate on the tagged test split, per seed."""
-    train_ds, test_ds = fixed_split(dataset)
+    """Train on the corpus's items tagged train, evaluate on those tagged test, per seed."""
+    train_ds, test_ds = fixed_split(_present(dataset, corpus))
     labels = {t.id: t.group for t in dataset.transcripts}
     vectors = _embed_corpus(corpus, client, embed_cfg)
     train_ids = train_ds.ids()

@@ -223,8 +223,8 @@ def stage_stats(ctx: RunContext) -> None:
     sim = json.loads(ctx.need("similarity.json").read_text())
     cls = json.loads(ctx.need("classification.json").read_text())
 
-    baseline = sim["reference"]
-    out: dict = {"wilcoxon_vs_baseline": {}, "pearson": None}
+    baseline = K.ORIGINAL.value  # the baseline the classification tables name
+    out: dict = {"baseline": baseline, "wilcoxon_vs_baseline": {}, "pearson": None}
     base_runs = cls["runs"].get(baseline)
     if base_runs:
         base_f1 = [r["macro_f1"] for r in base_runs]
@@ -275,15 +275,20 @@ def stage_report(ctx: RunContext) -> None:
     cls_path = ctx.run_dir / "classification.json"
     if cls_path.exists():
         cls = json.loads(cls_path.read_text())
+        stats = json.loads(ctx.need("stats.json").read_text())
         runs = {
             K(kind): [classifier.ClassificationRun.from_dict(d) for d in run_dicts]
             for kind, run_dicts in cls["runs"].items()
         }
-        write(report.classification_table(runs, K.ORIGINAL), "classification")
+        baseline = K(stats["baseline"])
+        p_values = {
+            K(kind): r["p_value"] for kind, r in stats["wilcoxon_vs_baseline"].items() if "p_value" in r
+        }
+        write(report.classification_table(runs, baseline, p_values), "classification")
         back_kinds = [K.ORIGINAL, K.TRANSLATED, K.BACK_TRANSLATED]
         if all(k in runs for k in back_kinds):
             back_runs = {k: runs[k] for k in back_kinds}
-            write(report.classification_table(back_runs, K.ORIGINAL), "backtranslation")
+            write(report.classification_table(back_runs, baseline, p_values), "backtranslation")
 
     lex_path = ctx.run_dir / "lexical.json"
     if lex_path.exists():

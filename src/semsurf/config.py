@@ -16,7 +16,7 @@ from typing import Callable
 
 from .classifier import TrainConfig
 from .providers import ProviderConfig
-from .transform import KIND_ORDER, PipelineConfig, PromptSet, TransformationKind
+from .transform import KIND_ORDER, PIVOT_LANGUAGE, PipelineConfig, PromptSet, TransformationKind
 
 # config role -> provider kind
 ROLES = {"chat": "chat", "translate": "translate", "embed": "embed", "t2i": "text_to_image", "i2t": "image_to_text"}
@@ -48,14 +48,16 @@ class Key:
     shown: str | None = None  # the README's wording for a default that is not a literal
 
 
-def _number(convert, what: str, low=None):
+def _number(convert, what: str, low=None, high=None):
     def parse(raw: str):
         try:
             value = convert(raw)
         except ValueError:
             raise ValueError(f"expected {what}") from None
-        if low is not None and value < low:
+        if low is not None and not value >= low:  # `not >=` also rejects nan
             raise ValueError(f"expected {what} >= {low}")
+        if high is not None and not value <= high:
+            raise ValueError(f"expected {what} <= {high}")
         return value
 
     return parse
@@ -115,8 +117,8 @@ SCHEMA: dict[str, Key] = {
     "runs": Key(_number(int, "an integer", 1), 10),
     "master_seed": Key(INT, 42),
     "mode": Key(_choice("strict", "lenient"), "strict"),
-    "lenient_threshold": Key(FLOAT, PipelineConfig.lenient_threshold),
-    "max_workers": Key(INT, PipelineConfig.max_workers),
+    "lenient_threshold": Key(_number(float, "a number", 0, 1), PipelineConfig.lenient_threshold),
+    "max_workers": Key(_number(int, "an integer", 1), PipelineConfig.max_workers),
     "cache_root": Key(str, "cache"),
     **{f"prompt.{kind.value}": Key(str, shown="shipped default") for kind in KIND_ORDER},
     "frequency_table": Key(str, shown="shipped table"),
@@ -211,7 +213,7 @@ class Config:
 
     def check_language(self, language: str) -> None:
         """A corpus not in the pivot language is translated, so it needs a translate provider."""
-        if language != PipelineConfig.pivot_language:
+        if language != PIVOT_LANGUAGE:
             self.require("translate", f"the corpus language is {language!r}")
 
     def pipeline(self, language: str) -> PipelineConfig:

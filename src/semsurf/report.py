@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .classifier import ClassificationRun
 from .corpus import DatasetStats
 from .lexstats import GroupComparison
-from .stattests import StatTestResult, wilcoxon_signed_rank
 from .transform import KIND_ORDER, TransformationKind
 
 
@@ -143,13 +142,17 @@ CLASSIFIER_FOOTER = (
 def classification_table(
     runs: dict[TransformationKind, list[ClassificationRun]],
     baseline: TransformationKind,
+    p_values: dict[TransformationKind, float],
 ) -> ReportTable:
     """Mean macro-F1 and per-class accuracies across paired runs, with
-    Wilcoxon significance stars vs. the baseline and per-column bold maxima."""
+    significance stars and per-column bold maxima.
+
+    `p_values` holds each kind's Wilcoxon signed-rank p-value vs. the
+    baseline (as in stats.json); a kind without one gets no stars.
+    """
     if baseline not in runs:
         raise ValueError(f"baseline {baseline.value} missing from runs")
-    base_f1 = [r.macro_f1 for r in runs[baseline]]
-    n_runs = len(base_f1)
+    n_runs = len(runs[baseline])
     for kind, rs in runs.items():
         if len(rs) != n_runs:
             raise ValueError(f"{kind.value}: {len(rs)} runs, expected {n_runs} (unpaired)")
@@ -167,15 +170,8 @@ def classification_table(
     rows = []
     for kind in _ordered(runs):
         stars = ""
-        if kind != baseline:
-            kind_f1 = [r.macro_f1 for r in runs[kind]]
-            if any(a != b for a, b in zip(kind_f1, base_f1)):
-                res: StatTestResult = wilcoxon_signed_rank(kind_f1, base_f1)
-                improved = means[kind][0] > means[baseline][0]
-                if improved and res.p_value < 0.01:
-                    stars = "**"
-                elif improved and res.p_value < 0.05:
-                    stars = "*"
+        if kind in p_values and means[kind][0] > means[baseline][0]:
+            stars = "**" if p_values[kind] < 0.01 else "*" if p_values[kind] < 0.05 else ""
         # stars mark the macro-F1 column only
         cells = [
             Cell(mean, bold=mean == maxima[i], stars=stars if i == 0 else "", precision=3)

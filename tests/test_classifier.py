@@ -189,6 +189,16 @@ def corpus_for(ds, kind=TransformationKind.ORIGINAL):
 EMBED = ProviderConfig(kind="embed", endpoint="mock:embed", model="m")
 
 
+def fixed_split_dataset():
+    rows = []
+    for i in range(24):
+        group = GROUP_AD if i < 12 else GROUP_CONTROL
+        base = "short dog words" if group == GROUP_AD else "the mother washes the dishes slowly"
+        split = "train" if (i % 12) < 8 else "test"
+        rows.append(Transcript(f"f{i:02d}", f"{base} item {i}", group, "en", split=split))
+    return Dataset("fixed", tuple(rows), "en")
+
+
 class TestCrossValidation:
     def test_fold_pairing_across_transformations(self):
         # fold assignment depends only on (dataset, k, seed)
@@ -222,13 +232,7 @@ class TestCrossValidation:
         assert [r.to_dict() for r in r1] == [r.to_dict() for r in r2]
 
     def test_fixed_split_evaluate(self, tmp_path):
-        rows = []
-        for i in range(24):
-            group = GROUP_AD if i < 12 else GROUP_CONTROL
-            base = "short dog words" if group == GROUP_AD else "the mother washes the dishes slowly"
-            split = "train" if (i % 12) < 8 else "test"
-            rows.append(Transcript(f"f{i:02d}", f"{base} item {i}", group, "en", split=split))
-        ds = Dataset("fixed", tuple(rows), "en")
+        ds = fixed_split_dataset()
         client = ProviderClient(ResponseCache(tmp_path / "cache"))
         runs = fixed_split_evaluate(
             corpus_for(ds), ds, seeds=run_seeds(1, 3), client=client,
@@ -236,3 +240,15 @@ class TestCrossValidation:
         )
         assert len(runs) == 3
         assert all(len(r.folds) == 1 for r in runs)
+
+    def test_fixed_split_uses_the_corpus_ids(self, tmp_path):
+        # a lenient run drops ids from every corpus but not from the dataset
+        ds = fixed_split_dataset()
+        dropped = {"f00", "f08"}  # one train id, one test id
+        assert {t.split for t in ds.transcripts if t.id in dropped} == {"train", "test"}
+        rest = Dataset("fixed", tuple(t for t in ds.transcripts if t.id not in dropped), "en")
+        client = ProviderClient(ResponseCache(tmp_path / "cache"))
+        kw = dict(seeds=run_seeds(1, 2), client=client, embed_cfg=EMBED, cfg=TrainConfig(learning_rate=5.0))
+        runs = fixed_split_evaluate(corpus_for(rest), ds, **kw)
+        expected = fixed_split_evaluate(corpus_for(rest), rest, **kw)
+        assert [r.to_dict() for r in runs] == [r.to_dict() for r in expected]

@@ -1,11 +1,15 @@
 import json
+import threading
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import semsurf.classifier as classifier
+import semsurf.providers as providers
 from semsurf.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from semsurf.config import StageError, config_digest, parse_config
+from semsurf.transform import DEFAULT_PROMPTS, TransformationKind
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -240,6 +244,8 @@ CONFIG_ERRORS = {
     "malformed float": ("train.l2 = abc", None, "train.l2"),
     "malformed bool": ("train.class_weighting = no", None, "train.class_weighting"),
     "bad mode": ("mode = lenent", None, "mode"),
+    "max_workers below 1": ("max_workers = 0", None, "max_workers"),
+    "lenient_threshold above 1": ("lenient_threshold = 1.5", None, "lenient_threshold"),
     "bad enabled kind": ("enabled = Original,ShortSumary", None, "enabled"),
     "bad prompt kind": ("prompt.ShortSumary = Be brief.", None, "prompt.ShortSumary"),
     "missing frequency table": ("frequency_table = no_such.tsv", None, "frequency_table"),
@@ -282,6 +288,69 @@ class TestConfigErrors:
         )
         assert result.exit_code == EXIT_USAGE, result.output
         assert "similarity needs the Original corpus" in result.output
+
+
+def fail_short_summaries(monkeypatch, ids):
+    """Make the mock chat fail the ShortSummary of each of small_dataset's `ids`,
+    each failure after the one listed before it."""
+    real = providers.mock_chat
+    raised = [threading.Event() for _ in ids]
+
+    def chat(system_prompt, user_text):
+        if system_prompt == DEFAULT_PROMPTS[TransformationKind.SHORT_SUMMARY]:
+            for n, item_id in enumerate(ids):
+                if user_text.endswith(f" item {int(item_id[1:])}."):
+                    assert n == 0 or raised[n - 1].wait(timeout=10)
+                    raised[n].set()
+                    raise RuntimeError(f"no summary for {item_id}")
+        return real(system_prompt, user_text)
+
+    monkeypatch.setattr(providers, "mock_chat", chat)
+
+
+class TestLenientRun:
+    def test_every_artifact_keeps_the_ids_that_did_not_fail(self, tmp_path, runner, monkeypatch):
+        fail_short_summaries(monkeypatch, ["s01", "s06"])
+        fold_ids = []
+        evaluate = classifier._evaluate
+
+        def recording_evaluate(fold, train_ids, test_ids, *args):
+            fold_ids.append(sorted(train_ids + test_ids))
+            return evaluate(fold, train_ids, test_ids, *args)
+
+        monkeypatch.setattr(classifier, "_evaluate", recording_evaluate)
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path), extra="mode = lenient")
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_OK, result.output
+
+        manifest = json.loads((run_dir / "transformed" / "manifest.json").read_text())
+        assert {kind: [i for i, _ in f] for kind, f in manifest["failures"].items()} == {
+            "ShortSummary": ["s01", "s06"]
+        }
+        kept = [f"s{i:02d}" for i in range(12) if i not in (1, 6)]
+        assert len(manifest["kinds"]) == 8
+        for kind in manifest["kinds"]:
+            lines = (run_dir / "transformed" / f"{kind}.jsonl").read_text().splitlines()
+            assert [json.loads(line)["id"] for line in lines] == kept, kind
+        cls = json.loads((run_dir / "classification.json").read_text())
+        assert len(fold_ids) == 8 * 4 * 3  # kinds x seeds x folds
+        assert all(ids == kept for ids in fold_ids)
+        assert sorted(cls["runs"]) == sorted(manifest["kinds"])
+
+    def test_failures_are_listed_in_source_order(self, tmp_path, runner, monkeypatch):
+        fail_short_summaries(monkeypatch, ["s06", "s01"])  # s06 fails first
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path), extra="mode = lenient\nmax_workers = 4")
+        run_dir = tmp_path / "run"
+        for stage in ("ingest", "transform"):
+            result = runner.invoke(
+                main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"]
+            )
+            assert result.exit_code == EXIT_OK, result.output
+        manifest = json.loads((run_dir / "transformed" / "manifest.json").read_text())
+        assert [i for i, _ in manifest["failures"]["ShortSummary"]] == ["s01", "s06"]
 
 
 def test_dataset_name_defaults_to_file_stem(tmp_path, runner):

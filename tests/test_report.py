@@ -123,28 +123,32 @@ class TestClassificationTable:
     def test_bold_maximum_and_stars(self):
         base = runs_with_f1([0.50, 0.51, 0.49, 0.50, 0.52, 0.50])
         better = runs_with_f1([0.60, 0.61, 0.59, 0.60, 0.62, 0.60])
+        # all six paired diffs positive: exact Wilcoxon p = 2/64 < 0.05
         t = classification_table(
-            {K.ORIGINAL: base, K.SHORT_SUMMARY: better}, K.ORIGINAL
+            {K.ORIGINAL: base, K.SHORT_SUMMARY: better}, K.ORIGINAL, {K.SHORT_SUMMARY: 2 / 64}
         )
         by_label = dict(t.rows)
         assert by_label["ShortSummary"][0].bold  # column maximum
         assert not by_label["Original"][0].bold
-        # all six paired diffs positive: exact Wilcoxon p = 2/64 < 0.05
-        assert by_label["ShortSummary"][0].stars in ("*", "**")
+        assert by_label["ShortSummary"][0].stars == "*"
         assert by_label["Original"][0].stars == ""
+        t = classification_table(
+            {K.ORIGINAL: base, K.SHORT_SUMMARY: better}, K.ORIGINAL, {K.SHORT_SUMMARY: 0.009}
+        )
+        assert dict(t.rows)["ShortSummary"][0].stars == "**"
 
     def test_no_stars_for_worse(self):
         base = runs_with_f1([0.60, 0.61, 0.59, 0.60, 0.62, 0.60])
         worse = runs_with_f1([0.30, 0.31, 0.29, 0.30, 0.32, 0.30])
-        t = classification_table({K.ORIGINAL: base, K.STORYBOARD: worse}, K.ORIGINAL)
+        t = classification_table({K.ORIGINAL: base, K.STORYBOARD: worse}, K.ORIGINAL, {K.STORYBOARD: 2 / 64})
         assert dict(t.rows)["Storyboard"][0].stars == ""
 
     def test_ties_all_bold(self):
         a = runs_with_f1([0.5, 0.5, 0.5])
         b = runs_with_f1([0.5, 0.5, 0.5])
-        t = classification_table({K.ORIGINAL: a, K.SHORT_SUMMARY: b}, K.ORIGINAL)
+        # identical paired values: stats.json records no p-value
+        t = classification_table({K.ORIGINAL: a, K.SHORT_SUMMARY: b}, K.ORIGINAL, {})
         assert all(row[1][0].bold for row in t.rows)
-        # identical paired values: no test run, no stars
         assert all(row[1][0].stars == "" for row in t.rows)
 
     def test_unpaired_counts_rejected(self):
@@ -152,11 +156,12 @@ class TestClassificationTable:
             classification_table(
                 {K.ORIGINAL: runs_with_f1([0.5, 0.5]), K.SHORT_SUMMARY: runs_with_f1([0.5])},
                 K.ORIGINAL,
+                {},
             )
 
     def test_missing_baseline_rejected(self):
         with pytest.raises(ValueError, match="baseline"):
-            classification_table({K.SHORT_SUMMARY: runs_with_f1([0.5])}, K.ORIGINAL)
+            classification_table({K.SHORT_SUMMARY: runs_with_f1([0.5])}, K.ORIGINAL, {})
 
 
 class TestGroupMeasureTable:

@@ -1,23 +1,20 @@
 import pytest
 
+import semsurf.providers as providers
 from semsurf.corpus import Dataset, Transcript
 from semsurf.providers import ProviderClient, ProviderConfig, ResponseCache
 from semsurf.transform import (
     DEFAULT_PROMPTS,
     KIND_ORDER,
     PipelineConfig,
+    STEPS,
     PromptSet,
     TransformationKind,
     TransformedCorpus,
     TransformError,
-    back_translate,
-    image_description_corpus,
+    apply_step,
     original_corpus,
     run_pipeline,
-    storyboard_corpus,
-    summarize,
-    summarize_corpus,
-    translate_corpus,
 )
 
 K = TransformationKind
@@ -43,6 +40,30 @@ def cfgs():
         text_to_image=ProviderConfig(kind="text_to_image", endpoint="mock:t2i", model="m"),
         image_to_text=ProviderConfig(kind="image_to_text", endpoint="mock:i2t", model="m"),
     )
+
+
+def step(kind):
+    return next(s for s in STEPS if s.kind is kind)
+
+
+def apply(kind, source, client, language="pt"):
+    """One step in strict mode; the corpus it produces."""
+    corpus, failures = apply_step(step(kind), source, client, PipelineConfig(**cfgs()), language)
+    assert failures == []
+    return corpus
+
+
+def failing_chat(monkeypatch, fails):
+    """Make the mock chat provider raise for the (system prompt kind, source text) pairs `fails` accepts."""
+    real = providers.mock_chat
+    prompt_kind = {prompt: kind for kind, prompt in DEFAULT_PROMPTS.items()}
+
+    def chat(system_prompt, user_text):
+        if fails(prompt_kind[system_prompt], user_text):
+            raise RuntimeError("provider exploded")
+        return real(system_prompt, user_text)
+
+    monkeypatch.setattr(providers, "mock_chat", chat)
 
 
 @pytest.fixture
@@ -95,7 +116,7 @@ class TestSingleTransforms:
 
     def test_translate_ids_and_provenance(self, client):
         ds = dataset()
-        out = translate_corpus(ds, "en", client, cfgs()["translate"], max_workers=1)
+        out = apply(K.TRANSLATED, original_corpus(ds), client)
         assert out.kind is K.TRANSLATED
         assert out.ids() == ds.ids()
         for i in ds.ids():
@@ -104,49 +125,38 @@ class TestSingleTransforms:
         assert "[pt→en]" in out.texts_by_id()["d0"]
 
     def test_translate_refuses_same_language(self, client):
-        with pytest.raises(TransformError, match="already in"):
-            translate_corpus(dataset("en"), "en", client, cfgs()["translate"])
-
-    def test_summarize_rejects_bad_length(self, client):
-        with pytest.raises(ValueError, match="length"):
-            summarize("text here", "tiny", client, cfgs()["chat"])
+        with pytest.raises(TransformError, match="both 'en'"):
+            apply(K.TRANSLATED, original_corpus(dataset("en")), client, "en")
 
     def test_summarize_rejects_empty(self, client):
-        with pytest.raises(ValueError, match="empty"):
-            summarize("  ", "short", client, cfgs()["chat"])
+        source = TransformedCorpus(K.ORIGINAL, "d", (("a", "  "),))
+        with pytest.raises(TransformError, match="ShortSummary a: empty"):
+            apply(K.SHORT_SUMMARY, source, client, "en")
 
     def test_summary_chain_appends_provenance(self, client):
         ds = dataset()
-        c = cfgs()
-        translated = translate_corpus(ds, "en", client, c["translate"], max_workers=1)
-        summaries = summarize_corpus(translated, "short", client, c["chat"], max_workers=1)
+        translated = apply(K.TRANSLATED, original_corpus(ds), client)
+        summaries = apply(K.SHORT_SUMMARY, translated, client)
         assert summaries.kind is K.SHORT_SUMMARY
         for i in ds.ids():
             assert len(summaries.provenance[i]) == 2
             assert summaries.provenance[i][0] == translated.provenance[i][0]
 
-    def test_image_description_requires_storyboards(self, client):
-        ds = dataset()
-        c = cfgs()
-        orig = original_corpus(ds)
-        with pytest.raises(TransformError, match="storyboards"):
-            image_description_corpus(orig, client, c["text_to_image"], c["image_to_text"])
-
     def test_image_description_two_keys(self, client):
         ds = dataset("en")
-        c = cfgs()
-        boards = storyboard_corpus(original_corpus(ds), client, c["chat"], max_workers=1)
-        captions = image_description_corpus(
-            boards, client, c["text_to_image"], c["image_to_text"], max_workers=1
-        )
+        boards = apply(K.STORYBOARD, original_corpus(ds), client, "en")
+        captions = apply(K.IMAGE_DESCRIPTION, boards, client, "en")
         assert captions.kind is K.IMAGE_DESCRIPTION
         for i in ds.ids():
             # storyboard key + image key + caption key
             assert len(captions.provenance[i]) == 3
 
-    def test_back_translate_requires_translated(self, client):
-        with pytest.raises(TransformError, match="Translated"):
-            back_translate(original_corpus(dataset()), "pt", client, cfgs()["translate"])
+    def test_step_sources_precede_their_steps(self):
+        produced = {K.ORIGINAL}
+        for s in STEPS:
+            assert s.source in produced, s.kind
+            produced.add(s.kind)
+        assert [K.ORIGINAL] + [s.kind for s in STEPS] == KIND_ORDER
 
     def test_provenance_required_for_derived(self):
         with pytest.raises(ValueError, match="provenance"):
@@ -156,7 +166,7 @@ class TestSingleTransforms:
 class TestSaveLoad:
     def test_roundtrip(self, tmp_path, client):
         ds = dataset()
-        out = translate_corpus(ds, "en", client, cfgs()["translate"], max_workers=1)
+        out = apply(K.TRANSLATED, original_corpus(ds), client)
         p = tmp_path / "translated.jsonl"
         out.save(p)
         back = TransformedCorpus.load(p, "mini")
@@ -213,42 +223,38 @@ class TestPipeline:
         assert runs[0] == runs[1]
 
     def test_strict_mode_aborts_on_failure(self, client, monkeypatch):
-        import semsurf.transform as tf
-
-        def boom(text, length, client, cfg, prompts=None):
-            raise RuntimeError("provider exploded")
-
-        monkeypatch.setattr(tf, "summarize", boom)
+        failing_chat(monkeypatch, lambda kind, text: True)
         cfg = PipelineConfig(**cfgs(), enabled={K.ORIGINAL, K.SHORT_SUMMARY}, max_workers=1)
         with pytest.raises(TransformError):
             run_pipeline(dataset("en"), cfg, client)
 
     def test_lenient_mode_records_failures_below_threshold(self, client, monkeypatch):
-        import semsurf.transform as tf
-
-        real = tf.summarize
-
-        def flaky(text, length, client, cfg, prompts=None):
-            if "numero 3" in text:
-                raise RuntimeError("one bad item")
-            return real(text, length, client, cfg, prompts)
-
-        monkeypatch.setattr(tf, "summarize", flaky)
+        failing_chat(monkeypatch, lambda kind, text: "numero 3" in text)
         cfg = PipelineConfig(
             **cfgs(), enabled={K.ORIGINAL, K.SHORT_SUMMARY},
             strict=False, lenient_threshold=0.5, max_workers=1,
         )
         out, failures = run_pipeline(dataset("en"), cfg, client)
         assert len(out[K.SHORT_SUMMARY].items) == 3
-        assert [i for i, _ in failures["short_summary"]] == ["d3"]
+        assert [i for i, _ in failures["ShortSummary"]] == ["d3"]
+        assert out[K.ORIGINAL].ids() == ["d0", "d1", "d2"]
+
+    def test_lenient_steps_run_over_the_ids_kept_so_far(self, client, monkeypatch):
+        # d1 fails its short summary, so the storyboard step never sees it
+        failing_chat(monkeypatch, lambda kind, text: (
+            "numero 1" in text or (kind is K.STORYBOARD and "numero 2" in text)
+        ))
+        cfg = PipelineConfig(**cfgs(), strict=False, lenient_threshold=0.5)
+        out, failures = run_pipeline(dataset("pt"), cfg, client)
+        assert {kind: [i for i, _ in f] for kind, f in failures.items()} == {
+            "ShortSummary": ["d1"], "Storyboard": ["d2"]
+        }
+        assert set(out) == set(KIND_ORDER)
+        for corpus in out.values():
+            assert corpus.ids() == ["d0", "d3"], corpus.kind
 
     def test_lenient_mode_still_aborts_below_threshold(self, client, monkeypatch):
-        import semsurf.transform as tf
-
-        def boom(text, length, client, cfg, prompts=None):
-            raise RuntimeError("all bad")
-
-        monkeypatch.setattr(tf, "summarize", boom)
+        failing_chat(monkeypatch, lambda kind, text: True)
         cfg = PipelineConfig(
             **cfgs(), enabled={K.ORIGINAL, K.SHORT_SUMMARY},
             strict=False, lenient_threshold=0.8, max_workers=1,
