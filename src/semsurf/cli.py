@@ -141,10 +141,8 @@ def stage_similarity(ctx: RunContext) -> None:
         k.value: {} for k in SIMILARITY_TABLE_KINDS if k in corpora
     }
     ctx.reports_dir.mkdir(exist_ok=True)
-    for metric in textmetrics.METRICS:
-        matrix = textmetrics.pairwise_matrix(
-            [corpora[k] for k in ordered], metric, ctx.client, embed_cfg
-        )
+    matrices = textmetrics.pairwise_matrices([corpora[k] for k in ordered], ctx.client, embed_cfg)
+    for metric, matrix in matrices.items():
         (ctx.reports_dir / f"matrix_{metric}.csv").write_text(matrix.to_csv())
         for kind, row in zip(ordered, matrix.values):
             if kind.value in scores:

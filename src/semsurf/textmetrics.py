@@ -1,6 +1,11 @@
 """Surface-form similarity (sentence-level BLEU, chrF) and semantic similarity
-(embedding cosine), with corpus means over id-paired items and full pairwise
-matrices across transformations.
+(embedding cosine), and the pairwise matrices of their means over id-paired
+items across transformations.
+
+Every score is computed from a profile of each side: its length and n-gram
+counts, or its embedding and norm. `pairwise_matrices` builds the profile of
+each text once and scores every pair of them, where the public `bleu`, `chrf`
+and `cosine` profile their two arguments per call.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lexstats import tokenize
 from .providers import EmbeddingVector, ProviderClient, ProviderConfig
@@ -22,71 +28,71 @@ DEFAULT_CHRF_MAX_N = 6
 DEFAULT_CHRF_BETA = 2.0
 
 
-def _ngrams(seq, n: int) -> Counter:
-    return Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
+def _ngram_profile(seq: str | tuple[str, ...], max_n: int) -> tuple[int, list[Counter]]:
+    """len(seq) and the counts of its n-grams (slices of seq) for n = 1..min(max_n, len(seq))."""
+    size = len(seq)
+    return size, [Counter(seq[i : i + n] for i in range(size - n + 1)) for n in range(1, min(max_n, size) + 1)]
 
 
-def bleu(candidate: str, reference: str, max_n: int = DEFAULT_BLEU_MAX_N, smooth_eps: float = 0.0) -> float:
-    """Sentence-level BLEU: geometric mean of modified n-gram precisions over
-    the orders the candidate actually has, times the brevity penalty.
-
-    Without smoothing (the default), any included order with zero matches
-    makes the score 0. smooth_eps > 0 replaces zero match counts for
-    diagnostics only.
-    """
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
-    if not cand or not ref:
+def _word_profile(text: str, max_n: int) -> tuple[int, list[Counter]]:
+    tokens = tuple(tokenize(text))
+    if not tokens:
         raise ValueError("BLEU requires non-empty tokenizations on both sides")
+    return _ngram_profile(tokens, max_n)
 
+
+def _char_profile(text: str, max_n: int) -> tuple[int, list[Counter]]:
+    # whitespace runs removed entirely before character n-gram extraction
+    chars = "".join(text.split())
+    if not chars:
+        raise ValueError("chrF requires non-empty inputs after whitespace removal")
+    return _ngram_profile(chars, max_n)
+
+
+def _matches(a: list[Counter], b: list[Counter]) -> list[int]:
+    """Clipped match counts of two n-gram profiles, order 1 first; the same for (a, b) and (b, a).
+
+    Counting stops at the first order with no match, or where either side has
+    no n-grams: every higher order then matches nothing either, as the prefix
+    of a shared n-gram is a shared (n-1)-gram.
+    """
+    counts = []
+    for x, y in zip(a, b):
+        if len(x) > len(y):
+            x, y = y, x
+        counts.append(sum(min(c, y.get(g, 0)) for g, c in x.items()))
+        if not counts[-1]:
+            break
+    return counts
+
+
+def _bleu(cand_len: int, ref_len: int, matches: list[int], max_n: int, smooth_eps: float) -> float:
     log_sum = 0.0
     orders = 0
     for n in range(1, max_n + 1):
-        cand_ngrams = _ngrams(cand, n)
-        total = sum(cand_ngrams.values())
-        if total == 0:
+        total = cand_len - n + 1
+        if total <= 0:
             break  # candidate too short for this and higher orders
-        ref_ngrams = _ngrams(ref, n)
-        matched = sum(min(c, ref_ngrams.get(g, 0)) for g, c in cand_ngrams.items())
+        matched = matches[n - 1] if n <= len(matches) else 0
         if matched == 0:
             if smooth_eps <= 0.0:
                 return 0.0
             matched = smooth_eps
         log_sum += math.log(matched / total)
         orders += 1
-    c, r = len(cand), len(ref)
-    bp = 1.0 if c >= r else math.exp(1.0 - r / c)
+    bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
     return bp * math.exp(log_sum / orders)
 
 
-def _char_seq(text: str) -> str:
-    # whitespace runs removed entirely before character n-gram extraction
-    return "".join(text.split())
-
-
-def chrf(
-    candidate: str,
-    reference: str,
-    max_n: int = DEFAULT_CHRF_MAX_N,
-    beta: float = DEFAULT_CHRF_BETA,
-) -> float:
-    """chrF: F-beta over character n-gram precision/recall averaged across
-    orders 1..max_n (orders where neither side has n-grams are skipped)."""
-    cand = _char_seq(candidate)
-    ref = _char_seq(reference)
-    if not cand or not ref:
-        raise ValueError("chrF requires non-empty inputs after whitespace removal")
-
+def _chrf(cand_len: int, ref_len: int, matches: list[int], max_n: int, beta: float) -> float:
     precisions = []
     recalls = []
     for n in range(1, max_n + 1):
-        cand_ngrams = _ngrams(cand, n)
-        ref_ngrams = _ngrams(ref, n)
-        n_cand = sum(cand_ngrams.values())
-        n_ref = sum(ref_ngrams.values())
+        n_cand = max(cand_len - n + 1, 0)
+        n_ref = max(ref_len - n + 1, 0)
         if n_cand == 0 and n_ref == 0:
             continue
-        matched = sum(min(c, ref_ngrams.get(g, 0)) for g, c in cand_ngrams.items())
+        matched = matches[n - 1] if n <= len(matches) else 0
         precisions.append(matched / n_cand if n_cand else 0.0)
         recalls.append(matched / n_ref if n_ref else 0.0)
     avg_p = sum(precisions) / len(precisions)
@@ -97,48 +103,47 @@ def chrf(
     return (1 + b2) * avg_p * avg_r / (b2 * avg_p + avg_r)
 
 
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
+def _norm(v: EmbeddingVector) -> float:
+    return math.sqrt(sum(x * x for x in v.values))
+
+
+def _cosine(a: EmbeddingVector, norm_a: float, b: EmbeddingVector, norm_b: float) -> float:
+    """Symmetric to the last bit: the products and the norm product commute exactly."""
     if a.dimension != b.dimension:
         raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
-    dot = sum(x * y for x, y in zip(a.values, b.values))
-    na = math.sqrt(sum(x * x for x in a.values))
-    nb = math.sqrt(sum(y * y for y in b.values))
-    if na == 0.0 or nb == 0.0:
+    if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("cosine of a zero vector is undefined")
-    return dot / (na * nb)
+    return sum(x * y for x, y in zip(a.values, b.values)) / (norm_a * norm_b)
 
 
-def _paired_texts(a: TransformedCorpus, b: TransformedCorpus) -> list[tuple[str, str, str]]:
-    ta, tb = a.texts_by_id(), b.texts_by_id()
-    missing = sorted(set(ta) ^ set(tb))
-    if missing:
-        raise ValueError(f"corpora id sets differ; unpaired ids: {missing}")
-    return [(i, ta[i], tb[i]) for i in a.ids()]
+def bleu(candidate: str, reference: str, max_n: int = DEFAULT_BLEU_MAX_N, smooth_eps: float = 0.0) -> float:
+    """Sentence-level BLEU: geometric mean of modified n-gram precisions over
+    the orders the candidate actually has, times the brevity penalty.
+
+    Without smoothing (the default), any included order with zero matches
+    makes the score 0. smooth_eps > 0 replaces zero match counts for
+    diagnostics only.
+    """
+    cand_len, cand = _word_profile(candidate, max_n)
+    ref_len, ref = _word_profile(reference, max_n)
+    return _bleu(cand_len, ref_len, _matches(cand, ref), max_n, smooth_eps)
 
 
-def mean_similarity(
-    a: TransformedCorpus,
-    b: TransformedCorpus,
-    metric: str,
-    client: ProviderClient | None = None,
-    embed_cfg: ProviderConfig | None = None,
+def chrf(
+    candidate: str,
+    reference: str,
+    max_n: int = DEFAULT_CHRF_MAX_N,
+    beta: float = DEFAULT_CHRF_BETA,
 ) -> float:
-    """Mean per-pair score over source-id-paired items (a as candidate)."""
-    pairs = _paired_texts(a, b)
-    if metric == "bleu":
-        scores = [bleu(x, y) for _, x, y in pairs]
-    elif metric == "chrf":
-        scores = [chrf(x, y) for _, x, y in pairs]
-    elif metric == "cosine":
-        if client is None or embed_cfg is None:
-            raise ValueError("cosine needs an embedding provider")
-        scores = [
-            cosine(client.embed(embed_cfg, x), client.embed(embed_cfg, y))
-            for _, x, y in pairs
-        ]
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    return sum(scores) / len(scores)
+    """chrF: F-beta over character n-gram precision/recall averaged across
+    orders 1..max_n (orders where neither side has n-grams are skipped)."""
+    cand_len, cand = _char_profile(candidate, max_n)
+    ref_len, ref = _char_profile(reference, max_n)
+    return _chrf(cand_len, ref_len, _matches(cand, ref), max_n, beta)
+
+
+def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
+    return _cosine(a, _norm(a), b, _norm(b))
 
 
 @dataclass(frozen=True)
@@ -156,16 +161,63 @@ class PairwiseMatrix:
         return buf.getvalue()
 
 
-def pairwise_matrix(
+class _Profile(NamedTuple):
+    words: int
+    word_ngrams: list[Counter]
+    chars: int
+    char_ngrams: list[Counter]
+    vector: EmbeddingVector
+    norm: float
+
+
+def pairwise_matrices(
     corpora: list[TransformedCorpus],
-    metric: str,
-    client: ProviderClient | None = None,
-    embed_cfg: ProviderConfig | None = None,
-) -> PairwiseMatrix:
-    """Matrix of mean similarities for every ordered corpus pair."""
+    client: ProviderClient | None,
+    embed_cfg: ProviderConfig | None,
+) -> dict[str, PairwiseMatrix]:
+    """The BLEU, chrF and cosine matrices (keyed as in METRICS) of every ordered corpus pair.
+
+    values[i][j] is the mean over ids of the metric with corpus i's text as
+    the candidate and corpus j's as the reference, summed in the first
+    corpus's id order. One pass over the ids profiles and embeds each text
+    once and scores every pair of an id's texts from the profiles.
+    """
+    if client is None or embed_cfg is None:
+        raise ValueError("cosine needs an embedding provider")
+    texts = [c.texts_by_id() for c in corpora]
+    ids = corpora[0].ids() if corpora else []
+    unpaired = sorted(set().union(*texts) - set(ids).intersection(*texts))
+    if unpaired:
+        raise ValueError(f"corpora id sets differ; unpaired ids: {unpaired}")
+
+    size = len(corpora)
+    cells = {m: [[[] for _ in range(size)] for _ in range(size)] for m in METRICS}
+    bleu_cells, chrf_cells, cosine_cells = (cells[m] for m in METRICS)
+    for item_id in ids:
+        profiles = []
+        for by_id in texts:
+            text = by_id[item_id]
+            words = _word_profile(text, DEFAULT_BLEU_MAX_N)
+            chars = _char_profile(text, DEFAULT_CHRF_MAX_N)
+            vector = client.embed(embed_cfg, text)
+            profiles.append(_Profile(*words, *chars, vector, _norm(vector)))
+        for i, a in enumerate(profiles):
+            for j in range(i, size):
+                b = profiles[j]
+                word_matches = _matches(a.word_ngrams, b.word_ngrams)
+                char_matches = _matches(a.char_ngrams, b.char_ngrams)
+                cos = _cosine(a.vector, a.norm, b.vector, b.norm)
+                for row, col, cand, ref in [(i, j, a, b)] if i == j else [(i, j, a, b), (j, i, b, a)]:
+                    bleu_cells[row][col].append(_bleu(cand.words, ref.words, word_matches, DEFAULT_BLEU_MAX_N, 0.0))
+                    chrf_cells[row][col].append(
+                        _chrf(cand.chars, ref.chars, char_matches, DEFAULT_CHRF_MAX_N, DEFAULT_CHRF_BETA)
+                    )
+                    cosine_cells[row][col].append(cos)
+
     labels = tuple(c.kind.value for c in corpora)
-    values = tuple(
-        tuple(mean_similarity(a, b, metric, client, embed_cfg) for b in corpora)
-        for a in corpora
-    )
-    return PairwiseMatrix(labels, values, metric)
+    return {
+        metric: PairwiseMatrix(
+            labels, tuple(tuple(sum(scores) / len(scores) for scores in row) for row in cells[metric]), metric
+        )
+        for metric in METRICS
+    }

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .corpus import Dataset
-from .providers import ProviderClient, ProviderConfig
+from .providers import OfflineViolation, ProviderClient, ProviderConfig
 
 
 class TransformationKind(str, Enum):
@@ -219,7 +219,8 @@ def apply_step(
     `language` is the dataset's. Each item's provenance is its source cache
     keys followed by the step's. In strict mode the first failure in source
     order aborts the step; in lenient mode a failed item is left out and
-    returned as (id, message) among the failures, in source order.
+    returned as (id, message) among the failures, in source order, unless
+    it failed on an offline cache miss, which aborts in either mode.
     """
 
     def run(item):
@@ -229,7 +230,8 @@ def apply_step(
                 raise ValueError("empty source text")
             return step.call(client, config, text, language), None
         except Exception as exc:
-            if config.strict:
+            # a cache miss while offline is the run's fault, not the item's
+            if config.strict or isinstance(exc, OfflineViolation):
                 raise TransformError(f"{step.kind.value} {item_id}: {exc}") from exc
             return None, str(exc)
 

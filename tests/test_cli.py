@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 import semsurf.classifier as classifier
 import semsurf.providers as providers
-from semsurf.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from semsurf.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, main
 from semsurf.config import StageError, config_digest, parse_config
 from semsurf.transform import DEFAULT_PROMPTS, TransformationKind
 
@@ -351,6 +351,19 @@ class TestLenientRun:
             assert result.exit_code == EXIT_OK, result.output
         manifest = json.loads((run_dir / "transformed" / "manifest.json").read_text())
         assert [i for i, _ in manifest["failures"]["ShortSummary"]] == ["s01", "s06"]
+
+    def test_offline_cache_miss_aborts_with_its_cause(self, tmp_path, runner):
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path), extra="mode = lenient")
+        conf.write_text(conf.read_text().replace("mock:chat", "http://localhost:9/v1/chat"))
+        run_dir = tmp_path / "run"
+        for stage, code in (("ingest", EXIT_OK), ("transform", EXIT_PROVIDER)):
+            result = runner.invoke(
+                main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"]
+            )
+            assert result.exit_code == code, result.output
+        assert "ShortSummary s00: cache miss" in result.output
+        assert "items completed" not in result.output
 
 
 def test_dataset_name_defaults_to_file_stem(tmp_path, runner):

@@ -7,15 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semsurf.lexstats import tokenize
-from semsurf.providers import EmbeddingVector, ProviderClient, ProviderConfig, ResponseCache
-from semsurf.textmetrics import (
-    bleu,
-    chrf,
-    cosine,
-    mean_similarity,
-    pairwise_matrix,
-)
-from semsurf.transform import TransformationKind, TransformedCorpus
+from semsurf.providers import EmbeddingVector, ProviderClient, ProviderConfig, ResponseCache, mock_embed
+from semsurf.textmetrics import METRICS, bleu, chrf, cosine, pairwise_matrices
+from semsurf.transform import KIND_ORDER, TransformationKind, TransformedCorpus
 
 WORDS = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "fast", "home"]
 
@@ -167,37 +161,78 @@ def _corpus(kind, texts, ids=None):
     return TransformedCorpus(kind=kind, dataset_name="test", items=items, provenance=prov)
 
 
+EMBED_CFG = ProviderConfig(kind="embed", endpoint="mock:embed", model="m")
+
+
+class FakeEmbedder:
+    """Embeds with mock_embed, or as `vectors` says for the texts it names."""
+
+    def __init__(self, vectors=None):
+        self.vectors = vectors or {}
+
+    def embed(self, cfg, text):
+        return self.vectors.get(text) or mock_embed(text)
+
+
+class CountingClient(ProviderClient):
+    def __init__(self, cache):
+        super().__init__(cache)
+        self.embedded = []
+
+    def embed(self, cfg, text):
+        self.embedded.append(text)
+        return super().embed(cfg, text)
+
+
+def bleu_of(a, b):
+    return pairwise_matrices([a, b], FakeEmbedder(), EMBED_CFG)["bleu"].values[0][1]
+
+
 class TestCorpusLevel:
     def test_mean_similarity_pairs_by_id(self):
         a = _corpus(TransformationKind.ORIGINAL, ["the cat sat", "a dog ran"])
-        b = _corpus(TransformationKind.SHORT_SUMMARY, ["the cat sat", "a dog ran"])
-        assert mean_similarity(a, b, "bleu") == pytest.approx(1.0, abs=1e-12)
+        b = _corpus(TransformationKind.SHORT_SUMMARY, ["a dog ran", "the cat sat"], ids=["t1", "t0"])
+        assert bleu_of(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_similarity_rejects_unpaired(self):
         a = _corpus(TransformationKind.ORIGINAL, ["x y z"])
         b = _corpus(TransformationKind.SHORT_SUMMARY, ["x y z"], ids=["other"])
-        with pytest.raises(ValueError, match="unpaired"):
-            mean_similarity(a, b, "bleu")
+        with pytest.raises(ValueError, match=r"unpaired ids: \['other', 't0'\]"):
+            bleu_of(a, b)
+        c = _corpus(TransformationKind.LONG_SUMMARY, ["x y z", "x"], ids=["t0", "extra"])
+        with pytest.raises(ValueError, match=r"unpaired ids: \['extra'\]"):
+            pairwise_matrices([a, a, c], FakeEmbedder(), EMBED_CFG)
 
     def test_cosine_requires_provider(self):
         a = _corpus(TransformationKind.ORIGINAL, ["the cat sat"])
-        with pytest.raises(ValueError):
-            mean_similarity(a, a, "cosine")
+        with pytest.raises(ValueError, match="embedding provider"):
+            pairwise_matrices([a], None, None)
 
-    def test_unknown_metric(self):
-        a = _corpus(TransformationKind.ORIGINAL, ["the cat sat"])
-        with pytest.raises(ValueError):
-            mean_similarity(a, a, "rouge")
+    @pytest.mark.parametrize(
+        "text, vector, message",
+        [
+            ("   ", None, "non-empty tokenizations"),
+            ("... !", None, "non-empty tokenizations"),
+            ("the cat", EmbeddingVector((0.0,) * 256), "zero vector"),
+            ("the cat", EmbeddingVector((1.0, 2.0)), "dimension mismatch: 256 vs 2"),
+        ],
+    )
+    def test_errors_of_one_text(self, text, vector, message):
+        a = _corpus(TransformationKind.ORIGINAL, ["a dog ran", "the dog"])
+        b = _corpus(TransformationKind.SHORT_SUMMARY, ["a dog", text])
+        with pytest.raises(ValueError, match=message):
+            pairwise_matrices([a, b], FakeEmbedder({text: vector}), EMBED_CFG)
 
     def test_pairwise_matrix_diagonal_and_csv(self, tmp_path):
         client = ProviderClient(ResponseCache(tmp_path / "cache"))
-        embed_cfg = ProviderConfig(kind="embed", endpoint="mock:embed", model="m")
         corpora = [
             _corpus(TransformationKind.ORIGINAL, ["the cat sat on the mat", "a dog ran home"]),
             _corpus(TransformationKind.SHORT_SUMMARY, ["the cat sat", "a dog ran"]),
         ]
-        for metric in ("bleu", "chrf", "cosine"):
-            m = pairwise_matrix(corpora, metric, client, embed_cfg)
+        matrices = pairwise_matrices(corpora, client, EMBED_CFG)
+        assert list(matrices) == list(METRICS)
+        for metric, m in matrices.items():
+            assert m.metric == metric
             assert m.labels == ("Original", "ShortSummary")
             for i in range(2):
                 assert m.values[i][i] == pytest.approx(1.0, abs=1e-9)
@@ -208,6 +243,44 @@ class TestCorpusLevel:
 
     def test_mean_cosine_self_is_one(self, tmp_path):
         client = ProviderClient(ResponseCache(tmp_path / "cache"))
-        embed_cfg = ProviderConfig(kind="embed", endpoint="mock:embed", model="m")
         a = _corpus(TransformationKind.ORIGINAL, ["the quick brown fox", "jumps over the dog"])
-        assert mean_similarity(a, a, "cosine", client, embed_cfg) == pytest.approx(1.0, abs=1e-9)
+        cos = pairwise_matrices([a, a], client, EMBED_CFG)["cosine"]
+        assert all(v == pytest.approx(1.0, abs=1e-9) for row in cos.values for v in row)
+
+    def test_embeds_each_text_once(self, tmp_path):
+        client = CountingClient(ResponseCache(tmp_path / "cache"))
+        texts = [[f"{kind.value} item {i} the cat" for i in range(5)] for kind in KIND_ORDER[:3]]
+        corpora = [_corpus(kind, t) for kind, t in zip(KIND_ORDER, texts)]
+        pairwise_matrices(corpora, client, EMBED_CFG)
+        assert sorted(client.embedded) == sorted(sum(texts, []))  # kinds x ids calls
+
+
+WORD = st.sampled_from(["a", "b", "ab", "ba", "aab", "cat", "the"])
+TEXT = st.lists(WORD, min_size=1, max_size=7).map(" ".join)
+
+
+@st.composite
+def id_paired_corpora(draw):
+    n_ids = draw(st.integers(1, 4))
+    ids = [f"t{i}" for i in range(n_ids)]
+    return [
+        _corpus(kind, draw(st.lists(TEXT, min_size=n_ids, max_size=n_ids)), ids)
+        for kind in KIND_ORDER[: draw(st.integers(2, 4))]
+    ]
+
+
+@given(id_paired_corpora())
+@settings(max_examples=150, deadline=None)
+def test_matrices_equal_the_mean_of_the_public_scores(corpora):
+    """Each cell is exactly the mean over ids of the public metric of that pair."""
+    matrices = pairwise_matrices(corpora, FakeEmbedder(), EMBED_CFG)
+    score = {
+        "bleu": bleu,
+        "chrf": chrf,
+        "cosine": lambda x, y: cosine(mock_embed(x), mock_embed(y)),
+    }
+    for metric, m in matrices.items():
+        for i, a in enumerate(corpora):
+            for j, b in enumerate(corpora):
+                scores = [score[metric](x, y) for (_, x), (_, y) in zip(a.items, b.items)]
+                assert m.values[i][j] == sum(scores) / len(scores), (metric, i, j)
