@@ -10,6 +10,7 @@ served by pure in-process functions, so the whole pipeline can run offline.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import math
@@ -19,11 +20,13 @@ import tempfile
 import threading
 import time
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 PROVIDER_KINDS = ("chat", "translate", "embed", "text_to_image", "image_to_text")
 
@@ -97,7 +100,7 @@ class EmbeddingVector:
     def __post_init__(self):
         if not self.values:
             raise ValueError("embedding must be non-empty")
-        if any(not math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ValueError("embedding contains non-finite entries")
 
     @property
@@ -213,14 +216,18 @@ def mock_translate(text: str, source: str, target: str) -> str:
     return " ".join(f"{marker} {s}." for s in sentences)
 
 
+@functools.lru_cache(maxsize=1 << 15)
+def _trigram_bucket(tri: str) -> int:
+    digest = hashlib.blake2b(tri.encode("utf-8"), digest_size=4).digest()
+    return int.from_bytes(digest, "big") % MOCK_EMBED_DIM
+
+
 def mock_embed(text: str) -> EmbeddingVector:
     """L2-normalized hashed character-trigram counts (dimension MOCK_EMBED_DIM)."""
     counts = [0.0] * MOCK_EMBED_DIM
     padded = f"  {text.lower()}  "
     for i in range(len(padded) - 2):
-        tri = padded[i : i + 3]
-        idx = int.from_bytes(hashlib.blake2b(tri.encode("utf-8"), digest_size=4).digest(), "big")
-        counts[idx % MOCK_EMBED_DIM] += 1.0
+        counts[_trigram_bucket(padded[i : i + 3])] += 1.0
     norm = math.sqrt(sum(c * c for c in counts))
     if norm == 0.0:
         counts[0] = 1.0
@@ -278,6 +285,7 @@ class ProviderClient:
         self._session = session
         self._sleep = sleep
         self._lock = threading.Lock()
+        self._inflight: dict[str, tuple[threading.Lock, int]] = {}  # key -> (lock, callers)
         self.network_calls = 0  # HTTP requests sent, retries included
 
     # -- public operations ------------------------------------------------
@@ -315,10 +323,15 @@ class ProviderClient:
         if not text.strip():
             raise ValueError("cannot embed empty text")
         payload = {"op": "embed", "model": cfg.model, "input": text}
-        rec = self._fetch(
-            cfg, payload, lambda: json.dumps(list(mock_embed(text).values))
-        )
-        vec = EmbeddingVector(tuple(json.loads(rec.response_text)))
+        computed: list[EmbeddingVector] = []
+
+        def compute() -> str:
+            computed.append(mock_embed(text))
+            return json.dumps(computed[0].values)
+
+        rec = self._fetch(cfg, payload, compute)
+        # a mock miss returns the vector its record was written from
+        vec = computed[0] if computed else EmbeddingVector(tuple(json.loads(rec.response_text)))
         expected = cfg.embed_dimension or (MOCK_EMBED_DIM if cfg.is_mock else None)
         if expected is not None and vec.dimension != expected:
             raise ProviderError(f"embedding dimension {vec.dimension} != declared {expected}")
@@ -370,32 +383,51 @@ class ProviderClient:
             payload["seed"] = cfg.seed
         return payload
 
+    @contextmanager
+    def _single_flight(self, key: str):
+        """Hold the lock of one cache key; callers of other keys never wait."""
+        with self._lock:
+            lock, callers = self._inflight.get(key) or (threading.Lock(), 0)
+            self._inflight[key] = (lock, callers + 1)
+        try:
+            with lock:
+                yield
+        finally:
+            with self._lock:
+                callers = self._inflight[key][1] - 1
+                if callers:
+                    self._inflight[key] = (lock, callers)
+                else:
+                    del self._inflight[key]
+
     def _fetch(self, cfg, payload, mock_fn, image: bool = False) -> GenerationRecord:
         canonical = canonical_request(payload)
         key = cache_key_for(canonical)
-        hit = self.cache.lookup(key)
-        if hit is not None:
-            return hit
-        if cfg.is_mock:
-            result = mock_fn()
-        elif self.offline:
-            raise OfflineViolation(f"cache miss for {key} with transport disabled")
-        else:
-            result = self._http_call(cfg, payload, image=image)
-        record = GenerationRecord(
-            cache_key=key,
-            request=canonical,
-            response_text=None if image else result,
-            response_image=result if image else None,
-            created_at=time.time(),
-            provider=cfg.summary(),
-        )
-        self.cache.store(record)
-        # read back so concurrent writers agree on the surviving record
-        stored = self.cache.lookup(key)
-        return stored if stored is not None else record
+        # the first caller of a key computes and stores it; the others wait, then hit
+        with self._single_flight(key):
+            hit = self.cache.lookup(key)
+            if hit is not None:
+                return hit
+            if cfg.is_mock:
+                result = mock_fn()
+            elif self.offline:
+                raise OfflineViolation(f"cache miss for {key} with transport disabled")
+            else:
+                result = self._http_call(cfg, payload, image=image)
+            record = GenerationRecord(
+                cache_key=key,
+                request=canonical,
+                response_text=None if image else result,
+                response_image=result if image else None,
+                created_at=time.time(),
+                provider=cfg.summary(),
+            )
+            self.cache.store(record)
+            return record
 
     def _http_call(self, cfg: ProviderConfig, payload: dict, image: bool):
+        import requests  # deferred: mock and warm runs never send a request
+
         headers = {"Content-Type": "application/json"}
         if cfg.credential_env:
             key = os.environ.get(cfg.credential_env)

@@ -1,10 +1,21 @@
+import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+import threading
 import time
 import zlib
+from collections import Counter
+from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import semsurf
 from semsurf.providers import (
     MOCK_EMBED_DIM,
     EmbeddingVector,
@@ -152,6 +163,21 @@ class TestMocks:
             EmbeddingVector(())
         with pytest.raises(ValueError):
             EmbeddingVector((float("nan"),))
+        with pytest.raises(ValueError):
+            EmbeddingVector((0.5, float("-inf")))
+
+    @given(st.one_of(st.text(max_size=40), st.text(alphabet="aAbB zZçÇİıßẞΣσς", max_size=12)))
+    @settings(max_examples=200, deadline=None)
+    def test_embed_is_the_trigram_formula(self, text):
+        # the formula, one blake2b digest per trigram occurrence
+        counts = [0.0] * MOCK_EMBED_DIM
+        padded = f"  {text.lower()}  "
+        for i in range(len(padded) - 2):
+            tri = padded[i : i + 3]
+            idx = int.from_bytes(hashlib.blake2b(tri.encode("utf-8"), digest_size=4).digest(), "big")
+            counts[idx % MOCK_EMBED_DIM] += 1.0
+        norm = math.sqrt(sum(c * c for c in counts))
+        assert mock_embed(text).values == tuple(c / norm for c in counts)
 
 
 class TestClientMockPath:
@@ -199,6 +225,17 @@ class TestClientMockPath:
         with pytest.raises(ValueError):
             client.embed(cfg, "   ")
 
+    def test_embed_cache_traffic(self, tmp_path):
+        cache = CountingCache(tmp_path)
+        cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
+        cold = ProviderClient(cache).embed(cfg, "the boy sees a dog")
+        assert (cache.lookups.total(), cache.stores.total()) == (1, 1)
+        cache.lookups.clear()
+        cache.stores.clear()
+        warm = ProviderClient(cache).embed(cfg, "the boy sees a dog")
+        assert (cache.lookups.total(), cache.stores.total()) == (1, 0)
+        assert warm == cold == mock_embed("the boy sees a dog")
+
     def test_image_roundtrip_types(self, tmp_path):
         client = make_client(tmp_path)
         t2i = ProviderConfig(kind="text_to_image", endpoint="mock:t2i", model="m")
@@ -208,6 +245,26 @@ class TestClientMockPath:
         assert caption
         with pytest.raises(ValueError, match="not a PNG"):
             client.image_to_text(i2t, b"JPEG?", "Describe the image.")
+
+
+class CountingCache(ResponseCache):
+    """Counts lookups and stores per key."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self._count_lock = threading.Lock()
+        self.lookups = Counter()
+        self.stores = Counter()
+
+    def lookup(self, key):
+        with self._count_lock:
+            self.lookups[key] += 1
+        return super().lookup(key)
+
+    def store(self, record):
+        with self._count_lock:
+            self.stores[record.cache_key] += 1
+        super().store(record)
 
 
 class FakeResponse:
@@ -324,3 +381,93 @@ class TestHttpPath:
         client = make_client(tmp_path, session=session)
         with pytest.raises(ProviderError, match="dimension"):
             client.embed(cfg, "text")
+
+
+class GatedSession:
+    """Answers each chat request with its user text once `parties` requests are
+    in flight together, or after `wait_s` if they never are."""
+
+    def __init__(self, parties, wait_s):
+        self.barrier = threading.Barrier(parties)
+        self.wait_s = wait_s
+        self.together = []  # user texts of the requests that met all the others in flight
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        try:
+            self.barrier.wait(timeout=self.wait_s)
+            self.together.append(json["messages"][1]["content"])
+        except threading.BrokenBarrierError:
+            pass
+        return FakeResponse(200, chat_body(json["messages"][1]["content"]))
+
+
+def run_together(calls):
+    """Runs each call on its own thread, all started at once; their results in order."""
+    results = [None] * len(calls)
+    errors = []
+    start = threading.Barrier(len(calls))
+
+    def body(i):
+        try:
+            start.wait(timeout=10)
+            results[i] = calls[i]()
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=body, args=(i,)) for i in range(len(calls))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    return results
+
+
+class TestSingleFlight:
+    def test_duplicate_requests_make_one_call(self, tmp_path):
+        n = 6
+        session = GatedSession(parties=n, wait_s=0.5)
+        client = make_client(tmp_path, session=session)
+        results = run_together([lambda: client.chat_generate(HTTP_CFG, "sys", "input")] * n)
+        assert client.network_calls == 1
+        assert session.together == []
+        assert set(results) == {results[0]}
+        assert results[0][0] == "input"
+
+    def test_different_keys_are_in_flight_together(self, tmp_path):
+        session = GatedSession(parties=2, wait_s=10)
+        client = make_client(tmp_path, session=session)
+        results = run_together(
+            [lambda: client.chat_generate(HTTP_CFG, "sys", "one"),
+             lambda: client.chat_generate(HTTP_CFG, "sys", "two")]
+        )
+        assert sorted(session.together) == ["one", "two"]
+        assert [text for text, _ in results] == ["one", "two"]
+        assert client.network_calls == 2
+
+    def test_each_key_stored_once_under_contention(self, tmp_path):
+        cache = CountingCache(tmp_path)
+        client = ProviderClient(cache)
+        cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
+        texts = [f"text number {i}" for i in range(10)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_together(
+                [lambda k=k: [client.embed(cfg, texts[(k + j) % 10]) for j in range(30)] for k in range(8)]
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(cache.stores.values()) == [1] * 10
+        assert client._inflight == {}
+        for k, vectors in enumerate(results):
+            assert vectors == [mock_embed(texts[(k + j) % 10]) for j in range(30)]
+
+
+def test_cli_import_leaves_requests_unloaded():
+    src = Path(semsurf.__file__).resolve().parent.parent
+    code = "import sys, semsurf.cli; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
