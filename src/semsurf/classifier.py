@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .corpus import Dataset, FoldAssignment, GROUP_AD, GROUP_CONTROL, fixed_split, split_folds
-from .providers import ProviderClient, ProviderConfig
 from .transform import TransformedCorpus
 
 POSITIVE = GROUP_AD  # ties at score 0.5 resolve to the positive class
@@ -155,6 +154,7 @@ def _stratified_holdout(y: np.ndarray, fraction: float, rng: np.random.Generator
     return mask
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging loss raises TrainingError instead
 def train(embeddings: np.ndarray, labels: list[str], cfg: TrainConfig) -> LinearHead:
     """Full-batch gradient descent with lr/sqrt(epoch) decay and early stopping
     on held-out validation loss. Deterministic for a fixed seed."""
@@ -237,15 +237,6 @@ def per_class_accuracy(pred: list[str], gold: list[str]) -> tuple[float, float]:
     return recall(GROUP_AD), recall(GROUP_CONTROL)
 
 
-def _embed_corpus(
-    corpus: TransformedCorpus, client: ProviderClient, embed_cfg: ProviderConfig
-) -> dict[str, np.ndarray]:
-    return {
-        item_id: np.array(client.embed(embed_cfg, text).values)
-        for item_id, text in corpus.items
-    }
-
-
 def _evaluate(
     fold: int,
     train_ids: list[str],
@@ -279,18 +270,17 @@ def cross_validate(
     dataset: Dataset,
     k: int,
     seeds: list[int],
-    client: ProviderClient,
-    embed_cfg: ProviderConfig,
+    vectors: np.ndarray,
     cfg: TrainConfig,
 ) -> list[ClassificationRun]:
-    """Per-seed stratified k-fold CV.
+    """Per-seed stratified k-fold CV over `vectors`, the embeddings of the corpus's items in its order.
 
     The fold assignment depends only on (dataset, k, seed) and the ids the
     corpus has, which all corpora of a run share — not on the transformation —
     which is the pairing guarantee for signed-rank tests.
     """
     labels = {t.id: t.group for t in dataset.transcripts}
-    vectors = _embed_corpus(corpus, client, embed_cfg)
+    by_id = dict(zip(corpus.ids(), vectors))
     present = _present(dataset, corpus)
     runs = []
     for seed in seeds:
@@ -300,7 +290,7 @@ def cross_validate(
             test_ids = [i for i in corpus.ids() if assignment.assignments[i] == fold]
             train_ids = [i for i in corpus.ids() if assignment.assignments[i] != fold]
             try:
-                result = _evaluate(fold, train_ids, test_ids, vectors, labels, replace(cfg, seed=seed))
+                result = _evaluate(fold, train_ids, test_ids, by_id, labels, replace(cfg, seed=seed))
             except TrainingError as exc:
                 raise TrainingError(f"seed {seed} fold {fold}: {exc}") from exc
             run.folds.append(result)
@@ -312,17 +302,16 @@ def fixed_split_evaluate(
     corpus: TransformedCorpus,
     dataset: Dataset,
     seeds: list[int],
-    client: ProviderClient,
-    embed_cfg: ProviderConfig,
+    vectors: np.ndarray,
     cfg: TrainConfig,
 ) -> list[ClassificationRun]:
-    """Train on the corpus's items tagged train, evaluate on those tagged test, per seed."""
+    """Train on the items tagged train, evaluate on those tagged test, per seed; `vectors` as in cross_validate."""
     train_ds, test_ds = fixed_split(_present(dataset, corpus))
     labels = {t.id: t.group for t in dataset.transcripts}
-    vectors = _embed_corpus(corpus, client, embed_cfg)
+    by_id = dict(zip(corpus.ids(), vectors))
     train_ids = train_ds.ids()
     test_ids = test_ds.ids()
     return [
-        ClassificationRun(seed, [_evaluate(0, train_ids, test_ids, vectors, labels, replace(cfg, seed=seed))])
+        ClassificationRun(seed, [_evaluate(0, train_ids, test_ids, by_id, labels, replace(cfg, seed=seed))])
         for seed in seeds
     ]

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
 import click
+import numpy as np
 
 from . import classifier, lexstats, report, stattests, textmetrics
 from .config import Config, StageError, config_digest
@@ -39,12 +41,15 @@ class RunContext:
         self.config = Config(config_path)
         self.run_dir = run_dir
         self.reports_dir = run_dir / "reports"
+        self.offline = offline
         for key in ("frequency_table", "pos_lexicon"):
             if self.config[key] is not None and not self.resolve(self.config[key]).is_file():
                 raise self.config.error(key, "no such file")
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        cache_root = self.resolve(self.config["cache_root"])
-        self.client = ProviderClient(ResponseCache(cache_root), offline=offline)
+
+    @cached_property  # built on first use, so a stage that calls no provider never opens the cache
+    def client(self) -> ProviderClient:
+        return ProviderClient(ResponseCache(self.resolve(self.config["cache_root"])), offline=self.offline)
 
     def resolve(self, p: str | None) -> Path | None:
         """A config path, relative to the run directory unless absolute; None stays None."""
@@ -57,7 +62,7 @@ class RunContext:
         path = self.run_dir / artifact
         if not path.exists():
             raise StageError(
-                f"missing artifact {artifact}; run `semsurf {PRODUCER[artifact]}` first", EXIT_DATA
+                f"missing artifact {artifact}; run `semsurf {PRODUCER[artifact.split('/')[0]]}` first", EXIT_DATA
             )
         return path
 
@@ -68,16 +73,27 @@ class RunContext:
         return load_dataset(self.need("dataset.jsonl"), "jsonl", name=self.config["dataset_name"])
 
     def load_transformed(self) -> dict[TransformationKind, TransformedCorpus]:
-        paths = sorted(self.need("transformed/manifest.json").parent.glob("*.jsonl"))
-        corpora = [TransformedCorpus.load(p, self.config["dataset_name"]) for p in paths]
-        return {corpus.kind: corpus for corpus in corpora}
+        """The corpora of the kinds that the last `transform` listed in its manifest."""
+        kinds = json.loads(self.need("transformed/manifest.json").read_text())["kinds"]
+        return {K(k): TransformedCorpus.load(self.need(f"transformed/{k}.jsonl")) for k in kinds}
+
+    def load_vectors(self, kind: TransformationKind, corpus: TransformedCorpus) -> np.ndarray:
+        """The embeddings that `transform` stored for `corpus`, one row per item in its order."""
+        artifact = f"transformed/{kind.value}.npy"
+        manifest = json.loads(self.need("transformed/manifest.json").read_text())
+        if manifest.get("embed") != self.config.providers["embed"].summary():
+            raise StageError(f"embed.* changed since {artifact} was written; run `semsurf transform`", EXIT_DATA)
+        vectors = np.load(self.need(artifact))
+        if vectors.ndim != 2 or len(vectors) != len(corpus.items):
+            raise StageError(f"{artifact} does not match {kind.value}.jsonl; run `semsurf transform`", EXIT_DATA)
+        return vectors
 
 
 # ---------------------------------------------------------------------------
 # the stage table
 
 STAGES: list[tuple[str, Callable[[RunContext], None]]] = []  # (name, stage function), in run order
-PRODUCER: dict[str, str] = {}  # artifact (relative to the run directory) -> stage writing it
+PRODUCER: dict[str, str] = {}  # file or directory in the run directory -> stage writing it
 
 
 def stage(*artifacts: str):
@@ -102,21 +118,26 @@ def stage_ingest(ctx: RunContext) -> None:
     click.echo(f"ingested {len(dataset)} transcripts -> {ctx.run_dir / 'dataset.jsonl'}")
 
 
-@stage("transformed/manifest.json")
+@stage("transformed")
 def stage_transform(ctx: RunContext) -> None:
     dataset = ctx.load_ingested()
     config = ctx.config.pipeline(dataset.source_language)
     corpora, failures = run_pipeline(dataset, config, ctx.client)
     out_dir = ctx.run_dir / "transformed"
     out_dir.mkdir(exist_ok=True)
+    embed_cfg = ctx.config.providers["embed"]
     for kind, corpus in corpora.items():
         corpus.save(out_dir / f"{kind.value}.jsonl")
+        # the pipeline's only embed calls; one array per row, as a kind's Python floats take 4x the memory
+        rows = [np.array(ctx.client.embed(embed_cfg, text).values) for _, text in corpus.items]
+        np.save(out_dir / f"{kind.value}.npy", np.array(rows, dtype=np.float64))
     manifest = {
         "dataset_name": dataset.name,
         "config_digest": config_digest(ctx.config.raw),
         "prompts": {k.value: v for k, v in config.prompts.prompts.items()},
         "prompt_overrides": sorted(k.value for k in config.prompts.overridden),
         "kinds": sorted(k.value for k in corpora),
+        "embed": embed_cfg.summary(),
         "item_cache_keys": {
             kind.value: {i: list(p) for i, p in corpus.provenance.items()}
             for kind, corpus in corpora.items()
@@ -130,7 +151,6 @@ def stage_transform(ctx: RunContext) -> None:
 @stage("similarity.json")
 def stage_similarity(ctx: RunContext) -> None:
     corpora = ctx.load_transformed()
-    embed_cfg = ctx.config.providers["embed"]
     reference = K.TRANSLATED if K.TRANSLATED in corpora else K.ORIGINAL
     if reference not in corpora:
         raise StageError(f"similarity needs the {reference.value} corpus; add it to `enabled`", EXIT_USAGE)
@@ -141,7 +161,8 @@ def stage_similarity(ctx: RunContext) -> None:
         k.value: {} for k in SIMILARITY_TABLE_KINDS if k in corpora
     }
     ctx.reports_dir.mkdir(exist_ok=True)
-    matrices = textmetrics.pairwise_matrices([corpora[k] for k in ordered], ctx.client, embed_cfg)
+    vectors = [ctx.load_vectors(k, corpora[k]) for k in ordered]
+    matrices = textmetrics.pairwise_matrices([corpora[k] for k in ordered], vectors)
     for metric, matrix in matrices.items():
         (ctx.reports_dir / f"matrix_{metric}.csv").write_text(matrix.to_csv())
         for kind, row in zip(ordered, matrix.values):
@@ -194,7 +215,6 @@ def stage_lexical(ctx: RunContext) -> None:
 def stage_classify(ctx: RunContext) -> None:
     dataset = ctx.load_ingested()
     corpora = ctx.load_transformed()
-    embed_cfg = ctx.config.providers["embed"]
     cfg = ctx.config.train
     seeds = classifier.run_seeds(ctx.config["master_seed"], ctx.config["runs"])
     k = ctx.config["k"]
@@ -202,10 +222,11 @@ def stage_classify(ctx: RunContext) -> None:
 
     results = {}
     for kind, corpus in corpora.items():
+        vectors = ctx.load_vectors(kind, corpus)
         if use_fixed:
-            runs = classifier.fixed_split_evaluate(corpus, dataset, seeds, ctx.client, embed_cfg, cfg)
+            runs = classifier.fixed_split_evaluate(corpus, dataset, seeds, vectors, cfg)
         else:
-            runs = classifier.cross_validate(corpus, dataset, k, seeds, ctx.client, embed_cfg, cfg)
+            runs = classifier.cross_validate(corpus, dataset, k, seeds, vectors, cfg)
         results[kind.value] = [r.to_dict() for r in runs]
     payload = {
         "protocol": "fixed_split" if use_fixed else f"cv{k}",
@@ -323,7 +344,7 @@ def _run_stage(fn, config: str, run_dir: str, offline: bool) -> int:
     except StageError as exc:
         click.echo(f"error: {exc}", err=True)
         return exc.exit_code
-    except DataError as exc:
+    except (DataError, classifier.TrainingError) as exc:
         click.echo(f"data error: {exc}", err=True)
         return EXIT_DATA
     except (TransportError, ProviderError, OfflineViolation) as exc:

@@ -191,7 +191,7 @@ class Config:
                 except ValueError as exc:
                     raise self.error(f"{role}.endpoint", str(exc)) from None
         self.require("chat", "transform needs it")
-        self.require("embed", "similarity and classify need it")
+        self.require("embed", "transform embeds every corpus")
         if TransformationKind.IMAGE_DESCRIPTION in self["enabled"]:
             self.require("t2i", "ImageDescription is enabled")
             self.require("i2t", "ImageDescription is enabled")

@@ -38,7 +38,6 @@ class FrequencyTable:
     """Word -> relative frequency, loaded from a 'word<TAB>prob' TSV."""
 
     probs: dict[str, float]
-    language: str = "en"
 
     def __post_init__(self):
         if not self.probs:
@@ -48,7 +47,7 @@ class FrequencyTable:
                 raise ValueError(f"probability out of (0,1] for {w!r}: {p}")
 
     @classmethod
-    def load(cls, path: str | Path | None = None, language: str = "en") -> "FrequencyTable":
+    def load(cls, path: str | Path | None = None) -> "FrequencyTable":
         """Load a TSV table; the shipped English table when path is None."""
         path = Path(path) if path is not None else _DATA / "zipf_en.tsv"
         probs: dict[str, float] = {}
@@ -62,7 +61,7 @@ class FrequencyTable:
                     probs[word] = float(prob)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: bad frequency row {line!r}") from exc
-        return cls(probs, language)
+        return cls(probs)
 
     def zipf(self, word: str, oov_floor: float = 0.0) -> float:
         p = self.probs.get(word)

@@ -120,7 +120,6 @@ SIMILARITY_FOOTER = (
 def similarity_table(
     scores: dict[TransformationKind, dict[str, float]],
     reference: TransformationKind,
-    missing: list[TransformationKind] | None = None,
 ) -> ReportTable:
     """Per-transformation mean chrF/BLEU/cosine against the reference corpus."""
     rows = [
@@ -128,8 +127,6 @@ def similarity_table(
         for kind in _ordered(scores)
     ]
     footer = [f"Reference corpus: {reference.value}.", SIMILARITY_FOOTER]
-    for kind in missing or []:
-        footer.append(f"Row omitted (not computed): {kind.value}.")
     return ReportTable("Similarity scores", ["chrF", "BLEU", "Cosine"], rows, footer)
 
 

@@ -15,10 +15,9 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .lexstats import tokenize
-from .providers import EmbeddingVector, ProviderClient, ProviderConfig
 from .transform import TransformedCorpus
 
 METRICS = ("bleu", "chrf", "cosine")
@@ -103,17 +102,17 @@ def _chrf(cand_len: int, ref_len: int, matches: list[int], max_n: int, beta: flo
     return (1 + b2) * avg_p * avg_r / (b2 * avg_p + avg_r)
 
 
-def _norm(v: EmbeddingVector) -> float:
-    return math.sqrt(sum(x * x for x in v.values))
+def _norm(v: Sequence[float]) -> float:
+    return math.sqrt(sum(x * x for x in v))
 
 
-def _cosine(a: EmbeddingVector, norm_a: float, b: EmbeddingVector, norm_b: float) -> float:
+def _cosine(a: Sequence[float], norm_a: float, b: Sequence[float], norm_b: float) -> float:
     """Symmetric to the last bit: the products and the norm product commute exactly."""
-    if a.dimension != b.dimension:
-        raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("cosine of a zero vector is undefined")
-    return sum(x * y for x, y in zip(a.values, b.values)) / (norm_a * norm_b)
+    return sum(x * y for x, y in zip(a, b)) / (norm_a * norm_b)
 
 
 def bleu(candidate: str, reference: str, max_n: int = DEFAULT_BLEU_MAX_N, smooth_eps: float = 0.0) -> float:
@@ -142,7 +141,7 @@ def chrf(
     return _chrf(cand_len, ref_len, _matches(cand, ref), max_n, beta)
 
 
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
+def cosine(a: Sequence[float], b: Sequence[float]) -> float:
     return _cosine(a, _norm(a), b, _norm(b))
 
 
@@ -166,25 +165,20 @@ class _Profile(NamedTuple):
     word_ngrams: list[Counter]
     chars: int
     char_ngrams: list[Counter]
-    vector: EmbeddingVector
+    vector: list[float]
     norm: float
 
 
-def pairwise_matrices(
-    corpora: list[TransformedCorpus],
-    client: ProviderClient | None,
-    embed_cfg: ProviderConfig | None,
-) -> dict[str, PairwiseMatrix]:
+def pairwise_matrices(corpora: list[TransformedCorpus], vectors: list) -> dict[str, PairwiseMatrix]:
     """The BLEU, chrF and cosine matrices (keyed as in METRICS) of every ordered corpus pair.
 
+    vectors[i] is corpus i's embedding array, one numpy row per item in its order;
     values[i][j] is the mean over ids of the metric with corpus i's text as
     the candidate and corpus j's as the reference, summed in the first
-    corpus's id order. One pass over the ids profiles and embeds each text
-    once and scores every pair of an id's texts from the profiles.
+    corpus's id order. One pass over the ids scores every pair of them.
     """
-    if client is None or embed_cfg is None:
-        raise ValueError("cosine needs an embedding provider")
     texts = [c.texts_by_id() for c in corpora]
+    rows = [dict(zip(c.ids(), v)) for c, v in zip(corpora, vectors)]
     ids = corpora[0].ids() if corpora else []
     unpaired = sorted(set().union(*texts) - set(ids).intersection(*texts))
     if unpaired:
@@ -195,11 +189,11 @@ def pairwise_matrices(
     bleu_cells, chrf_cells, cosine_cells = (cells[m] for m in METRICS)
     for item_id in ids:
         profiles = []
-        for by_id in texts:
+        for by_id, vector_by_id in zip(texts, rows):
             text = by_id[item_id]
             words = _word_profile(text, DEFAULT_BLEU_MAX_N)
             chars = _char_profile(text, DEFAULT_CHRF_MAX_N)
-            vector = client.embed(embed_cfg, text)
+            vector = vector_by_id[item_id].tolist()  # Python floats sum as the public `cosine` does
             profiles.append(_Profile(*words, *chars, vector, _norm(vector)))
         for i, a in enumerate(profiles):
             for j in range(i, size):

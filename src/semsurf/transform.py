@@ -83,7 +83,6 @@ class PromptSet:
 @dataclass(frozen=True)
 class TransformedCorpus:
     kind: TransformationKind
-    dataset_name: str
     items: tuple[tuple[str, str], ...]  # (source_id, text), source order
     provenance: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
@@ -117,7 +116,7 @@ class TransformedCorpus:
                 fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
     @classmethod
-    def load(cls, path: str | Path, dataset_name: str) -> "TransformedCorpus":
+    def load(cls, path: str | Path) -> "TransformedCorpus":
         items = []
         provenance = {}
         kind = None
@@ -131,13 +130,12 @@ class TransformedCorpus:
                 provenance[obj["id"]] = tuple(obj.get("provenance", ()))
         if kind is None:
             raise ValueError(f"empty transformed corpus file: {path}")
-        return cls(kind, dataset_name, tuple(items), provenance)
+        return cls(kind, tuple(items), provenance)
 
 
 def original_corpus(dataset: Dataset) -> TransformedCorpus:
     return TransformedCorpus(
         TransformationKind.ORIGINAL,
-        dataset.name,
         tuple((t.id, t.text) for t in dataset.transcripts),
     )
 
@@ -240,7 +238,6 @@ def apply_step(
     done = [(i, out) for i, (out, _) in results if out is not None]
     corpus = TransformedCorpus(
         step.kind,
-        source.dataset_name,
         tuple((i, text) for i, (text, _) in done),
         {i: source.provenance.get(i, ()) + keys for i, (_, keys) in done},
     )

@@ -16,7 +16,7 @@ from semsurf.classifier import (
     weighted_loss_and_grad,
 )
 from semsurf.corpus import GROUP_AD, GROUP_CONTROL, Dataset, Transcript, split_folds
-from semsurf.providers import ProviderClient, ProviderConfig, ResponseCache
+from semsurf.providers import mock_embed
 from semsurf.transform import TransformationKind, TransformedCorpus
 
 
@@ -183,10 +183,12 @@ def mini_dataset(n_ad=8, n_c=16):
 
 def corpus_for(ds, kind=TransformationKind.ORIGINAL):
     prov = {} if kind is TransformationKind.ORIGINAL else {t.id: ("0" * 64,) for t in ds.transcripts}
-    return TransformedCorpus(kind, ds.name, tuple((t.id, t.text) for t in ds.transcripts), prov)
+    return TransformedCorpus(kind, tuple((t.id, t.text) for t in ds.transcripts), prov)
 
 
-EMBED = ProviderConfig(kind="embed", endpoint="mock:embed", model="m")
+def vectors_for(corpus):
+    """The mock embeddings of the corpus's texts, one row per item in its order."""
+    return np.array([mock_embed(text).values for _, text in corpus.items])
 
 
 def fixed_split_dataset():
@@ -208,12 +210,12 @@ class TestCrossValidation:
             b = split_folds(ds, 4, seed)
             assert a == b
 
-    def test_cross_validate_shapes(self, tmp_path):
+    def test_cross_validate_shapes(self):
         ds = mini_dataset()
-        client = ProviderClient(ResponseCache(tmp_path / "cache"))
+        corpus = corpus_for(ds)
         runs = cross_validate(
-            corpus_for(ds), ds, k=4, seeds=run_seeds(1, 2), client=client,
-            embed_cfg=EMBED, cfg=TrainConfig(max_epochs=5, learning_rate=2.0),
+            corpus, ds, k=4, seeds=run_seeds(1, 2), vectors=vectors_for(corpus),
+            cfg=TrainConfig(max_epochs=5, learning_rate=2.0),
         )
         assert len(runs) == 2
         for run in runs:
@@ -222,33 +224,31 @@ class TestCrossValidation:
             d = run.to_dict()
             assert set(d) == {"seed", "macro_f1", "acc_ad", "acc_c", "folds"}
 
-    def test_cross_validate_deterministic(self, tmp_path):
+    def test_cross_validate_deterministic(self):
         ds = mini_dataset()
-        client = ProviderClient(ResponseCache(tmp_path / "cache"))
-        kw = dict(k=4, seeds=run_seeds(7, 2), client=client, embed_cfg=EMBED,
+        kw = dict(k=4, seeds=run_seeds(7, 2), vectors=vectors_for(corpus_for(ds)),
                   cfg=TrainConfig(max_epochs=5, learning_rate=2.0))
         r1 = cross_validate(corpus_for(ds), ds, **kw)
         r2 = cross_validate(corpus_for(ds), ds, **kw)
         assert [r.to_dict() for r in r1] == [r.to_dict() for r in r2]
 
-    def test_fixed_split_evaluate(self, tmp_path):
+    def test_fixed_split_evaluate(self):
         ds = fixed_split_dataset()
-        client = ProviderClient(ResponseCache(tmp_path / "cache"))
+        corpus = corpus_for(ds)
         runs = fixed_split_evaluate(
-            corpus_for(ds), ds, seeds=run_seeds(1, 3), client=client,
-            embed_cfg=EMBED, cfg=TrainConfig(max_epochs=10, learning_rate=5.0),
+            corpus, ds, seeds=run_seeds(1, 3), vectors=vectors_for(corpus),
+            cfg=TrainConfig(max_epochs=10, learning_rate=5.0),
         )
         assert len(runs) == 3
         assert all(len(r.folds) == 1 for r in runs)
 
-    def test_fixed_split_uses_the_corpus_ids(self, tmp_path):
+    def test_fixed_split_uses_the_corpus_ids(self):
         # a lenient run drops ids from every corpus but not from the dataset
         ds = fixed_split_dataset()
         dropped = {"f00", "f08"}  # one train id, one test id
         assert {t.split for t in ds.transcripts if t.id in dropped} == {"train", "test"}
         rest = Dataset("fixed", tuple(t for t in ds.transcripts if t.id not in dropped), "en")
-        client = ProviderClient(ResponseCache(tmp_path / "cache"))
-        kw = dict(seeds=run_seeds(1, 2), client=client, embed_cfg=EMBED, cfg=TrainConfig(learning_rate=5.0))
+        kw = dict(seeds=run_seeds(1, 2), vectors=vectors_for(corpus_for(rest)), cfg=TrainConfig(learning_rate=5.0))
         runs = fixed_split_evaluate(corpus_for(rest), ds, **kw)
         expected = fixed_split_evaluate(corpus_for(rest), rest, **kw)
         assert [r.to_dict() for r in runs] == [r.to_dict() for r in expected]

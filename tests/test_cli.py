@@ -1,4 +1,5 @@
 import json
+import shutil
 import threading
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import semsurf.classifier as classifier
 import semsurf.providers as providers
 from semsurf.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, main
 from semsurf.config import StageError, config_digest, parse_config
+from semsurf.textmetrics import METRICS
 from semsurf.transform import DEFAULT_PROMPTS, TransformationKind
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -235,6 +237,94 @@ class TestFullRun:
                 main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"]
             )
             assert result.exit_code == EXIT_OK, (stage, result.output)
+
+    def test_stages_read_the_kinds_of_the_last_transform(self, tmp_path, runner):
+        run_dir = self.run_all(tmp_path, runner, name="stale")
+        conf = tmp_path / "stale.conf"
+        conf.write_text(conf.read_text() + "enabled = Original, Translated\n")
+        for stage in ("transform", "similarity", "lexical", "classify"):
+            result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+            assert result.exit_code == EXIT_OK, (stage, result.output)
+        # the other six kinds' files of the first run are still there
+        assert len(list((run_dir / "transformed").glob("*.jsonl"))) == 8
+        kinds = ["Original", "Translated"]
+        assert json.loads((run_dir / "transformed" / "manifest.json").read_text())["kinds"] == kinds
+        assert sorted(json.loads((run_dir / "classification.json").read_text())["runs"]) == kinds
+        assert sorted(json.loads((run_dir / "lexical.json").read_text())) == kinds
+        assert (run_dir / "reports" / "matrix_bleu.csv").read_text().splitlines()[0] == ",Original,Translated"
+
+    @pytest.mark.parametrize(
+        "n_c, extra, message",
+        [
+            (0, "", "training data must contain both classes"),
+            (8, "train.learning_rate = 1e308", "non-finite training loss at epoch 2: inf"),
+        ],
+        ids=["one class", "diverging loss"],
+    )
+    def test_training_failure_exits_2(self, tmp_path, runner, n_c, extra, message):
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path, n_ad=12, n_c=n_c), extra=extra)
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "Traceback" not in result.output
+        assert result.output.splitlines()[-1].startswith("data error: ")
+        assert message in result.output
+
+
+def pt_fixture_config(path, extra=""):
+    """run_mock_pt.conf with the dataset pinned to its absolute path, plus `extra` lines."""
+    text = (FIXTURES / "run_mock_pt.conf").read_text().replace("../../fixtures/", f"{FIXTURES}/")
+    path.write_text(text + extra)
+    return path
+
+
+@pytest.fixture(scope="module")
+def pt_run(tmp_path_factory):
+    """One `semsurf run` of the pt fixture: its run directory and the texts passed to ProviderClient.embed."""
+    root = tmp_path_factory.mktemp("pt")
+    embedded = []
+    embed = providers.ProviderClient.embed
+
+    def counting_embed(self, cfg, text):
+        embedded.append(text)
+        return embed(self, cfg, text)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(providers.ProviderClient, "embed", counting_embed)
+        conf = pt_fixture_config(root / "pt.conf")
+        run_dir = root / "run"
+        result = CliRunner().invoke(main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+    assert result.exit_code == EXIT_OK, result.output
+    return run_dir, embedded
+
+
+class TestEmbedOnce:
+    def test_each_text_is_embedded_once(self, pt_run):
+        _, embedded = pt_run
+        assert len(embedded) == 8 * 40  # kinds x items
+
+    def test_similarity_and_classify_need_no_cache(self, pt_run, tmp_path, runner):
+        run_dir = tmp_path / "run"
+        shutil.copytree(pt_run[0], run_dir)
+        shutil.rmtree(run_dir / "cache")
+        outputs = ["similarity.json", "classification.json", *(f"reports/matrix_{m}.csv" for m in METRICS)]
+        for name in outputs:
+            (run_dir / name).unlink()
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        for stage in ("similarity", "classify"):
+            result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+            assert result.exit_code == EXIT_OK, (stage, result.output)
+        for name in outputs:
+            assert (run_dir / name).read_bytes() == (pt_run[0] / name).read_bytes(), name
+        assert not (run_dir / "cache").exists()
+
+    @pytest.mark.parametrize("stage", ["similarity", "classify"])
+    def test_changed_embed_config_needs_transform(self, pt_run, tmp_path, runner, stage):
+        conf = pt_fixture_config(tmp_path / "pt.conf", "embed.model = mock-embed-2\n")
+        result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(pt_run[0]), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "run `semsurf transform`" in result.output
 
 
 # each case: a line added to the config, a key whose line is dropped, the key the error names

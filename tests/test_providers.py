@@ -144,9 +144,9 @@ class TestMocks:
         assert sum(x * x for x in v.values) == pytest.approx(1.0, abs=1e-12)
 
     def test_embed_similarity_ordering(self):
-        a = mock_embed("the boy is reaching for the cookie jar")
-        b = mock_embed("the boy reaches for the cookie jar")
-        c = mock_embed("zzzz qqqq xxxx wwww")
+        a = mock_embed("the boy is reaching for the cookie jar").values
+        b = mock_embed("the boy reaches for the cookie jar").values
+        c = mock_embed("zzzz qqqq xxxx wwww").values
         assert cosine(a, b) > cosine(a, c)
 
     def test_png_valid(self):

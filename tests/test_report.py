@@ -107,10 +107,6 @@ class TestSimilarityTable:
         assert t.rows[1][1][0].display() == "0.57"  # chrF first column
         assert any("Translated" in note for note in t.footer)
 
-    def test_missing_rows_footnoted(self):
-        t = similarity_table({}, K.ORIGINAL, missing=[K.IMAGE_DESCRIPTION])
-        assert any("ImageDescription" in n for n in t.footer)
-
 
 def runs_with_f1(values, acc=0.5):
     return [

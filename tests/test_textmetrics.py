@@ -2,12 +2,13 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semsurf.lexstats import tokenize
-from semsurf.providers import EmbeddingVector, ProviderClient, ProviderConfig, ResponseCache, mock_embed
+from semsurf.providers import mock_embed
 from semsurf.textmetrics import METRICS, bleu, chrf, cosine, pairwise_matrices
 from semsurf.transform import KIND_ORDER, TransformationKind, TransformedCorpus
 
@@ -135,57 +136,40 @@ class TestChrf:
 
 class TestCosine:
     def test_parallel(self):
-        a = EmbeddingVector((1.0, 2.0, 3.0))
-        b = EmbeddingVector((2.0, 4.0, 6.0))
-        assert cosine(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert cosine((1.0, 2.0, 3.0), (2.0, 4.0, 6.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine(EmbeddingVector((1.0, 0.0)), EmbeddingVector((0.0, 1.0))) == 0.0
+        assert cosine((1.0, 0.0), (0.0, 1.0)) == 0.0
 
     def test_opposite(self):
-        assert cosine(EmbeddingVector((1.0, 1.0)), EmbeddingVector((-1.0, -1.0))) == pytest.approx(-1.0, abs=1e-12)
+        assert cosine((1.0, 1.0), (-1.0, -1.0)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            cosine(EmbeddingVector((1.0,)), EmbeddingVector((1.0, 2.0)))
+            cosine((1.0,), (1.0, 2.0))
 
     def test_zero_vector(self):
         with pytest.raises(ValueError):
-            cosine(EmbeddingVector((0.0, 0.0)), EmbeddingVector((1.0, 2.0)))
+            cosine((0.0, 0.0), (1.0, 2.0))
 
 
 def _corpus(kind, texts, ids=None):
     ids = ids or [f"t{i}" for i in range(len(texts))]
     items = tuple(zip(ids, texts))
     prov = {} if kind is TransformationKind.ORIGINAL else {i: ("0" * 64,) for i in ids}
-    return TransformedCorpus(kind=kind, dataset_name="test", items=items, provenance=prov)
+    return TransformedCorpus(kind=kind, items=items, provenance=prov)
 
 
-EMBED_CFG = ProviderConfig(kind="embed", endpoint="mock:embed", model="m")
-
-
-class FakeEmbedder:
-    """Embeds with mock_embed, or as `vectors` says for the texts it names."""
-
-    def __init__(self, vectors=None):
-        self.vectors = vectors or {}
-
-    def embed(self, cfg, text):
-        return self.vectors.get(text) or mock_embed(text)
-
-
-class CountingClient(ProviderClient):
-    def __init__(self, cache):
-        super().__init__(cache)
-        self.embedded = []
-
-    def embed(self, cfg, text):
-        self.embedded.append(text)
-        return super().embed(cfg, text)
+def matrices_of(corpora, vectors=None):
+    """pairwise_matrices over the mock embeddings, or the rows `vectors` gives the texts it names."""
+    vectors = vectors or {}
+    return pairwise_matrices(
+        corpora, [[np.array(vectors.get(text) or mock_embed(text).values) for _, text in c.items] for c in corpora]
+    )
 
 
 def bleu_of(a, b):
-    return pairwise_matrices([a, b], FakeEmbedder(), EMBED_CFG)["bleu"].values[0][1]
+    return matrices_of([a, b])["bleu"].values[0][1]
 
 
 class TestCorpusLevel:
@@ -201,35 +185,29 @@ class TestCorpusLevel:
             bleu_of(a, b)
         c = _corpus(TransformationKind.LONG_SUMMARY, ["x y z", "x"], ids=["t0", "extra"])
         with pytest.raises(ValueError, match=r"unpaired ids: \['extra'\]"):
-            pairwise_matrices([a, a, c], FakeEmbedder(), EMBED_CFG)
-
-    def test_cosine_requires_provider(self):
-        a = _corpus(TransformationKind.ORIGINAL, ["the cat sat"])
-        with pytest.raises(ValueError, match="embedding provider"):
-            pairwise_matrices([a], None, None)
+            matrices_of([a, a, c])
 
     @pytest.mark.parametrize(
         "text, vector, message",
         [
             ("   ", None, "non-empty tokenizations"),
             ("... !", None, "non-empty tokenizations"),
-            ("the cat", EmbeddingVector((0.0,) * 256), "zero vector"),
-            ("the cat", EmbeddingVector((1.0, 2.0)), "dimension mismatch: 256 vs 2"),
+            ("the cat", (0.0,) * 256, "zero vector"),
+            ("the cat", (1.0, 2.0), "dimension mismatch: 256 vs 2"),
         ],
     )
     def test_errors_of_one_text(self, text, vector, message):
         a = _corpus(TransformationKind.ORIGINAL, ["a dog ran", "the dog"])
         b = _corpus(TransformationKind.SHORT_SUMMARY, ["a dog", text])
         with pytest.raises(ValueError, match=message):
-            pairwise_matrices([a, b], FakeEmbedder({text: vector}), EMBED_CFG)
+            matrices_of([a, b], {text: vector})
 
-    def test_pairwise_matrix_diagonal_and_csv(self, tmp_path):
-        client = ProviderClient(ResponseCache(tmp_path / "cache"))
+    def test_pairwise_matrix_diagonal_and_csv(self):
         corpora = [
             _corpus(TransformationKind.ORIGINAL, ["the cat sat on the mat", "a dog ran home"]),
             _corpus(TransformationKind.SHORT_SUMMARY, ["the cat sat", "a dog ran"]),
         ]
-        matrices = pairwise_matrices(corpora, client, EMBED_CFG)
+        matrices = matrices_of(corpora)
         assert list(matrices) == list(METRICS)
         for metric, m in matrices.items():
             assert m.metric == metric
@@ -241,18 +219,10 @@ class TestCorpusLevel:
             # repr round-trips full float precision
             assert float(csv_text.splitlines()[1].split(",")[2]) == m.values[0][1]
 
-    def test_mean_cosine_self_is_one(self, tmp_path):
-        client = ProviderClient(ResponseCache(tmp_path / "cache"))
+    def test_mean_cosine_self_is_one(self):
         a = _corpus(TransformationKind.ORIGINAL, ["the quick brown fox", "jumps over the dog"])
-        cos = pairwise_matrices([a, a], client, EMBED_CFG)["cosine"]
+        cos = matrices_of([a, a])["cosine"]
         assert all(v == pytest.approx(1.0, abs=1e-9) for row in cos.values for v in row)
-
-    def test_embeds_each_text_once(self, tmp_path):
-        client = CountingClient(ResponseCache(tmp_path / "cache"))
-        texts = [[f"{kind.value} item {i} the cat" for i in range(5)] for kind in KIND_ORDER[:3]]
-        corpora = [_corpus(kind, t) for kind, t in zip(KIND_ORDER, texts)]
-        pairwise_matrices(corpora, client, EMBED_CFG)
-        assert sorted(client.embedded) == sorted(sum(texts, []))  # kinds x ids calls
 
 
 WORD = st.sampled_from(["a", "b", "ab", "ba", "aab", "cat", "the"])
@@ -273,11 +243,11 @@ def id_paired_corpora(draw):
 @settings(max_examples=150, deadline=None)
 def test_matrices_equal_the_mean_of_the_public_scores(corpora):
     """Each cell is exactly the mean over ids of the public metric of that pair."""
-    matrices = pairwise_matrices(corpora, FakeEmbedder(), EMBED_CFG)
+    matrices = matrices_of(corpora)
     score = {
         "bleu": bleu,
         "chrf": chrf,
-        "cosine": lambda x, y: cosine(mock_embed(x), mock_embed(y)),
+        "cosine": lambda x, y: cosine(mock_embed(x).values, mock_embed(y).values),
     }
     for metric, m in matrices.items():
         for i, a in enumerate(corpora):

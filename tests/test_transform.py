@@ -129,7 +129,7 @@ class TestSingleTransforms:
             apply(K.TRANSLATED, original_corpus(dataset("en")), client, "en")
 
     def test_summarize_rejects_empty(self, client):
-        source = TransformedCorpus(K.ORIGINAL, "d", (("a", "  "),))
+        source = TransformedCorpus(K.ORIGINAL, (("a", "  "),))
         with pytest.raises(TransformError, match="ShortSummary a: empty"):
             apply(K.SHORT_SUMMARY, source, client, "en")
 
@@ -160,7 +160,7 @@ class TestSingleTransforms:
 
     def test_provenance_required_for_derived(self):
         with pytest.raises(ValueError, match="provenance"):
-            TransformedCorpus(K.SHORT_SUMMARY, "d", (("a", "text"),), {})
+            TransformedCorpus(K.SHORT_SUMMARY, (("a", "text"),), {})
 
 
 class TestSaveLoad:
@@ -169,14 +169,14 @@ class TestSaveLoad:
         out = apply(K.TRANSLATED, original_corpus(ds), client)
         p = tmp_path / "translated.jsonl"
         out.save(p)
-        back = TransformedCorpus.load(p, "mini")
+        back = TransformedCorpus.load(p)
         assert back == out
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.jsonl"
         p.write_text("")
         with pytest.raises(ValueError, match="empty"):
-            TransformedCorpus.load(p, "d")
+            TransformedCorpus.load(p)
 
 
 class TestPipeline:
