@@ -133,15 +133,10 @@ def stage_transform(ctx: RunContext) -> None:
         np.save(out_dir / f"{kind.value}.npy", np.array(rows, dtype=np.float64))
     manifest = {
         "dataset_name": dataset.name,
-        "config_digest": config_digest(ctx.config.raw),
-        "prompts": {k.value: v for k, v in config.prompts.prompts.items()},
-        "prompt_overrides": sorted(k.value for k in config.prompts.overridden),
+        "prompts": {k.value: v for k, v in config.prompts.items()},
+        "prompt_overrides": sorted(k.value for k in config.prompts if f"prompt.{k.value}" in ctx.config.raw),
         "kinds": sorted(k.value for k in corpora),
         "embed": embed_cfg.summary(),
-        "item_cache_keys": {
-            kind.value: {i: list(p) for i, p in corpus.provenance.items()}
-            for kind, corpus in corpora.items()
-        },
         "failures": failures,
     }
     ctx.write_json("transformed/manifest.json", manifest)
@@ -152,8 +147,6 @@ def stage_transform(ctx: RunContext) -> None:
 def stage_similarity(ctx: RunContext) -> None:
     corpora = ctx.load_transformed()
     reference = K.TRANSLATED if K.TRANSLATED in corpora else K.ORIGINAL
-    if reference not in corpora:
-        raise StageError(f"similarity needs the {reference.value} corpus; add it to `enabled`", EXIT_USAGE)
     ordered = [k for k in KIND_ORDER if k in corpora]
     # the scores against the reference are the matrix's reference column
     ref_col = ordered.index(reference)

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .classifier import TrainConfig
 from .providers import ProviderConfig
-from .transform import KIND_ORDER, PIVOT_LANGUAGE, PipelineConfig, PromptSet, TransformationKind
+from .transform import DEFAULT_PROMPTS, KIND_ORDER, PIVOT_LANGUAGE, PipelineConfig, TransformationKind
 
 # config role -> provider kind
 ROLES = {"chat": "chat", "translate": "translate", "embed": "embed", "t2i": "text_to_image", "i2t": "image_to_text"}
@@ -84,17 +84,24 @@ def _kinds(raw: str) -> frozenset[TransformationKind]:
     return frozenset(TransformationKind(name.strip()) for name in raw.split(",") if name.strip())
 
 
-def _role_keys(role: str) -> dict[str, Key]:
-    """The keys of one provider role, in the order of ProviderConfig's fields after `kind`."""
+def _role_keys(role: str) -> dict[str, tuple[str, Key]]:
+    """<role>.<key> -> (ProviderConfig field, Key) for one provider role.
+
+    Every role has an endpoint, a model and a credential. Only chat requests
+    carry sampling settings, and only embed responses are checked against a
+    declared dimension.
+    """
     keys = {
-        "endpoint": Key(str, shown="—"),
-        "model": Key(str, f"mock-{role}"),
-        "temperature": Key(_number(float, "a number", 0), ProviderConfig.temperature),
-        "max_tokens": Key(INT),
-        "seed": Key(INT, ProviderConfig.seed),
-        "credential_env": Key(str),
-        "dimension": Key(INT),
+        "endpoint": ("endpoint", Key(str, shown="—")),
+        "model": ("model", Key(str, f"mock-{role}")),
+        "credential_env": ("credential_env", Key(str)),
     }
+    if role == "chat":
+        keys["temperature"] = ("temperature", Key(_number(float, "a number", 0), ProviderConfig.temperature))
+        keys["max_tokens"] = ("max_tokens", Key(INT))
+        keys["seed"] = ("seed", Key(INT, ProviderConfig.seed))
+    if role == "embed":
+        keys["dimension"] = ("embed_dimension", Key(INT))
     return {f"{role}.{name}": spec for name, spec in keys.items()}
 
 
@@ -120,11 +127,11 @@ SCHEMA: dict[str, Key] = {
     "lenient_threshold": Key(_number(float, "a number", 0, 1), PipelineConfig.lenient_threshold),
     "max_workers": Key(_number(int, "an integer", 1), PipelineConfig.max_workers),
     "cache_root": Key(str, "cache"),
-    **{f"prompt.{kind.value}": Key(str, shown="shipped default") for kind in KIND_ORDER},
+    **{f"prompt.{kind.value}": Key(str, prompt, "shipped default") for kind, prompt in DEFAULT_PROMPTS.items()},
     "frequency_table": Key(str, shown="shipped table"),
     "zipf_oov_floor": Key(FLOAT, 0.0),
     "pos_lexicon": Key(str, shown="shipped lexicon"),
-    **{key: spec for role in ROLES for key, spec in _role_keys(role).items()},
+    **{key: spec for role in ROLES for key, (_, spec) in _role_keys(role).items()},
     **{f"train.{key}": Key(parse, getattr(TrainConfig, field)) for key, (field, parse) in TRAIN_KEYS.items()},
 }
 
@@ -187,9 +194,12 @@ class Config:
         for role, kind in ROLES.items():
             if self[f"{role}.endpoint"] is not None:
                 try:
-                    self.providers[role] = ProviderConfig(kind, *(self[key] for key in _role_keys(role)))
+                    fields = {field: self[key] for key, (field, _) in _role_keys(role).items()}
+                    self.providers[role] = ProviderConfig(kind=kind, **fields)
                 except ValueError as exc:
                     raise self.error(f"{role}.endpoint", str(exc)) from None
+        if TransformationKind.ORIGINAL not in self["enabled"]:
+            raise self.error("enabled", "must include Original, the classification baseline")
         self.require("chat", "transform needs it")
         self.require("embed", "transform embeds every corpus")
         if TransformationKind.IMAGE_DESCRIPTION in self["enabled"]:
@@ -218,16 +228,12 @@ class Config:
 
     def pipeline(self, language: str) -> PipelineConfig:
         self.check_language(language)
-        prompts = PromptSet()
-        for kind in KIND_ORDER:
-            if self[f"prompt.{kind.value}"] is not None:
-                prompts.override(kind, self[f"prompt.{kind.value}"])
         return PipelineConfig(
             chat=self.providers["chat"],
             translate=self.providers.get("translate"),
             text_to_image=self.providers.get("t2i"),
             image_to_text=self.providers.get("i2t"),
-            prompts=prompts,
+            prompts={kind: self[f"prompt.{kind.value}"] for kind in DEFAULT_PROMPTS},
             enabled=set(self["enabled"]),
             max_workers=self["max_workers"],
             strict=self["mode"] == "strict",

@@ -146,6 +146,18 @@ def _t_two_sided_p(t: float, df: float) -> float:
 # tests
 
 
+def _unit_scaled(*samples: list[float]) -> list[list[float]]:
+    """The samples times the one power of two that brings their largest |value| into [0.5, 1).
+
+    A power-of-two factor only shifts exponents, so it is exact, and it keeps
+    the sums of squares and products below from overflowing or underflowing
+    on very large or very small inputs. Pearson's r and Welch's t and df do
+    not change under a common scale factor.
+    """
+    _, exp = math.frexp(max(abs(v) for sample in samples for v in sample))
+    return [[math.ldexp(v, -exp) for v in sample] for sample in samples]
+
+
 def _mean_var(xs: list[float]) -> tuple[float, float]:
     n = len(xs)
     m = sum(xs) / n
@@ -157,15 +169,19 @@ def welch_t(a: list[float], b: list[float]) -> StatTestResult:
     """Two-sided Welch's t-test (unequal variances, Welch-Satterthwaite df)."""
     if len(a) < 2 or len(b) < 2:
         raise ValueError("welch_t requires at least 2 observations per sample")
+    na, nb = len(a), len(b)
+    a, b = _unit_scaled(a, b)
     ma, va = _mean_var(a)
     mb, vb = _mean_var(b)
-    if va == 0.0 and vb == 0.0:
-        if ma == mb:
-            return StatTestResult(0.0, 1.0, "welch", df=float(len(a) + len(b) - 2))
-        raise DegenerateDataError("both samples have zero variance")
-    na, nb = len(a), len(b)
     sa, sb = va / na, vb / nb
+    if sa + sb == 0.0:
+        if ma == mb:
+            return StatTestResult(0.0, 1.0, "welch", df=float(na + nb - 2))
+        raise DegenerateDataError("both samples have zero variance")
     t = (ma - mb) / math.sqrt(sa + sb)
+    # df does not change under a common factor either; without it, a spread far
+    # below the other sample's values squares to 0 in both terms below
+    [[sa, sb]] = _unit_scaled([sa, sb])
     df = (sa + sb) ** 2 / (sa**2 / (na - 1) + sb**2 / (nb - 1))
     return StatTestResult(t, _t_two_sided_p(t, df), "welch", df=df)
 
@@ -251,6 +267,7 @@ def pearson(x: list[float], y: list[float]) -> StatTestResult:
     n = len(x)
     if n < 3:
         raise ValueError("pearson requires n >= 3")
+    [x], [y] = _unit_scaled(x), _unit_scaled(y)  # r does not change when one side alone is scaled
     mx = sum(x) / n
     my = sum(y) / n
     dx = [v - mx for v in x]

@@ -22,9 +22,10 @@ from .transform import TransformedCorpus
 
 METRICS = ("bleu", "chrf", "cosine")
 
-DEFAULT_BLEU_MAX_N = 4
-DEFAULT_CHRF_MAX_N = 6
-DEFAULT_CHRF_BETA = 2.0
+# the fixed metric settings that the similarity table's footer states
+BLEU_MAX_N = 4
+CHRF_MAX_N = 6
+CHRF_BETA = 2.0
 
 
 def _ngram_profile(seq: str | tuple[str, ...], max_n: int) -> tuple[int, list[Counter]]:
@@ -33,19 +34,19 @@ def _ngram_profile(seq: str | tuple[str, ...], max_n: int) -> tuple[int, list[Co
     return size, [Counter(seq[i : i + n] for i in range(size - n + 1)) for n in range(1, min(max_n, size) + 1)]
 
 
-def _word_profile(text: str, max_n: int) -> tuple[int, list[Counter]]:
+def _word_profile(text: str) -> tuple[int, list[Counter]]:
     tokens = tuple(tokenize(text))
     if not tokens:
         raise ValueError("BLEU requires non-empty tokenizations on both sides")
-    return _ngram_profile(tokens, max_n)
+    return _ngram_profile(tokens, BLEU_MAX_N)
 
 
-def _char_profile(text: str, max_n: int) -> tuple[int, list[Counter]]:
+def _char_profile(text: str) -> tuple[int, list[Counter]]:
     # whitespace runs removed entirely before character n-gram extraction
     chars = "".join(text.split())
     if not chars:
         raise ValueError("chrF requires non-empty inputs after whitespace removal")
-    return _ngram_profile(chars, max_n)
+    return _ngram_profile(chars, CHRF_MAX_N)
 
 
 def _matches(a: list[Counter], b: list[Counter]) -> list[int]:
@@ -65,28 +66,26 @@ def _matches(a: list[Counter], b: list[Counter]) -> list[int]:
     return counts
 
 
-def _bleu(cand_len: int, ref_len: int, matches: list[int], max_n: int, smooth_eps: float) -> float:
+def _bleu(cand_len: int, ref_len: int, matches: list[int]) -> float:
     log_sum = 0.0
     orders = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_MAX_N + 1):
         total = cand_len - n + 1
         if total <= 0:
             break  # candidate too short for this and higher orders
         matched = matches[n - 1] if n <= len(matches) else 0
         if matched == 0:
-            if smooth_eps <= 0.0:
-                return 0.0
-            matched = smooth_eps
+            return 0.0
         log_sum += math.log(matched / total)
         orders += 1
     bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
     return bp * math.exp(log_sum / orders)
 
 
-def _chrf(cand_len: int, ref_len: int, matches: list[int], max_n: int, beta: float) -> float:
+def _chrf(cand_len: int, ref_len: int, matches: list[int]) -> float:
     precisions = []
     recalls = []
-    for n in range(1, max_n + 1):
+    for n in range(1, CHRF_MAX_N + 1):
         n_cand = max(cand_len - n + 1, 0)
         n_ref = max(ref_len - n + 1, 0)
         if n_cand == 0 and n_ref == 0:
@@ -98,7 +97,7 @@ def _chrf(cand_len: int, ref_len: int, matches: list[int], max_n: int, beta: flo
     avg_r = sum(recalls) / len(recalls)
     if avg_p == 0.0 and avg_r == 0.0:
         return 0.0
-    b2 = beta * beta
+    b2 = CHRF_BETA * CHRF_BETA
     return (1 + b2) * avg_p * avg_r / (b2 * avg_p + avg_r)
 
 
@@ -115,30 +114,25 @@ def _cosine(a: Sequence[float], norm_a: float, b: Sequence[float], norm_b: float
     return sum(x * y for x, y in zip(a, b)) / (norm_a * norm_b)
 
 
-def bleu(candidate: str, reference: str, max_n: int = DEFAULT_BLEU_MAX_N, smooth_eps: float = 0.0) -> float:
+def bleu(candidate: str, reference: str) -> float:
     """Sentence-level BLEU: geometric mean of modified n-gram precisions over
-    the orders the candidate actually has, times the brevity penalty.
+    the orders 1..BLEU_MAX_N the candidate actually has, times the brevity
+    penalty.
 
-    Without smoothing (the default), any included order with zero matches
-    makes the score 0. smooth_eps > 0 replaces zero match counts for
-    diagnostics only.
+    Unsmoothed: any included order with zero matches makes the score 0.
     """
-    cand_len, cand = _word_profile(candidate, max_n)
-    ref_len, ref = _word_profile(reference, max_n)
-    return _bleu(cand_len, ref_len, _matches(cand, ref), max_n, smooth_eps)
+    cand_len, cand = _word_profile(candidate)
+    ref_len, ref = _word_profile(reference)
+    return _bleu(cand_len, ref_len, _matches(cand, ref))
 
 
-def chrf(
-    candidate: str,
-    reference: str,
-    max_n: int = DEFAULT_CHRF_MAX_N,
-    beta: float = DEFAULT_CHRF_BETA,
-) -> float:
-    """chrF: F-beta over character n-gram precision/recall averaged across
-    orders 1..max_n (orders where neither side has n-grams are skipped)."""
-    cand_len, cand = _char_profile(candidate, max_n)
-    ref_len, ref = _char_profile(reference, max_n)
-    return _chrf(cand_len, ref_len, _matches(cand, ref), max_n, beta)
+def chrf(candidate: str, reference: str) -> float:
+    """chrF: F-beta (beta = CHRF_BETA) over character n-gram precision/recall
+    averaged across orders 1..CHRF_MAX_N (orders where neither side has
+    n-grams are skipped)."""
+    cand_len, cand = _char_profile(candidate)
+    ref_len, ref = _char_profile(reference)
+    return _chrf(cand_len, ref_len, _matches(cand, ref))
 
 
 def cosine(a: Sequence[float], b: Sequence[float]) -> float:
@@ -191,8 +185,8 @@ def pairwise_matrices(corpora: list[TransformedCorpus], vectors: list) -> dict[s
         profiles = []
         for by_id, vector_by_id in zip(texts, rows):
             text = by_id[item_id]
-            words = _word_profile(text, DEFAULT_BLEU_MAX_N)
-            chars = _char_profile(text, DEFAULT_CHRF_MAX_N)
+            words = _word_profile(text)
+            chars = _char_profile(text)
             vector = vector_by_id[item_id].tolist()  # Python floats sum as the public `cosine` does
             profiles.append(_Profile(*words, *chars, vector, _norm(vector)))
         for i, a in enumerate(profiles):
@@ -202,10 +196,8 @@ def pairwise_matrices(corpora: list[TransformedCorpus], vectors: list) -> dict[s
                 char_matches = _matches(a.char_ngrams, b.char_ngrams)
                 cos = _cosine(a.vector, a.norm, b.vector, b.norm)
                 for row, col, cand, ref in [(i, j, a, b)] if i == j else [(i, j, a, b), (j, i, b, a)]:
-                    bleu_cells[row][col].append(_bleu(cand.words, ref.words, word_matches, DEFAULT_BLEU_MAX_N, 0.0))
-                    chrf_cells[row][col].append(
-                        _chrf(cand.chars, ref.chars, char_matches, DEFAULT_CHRF_MAX_N, DEFAULT_CHRF_BETA)
-                    )
+                    bleu_cells[row][col].append(_bleu(cand.words, ref.words, word_matches))
+                    chrf_cells[row][col].append(_chrf(cand.chars, ref.chars, char_matches))
                     cosine_cells[row][col].append(cos)
 
     labels = tuple(c.kind.value for c in corpora)

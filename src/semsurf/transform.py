@@ -63,23 +63,6 @@ class TransformError(RuntimeError):
     pass
 
 
-@dataclass
-class PromptSet:
-    """System prompts per transformation kind; defaults match the shipped set."""
-
-    prompts: dict[TransformationKind, str] = field(
-        default_factory=lambda: dict(DEFAULT_PROMPTS)
-    )
-    overridden: set[TransformationKind] = field(default_factory=set)
-
-    def get(self, kind: TransformationKind) -> str:
-        return self.prompts[kind]
-
-    def override(self, kind: TransformationKind, prompt: str) -> None:
-        self.prompts[kind] = prompt
-        self.overridden.add(kind)
-
-
 @dataclass(frozen=True)
 class TransformedCorpus:
     kind: TransformationKind
@@ -146,7 +129,7 @@ class PipelineConfig:
     translate: ProviderConfig | None = None
     text_to_image: ProviderConfig | None = None
     image_to_text: ProviderConfig | None = None
-    prompts: PromptSet = field(default_factory=PromptSet)
+    prompts: dict[TransformationKind, str] = field(default_factory=DEFAULT_PROMPTS.copy)
     enabled: set[TransformationKind] = field(default_factory=lambda: set(KIND_ORDER))
     max_workers: int = 4
     strict: bool = True
@@ -165,7 +148,7 @@ class Step(NamedTuple):
 
 def _chat(kind: TransformationKind) -> ItemCall:
     def call(client, config, text, language):
-        out, key = client.chat_generate(config.chat, config.prompts.get(kind), text)
+        out, key = client.chat_generate(config.chat, config.prompts[kind], text)
         return out, (key,)
 
     return call
@@ -184,7 +167,7 @@ def _back_translate(client, config, text, language):
 def _image_roundtrip(client, config, text, language):
     """Storyboard -> image -> caption; the keys are (image key, caption key)."""
     image, image_key = client.text_to_image(config.text_to_image, text)
-    prompt = config.prompts.get(TransformationKind.IMAGE_DESCRIPTION)
+    prompt = config.prompts[TransformationKind.IMAGE_DESCRIPTION]
     caption, caption_key = client.image_to_text(config.image_to_text, image, prompt)
     return caption, (image_key, caption_key)
 

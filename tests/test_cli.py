@@ -205,6 +205,7 @@ class TestFullRun:
         manifest = json.loads((run_dir / "transformed" / "manifest.json").read_text())
         assert manifest["prompt_overrides"] == ["ShortSummary"]
         assert manifest["prompts"]["ShortSummary"] == "Summarize in five words."
+        assert sorted(manifest) == ["dataset_name", "embed", "failures", "kinds", "prompt_overrides", "prompts"]
 
     def test_classification_protocol_cv(self, tmp_path, runner):
         run_dir = self.run_all(tmp_path, runner, name="cv")
@@ -338,11 +339,23 @@ CONFIG_ERRORS = {
     "lenient_threshold above 1": ("lenient_threshold = 1.5", None, "lenient_threshold"),
     "bad enabled kind": ("enabled = Original,ShortSumary", None, "enabled"),
     "bad prompt kind": ("prompt.ShortSumary = Be brief.", None, "prompt.ShortSumary"),
+    "no Original": ("enabled = ShortSummary", None, "enabled"),
     "missing frequency table": ("frequency_table = no_such.tsv", None, "frequency_table"),
     "translate missing for pt": (None, "translate.endpoint", "translate.endpoint"),
     "t2i missing for ImageDescription": (None, "t2i.endpoint", "t2i.endpoint"),
     "i2t missing for ImageDescription": (None, "i2t.endpoint", "i2t.endpoint"),
 }
+
+# keys that configs once accepted and no provider call or stage read
+REMOVED_KEYS = [
+    *(
+        f"{role}.{key}"
+        for role in ("translate", "t2i", "i2t")
+        for key in ("temperature", "max_tokens", "seed", "dimension")
+    ),
+    "embed.temperature", "embed.max_tokens", "embed.seed", "chat.dimension",
+    "prompt.Original", "prompt.Translated", "prompt.BackTranslated",
+]
 
 
 class TestConfigErrors:
@@ -370,14 +383,16 @@ class TestConfigErrors:
         )
         assert result.exit_code == EXIT_OK, result.output
 
-    def test_similarity_needs_the_reference_kind(self, tmp_path, runner):
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_is_unknown(self, tmp_path, runner, key):
         conf = tmp_path / "c.conf"
-        write_config(conf, small_dataset(tmp_path, language="en"), extra="enabled = ShortSummary")
-        result = runner.invoke(
-            main, ["run", "--config", str(conf), "--run-dir", str(tmp_path / "run"), "--offline"]
-        )
+        write_config(conf, small_dataset(tmp_path), extra=f"{key} = 1")
+        line = conf.read_text().splitlines().index(f"{key} = 1") + 1
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
         assert result.exit_code == EXIT_USAGE, result.output
-        assert "similarity needs the Original corpus" in result.output
+        assert result.output.splitlines()[-1] == f"error: {conf}:{line}: {key}: unknown key"
+        assert not run_dir.exists()
 
 
 def fail_short_summaries(monkeypatch, ids):

@@ -6,7 +6,7 @@ import pytest
 from semsurf.classifier import TrainConfig
 from semsurf.config import ROLES, SCHEMA, Config, ConfigError
 from semsurf.providers import ProviderConfig
-from semsurf.transform import KIND_ORDER, PipelineConfig, TransformationKind
+from semsurf.transform import DEFAULT_PROMPTS, KIND_ORDER, PipelineConfig, TransformationKind
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,7 +37,7 @@ def readme_config_rows() -> dict[str, str]:
         if key.startswith("<role>."):
             rows.update({key.replace("<role>", r): default.replace("<role>", r) for r in ROLES})
         elif key == "prompt.<Kind>":
-            rows.update({f"prompt.{kind.value}": default for kind in KIND_ORDER})
+            rows.update({f"prompt.{kind.value}": default for kind in DEFAULT_PROMPTS})
         else:
             rows[key] = default
     return rows
@@ -61,7 +61,7 @@ def test_defaults_come_from_the_owning_dataclasses(tmp_path):
     assert pipeline.max_workers == PipelineConfig.max_workers
     assert pipeline.lenient_threshold == PipelineConfig.lenient_threshold
     assert pipeline.strict and pipeline.enabled == set(KIND_ORDER)
-    assert pipeline.prompts.overridden == set()
+    assert pipeline.prompts == DEFAULT_PROMPTS
     assert cfg["dataset_name"] == "corpus"
     assert cfg.providers["chat"].model == "mock-chat"
 
@@ -78,7 +78,8 @@ def test_values_are_parsed(tmp_path):
     pipeline = cfg.pipeline("en")
     assert not pipeline.strict
     assert pipeline.enabled == {TransformationKind.ORIGINAL, TransformationKind.SHORT_SUMMARY}
-    assert pipeline.prompts.overridden == {TransformationKind.SHORT_SUMMARY}
+    assert pipeline.prompts == {**DEFAULT_PROMPTS, TransformationKind.SHORT_SUMMARY: "Be brief."}
+    assert DEFAULT_PROMPTS[TransformationKind.SHORT_SUMMARY] != "Be brief."  # the shipped defaults stay as they are
     assert cfg.raw["train.l2"] == "1e-3"  # the text as written, for the digest
 
 
@@ -86,13 +87,18 @@ def test_role_keys_fill_provider_config(tmp_path):
     cfg = load(
         tmp_path,
         MINIMAL
-        + "embed.model = e5\nembed.temperature = 0.5\nembed.max_tokens = 64\nembed.seed = 3\n"
-        + "embed.credential_env = EMBED_KEY\nembed.dimension = 8\n",
+        + "chat.model = llama\nchat.temperature = 0.5\nchat.max_tokens = 64\nchat.seed = 3\n"
+        + "chat.credential_env = CHAT_KEY\nembed.model = e5\nembed.credential_env = EMBED_KEY\nembed.dimension = 8\n",
+    )
+    assert cfg.providers["chat"] == ProviderConfig(
+        kind="chat", endpoint="mock:chat", model="llama", temperature=0.5, max_tokens=64,
+        seed=3, credential_env="CHAT_KEY",
     )
     assert cfg.providers["embed"] == ProviderConfig(
-        kind="embed", endpoint="mock:embed", model="e5", temperature=0.5, max_tokens=64,
-        seed=3, credential_env="EMBED_KEY", embed_dimension=8,
+        kind="embed", endpoint="mock:embed", model="e5", credential_env="EMBED_KEY", embed_dimension=8,
     )
+    # the roles that no key of theirs can tune keep ProviderConfig's defaults
+    assert cfg.providers["t2i"] == ProviderConfig(kind="text_to_image", endpoint="mock:t2i", model="mock-t2i")
     assert "translate" not in cfg.providers
 
 

@@ -1,9 +1,10 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semsurf.stattests import (
@@ -17,6 +18,21 @@ from semsurf.stattests import (
     wilcoxon_signed_rank,
     _rank_abs,
 )
+
+
+def outcome(test, *samples):
+    """A test's (statistic, p, df), or the name of the error it raises."""
+    try:
+        res = test(*samples)
+    except (DegenerateDataError, ValueError) as exc:
+        return type(exc).__name__
+    return res.statistic, res.p_value, res.df
+
+
+def stays_normal(values, k):
+    """Whether each nonzero value is normal before and after scaling by 2**k, which is then exact."""
+    low, high = sys.float_info.min, sys.float_info.max
+    return all(v == 0.0 or all(low <= abs(x) <= high for x in (v, math.ldexp(v, k))) for v in values)
 
 
 def brute_force_wilcoxon_p(diffs):
@@ -116,6 +132,36 @@ class TestWelch:
     def test_too_small(self):
         with pytest.raises(ValueError):
             welch_t([1.0], [1.0, 2.0])
+
+    @given(
+        st.lists(st.floats(-50, 50), min_size=2, max_size=20),
+        st.lists(st.floats(-50, 50), min_size=2, max_size=20),
+    )
+    @example([0.0, 1e-160], [0.0, 2e-160])  # the variances' squares underflow
+    @example([0.0, 1e160], [0.0, 3e160, 1e160])  # the sums of squares overflow
+    @example([1.0, 1.0], [0.0, 1e-160])  # one spread far below the other sample's values
+    @settings(max_examples=100, deadline=None)
+    def test_p_in_unit_interval(self, a, b):
+        try:
+            res = welch_t(a, b)
+        except DegenerateDataError:
+            return
+        assert 0.0 <= res.p_value <= 1.0
+        assert res.df > 0.0 and not math.isnan(res.statistic)
+
+    @given(
+        st.lists(st.floats(-50, 50), min_size=2, max_size=12),
+        st.lists(st.floats(-50, 50), min_size=2, max_size=12),
+        st.integers(-900, 900),
+    )
+    @example([0.0, 1e-160], [0.0, 2e-160], 600)
+    @example([0.0, 1e160], [0.0, 3e160, 1e160], -600)
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_under_power_of_two_scaling(self, a, b, k):
+        """t and df do not change when both samples are scaled by 2**k."""
+        assume(stays_normal(a + b, k))
+        scaled = [[math.ldexp(v, k) for v in sample] for sample in (a, b)]
+        assert outcome(welch_t, a, b) == outcome(welch_t, *scaled)
 
 
 class TestWilcoxon:
@@ -219,6 +265,7 @@ class TestPearson:
         assert flipped.statistic == pytest.approx(-base.statistic, abs=1e-12)
 
     @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)), min_size=3, max_size=20))
+    @example([(0.0, 0.0), (0.0, 1.3945624165642482e-126), (1.3945624165642482e-126, 0.0)])  # sxx * syy underflows
     @settings(max_examples=100, deadline=None)
     def test_p_in_unit_interval(self, pairs):
         xs = [p[0] for p in pairs]
@@ -229,3 +276,24 @@ class TestPearson:
             return
         assert 0.0 <= res.p_value <= 1.0
         assert -1.0 <= res.statistic <= 1.0
+
+    def test_reference_correlation_of_huge_values(self):
+        # sxx * syy overflows unless the samples are scaled first
+        for big in (1e80, 1e160):
+            res = pearson([0.0, big, 3 * big], [0.0, big, 2 * big])
+            assert res.statistic == pytest.approx(pearson([0, 1, 3], [0, 1, 2]).statistic, rel=1e-12)
+
+    @given(
+        st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)), min_size=3, max_size=12),
+        st.integers(-900, 900),
+    )
+    @example([(0.0, 0.0), (1e80, 1e80), (3e80, 2e80)], -200)
+    @example([(0.0, 0.0), (1e160, 1e160), (3e160, 2e160)], -500)
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_under_power_of_two_scaling(self, pairs, k):
+        """r and p do not change when one sample is scaled by 2**k."""
+        xs = [p[0] for p in pairs]
+        ys = [p[1] for p in pairs]
+        assume(stays_normal(xs, k) and stays_normal(ys, 0))
+        scaled = [math.ldexp(x, k) for x in xs]
+        assert outcome(pearson, xs, ys) == outcome(pearson, scaled, ys)

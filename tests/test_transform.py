@@ -8,7 +8,6 @@ from semsurf.transform import (
     KIND_ORDER,
     PipelineConfig,
     STEPS,
-    PromptSet,
     TransformationKind,
     TransformedCorpus,
     TransformError,
@@ -94,16 +93,6 @@ class TestPrompts:
         assert DEFAULT_PROMPTS[K.IMAGE_DESCRIPTION] == (
             "Describe in detail what is happening in the image."
         )
-
-    def test_promptset_defaults_and_override(self):
-        ps = PromptSet()
-        assert ps.get(K.SHORT_SUMMARY) == DEFAULT_PROMPTS[K.SHORT_SUMMARY]
-        assert ps.overridden == set()
-        ps.override(K.SHORT_SUMMARY, "Custom.")
-        assert ps.get(K.SHORT_SUMMARY) == "Custom."
-        assert ps.overridden == {K.SHORT_SUMMARY}
-        # defaults in the shared dict stay untouched
-        assert PromptSet().get(K.SHORT_SUMMARY) == DEFAULT_PROMPTS[K.SHORT_SUMMARY]
 
 
 class TestSingleTransforms:
