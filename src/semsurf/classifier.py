@@ -91,10 +91,6 @@ class ClassificationRun:
             "folds": [asdict(f) for f in self.folds],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassificationRun":
-        return cls(d["seed"], [FoldResult(**f) for f in d["folds"]])
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)

@@ -114,7 +114,7 @@ def stage_ingest(ctx: RunContext) -> None:
     dataset = load_dataset(ctx.resolve(cfg["dataset"]), cfg["format"], name=cfg["dataset_name"])
     cfg.check_language(dataset.source_language)
     save_dataset(dataset, ctx.run_dir / "dataset.jsonl")
-    ctx.write_json("dataset_stats.json", dataset_stats(dataset).to_dict())
+    ctx.write_json("dataset_stats.json", dataset_stats(dataset))
     click.echo(f"ingested {len(dataset)} transcripts -> {ctx.run_dir / 'dataset.jsonl'}")
 
 
@@ -174,7 +174,7 @@ def stage_lexical(ctx: RunContext) -> None:
     tagger = lexstats.BaselineTagger.load(ctx.resolve(ctx.config["pos_lexicon"]))
     oov_floor = ctx.config["zipf_oov_floor"]
 
-    results: dict[str, dict[str, dict]] = {}
+    results: dict[str, dict[str, dict[str, list[float | None]]]] = {}
     for kind, corpus in corpora.items():
         per_measure: dict[str, dict[str, list[float | None]]] = {
             m: {"C": [], "AD": []} for m in ("ttr", "zipf", "pnr", "adv", "part")
@@ -192,14 +192,7 @@ def stage_lexical(ctx: RunContext) -> None:
             per_measure["pnr"][group].append(ratios.pnr)
             per_measure["adv"][group].append(ratios.adv_ratio)
             per_measure["part"][group].append(ratios.part_ratio)
-        results[kind.value] = {}
-        for measure, by_group in per_measure.items():
-            try:
-                comp = lexstats.group_compare(by_group["C"], by_group["AD"])
-            except (ValueError, stattests.DegenerateDataError) as exc:
-                results[kind.value][measure] = {"error": str(exc)}
-                continue
-            results[kind.value][measure] = comp.to_dict()
+        results[kind.value] = per_measure
     ctx.write_json("lexical.json", results)
     click.echo(f"lexical measures for {len(results)} corpora")
 
@@ -230,34 +223,72 @@ def stage_classify(ctx: RunContext) -> None:
     click.echo(f"classified {len(results)} corpora ({payload['protocol']}, {len(seeds)} seeds)")
 
 
+def welch_comparison(values: dict[str, list[float | None]]) -> dict:
+    """stats.json's Welch's t entry for one measure's C and AD values; a None
+    (a measure undefined for its document) is dropped and counted as excluded."""
+    c = [v for v in values["C"] if v is not None]
+    a = [v for v in values["AD"] if v is not None]
+    try:
+        res = stattests.welch_t(c, a)
+    except ValueError as exc:  # fewer than 2 values in a group, or no variance in either
+        return {"error": str(exc)}
+    return {
+        "mean_control": sum(c) / len(c),
+        "mean_ad": sum(a) / len(a),
+        "n_control": len(c),
+        "n_ad": len(a),
+        "excluded": len(values["C"]) + len(values["AD"]) - len(c) - len(a),
+        "statistic": res.statistic,
+        "df": res.df,
+        "p_value": res.p_value,
+    }
+
+
 @stage("stats.json")
 def stage_stats(ctx: RunContext) -> None:
     sim = json.loads(ctx.need("similarity.json").read_text())
     cls = json.loads(ctx.need("classification.json").read_text())
+    lex = json.loads(ctx.need("lexical.json").read_text())
 
+    # the Wilcoxon tests pair each kind's runs with the baseline's by seed
     baseline = K.ORIGINAL.value  # the baseline the classification tables name
-    out: dict = {"baseline": baseline, "wilcoxon_vs_baseline": {}, "pearson": None}
-    base_runs = cls["runs"].get(baseline)
-    if base_runs:
-        base_f1 = [r["macro_f1"] for r in base_runs]
-        for kind, runs in sorted(cls["runs"].items()):
-            if kind == baseline:
-                continue
-            f1 = [r["macro_f1"] for r in runs]
-            try:
-                res = stattests.wilcoxon_signed_rank(f1, base_f1)
-            except stattests.DegenerateDataError as exc:
-                out["wilcoxon_vs_baseline"][kind] = {"error": str(exc)}
-                continue
-            out["wilcoxon_vs_baseline"][kind] = {
-                "statistic": res.statistic, "p_value": res.p_value, "method": res.method
-            }
+    runs = cls["runs"]
+    if baseline not in runs:
+        raise DataError(f"classification.json has no runs of the baseline {baseline}")
+    for kind, kind_runs in runs.items():
+        if [r["seed"] for r in kind_runs] != cls["seeds"]:
+            raise DataError(f"{kind}: {len(kind_runs)} runs, expected one per seed {cls['seeds']} (unpaired)")
+    n_runs = len(cls["seeds"])
+    means = {
+        kind: {m: sum(r[m] for r in kind_runs) / n_runs for m in report.CLASSIFICATION_MEASURES}
+        for kind, kind_runs in runs.items()
+    }
+    out: dict = {
+        "baseline": baseline,
+        "classification": {"n_runs": n_runs, "means": means},
+        "wilcoxon_vs_baseline": {},
+        "pearson": None,
+        "welch": {kind: {m: welch_comparison(v) for m, v in measures.items()} for kind, measures in lex.items()},
+    }
+    base_f1 = [r["macro_f1"] for r in runs[baseline]]
+    for kind, kind_runs in sorted(runs.items()):
+        if kind == baseline:
+            continue
+        f1 = [r["macro_f1"] for r in kind_runs]
+        try:
+            res = stattests.wilcoxon_signed_rank(f1, base_f1)
+        except stattests.DegenerateDataError as exc:
+            out["wilcoxon_vs_baseline"][kind] = {"error": str(exc)}
+            continue
+        out["wilcoxon_vs_baseline"][kind] = {
+            "statistic": res.statistic, "p_value": res.p_value, "method": res.method
+        }
 
     # semantic similarity vs classification performance across transformations
-    kinds = [k for k in sim["scores"] if k in cls["runs"]]
+    kinds = [k for k in sim["scores"] if k in runs]
     if len(kinds) >= 3:
         cosines = [sim["scores"][k]["cosine"] for k in kinds]
-        f1s = [sum(r["macro_f1"] for r in cls["runs"][k]) / len(cls["runs"][k]) for k in kinds]
+        f1s = [means[k]["macro_f1"] for k in kinds]
         try:
             res = stattests.pearson(cosines, f1s)
             out["pearson"] = {"kinds": kinds, "r": res.statistic, "df": res.df, "p_value": res.p_value}
@@ -269,63 +300,46 @@ def stage_stats(ctx: RunContext) -> None:
 
 @stage()
 def stage_report(ctx: RunContext) -> None:
-    dataset = ctx.load_ingested()
+    per_group = json.loads(ctx.need("dataset_stats.json").read_text())
+    sim = json.loads(ctx.need("similarity.json").read_text())
+    stats = json.loads(ctx.need("stats.json").read_text())
     ctx.reports_dir.mkdir(exist_ok=True)
 
     def write(table: report.ReportTable, name: str) -> None:
         for fmt in ("md", "csv", "json"):
             (ctx.reports_dir / f"table_{name}.{fmt}").write_text(report.emit(table, fmt))
 
-    write(report.dataset_table(dataset.name, dataset_stats(dataset)), "dataset")
+    write(report.dataset_table(ctx.config["dataset_name"], per_group), "dataset")
+    scores = {K(k): v for k, v in sim["scores"].items()}
+    write(report.similarity_table(scores, K(sim["reference"])), "similarity")
 
-    sim_path = ctx.run_dir / "similarity.json"
-    if sim_path.exists():
-        sim = json.loads(sim_path.read_text())
-        scores = {K(k): v for k, v in sim["scores"].items()}
-        write(report.similarity_table(scores, K(sim["reference"])), "similarity")
+    means = {K(kind): m for kind, m in stats["classification"]["means"].items()}
+    n_runs = stats["classification"]["n_runs"]
+    baseline = K(stats["baseline"])
+    p_values = {
+        K(kind): r["p_value"] for kind, r in stats["wilcoxon_vs_baseline"].items() if "p_value" in r
+    }
+    write(report.classification_table(means, baseline, p_values, n_runs), "classification")
+    back_kinds = [K.ORIGINAL, K.TRANSLATED, K.BACK_TRANSLATED]
+    if all(k in means for k in back_kinds):
+        back_means = {k: means[k] for k in back_kinds}
+        write(report.classification_table(back_means, baseline, p_values, n_runs), "backtranslation")
 
-    cls_path = ctx.run_dir / "classification.json"
-    if cls_path.exists():
-        cls = json.loads(cls_path.read_text())
-        stats = json.loads(ctx.need("stats.json").read_text())
-        runs = {
-            K(kind): [classifier.ClassificationRun.from_dict(d) for d in run_dicts]
-            for kind, run_dicts in cls["runs"].items()
-        }
-        baseline = K(stats["baseline"])
-        p_values = {
-            K(kind): r["p_value"] for kind, r in stats["wilcoxon_vs_baseline"].items() if "p_value" in r
-        }
-        write(report.classification_table(runs, baseline, p_values), "classification")
-        back_kinds = [K.ORIGINAL, K.TRANSLATED, K.BACK_TRANSLATED]
-        if all(k in runs for k in back_kinds):
-            back_runs = {k: runs[k] for k in back_kinds}
-            write(report.classification_table(back_runs, baseline, p_values), "backtranslation")
-
-    lex_path = ctx.run_dir / "lexical.json"
-    if lex_path.exists():
-        lex = json.loads(lex_path.read_text())
-        comparisons = {
-            K(kind): {
-                m: None if "error" in d else lexstats.GroupComparison.from_dict(d)
-                for m, d in measures.items()
-            }
-            for kind, measures in lex.items()
-        }
-        write(
-            report.group_measure_table(
-                "Lexical measures", ["ttr", "zipf"], comparisons,
-                ["zipf: mean log10 frequency per billion words; OOV floor applies."],
-            ),
-            "lexical",
-        )
-        write(
-            report.group_measure_table(
-                "Part-of-speech measures", ["pnr", "adv", "part"], comparisons,
-                ["Baseline lexicon+suffix tagger; pnr per noun, adv/part per token."],
-            ),
-            "pos",
-        )
+    comparisons = {K(kind): measures for kind, measures in stats["welch"].items()}
+    write(
+        report.group_measure_table(
+            "Lexical measures", ["ttr", "zipf"], comparisons,
+            ["zipf: mean log10 frequency per billion words; OOV floor applies."],
+        ),
+        "lexical",
+    )
+    write(
+        report.group_measure_table(
+            "Part-of-speech measures", ["pnr", "adv", "part"], comparisons,
+            ["Baseline lexicon+suffix tagger; pnr per noun, adv/part per token."],
+        ),
+        "pos",
+    )
     click.echo(f"reports -> {ctx.reports_dir}")
 
 

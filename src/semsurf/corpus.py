@@ -7,7 +7,7 @@ import json
 import math
 import random
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .lexstats import tokenize
@@ -66,6 +66,10 @@ class Dataset:
             if t.id in seen:
                 raise DataError(f"duplicate transcript id {t.id!r}")
             seen.add(t.id)
+        # the protocol follows the tags: a fixed split when every transcript has one, CV when none has
+        untagged = [t.id for t in self.transcripts if t.split is None]
+        if 0 < len(untagged) < len(self.transcripts):
+            raise DataError(f"some transcripts carry a split tag and these do not: {untagged}")
 
     def __len__(self) -> int:
         return len(self.transcripts)
@@ -75,26 +79,6 @@ class Dataset:
 
     def by_group(self, group: str) -> list[Transcript]:
         return [t for t in self.transcripts if t.group == group]
-
-
-@dataclass(frozen=True)
-class GroupStats:
-    count: int
-    mean_tokens: float
-    std_tokens: float
-    degenerate: bool = False  # single-member group; std reported as 0
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    per_group: dict[str, GroupStats]
-
-    @property
-    def total(self) -> int:
-        return sum(g.count for g in self.per_group.values())
-
-    def to_dict(self) -> dict:
-        return {g: asdict(s) for g, s in self.per_group.items()}
 
 
 @dataclass(frozen=True)
@@ -182,24 +166,20 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def dataset_stats(dataset: Dataset) -> DatasetStats:
-    """Per-group transcript count and token-length mean/std (sample std, n-1)."""
+def dataset_stats(dataset: Dataset) -> dict[str, dict]:
+    """Per-group transcript count and token-length mean/std (sample std, n-1),
+    as dataset_stats.json holds them. A group of fewer than two members is
+    marked degenerate; its std is reported as 0."""
     if not dataset.transcripts:
         raise DataError("cannot compute stats of an empty dataset")
     per_group = {}
     for group in GROUPS:
         lengths = [len(tokenize(t.text)) for t in dataset.by_group(group)]
-        if not lengths:
-            per_group[group] = GroupStats(0, 0.0, 0.0, degenerate=True)
-            continue
         n = len(lengths)
-        mean = sum(lengths) / n
-        if n == 1:
-            per_group[group] = GroupStats(1, mean, 0.0, degenerate=True)
-        else:
-            var = sum((x - mean) ** 2 for x in lengths) / (n - 1)
-            per_group[group] = GroupStats(n, mean, math.sqrt(var))
-    return DatasetStats(per_group)
+        mean = sum(lengths) / n if n else 0.0
+        var = sum((x - mean) ** 2 for x in lengths) / (n - 1) if n > 1 else 0.0
+        per_group[group] = {"count": n, "mean_tokens": mean, "std_tokens": math.sqrt(var), "degenerate": n < 2}
+    return per_group
 
 
 def _seeded_shuffle(items: list[str], seed: int) -> list[str]:

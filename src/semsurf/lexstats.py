@@ -1,19 +1,17 @@
 """Lexical and part-of-speech diagnostics for transcript corpora.
 
 Covers tokenization, type-token ratio, average Zipf frequency against a
-TSV frequency table, a lexicon + suffix-rule baseline POS tagger, and
-Welch-based group comparison of any per-document measure.
+TSV frequency table, and a lexicon + suffix-rule baseline POS tagger. The
+`stats` stage compares the per-document measures between groups.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-
-from .stattests import StatTestResult, welch_t
 
 _DATA = Path(__file__).parent / "data"
 
@@ -178,47 +176,3 @@ def pos_ratios(tags: list[PosTag]) -> PosRatios:
     n_part = sum(1 for t in tags if t == PosTag.VERB_PART)
     pnr = n_pron / n_noun if n_noun else None
     return PosRatios(pnr, n_adv / len(tags), n_part / len(tags))
-
-
-@dataclass(frozen=True)
-class GroupComparison:
-    mean_control: float
-    mean_ad: float
-    p_value: float
-    test: str
-    n_control: int
-    n_ad: int
-    excluded: int = 0  # documents with undefined measure, dropped from both means
-
-    @property
-    def significant(self) -> bool:
-        return self.p_value < 0.05
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroupComparison":
-        return cls(**d)
-
-
-def group_compare(values_control: list[float | None], values_ad: list[float | None]) -> GroupComparison:
-    """Welch's t comparison of a per-document measure between C and AD groups.
-
-    None entries (undefined measures) are excluded and counted.
-    """
-    c = [v for v in values_control if v is not None]
-    a = [v for v in values_ad if v is not None]
-    excluded = (len(values_control) - len(c)) + (len(values_ad) - len(a))
-    if len(c) < 2 or len(a) < 2:
-        raise ValueError("group_compare requires >= 2 defined values per group")
-    res: StatTestResult = welch_t(c, a)
-    return GroupComparison(
-        mean_control=sum(c) / len(c),
-        mean_ad=sum(a) / len(a),
-        p_value=res.p_value,
-        test=res.method,
-        n_control=len(c),
-        n_ad=len(a),
-        excluded=excluded,
-    )

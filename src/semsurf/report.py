@@ -1,6 +1,10 @@
 """Report tables: dataset statistics, similarity, classification, lexical and
 POS group comparisons, and back-translation summaries, emitted as Markdown,
 CSV, or JSON with significance marks and provenance footers.
+
+The tables format the numbers of the run's artifacts (dataset_stats.json,
+similarity.json, stats.json). The one number they derive is the dataset
+table's total, the sum of the two group counts.
 """
 
 from __future__ import annotations
@@ -10,9 +14,6 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .classifier import ClassificationRun
-from .corpus import DatasetStats
-from .lexstats import GroupComparison
 from .transform import KIND_ORDER, TransformationKind
 
 
@@ -96,13 +97,15 @@ def _ordered(kinds) -> list[TransformationKind]:
 DATASET_FOOTER = "Token lengths: lowercased Unicode word tokenizer; sample (n-1) std."
 
 
-def dataset_table(name: str, stats: DatasetStats) -> ReportTable:
-    groups = [stats.per_group[g] for g in ("AD", "C")]
+def dataset_table(name: str, per_group: dict[str, dict]) -> ReportTable:
+    """The row of `name` from the per-group entries of dataset_stats.json."""
+    groups = [per_group[g] for g in ("AD", "C")]
     lengths = [
-        f"{s.mean_tokens:.0f}(±{s.std_tokens:.0f})" + (" (degenerate)" if s.degenerate else "")
+        f"{s['mean_tokens']:.0f}(±{s['std_tokens']:.0f})" + (" (degenerate)" if s["degenerate"] else "")
         for s in groups
     ]
-    cells = [Cell(s.count) for s in groups] + [Cell(stats.total)] + [Cell(text) for text in lengths]
+    counts = [s["count"] for s in groups]
+    cells = [Cell(n) for n in counts] + [Cell(sum(counts))] + [Cell(text) for text in lengths]
     return ReportTable(
         title="Dataset statistics",
         columns=["AD", "Control", "Total", "Length AD", "Length Control"],
@@ -136,43 +139,33 @@ CLASSIFIER_FOOTER = (
 )
 
 
+CLASSIFICATION_MEASURES = ("macro_f1", "acc_ad", "acc_c")
+
+
 def classification_table(
-    runs: dict[TransformationKind, list[ClassificationRun]],
+    means: dict[TransformationKind, dict[str, float]],
     baseline: TransformationKind,
     p_values: dict[TransformationKind, float],
+    n_runs: int,
 ) -> ReportTable:
     """Mean macro-F1 and per-class accuracies across paired runs, with
     significance stars and per-column bold maxima.
 
-    `p_values` holds each kind's Wilcoxon signed-rank p-value vs. the
-    baseline (as in stats.json); a kind without one gets no stars.
+    `means` holds each kind's means over its `n_runs` runs and `p_values`
+    each kind's Wilcoxon signed-rank p-value vs. the baseline, both as in
+    stats.json; a kind without a p-value gets no stars.
     """
-    if baseline not in runs:
-        raise ValueError(f"baseline {baseline.value} missing from runs")
-    n_runs = len(runs[baseline])
-    for kind, rs in runs.items():
-        if len(rs) != n_runs:
-            raise ValueError(f"{kind.value}: {len(rs)} runs, expected {n_runs} (unpaired)")
-
-    means = {
-        kind: (
-            sum(r.macro_f1 for r in rs) / n_runs,
-            sum(r.acc_ad for r in rs) / n_runs,
-            sum(r.acc_c for r in rs) / n_runs,
-        )
-        for kind, rs in runs.items()
-    }
-    maxima = tuple(max(m[i] for m in means.values()) for i in range(3))
+    maxima = {m: max(kind_means[m] for kind_means in means.values()) for m in CLASSIFICATION_MEASURES}
 
     rows = []
-    for kind in _ordered(runs):
+    for kind in _ordered(means):
         stars = ""
-        if kind in p_values and means[kind][0] > means[baseline][0]:
+        if kind in p_values and means[kind]["macro_f1"] > means[baseline]["macro_f1"]:
             stars = "**" if p_values[kind] < 0.01 else "*" if p_values[kind] < 0.05 else ""
         # stars mark the macro-F1 column only
         cells = [
-            Cell(mean, bold=mean == maxima[i], stars=stars if i == 0 else "", precision=3)
-            for i, mean in enumerate(means[kind])
+            Cell(means[kind][m], bold=means[kind][m] == maxima[m], stars=stars if i == 0 else "", precision=3)
+            for i, m in enumerate(CLASSIFICATION_MEASURES)
         ]
         rows.append((kind.value, cells))
     footer = [
@@ -191,10 +184,13 @@ def classification_table(
 def group_measure_table(
     title: str,
     measures: list[str],
-    comparisons: dict[TransformationKind, dict[str, GroupComparison | None]],
+    comparisons: dict[TransformationKind, dict[str, dict]],
     footer_notes: list[str] | None = None,
 ) -> ReportTable:
-    """C mean / AD mean / p per measure; the triple is bold when p < 0.05."""
+    """C mean / AD mean / p per measure; the triple is bold when p < 0.05.
+
+    `comparisons` holds each kind's Welch entries of stats.json, by measure.
+    """
     columns = []
     for m in measures:
         columns += [f"{m}_C", f"{m}_AD", f"{m}_p"]
@@ -203,18 +199,18 @@ def group_measure_table(
     for kind in _ordered(comparisons):
         cells = []
         for m in measures:
-            comp = comparisons[kind].get(m)
-            if comp is None:
+            comp = comparisons[kind][m]
+            if "error" in comp:
                 cells += [Cell(None)] * 3
                 excluded_notes.append(f"{kind.value}/{m}: undefined for this corpus.")
                 continue
-            bold = comp.p_value < 0.05
+            bold = comp["p_value"] < 0.05
             cells += [
-                Cell(v, bold=bold, precision=3) for v in (comp.mean_control, comp.mean_ad, comp.p_value)
+                Cell(comp[key], bold=bold, precision=3) for key in ("mean_control", "mean_ad", "p_value")
             ]
-            if comp.excluded:
+            if comp["excluded"]:
                 excluded_notes.append(
-                    f"{kind.value}/{m}: {comp.excluded} document(s) excluded (undefined measure)."
+                    f"{kind.value}/{m}: {comp['excluded']} document(s) excluded (undefined measure)."
                 )
         rows.append((kind.value, cells))
     footer = ["Welch's t-test, two-sided; bold marks p < 0.05 (strict)."]

@@ -146,23 +146,30 @@ def _t_two_sided_p(t: float, df: float) -> float:
 # tests
 
 
-def _unit_scaled(*samples: list[float]) -> list[list[float]]:
-    """The samples times the one power of two that brings their largest |value| into [0.5, 1).
+def _unit_scaled(xs: list[float]) -> tuple[list[float], int]:
+    """xs times the power of two 2**-e that brings its largest |value| into [0.5, 1), and e.
 
     A power-of-two factor only shifts exponents, so it is exact, and it keeps
     the sums of squares and products below from overflowing or underflowing
-    on very large or very small inputs. Pearson's r and Welch's t and df do
-    not change under a common scale factor.
+    on very large or very small inputs. Pearson's r and Welch's df do not
+    change under a scale factor.
     """
-    _, exp = math.frexp(max(abs(v) for sample in samples for v in sample))
-    return [[math.ldexp(v, -exp) for v in sample] for sample in samples]
+    _, exp = math.frexp(max(abs(v) for v in xs))
+    return [math.ldexp(v, -exp) for v in xs], exp
 
 
-def _mean_var(xs: list[float]) -> tuple[float, float]:
-    n = len(xs)
-    m = sum(xs) / n
-    var = sum((x - m) ** 2 for x in xs) / (n - 1)
-    return m, var
+def _scaled_moments(xs: list[float]) -> tuple[float, int, float, int]:
+    """The mean and sample variance of xs as (m, e, v, f): mean = m * 2**e, variance = v * 4**f.
+
+    Each sample gets its own power of two, so that a constant sample does not
+    push the other's values below the smallest float, and the deviations from
+    the mean get theirs before they are squared, so that a spread far below
+    the values does not underflow to 0.
+    """
+    xs, e = _unit_scaled(xs)
+    m = sum(xs) / len(xs)
+    dev, f = _unit_scaled([x - m for x in xs])
+    return m, e, sum(d**2 for d in dev) / (len(xs) - 1), e + f
 
 
 def welch_t(a: list[float], b: list[float]) -> StatTestResult:
@@ -170,18 +177,25 @@ def welch_t(a: list[float], b: list[float]) -> StatTestResult:
     if len(a) < 2 or len(b) < 2:
         raise ValueError("welch_t requires at least 2 observations per sample")
     na, nb = len(a), len(b)
-    a, b = _unit_scaled(a, b)
-    ma, va = _mean_var(a)
-    mb, vb = _mean_var(b)
-    sa, sb = va / na, vb / nb
-    if sa + sb == 0.0:
-        if ma == mb:
+    ma, ea, va, fa = _scaled_moments(a)
+    mb, eb, vb, fb = _scaled_moments(b)
+    e = max(ea, eb)
+    diff = math.ldexp(ma, ea - e) - math.ldexp(mb, eb - e)  # the difference of the means times 2**-e
+    if va == vb == 0.0:
+        if diff == 0.0:
             return StatTestResult(0.0, 1.0, "welch", df=float(na + nb - 2))
         raise DegenerateDataError("both samples have zero variance")
-    t = (ma - mb) / math.sqrt(sa + sb)
-    # df does not change under a common factor either; without it, a spread far
-    # below the other sample's values squares to 0 in both terms below
-    [[sa, sb]] = _unit_scaled([sa, sb])
+    # the squared standard errors times 4**-f, at the larger exponent of those that are not 0
+    f = max(fa if va else fb, fb if vb else fa)
+    sa, sb = math.ldexp(va / na, 2 * (fa - f)), math.ldexp(vb / nb, 2 * (fb - f))
+    q = diff / math.sqrt(sa + sb)
+    try:
+        t = math.ldexp(q, e - f)
+    except OverflowError:  # beyond the largest float, as for a constant sample against a tiny spread
+        t = math.copysign(math.inf, q)
+    # df does not change under a common factor either, so the larger term is brought into
+    # [0.5, 1) before the terms are squared
+    (sa, sb), _ = _unit_scaled([sa, sb])
     df = (sa + sb) ** 2 / (sa**2 / (na - 1) + sb**2 / (nb - 1))
     return StatTestResult(t, _t_two_sided_p(t, df), "welch", df=df)
 
@@ -267,7 +281,7 @@ def pearson(x: list[float], y: list[float]) -> StatTestResult:
     n = len(x)
     if n < 3:
         raise ValueError("pearson requires n >= 3")
-    [x], [y] = _unit_scaled(x), _unit_scaled(y)  # r does not change when one side alone is scaled
+    (x, _), (y, _) = _unit_scaled(x), _unit_scaled(y)  # r does not change when one side alone is scaled
     mx = sum(x) / n
     my = sum(y) / n
     dx = [v - mx for v in x]

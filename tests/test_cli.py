@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 import threading
@@ -94,6 +95,16 @@ class TestStageOrdering:
         )
         assert result.exit_code == EXIT_DATA
 
+    def test_report_before_similarity_fails(self, tmp_path, runner):
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path))
+        run_dir = tmp_path / "run"
+        for stage, code in (("ingest", EXIT_OK), ("report", EXIT_DATA)):
+            result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir)])
+            assert result.exit_code == code, result.output
+        assert "missing artifact similarity.json; run `semsurf similarity` first" in result.output
+        assert not (run_dir / "reports").exists()
+
     def test_missing_dataset_key(self, tmp_path, runner):
         conf = tmp_path / "c.conf"
         conf.write_text("chat.endpoint = mock:chat\n")
@@ -111,6 +122,19 @@ class TestStageOrdering:
             main, ["ingest", "--config", str(conf), "--run-dir", str(tmp_path / "run")]
         )
         assert result.exit_code == EXIT_DATA
+
+    def test_partially_split_dataset_exits_2(self, tmp_path, runner):
+        rows = [json.loads(line) for line in (FIXTURES / "adress24.jsonl").read_text().splitlines()]
+        del rows[5]["split"]
+        data = tmp_path / "partial.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        conf = tmp_path / "c.conf"
+        write_config(conf, data)
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["ingest", "--config", str(conf), "--run-dir", str(run_dir)])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert f"these do not: ['{rows[5]['id']}']" in result.output
+        assert not (run_dir / "dataset.jsonl").exists()
 
 
 class TestFullRun:
@@ -328,6 +352,92 @@ class TestEmbedOnce:
         assert "run `semsurf transform`" in result.output
 
 
+def read_json(run_dir, name):
+    return json.loads((run_dir / name).read_text())
+
+
+class TestOneProducerPerNumber:
+    def test_every_table_number_is_an_artifact_number(self, pt_run):
+        run_dir = pt_run[0]
+        per_group = read_json(run_dir, "dataset_stats.json")
+        scores = read_json(run_dir, "similarity.json")["scores"]
+        stats = read_json(run_dir, "stats.json")
+        counts = {"AD": per_group["AD"]["count"], "Control": per_group["C"]["count"]}
+        counts["Total"] = counts["AD"] + counts["Control"]
+        metrics = {"chrF": "chrf", "BLEU": "bleu", "Cosine": "cosine"}
+        cls_measures = {"macro-F1": "macro_f1", "Accuracy (AD)": "acc_ad", "Accuracy (C)": "acc_c"}
+        welch_fields = {"C": "mean_control", "AD": "mean_ad", "p": "p_value"}
+
+        def cls_mean(kind, column):
+            return stats["classification"]["means"][kind][cls_measures[column]]
+
+        def welch(kind, column):
+            measure, side = column.rsplit("_", 1)
+            return stats["welch"][kind][measure][welch_fields[side]]
+
+        source = {  # table -> (row label, column) -> the number the cell shows
+            "dataset": lambda name, column: counts[column],
+            "similarity": lambda kind, column: scores[kind][metrics[column]],
+            "classification": cls_mean,
+            "backtranslation": cls_mean,
+            "lexical": welch,
+            "pos": welch,
+        }
+        checked = 0
+        for table, number in source.items():
+            header, *rows = csv.reader((run_dir / "reports" / f"table_{table}.csv").read_text().splitlines())
+            for label, *cells in rows:
+                for column, cell in zip(header[1:], cells):
+                    if column.startswith("Length"):  # text: mean(±std) tokens
+                        continue
+                    assert float(cell) == number(label, column), (table, label, column)
+                    checked += 1
+        assert checked == 3 + 5 * 3 + 8 * 3 + 3 * 3 + 8 * 6 + 8 * 9
+
+    def test_lexical_values_are_per_item_and_welch_counts_them(self, pt_run):
+        run_dir = pt_run[0]
+        groups = [json.loads(line)["group"] for line in (run_dir / "dataset.jsonl").read_text().splitlines()]
+        lexical = read_json(run_dir, "lexical.json")
+        welch = read_json(run_dir, "stats.json")["welch"]
+        assert sorted(lexical) == sorted(welch) and len(lexical) == 8
+        for kind, measures in lexical.items():
+            assert sorted(measures) == ["adv", "part", "pnr", "ttr", "zipf"]
+            for measure, values in measures.items():
+                assert {g: len(v) for g, v in values.items()} == {"AD": groups.count("AD"), "C": groups.count("C")}
+                entry = welch[kind][measure]
+                assert entry["n_control"] + entry["n_ad"] + entry["excluded"] == len(groups)
+                assert entry["excluded"] == sum(v is None for side in values.values() for v in side)
+
+
+class TestStatsPairing:
+    """`stats` checks the pairing the Wilcoxon tests rely on before it writes stats.json."""
+
+    def stats_on_edited_classification(self, pt_run, tmp_path, runner, edit):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in ("similarity.json", "classification.json", "lexical.json"):
+            shutil.copy(pt_run[0] / name, run_dir / name)
+        cls = read_json(run_dir, "classification.json")
+        edit(cls["runs"])
+        (run_dir / "classification.json").write_text(json.dumps(cls))
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        result = runner.invoke(main, ["stats", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert not (run_dir / "stats.json").exists()
+        return result.output
+
+    def test_unpaired_counts_rejected(self, pt_run, tmp_path, runner):
+        output = self.stats_on_edited_classification(
+            pt_run, tmp_path, runner, lambda runs: runs["ShortSummary"].pop()
+        )
+        assert "ShortSummary: 9 runs, expected one per seed" in output
+        assert "(unpaired)" in output
+
+    def test_missing_baseline_rejected(self, pt_run, tmp_path, runner):
+        output = self.stats_on_edited_classification(pt_run, tmp_path, runner, lambda runs: runs.pop("Original"))
+        assert "classification.json has no runs of the baseline Original" in output
+
+
 # each case: a line added to the config, a key whose line is dropped, the key the error names
 CONFIG_ERRORS = {
     "unknown key": ("train.learning_rte = 5", None, "train.learning_rte"),
@@ -476,10 +586,7 @@ def test_dataset_name_defaults_to_file_stem(tmp_path, runner):
     write_config(conf, FIXTURES / "dogstory40.jsonl")
     conf.write_text(conf.read_text().replace("dataset_name = clitest\n", ""))
     run_dir = tmp_path / "run"
-    for stage in ("ingest", "report"):
-        result = runner.invoke(
-            main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"]
-        )
-        assert result.exit_code == EXIT_OK, (stage, result.output)
+    result = runner.invoke(main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+    assert result.exit_code == EXIT_OK, result.output
     rows = (run_dir / "reports" / "table_dataset.md").read_text().splitlines()
     assert rows[4].startswith("| dogstory40 | "), rows

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,13 @@ class TestValidation:
         t = Transcript("a", "hello", GROUP_AD, "en")
         with pytest.raises(DataError, match="duplicate"):
             Dataset("d", (t, t), "en")
+
+    def test_partial_split_tags_rejected(self):
+        """Some tagged transcripts would silently switch the fixed split to CV."""
+        rows = make_dataset(3, 3, split_frac=2 / 3).transcripts
+        rows = rows[:1] + (replace(rows[1], split=None),) + rows[2:]
+        with pytest.raises(DataError, match=r"these do not: \['x001'\]"):
+            Dataset("d", rows, "en")
 
 
 class TestLoading:
@@ -150,13 +158,13 @@ class TestStats:
             "en",
         )
         stats = dataset_stats(ds)
-        ad = stats.per_group[GROUP_AD]
-        assert ad.count == 2
-        assert ad.mean_tokens == 4.0
-        assert ad.std_tokens == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        c = stats.per_group[GROUP_CONTROL]
-        assert c.count == 1 and c.std_tokens == 0.0 and c.degenerate
-        assert stats.total == 3
+        ad = stats[GROUP_AD]
+        assert ad["count"] == 2
+        assert ad["mean_tokens"] == 4.0
+        assert ad["std_tokens"] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert not ad["degenerate"]
+        c = stats[GROUP_CONTROL]
+        assert c["count"] == 1 and c["std_tokens"] == 0.0 and c["degenerate"]
 
 
 class TestFolds:

@@ -2,12 +2,12 @@ import math
 
 import pytest
 
+from semsurf.cli import welch_comparison
 from semsurf.lexstats import (
     BaselineTagger,
     FrequencyTable,
     PosTag,
     avg_zipf,
-    group_compare,
     pos_ratios,
     tokenize,
     ttr,
@@ -118,24 +118,24 @@ class TestRatios:
 
 
 class TestGroupCompare:
+    """`stats` compares each lexical measure's C and AD values with welch_comparison."""
+
     def test_means_and_p(self):
-        res = group_compare([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-        assert res.mean_control == 2.0
-        assert res.mean_ad == 5.0
-        assert res.test == "welch"
-        assert 0.0 < res.p_value < 0.05
-        assert res.significant
+        res = welch_comparison({"C": [1.0, 2.0, 3.0], "AD": [4.0, 5.0, 6.0]})
+        assert res["mean_control"] == 2.0
+        assert res["mean_ad"] == 5.0
+        assert res["statistic"] < 0.0 and res["df"] == 4.0
+        assert 0.0 < res["p_value"] < 0.05
 
     def test_none_exclusion(self):
-        res = group_compare([1.0, None, 2.0, 3.0], [None, 4.0, 5.0])
-        assert res.n_control == 3 and res.n_ad == 2
-        assert res.excluded == 2
+        res = welch_comparison({"C": [1.0, None, 2.0, 3.0], "AD": [None, 4.0, 5.0]})
+        assert res["n_control"] == 3 and res["n_ad"] == 2
+        assert res["excluded"] == 2
 
     def test_too_few_defined(self):
-        with pytest.raises(ValueError, match=">= 2"):
-            group_compare([1.0, None], [2.0, 3.0])
+        res = welch_comparison({"C": [1.0, None], "AD": [2.0, 3.0]})
+        assert res == {"error": "welch_t requires at least 2 observations per sample"}
 
     def test_not_significant_identical(self):
-        res = group_compare([1.0, 2.0], [1.0, 2.0])
-        assert res.p_value == 1.0
-        assert not res.significant
+        res = welch_comparison({"C": [1.0, 2.0], "AD": [1.0, 2.0]})
+        assert res["p_value"] == 1.0

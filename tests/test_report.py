@@ -2,9 +2,6 @@ import json
 
 import pytest
 
-from semsurf.classifier import ClassificationRun, FoldResult
-from semsurf.corpus import DatasetStats, GroupStats
-from semsurf.lexstats import GroupComparison
 from semsurf.report import (
     Cell,
     ReportTable,
@@ -77,22 +74,19 @@ class TestEmit:
 
 
 class TestDatasetTable:
+    def group(self, count, mean, std, degenerate=False):
+        """A group's entry of dataset_stats.json."""
+        return {"count": count, "mean_tokens": mean, "std_tokens": std, "degenerate": degenerate}
+
     def test_counts_and_lengths(self):
-        stats = DatasetStats(
-            {
-                "AD": GroupStats(23, 78.2, 30.1),
-                "C": GroupStats(116, 103.7, 41.9),
-            }
-        )
-        t = dataset_table("dogstory", stats)
+        t = dataset_table("dogstory", {"AD": self.group(23, 78.2, 30.1), "C": self.group(116, 103.7, 41.9)})
         cells = t.rows[0][1]
         assert [c.value for c in cells[:3]] == [23, 116, 139]
         assert cells[3].value == "78(±30)"
         assert cells[4].value == "104(±42)"
 
     def test_degenerate_marked(self):
-        stats = DatasetStats({"AD": GroupStats(1, 50.0, 0.0, degenerate=True), "C": GroupStats(2, 60.0, 5.0)})
-        t = dataset_table("tiny", stats)
+        t = dataset_table("tiny", {"AD": self.group(1, 50.0, 0.0, degenerate=True), "C": self.group(2, 60.0, 5.0)})
         assert "(degenerate)" in t.rows[0][1][3].value
 
 
@@ -108,61 +102,43 @@ class TestSimilarityTable:
         assert any("Translated" in note for note in t.footer)
 
 
-def runs_with_f1(values, acc=0.5):
-    return [
-        ClassificationRun(seed=i, folds=[FoldResult(0, v, acc, acc)])
-        for i, v in enumerate(values)
-    ]
+def means(macro_f1, acc=0.5):
+    """A kind's classification means, as in stats.json."""
+    return {"macro_f1": macro_f1, "acc_ad": acc, "acc_c": acc}
 
 
 class TestClassificationTable:
     def test_bold_maximum_and_stars(self):
-        base = runs_with_f1([0.50, 0.51, 0.49, 0.50, 0.52, 0.50])
-        better = runs_with_f1([0.60, 0.61, 0.59, 0.60, 0.62, 0.60])
-        # all six paired diffs positive: exact Wilcoxon p = 2/64 < 0.05
-        t = classification_table(
-            {K.ORIGINAL: base, K.SHORT_SUMMARY: better}, K.ORIGINAL, {K.SHORT_SUMMARY: 2 / 64}
-        )
+        kinds = {K.ORIGINAL: means(0.505), K.SHORT_SUMMARY: means(0.605)}
+        t = classification_table(kinds, K.ORIGINAL, {K.SHORT_SUMMARY: 2 / 64}, 6)
         by_label = dict(t.rows)
         assert by_label["ShortSummary"][0].bold  # column maximum
         assert not by_label["Original"][0].bold
         assert by_label["ShortSummary"][0].stars == "*"
         assert by_label["Original"][0].stars == ""
-        t = classification_table(
-            {K.ORIGINAL: base, K.SHORT_SUMMARY: better}, K.ORIGINAL, {K.SHORT_SUMMARY: 0.009}
-        )
+        assert t.footer[0].startswith("Mean metrics across 6 paired runs. Baseline: Original.")
+        t = classification_table(kinds, K.ORIGINAL, {K.SHORT_SUMMARY: 0.009}, 6)
         assert dict(t.rows)["ShortSummary"][0].stars == "**"
 
     def test_no_stars_for_worse(self):
-        base = runs_with_f1([0.60, 0.61, 0.59, 0.60, 0.62, 0.60])
-        worse = runs_with_f1([0.30, 0.31, 0.29, 0.30, 0.32, 0.30])
-        t = classification_table({K.ORIGINAL: base, K.STORYBOARD: worse}, K.ORIGINAL, {K.STORYBOARD: 2 / 64})
+        kinds = {K.ORIGINAL: means(0.605), K.STORYBOARD: means(0.305)}
+        t = classification_table(kinds, K.ORIGINAL, {K.STORYBOARD: 2 / 64}, 6)
         assert dict(t.rows)["Storyboard"][0].stars == ""
 
     def test_ties_all_bold(self):
-        a = runs_with_f1([0.5, 0.5, 0.5])
-        b = runs_with_f1([0.5, 0.5, 0.5])
         # identical paired values: stats.json records no p-value
-        t = classification_table({K.ORIGINAL: a, K.SHORT_SUMMARY: b}, K.ORIGINAL, {})
+        t = classification_table({K.ORIGINAL: means(0.5), K.SHORT_SUMMARY: means(0.5)}, K.ORIGINAL, {}, 3)
         assert all(row[1][0].bold for row in t.rows)
         assert all(row[1][0].stars == "" for row in t.rows)
-
-    def test_unpaired_counts_rejected(self):
-        with pytest.raises(ValueError, match="unpaired"):
-            classification_table(
-                {K.ORIGINAL: runs_with_f1([0.5, 0.5]), K.SHORT_SUMMARY: runs_with_f1([0.5])},
-                K.ORIGINAL,
-                {},
-            )
-
-    def test_missing_baseline_rejected(self):
-        with pytest.raises(ValueError, match="baseline"):
-            classification_table({K.SHORT_SUMMARY: runs_with_f1([0.5])}, K.ORIGINAL, {})
 
 
 class TestGroupMeasureTable:
     def comp(self, p, excluded=0):
-        return GroupComparison(0.6, 0.4, p, "welch", 10, 10, excluded)
+        """A measure's Welch entry of stats.json."""
+        return {
+            "mean_control": 0.6, "mean_ad": 0.4, "n_control": 10, "n_ad": 10, "excluded": excluded,
+            "statistic": 1.0, "df": 18.0, "p_value": p,
+        }
 
     def test_bold_triple_on_significance(self):
         t = group_measure_table(
@@ -183,6 +159,6 @@ class TestGroupMeasureTable:
         assert any("3 document(s) excluded" in n for n in t.footer)
 
     def test_undefined_measure_dashes(self):
-        t = group_measure_table("L", ["pnr"], {K.ORIGINAL: {"pnr": None}})
+        t = group_measure_table("L", ["pnr"], {K.ORIGINAL: {"pnr": {"error": "both samples have zero variance"}}})
         assert all(c.value is None for c in t.rows[0][1])
         assert any("undefined" in n for n in t.footer)

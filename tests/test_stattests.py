@@ -133,6 +133,27 @@ class TestWelch:
         with pytest.raises(ValueError):
             welch_t([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("a, b", [([1, 1, 1], [0, 1e-300]), ([1e300] * 3, [0, 1.0])])
+    def test_constant_sample_against_a_tiny_spread(self, a, b):
+        """The second sample's squared deviations underflow at the scale of the first's values."""
+        res = welch_t(a, b)
+        assert res.statistic == pytest.approx(2e300)
+        assert res.p_value == 0.0
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(2, 10),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=10).filter(
+            lambda b: len(set(b)) >= 2
+        ),
+    )
+    @example(1.0, 2, [0.0, 5e-324])  # |t| beyond the largest float
+    @settings(max_examples=200, deadline=None)
+    def test_constant_sample_against_two_values_never_raises(self, c, n, b):
+        res = welch_t([c] * n, b)
+        assert 0.0 <= res.p_value <= 1.0
+        assert res.df > 0.0 and not math.isnan(res.statistic)
+
     @given(
         st.lists(st.floats(-50, 50), min_size=2, max_size=20),
         st.lists(st.floats(-50, 50), min_size=2, max_size=20),
