@@ -2,7 +2,7 @@
 
 A class-weighted logistic regression head trained by full-batch gradient
 descent over provider embeddings, with stratified early-stopping validation,
-k-fold cross-validation, fixed-split evaluation, and multi-seed paired runs.
+evaluated per seed by k-fold cross-validation or on a fixed split.
 The fold assignment for a given (dataset, seed) is shared across all
 transformations of that dataset, so per-seed results are paired for the
 Wilcoxon comparisons downstream.
@@ -11,11 +11,11 @@ Wilcoxon comparisons downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Dataset, FoldAssignment, GROUP_AD, GROUP_CONTROL, fixed_split, split_folds
+from .corpus import Dataset, GROUP_AD, GROUP_CONTROL, fixed_split, split_folds
 from .transform import TransformedCorpus
 
 POSITIVE = GROUP_AD  # ties at score 0.5 resolve to the positive class
@@ -55,41 +55,6 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if not (0.0 < self.validation_fraction < 0.5):
             raise ValueError("validation_fraction must be in (0, 0.5)")
-
-
-@dataclass
-class FoldResult:
-    fold: int
-    macro_f1: float
-    acc_ad: float
-    acc_c: float
-
-
-@dataclass
-class ClassificationRun:
-    seed: int
-    folds: list[FoldResult] = field(default_factory=list)
-
-    @property
-    def macro_f1(self) -> float:
-        return float(np.mean([f.macro_f1 for f in self.folds]))
-
-    @property
-    def acc_ad(self) -> float:
-        return float(np.mean([f.acc_ad for f in self.folds]))
-
-    @property
-    def acc_c(self) -> float:
-        return float(np.mean([f.acc_c for f in self.folds]))
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "macro_f1": self.macro_f1,
-            "acc_ad": self.acc_ad,
-            "acc_c": self.acc_c,
-            "folds": [asdict(f) for f in self.folds],
-        }
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -240,13 +205,13 @@ def _evaluate(
     vectors: dict[str, np.ndarray],
     labels: dict[str, str],
     cfg: TrainConfig,
-) -> FoldResult:
-    """Train on train_ids, score the predictions for test_ids."""
+) -> dict:
+    """Train on train_ids, score the predictions for test_ids: the fold's classification.json record."""
     head = train(np.stack([vectors[i] for i in train_ids]), [labels[i] for i in train_ids], cfg)
     pred, _ = predict(head, np.stack([vectors[i] for i in test_ids]))
     gold = [labels[i] for i in test_ids]
     acc_ad, acc_c = per_class_accuracy(pred, gold)
-    return FoldResult(fold, macro_f1(pred, gold), acc_ad, acc_c)
+    return {"fold": fold, "macro_f1": macro_f1(pred, gold), "acc_ad": acc_ad, "acc_c": acc_c}
 
 
 def _present(dataset: Dataset, corpus: TransformedCorpus) -> Dataset:
@@ -261,53 +226,51 @@ def run_seeds(master_seed: int, n_runs: int) -> list[int]:
     return [master_seed * 10007 + i for i in range(n_runs)]
 
 
-def cross_validate(
+def protocol(dataset: Dataset, k: int) -> str:
+    """`fixed_split` when the transcripts carry split tags (a Dataset has them
+    on every transcript or on none), else stratified k-fold CV, `cv<k>`."""
+    return "fixed_split" if any(t.split for t in dataset.transcripts) else f"cv{k}"
+
+
+def _partitions(dataset: Dataset, k: int, seed: int) -> list[tuple[list[str], list[str]]]:
+    """The (train ids, test ids) of each fold of `seed`'s run, in dataset order."""
+    if protocol(dataset, k) == "fixed_split":
+        train_ds, test_ds = fixed_split(dataset)
+        return [(train_ds.ids(), test_ds.ids())]
+    fold_of = split_folds(dataset, k, seed).assignments
+    return [
+        ([i for i in dataset.ids() if fold_of[i] != fold], [i for i in dataset.ids() if fold_of[i] == fold])
+        for fold in range(k)
+    ]
+
+
+def evaluate(
     corpus: TransformedCorpus,
     dataset: Dataset,
     k: int,
     seeds: list[int],
     vectors: np.ndarray,
     cfg: TrainConfig,
-) -> list[ClassificationRun]:
-    """Per-seed stratified k-fold CV over `vectors`, the embeddings of the corpus's items in its order.
+) -> list[dict]:
+    """One run per seed over `vectors`, the embeddings of the corpus's items in
+    its order: each fold of the protocol trained and scored, and the run as
+    its classification.json record, the fold scores and their means.
 
-    The fold assignment depends only on (dataset, k, seed) and the ids the
-    corpus has, which all corpora of a run share — not on the transformation —
-    which is the pairing guarantee for signed-rank tests.
+    The folds depend only on (dataset, k, seed) and the ids the corpus has,
+    which all corpora of a run share — not on the transformation — which is
+    the pairing guarantee for signed-rank tests.
     """
     labels = {t.id: t.group for t in dataset.transcripts}
     by_id = dict(zip(corpus.ids(), vectors))
     present = _present(dataset, corpus)
     runs = []
     for seed in seeds:
-        assignment: FoldAssignment = split_folds(present, k, seed)
-        run = ClassificationRun(seed=seed)
-        for fold in range(k):
-            test_ids = [i for i in corpus.ids() if assignment.assignments[i] == fold]
-            train_ids = [i for i in corpus.ids() if assignment.assignments[i] != fold]
+        folds = []
+        for fold, (train_ids, test_ids) in enumerate(_partitions(present, k, seed)):
             try:
-                result = _evaluate(fold, train_ids, test_ids, by_id, labels, replace(cfg, seed=seed))
+                folds.append(_evaluate(fold, train_ids, test_ids, by_id, labels, replace(cfg, seed=seed)))
             except TrainingError as exc:
                 raise TrainingError(f"seed {seed} fold {fold}: {exc}") from exc
-            run.folds.append(result)
-        runs.append(run)
+        means = {m: float(np.mean([f[m] for f in folds])) for m in ("macro_f1", "acc_ad", "acc_c")}
+        runs.append({"seed": seed, **means, "folds": folds})
     return runs
-
-
-def fixed_split_evaluate(
-    corpus: TransformedCorpus,
-    dataset: Dataset,
-    seeds: list[int],
-    vectors: np.ndarray,
-    cfg: TrainConfig,
-) -> list[ClassificationRun]:
-    """Train on the items tagged train, evaluate on those tagged test, per seed; `vectors` as in cross_validate."""
-    train_ds, test_ds = fixed_split(_present(dataset, corpus))
-    labels = {t.id: t.group for t in dataset.transcripts}
-    by_id = dict(zip(corpus.ids(), vectors))
-    train_ids = train_ds.ids()
-    test_ids = test_ds.ids()
-    return [
-        ClassificationRun(seed, [_evaluate(0, train_ids, test_ids, by_id, labels, replace(cfg, seed=seed))])
-        for seed in seeds
-    ]

@@ -20,7 +20,7 @@ from typing import Callable
 import click
 import numpy as np
 
-from . import classifier, lexstats, report, stattests, textmetrics
+from . import classifier, lexstats, report, stattests, textmetrics, transform
 from .config import Config, StageError, config_digest
 from .corpus import DataError, Dataset, dataset_stats, load_dataset, save_dataset
 from .providers import OfflineViolation, ProviderClient, ProviderError, ResponseCache, TransportError
@@ -66,6 +66,12 @@ class RunContext:
             )
         return path
 
+    def read_json(self, artifact: str):
+        try:
+            return json.loads(self.need(artifact).read_text())
+        except json.JSONDecodeError as exc:
+            raise unusable(artifact, f"is not JSON ({exc})") from None
+
     def write_json(self, artifact: str, obj) -> None:
         (self.run_dir / artifact).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -74,19 +80,23 @@ class RunContext:
 
     def load_transformed(self) -> dict[TransformationKind, TransformedCorpus]:
         """The corpora of the kinds that the last `transform` listed in its manifest."""
-        kinds = json.loads(self.need("transformed/manifest.json").read_text())["kinds"]
+        kinds = self.read_json("transformed/manifest.json")["kinds"]
         return {K(k): TransformedCorpus.load(self.need(f"transformed/{k}.jsonl")) for k in kinds}
 
     def load_vectors(self, kind: TransformationKind, corpus: TransformedCorpus) -> np.ndarray:
         """The embeddings that `transform` stored for `corpus`, one row per item in its order."""
         artifact = f"transformed/{kind.value}.npy"
-        manifest = json.loads(self.need("transformed/manifest.json").read_text())
-        if manifest.get("embed") != self.config.providers["embed"].summary():
-            raise StageError(f"embed.* changed since {artifact} was written; run `semsurf transform`", EXIT_DATA)
+        if self.read_json("transformed/manifest.json").get("embed") != self.config.providers["embed"].summary():
+            raise unusable(artifact, "was embedded before embed.* changed")
         vectors = np.load(self.need(artifact))
         if vectors.ndim != 2 or len(vectors) != len(corpus.items):
-            raise StageError(f"{artifact} does not match {kind.value}.jsonl; run `semsurf transform`", EXIT_DATA)
+            raise unusable(artifact, f"does not match {kind.value}.jsonl")
         return vectors
+
+
+def unusable(artifact: str, problem: str) -> StageError:
+    """The exit-2 error for an artifact a stage cannot read, naming the stage that writes it."""
+    return StageError(f"{artifact} {problem}; run `semsurf {PRODUCER[artifact.split('/')[0]]}`", EXIT_DATA)
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +136,17 @@ def stage_transform(ctx: RunContext) -> None:
     out_dir = ctx.run_dir / "transformed"
     out_dir.mkdir(exist_ok=True)
     embed_cfg = ctx.config.providers["embed"]
-    for kind, corpus in corpora.items():
-        corpus.save(out_dir / f"{kind.value}.jsonl")
-        # the pipeline's only embed calls; one array per row, as a kind's Python floats take 4x the memory
-        rows = [np.array(ctx.client.embed(embed_cfg, text).values) for _, text in corpus.items]
-        np.save(out_dir / f"{kind.value}.npy", np.array(rows, dtype=np.float64))
+
+    def embed(item: tuple[str, str]) -> np.ndarray:
+        # one array per row, as a kind's Python floats take 4x the memory
+        return np.array(ctx.client.embed(embed_cfg, item[1]).values)
+
+    # the pipeline's only embed calls, on as many threads as its steps, one kind at a time;
+    # the pool is transform's, whose class perfbench/tracer.py swaps to trace each task
+    with transform.ThreadPoolExecutor(max_workers=config.max_workers) as pool:
+        for kind, corpus in corpora.items():
+            corpus.save(out_dir / f"{kind.value}.jsonl")
+            np.save(out_dir / f"{kind.value}.npy", np.array(list(pool.map(embed, corpus.items)), dtype=np.float64))
     manifest = {
         "dataset_name": dataset.name,
         "prompts": {k.value: v for k, v in config.prompts.items()},
@@ -200,27 +216,15 @@ def stage_lexical(ctx: RunContext) -> None:
 @stage("classification.json")
 def stage_classify(ctx: RunContext) -> None:
     dataset = ctx.load_ingested()
-    corpora = ctx.load_transformed()
-    cfg = ctx.config.train
     seeds = classifier.run_seeds(ctx.config["master_seed"], ctx.config["runs"])
-    k = ctx.config["k"]
-    use_fixed = all(t.split is not None for t in dataset.transcripts)
-
-    results = {}
-    for kind, corpus in corpora.items():
-        vectors = ctx.load_vectors(kind, corpus)
-        if use_fixed:
-            runs = classifier.fixed_split_evaluate(corpus, dataset, seeds, vectors, cfg)
-        else:
-            runs = classifier.cross_validate(corpus, dataset, k, seeds, vectors, cfg)
-        results[kind.value] = [r.to_dict() for r in runs]
-    payload = {
-        "protocol": "fixed_split" if use_fixed else f"cv{k}",
-        "seeds": seeds,
-        "runs": results,
+    k, cfg = ctx.config["k"], ctx.config.train
+    runs = {
+        kind.value: classifier.evaluate(corpus, dataset, k, seeds, ctx.load_vectors(kind, corpus), cfg)
+        for kind, corpus in ctx.load_transformed().items()
     }
-    ctx.write_json("classification.json", payload)
-    click.echo(f"classified {len(results)} corpora ({payload['protocol']}, {len(seeds)} seeds)")
+    protocol = classifier.protocol(dataset, k)
+    ctx.write_json("classification.json", {"protocol": protocol, "seeds": seeds, "runs": runs})
+    click.echo(f"classified {len(runs)} corpora ({protocol}, {len(seeds)} seeds)")
 
 
 def welch_comparison(values: dict[str, list[float | None]]) -> dict:
@@ -246,9 +250,13 @@ def welch_comparison(values: dict[str, list[float | None]]) -> dict:
 
 @stage("stats.json")
 def stage_stats(ctx: RunContext) -> None:
-    sim = json.loads(ctx.need("similarity.json").read_text())
-    cls = json.loads(ctx.need("classification.json").read_text())
-    lex = json.loads(ctx.need("lexical.json").read_text())
+    sim = ctx.read_json("similarity.json")
+    cls = ctx.read_json("classification.json")
+    lex = ctx.read_json("lexical.json")
+    for kind, measures in lex.items():
+        for m, values in measures.items():
+            if not isinstance(values, dict) or {g: type(v) for g, v in values.items()} != {"AD": list, "C": list}:
+                raise unusable("lexical.json", f"entry {kind}/{m} is not {{\"AD\": [...], \"C\": [...]}}")
 
     # the Wilcoxon tests pair each kind's runs with the baseline's by seed
     baseline = K.ORIGINAL.value  # the baseline the classification tables name
@@ -300,9 +308,9 @@ def stage_stats(ctx: RunContext) -> None:
 
 @stage()
 def stage_report(ctx: RunContext) -> None:
-    per_group = json.loads(ctx.need("dataset_stats.json").read_text())
-    sim = json.loads(ctx.need("similarity.json").read_text())
-    stats = json.loads(ctx.need("stats.json").read_text())
+    per_group = ctx.read_json("dataset_stats.json")
+    sim = ctx.read_json("similarity.json")
+    stats = ctx.read_json("stats.json")
     ctx.reports_dir.mkdir(exist_ok=True)
 
     def write(table: report.ReportTable, name: str) -> None:

@@ -231,7 +231,7 @@ def test_criterion_7_protocol_fidelity(tmp_path):
 
     # (c) fold pairing: the assignment is a function of (dataset, k, seed)
     # only, so two independently loaded dataset objects — standing in for the
-    # per-transformation calls inside cross_validate — agree fold for fold
+    # per-transformation calls inside classifier.evaluate — agree fold for fold
     ds_a = load_dataset(d1 / "dataset.jsonl", "jsonl", name="dogstory40")
     ds_b = load_dataset(d2 / "dataset.jsonl", "jsonl", name="dogstory40")
     groups = {t.id: t.group for t in ds_a.transcripts}

@@ -6,11 +6,11 @@ from semsurf.classifier import (
     TrainConfig,
     TrainingError,
     class_weights,
-    cross_validate,
-    fixed_split_evaluate,
+    evaluate,
     macro_f1,
     per_class_accuracy,
     predict,
+    protocol,
     run_seeds,
     train,
     weighted_loss_and_grad,
@@ -213,34 +213,38 @@ class TestCrossValidation:
     def test_cross_validate_shapes(self):
         ds = mini_dataset()
         corpus = corpus_for(ds)
-        runs = cross_validate(
-            corpus, ds, k=4, seeds=run_seeds(1, 2), vectors=vectors_for(corpus),
+        seeds = run_seeds(1, 2)
+        assert protocol(ds, 4) == "cv4"
+        runs = evaluate(
+            corpus, ds, k=4, seeds=seeds, vectors=vectors_for(corpus),
             cfg=TrainConfig(max_epochs=5, learning_rate=2.0),
         )
-        assert len(runs) == 2
+        assert [r["seed"] for r in runs] == seeds
         for run in runs:
-            assert len(run.folds) == 4
-            assert 0.0 <= run.macro_f1 <= 1.0
-            d = run.to_dict()
-            assert set(d) == {"seed", "macro_f1", "acc_ad", "acc_c", "folds"}
+            assert set(run) == {"seed", "macro_f1", "acc_ad", "acc_c", "folds"}
+            assert [f["fold"] for f in run["folds"]] == [0, 1, 2, 3]
+            assert 0.0 <= run["macro_f1"] <= 1.0
+            for m in ("macro_f1", "acc_ad", "acc_c"):
+                assert run[m] == float(np.mean([f[m] for f in run["folds"]]))
 
     def test_cross_validate_deterministic(self):
         ds = mini_dataset()
         kw = dict(k=4, seeds=run_seeds(7, 2), vectors=vectors_for(corpus_for(ds)),
                   cfg=TrainConfig(max_epochs=5, learning_rate=2.0))
-        r1 = cross_validate(corpus_for(ds), ds, **kw)
-        r2 = cross_validate(corpus_for(ds), ds, **kw)
-        assert [r.to_dict() for r in r1] == [r.to_dict() for r in r2]
+        r1 = evaluate(corpus_for(ds), ds, **kw)
+        r2 = evaluate(corpus_for(ds), ds, **kw)
+        assert r1 == r2
 
     def test_fixed_split_evaluate(self):
         ds = fixed_split_dataset()
         corpus = corpus_for(ds)
-        runs = fixed_split_evaluate(
-            corpus, ds, seeds=run_seeds(1, 3), vectors=vectors_for(corpus),
+        assert protocol(ds, 4) == "fixed_split"
+        runs = evaluate(
+            corpus, ds, k=4, seeds=run_seeds(1, 3), vectors=vectors_for(corpus),
             cfg=TrainConfig(max_epochs=10, learning_rate=5.0),
         )
         assert len(runs) == 3
-        assert all(len(r.folds) == 1 for r in runs)
+        assert all([f["fold"] for f in r["folds"]] == [0] for r in runs)
 
     def test_fixed_split_uses_the_corpus_ids(self):
         # a lenient run drops ids from every corpus but not from the dataset
@@ -248,7 +252,7 @@ class TestCrossValidation:
         dropped = {"f00", "f08"}  # one train id, one test id
         assert {t.split for t in ds.transcripts if t.id in dropped} == {"train", "test"}
         rest = Dataset("fixed", tuple(t for t in ds.transcripts if t.id not in dropped), "en")
-        kw = dict(seeds=run_seeds(1, 2), vectors=vectors_for(corpus_for(rest)), cfg=TrainConfig(learning_rate=5.0))
-        runs = fixed_split_evaluate(corpus_for(rest), ds, **kw)
-        expected = fixed_split_evaluate(corpus_for(rest), rest, **kw)
-        assert [r.to_dict() for r in runs] == [r.to_dict() for r in expected]
+        kw = dict(k=4, seeds=run_seeds(1, 2), vectors=vectors_for(corpus_for(rest)), cfg=TrainConfig(learning_rate=5.0))
+        runs = evaluate(corpus_for(rest), ds, **kw)
+        expected = evaluate(corpus_for(rest), rest, **kw)
+        assert runs == expected

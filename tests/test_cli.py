@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import shutil
 import threading
@@ -37,7 +38,8 @@ train.learning_rate = 5.0
     )
 
 
-def small_dataset(tmp_path, language="pt", n_ad=4, n_c=8):
+def small_dataset(tmp_path, language="pt", n_ad=4, n_c=8, split=None):
+    """`n_ad` AD then `n_c` C transcripts; `split` maps a group to the split tag of its transcripts."""
     rows = []
     for i in range(n_ad + n_c):
         group = "AD" if i < n_ad else "C"
@@ -49,6 +51,8 @@ def small_dataset(tmp_path, language="pt", n_ad=4, n_c=8):
         rows.append(
             {"id": f"s{i:02d}", "text": f"{base} item {i}.", "group": group, "language": language}
         )
+        if split:
+            rows[-1]["split"] = split[group]
     p = tmp_path / "data.jsonl"
     p.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     return p
@@ -262,6 +266,21 @@ class TestFullRun:
                 main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"]
             )
             assert result.exit_code == EXIT_OK, (stage, result.output)
+        # the stages one by one write what `run` writes, byte for byte
+        whole = self.run_all(tmp_path, runner, name="whole")
+
+        def artifacts(d):
+            paths = [p for p in d.rglob("*") if p.is_file() and p.name != "run_manifest.json"]
+            return sorted(p.relative_to(d).as_posix() for p in paths if p.relative_to(d).parts[0] != "cache")
+
+        names = artifacts(whole)
+        assert artifacts(run_dir) == names
+        for expected in ("dataset.jsonl", "dataset_stats.json", "transformed/manifest.json", "transformed/Original.npy",
+                         "similarity.json", "lexical.json", "classification.json", "stats.json",
+                         "reports/table_classification.csv", "reports/matrix_chrf.csv"):
+            assert expected in names
+        for name in names:
+            assert (run_dir / name).read_bytes() == (whole / name).read_bytes(), name
 
     def test_stages_read_the_kinds_of_the_last_transform(self, tmp_path, runner):
         run_dir = self.run_all(tmp_path, runner, name="stale")
@@ -279,16 +298,18 @@ class TestFullRun:
         assert (run_dir / "reports" / "matrix_bleu.csv").read_text().splitlines()[0] == ",Original,Translated"
 
     @pytest.mark.parametrize(
-        "n_c, extra, message",
+        "n_c, split, extra, message",
         [
-            (0, "", "training data must contain both classes"),
-            (8, "train.learning_rate = 1e308", "non-finite training loss at epoch 2: inf"),
+            (0, None, "", "training data must contain both classes"),
+            (8, None, "train.learning_rate = 1e308", "non-finite training loss at epoch 2: inf"),
+            # only AD transcripts in the train split
+            (8, {"AD": "train", "C": "test"}, "", f"seed {7 * 10007} fold 0: training data must contain both classes"),
         ],
-        ids=["one class", "diverging loss"],
+        ids=["one class", "diverging loss", "fixed split one class"],
     )
-    def test_training_failure_exits_2(self, tmp_path, runner, n_c, extra, message):
+    def test_training_failure_exits_2(self, tmp_path, runner, n_c, split, extra, message):
         conf = tmp_path / "c.conf"
-        write_config(conf, small_dataset(tmp_path, n_ad=12, n_c=n_c), extra=extra)
+        write_config(conf, small_dataset(tmp_path, n_ad=12, n_c=n_c, split=split), extra=extra)
         run_dir = tmp_path / "run"
         result = runner.invoke(main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
         assert result.exit_code == EXIT_DATA, result.output
@@ -328,6 +349,26 @@ class TestEmbedOnce:
     def test_each_text_is_embedded_once(self, pt_run):
         _, embedded = pt_run
         assert len(embedded) == 8 * 40  # kinds x items
+
+    def test_transform_embeds_concurrently(self, tmp_path, runner, monkeypatch):
+        # the first two embeds wait for each other, which one thread embedding in turn never lets happen
+        barrier = threading.Barrier(2, timeout=10)
+        calls = itertools.count()
+        embed = providers.ProviderClient.embed
+
+        def meeting_embed(self, cfg, text):
+            if next(calls) < 2:
+                barrier.wait()
+            return embed(self, cfg, text)
+
+        monkeypatch.setattr(providers.ProviderClient, "embed", meeting_embed)
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path), extra="max_workers = 2")
+        run_dir = tmp_path / "run"
+        for stage in ("ingest", "transform"):
+            result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+            assert result.exit_code == EXIT_OK, (stage, result.output)
+        assert next(calls) == 8 * 12  # kinds x items, each embedded once
 
     def test_similarity_and_classify_need_no_cache(self, pt_run, tmp_path, runner):
         run_dir = tmp_path / "run"
@@ -436,6 +477,33 @@ class TestStatsPairing:
     def test_missing_baseline_rejected(self, pt_run, tmp_path, runner):
         output = self.stats_on_edited_classification(pt_run, tmp_path, runner, lambda runs: runs.pop("Original"))
         assert "classification.json has no runs of the baseline Original" in output
+
+
+class TestUnusableArtifacts:
+    """A stage exits 2 on an artifact it cannot read, naming the artifact and the stage that writes it."""
+
+    @pytest.mark.parametrize(
+        "artifact, content, message",
+        [
+            ("similarity.json", "not json\n",
+             "similarity.json is not JSON (Expecting value: line 1 column 1 (char 0)); run `semsurf similarity`"),
+            # a lexical.json of the format that held Welch results, not values
+            ("lexical.json", json.dumps({"Original": {"ttr": {"mean_control": 0.5, "mean_ad": 0.4, "p_value": 0.1}}}),
+             'lexical.json entry Original/ttr is not {"AD": [...], "C": [...]}; run `semsurf lexical`'),
+        ],
+        ids=["not JSON", "Welch-result lexical.json"],
+    )
+    def test_stats_exits_2_naming_the_producer(self, pt_run, tmp_path, runner, artifact, content, message):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in ("similarity.json", "classification.json", "lexical.json"):
+            shutil.copy(pt_run[0] / name, run_dir / name)
+        (run_dir / artifact).write_text(content)
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        result = runner.invoke(main, ["stats", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert result.output.splitlines() == [f"error: {message}"]
+        assert not (run_dir / "stats.json").exists()
 
 
 # each case: a line added to the config, a key whose line is dropped, the key the error names
