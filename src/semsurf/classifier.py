@@ -226,15 +226,20 @@ def run_seeds(master_seed: int, n_runs: int) -> list[int]:
     return [master_seed * 10007 + i for i in range(n_runs)]
 
 
+def _fixed(dataset: Dataset) -> bool:
+    """Whether the transcripts carry split tags (a Dataset has them on every
+    transcript or on none): evaluate on the fixed split, else by k-fold CV."""
+    return any(t.split for t in dataset.transcripts)
+
+
 def protocol(dataset: Dataset, k: int) -> str:
-    """`fixed_split` when the transcripts carry split tags (a Dataset has them
-    on every transcript or on none), else stratified k-fold CV, `cv<k>`."""
-    return "fixed_split" if any(t.split for t in dataset.transcripts) else f"cv{k}"
+    """The protocol's name in classification.json: `fixed_split` or `cv<k>`."""
+    return "fixed_split" if _fixed(dataset) else f"cv{k}"
 
 
 def _partitions(dataset: Dataset, k: int, seed: int) -> list[tuple[list[str], list[str]]]:
     """The (train ids, test ids) of each fold of `seed`'s run, in dataset order."""
-    if protocol(dataset, k) == "fixed_split":
+    if _fixed(dataset):
         train_ds, test_ds = fixed_split(dataset)
         return [(train_ds.ids(), test_ds.ids())]
     fold_of = split_folds(dataset, k, seed).assignments

@@ -20,7 +20,7 @@ from typing import Callable
 import click
 import numpy as np
 
-from . import classifier, lexstats, report, stattests, textmetrics, transform
+from . import classifier, lexstats, report, stattests, textmetrics
 from .config import Config, StageError, config_digest
 from .corpus import DataError, Dataset, dataset_stats, load_dataset, save_dataset
 from .providers import OfflineViolation, ProviderClient, ProviderError, ResponseCache, TransportError
@@ -136,17 +136,11 @@ def stage_transform(ctx: RunContext) -> None:
     out_dir = ctx.run_dir / "transformed"
     out_dir.mkdir(exist_ok=True)
     embed_cfg = ctx.config.providers["embed"]
-
-    def embed(item: tuple[str, str]) -> np.ndarray:
-        # one array per row, as a kind's Python floats take 4x the memory
-        return np.array(ctx.client.embed(embed_cfg, item[1]).values)
-
-    # the pipeline's only embed calls, on as many threads as its steps, one kind at a time;
-    # the pool is transform's, whose class perfbench/tracer.py swaps to trace each task
-    with transform.ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-        for kind, corpus in corpora.items():
-            corpus.save(out_dir / f"{kind.value}.jsonl")
-            np.save(out_dir / f"{kind.value}.npy", np.array(list(pool.map(embed, corpus.items)), dtype=np.float64))
+    for kind, corpus in corpora.items():
+        corpus.save(out_dir / f"{kind.value}.jsonl")
+        # the pipeline's only embed calls; one array per row, as a kind's Python floats take 4x the memory
+        rows = [np.array(ctx.client.embed(embed_cfg, text).values) for _, text in corpus.items]
+        np.save(out_dir / f"{kind.value}.npy", np.array(rows, dtype=np.float64))
     manifest = {
         "dataset_name": dataset.name,
         "prompts": {k.value: v for k, v in config.prompts.items()},

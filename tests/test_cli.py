@@ -1,5 +1,4 @@
 import csv
-import itertools
 import json
 import shutil
 import threading
@@ -349,26 +348,6 @@ class TestEmbedOnce:
     def test_each_text_is_embedded_once(self, pt_run):
         _, embedded = pt_run
         assert len(embedded) == 8 * 40  # kinds x items
-
-    def test_transform_embeds_concurrently(self, tmp_path, runner, monkeypatch):
-        # the first two embeds wait for each other, which one thread embedding in turn never lets happen
-        barrier = threading.Barrier(2, timeout=10)
-        calls = itertools.count()
-        embed = providers.ProviderClient.embed
-
-        def meeting_embed(self, cfg, text):
-            if next(calls) < 2:
-                barrier.wait()
-            return embed(self, cfg, text)
-
-        monkeypatch.setattr(providers.ProviderClient, "embed", meeting_embed)
-        conf = tmp_path / "c.conf"
-        write_config(conf, small_dataset(tmp_path), extra="max_workers = 2")
-        run_dir = tmp_path / "run"
-        for stage in ("ingest", "transform"):
-            result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
-            assert result.exit_code == EXIT_OK, (stage, result.output)
-        assert next(calls) == 8 * 12  # kinds x items, each embedded once
 
     def test_similarity_and_classify_need_no_cache(self, pt_run, tmp_path, runner):
         run_dir = tmp_path / "run"
