@@ -3,7 +3,7 @@
 A class-weighted logistic regression head trained by full-batch gradient
 descent over provider embeddings, with stratified early-stopping validation,
 evaluated per seed by k-fold cross-validation or on a fixed split.
-The fold assignment for a given (dataset, seed) is shared across all
+The partitions of a seed's run (corpus.partitions) are shared across all
 transformations of that dataset, so per-seed results are paired for the
 Wilcoxon comparisons downstream.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Dataset, GROUP_AD, GROUP_CONTROL, fixed_split, split_folds
+from .corpus import Dataset, GROUP_AD, GROUP_CONTROL, partitions
 from .transform import TransformedCorpus
 
 POSITIVE = GROUP_AD  # ties at score 0.5 resolve to the positive class
@@ -43,7 +43,7 @@ class LinearHead:
 @dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 10
-    early_stop_patience: int = 3
+    patience: int = 3
     learning_rate: float = 0.1
     l2: float = 1e-4
     validation_fraction: float = 0.2
@@ -141,7 +141,7 @@ def train(embeddings: np.ndarray, labels: list[str], cfg: TrainConfig) -> Linear
     w = np.zeros(x.shape[1])
     b = 0.0
     best = (math.inf, w.copy(), b)
-    patience_left = cfg.early_stop_patience
+    patience_left = cfg.patience
     for epoch in range(1, cfg.max_epochs + 1):
         loss, gw, gb = weighted_loss_and_grad(w, b, xt, yt, st, cfg.l2)
         if not math.isfinite(loss):
@@ -152,7 +152,7 @@ def train(embeddings: np.ndarray, labels: list[str], cfg: TrainConfig) -> Linear
         val_loss, _, _ = weighted_loss_and_grad(w, b, xv, yv, sv, cfg.l2)
         if val_loss < best[0] - 1e-12:
             best = (val_loss, w.copy(), b)
-            patience_left = cfg.early_stop_patience
+            patience_left = cfg.patience
         else:
             patience_left -= 1
             if patience_left <= 0:
@@ -214,39 +214,9 @@ def _evaluate(
     return {"fold": fold, "macro_f1": macro_f1(pred, gold), "acc_ad": acc_ad, "acc_c": acc_c}
 
 
-def _present(dataset: Dataset, corpus: TransformedCorpus) -> Dataset:
-    """The transcripts that `corpus` has: in lenient mode every corpus lacks
-    the same failed ids, so folds and splits drawn over these stay paired."""
-    ids = set(corpus.ids())
-    return replace(dataset, transcripts=tuple(t for t in dataset.transcripts if t.id in ids))
-
-
 def run_seeds(master_seed: int, n_runs: int) -> list[int]:
     """Derived run seeds: a documented counter scheme over one master seed."""
     return [master_seed * 10007 + i for i in range(n_runs)]
-
-
-def _fixed(dataset: Dataset) -> bool:
-    """Whether the transcripts carry split tags (a Dataset has them on every
-    transcript or on none): evaluate on the fixed split, else by k-fold CV."""
-    return any(t.split for t in dataset.transcripts)
-
-
-def protocol(dataset: Dataset, k: int) -> str:
-    """The protocol's name in classification.json: `fixed_split` or `cv<k>`."""
-    return "fixed_split" if _fixed(dataset) else f"cv{k}"
-
-
-def _partitions(dataset: Dataset, k: int, seed: int) -> list[tuple[list[str], list[str]]]:
-    """The (train ids, test ids) of each fold of `seed`'s run, in dataset order."""
-    if _fixed(dataset):
-        train_ds, test_ds = fixed_split(dataset)
-        return [(train_ds.ids(), test_ds.ids())]
-    fold_of = split_folds(dataset, k, seed).assignments
-    return [
-        ([i for i in dataset.ids() if fold_of[i] != fold], [i for i in dataset.ids() if fold_of[i] == fold])
-        for fold in range(k)
-    ]
 
 
 def evaluate(
@@ -261,17 +231,15 @@ def evaluate(
     its order: each fold of the protocol trained and scored, and the run as
     its classification.json record, the fold scores and their means.
 
-    The folds depend only on (dataset, k, seed) and the ids the corpus has,
-    which all corpora of a run share — not on the transformation — which is
-    the pairing guarantee for signed-rank tests.
+    The folds are corpus.partitions over the ids the corpus has: in lenient
+    mode every corpus lacks the same failed ids, so all kinds share them.
     """
     labels = {t.id: t.group for t in dataset.transcripts}
     by_id = dict(zip(corpus.ids(), vectors))
-    present = _present(dataset, corpus)
     runs = []
     for seed in seeds:
         folds = []
-        for fold, (train_ids, test_ids) in enumerate(_partitions(present, k, seed)):
+        for fold, (train_ids, test_ids) in enumerate(partitions(dataset, k, seed, by_id)):
             try:
                 folds.append(_evaluate(fold, train_ids, test_ids, by_id, labels, replace(cfg, seed=seed)))
             except TrainingError as exc:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classifier, lexstats, report, stattests, textmetrics
 from .config import Config, StageError, config_digest
-from .corpus import DataError, Dataset, dataset_stats, load_dataset, save_dataset
+from .corpus import GROUPS, DataError, Dataset, dataset_stats, load_dataset, protocol, save_dataset
 from .providers import OfflineViolation, ProviderClient, ProviderError, ResponseCache, TransportError
 from .transform import KIND_ORDER, TransformationKind, TransformedCorpus, TransformError, run_pipeline
 
@@ -66,11 +66,15 @@ class RunContext:
             )
         return path
 
-    def read_json(self, artifact: str):
+    def read_json(self, artifact: str, *keys: str) -> dict:
+        """The artifact's JSON object, which must hold `keys`, the top-level keys the caller indexes."""
         try:
-            return json.loads(self.need(artifact).read_text())
+            obj = json.loads(self.need(artifact).read_text())
         except json.JSONDecodeError as exc:
             raise unusable(artifact, f"is not JSON ({exc})") from None
+        if not isinstance(obj, dict) or not obj.keys() >= set(keys):
+            raise unusable(artifact, "is not a JSON object" + (f" with keys {', '.join(keys)}" if keys else ""))
+        return obj
 
     def write_json(self, artifact: str, obj) -> None:
         (self.run_dir / artifact).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -80,14 +84,23 @@ class RunContext:
 
     def load_transformed(self) -> dict[TransformationKind, TransformedCorpus]:
         """The corpora of the kinds that the last `transform` listed in its manifest."""
-        kinds = self.read_json("transformed/manifest.json")["kinds"]
-        return {K(k): TransformedCorpus.load(self.need(f"transformed/{k}.jsonl")) for k in kinds}
+        return self._corpora(self.read_json("transformed/manifest.json", "kinds"))
+
+    def load_embedded(self) -> dict[TransformationKind, TransformedCorpus]:
+        """The corpora, as load_transformed gives them, once the manifest shows
+        that their embeddings came from the configured embed provider."""
+        manifest = self.read_json("transformed/manifest.json", "kinds", "embed")
+        if manifest["embed"] != self.config.providers["embed"].summary():
+            raise unusable("transformed/*.npy", "was embedded before embed.* changed")
+        return self._corpora(manifest)
+
+    def _corpora(self, manifest: dict) -> dict[TransformationKind, TransformedCorpus]:
+        return {K(k): TransformedCorpus.load(self.need(f"transformed/{k}.jsonl")) for k in manifest["kinds"]}
 
     def load_vectors(self, kind: TransformationKind, corpus: TransformedCorpus) -> np.ndarray:
-        """The embeddings that `transform` stored for `corpus`, one row per item in its order."""
+        """The embeddings that `transform` stored for `corpus`, a corpus of
+        load_embedded, one row per item in its order."""
         artifact = f"transformed/{kind.value}.npy"
-        if self.read_json("transformed/manifest.json").get("embed") != self.config.providers["embed"].summary():
-            raise unusable(artifact, "was embedded before embed.* changed")
         vectors = np.load(self.need(artifact))
         if vectors.ndim != 2 or len(vectors) != len(corpus.items):
             raise unusable(artifact, f"does not match {kind.value}.jsonl")
@@ -155,7 +168,7 @@ def stage_transform(ctx: RunContext) -> None:
 
 @stage("similarity.json")
 def stage_similarity(ctx: RunContext) -> None:
-    corpora = ctx.load_transformed()
+    corpora = ctx.load_embedded()
     reference = K.TRANSLATED if K.TRANSLATED in corpora else K.ORIGINAL
     ordered = [k for k in KIND_ORDER if k in corpora]
     # the scores against the reference are the matrix's reference column
@@ -212,13 +225,14 @@ def stage_classify(ctx: RunContext) -> None:
     dataset = ctx.load_ingested()
     seeds = classifier.run_seeds(ctx.config["master_seed"], ctx.config["runs"])
     k, cfg = ctx.config["k"], ctx.config.train
+    # each kind's array is loaded in its turn, so classify holds one at a time
     runs = {
         kind.value: classifier.evaluate(corpus, dataset, k, seeds, ctx.load_vectors(kind, corpus), cfg)
-        for kind, corpus in ctx.load_transformed().items()
+        for kind, corpus in ctx.load_embedded().items()
     }
-    protocol = classifier.protocol(dataset, k)
-    ctx.write_json("classification.json", {"protocol": protocol, "seeds": seeds, "runs": runs})
-    click.echo(f"classified {len(runs)} corpora ({protocol}, {len(seeds)} seeds)")
+    name = protocol(dataset, k)
+    ctx.write_json("classification.json", {"protocol": name, "seeds": seeds, "runs": runs})
+    click.echo(f"classified {len(runs)} corpora ({name}, {len(seeds)} seeds)")
 
 
 def welch_comparison(values: dict[str, list[float | None]]) -> dict:
@@ -244,8 +258,8 @@ def welch_comparison(values: dict[str, list[float | None]]) -> dict:
 
 @stage("stats.json")
 def stage_stats(ctx: RunContext) -> None:
-    sim = ctx.read_json("similarity.json")
-    cls = ctx.read_json("classification.json")
+    sim = ctx.read_json("similarity.json", "scores")
+    cls = ctx.read_json("classification.json", "runs", "seeds")
     lex = ctx.read_json("lexical.json")
     for kind, measures in lex.items():
         for m, values in measures.items():
@@ -302,9 +316,9 @@ def stage_stats(ctx: RunContext) -> None:
 
 @stage()
 def stage_report(ctx: RunContext) -> None:
-    per_group = ctx.read_json("dataset_stats.json")
-    sim = ctx.read_json("similarity.json")
-    stats = ctx.read_json("stats.json")
+    per_group = ctx.read_json("dataset_stats.json", *GROUPS)
+    sim = ctx.read_json("similarity.json", "reference", "scores")
+    stats = ctx.read_json("stats.json", "baseline", "classification", "wilcoxon_vs_baseline", "welch")
     ctx.reports_dir.mkdir(exist_ok=True)
 
     def write(table: report.ReportTable, name: str) -> None:

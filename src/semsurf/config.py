@@ -84,35 +84,35 @@ def _kinds(raw: str) -> frozenset[TransformationKind]:
     return frozenset(TransformationKind(name.strip()) for name in raw.split(",") if name.strip())
 
 
-def _role_keys(role: str) -> dict[str, tuple[str, Key]]:
-    """<role>.<key> -> (ProviderConfig field, Key) for one provider role.
+def _role_keys(role: str) -> dict[str, Key]:
+    """<role>.<ProviderConfig field> -> Key for one provider role.
 
     Every role has an endpoint, a model and a credential. Only chat requests
     carry sampling settings, and only embed responses are checked against a
     declared dimension.
     """
     keys = {
-        "endpoint": ("endpoint", Key(str, shown="—")),
-        "model": ("model", Key(str, f"mock-{role}")),
-        "credential_env": ("credential_env", Key(str)),
+        "endpoint": Key(str, shown="—"),
+        "model": Key(str, f"mock-{role}"),
+        "credential_env": Key(str),
     }
     if role == "chat":
-        keys["temperature"] = ("temperature", Key(_number(float, "a number", 0), ProviderConfig.temperature))
-        keys["max_tokens"] = ("max_tokens", Key(INT))
-        keys["seed"] = ("seed", Key(INT, ProviderConfig.seed))
+        keys["temperature"] = Key(_number(float, "a number", 0), ProviderConfig.temperature)
+        keys["max_tokens"] = Key(INT)
+        keys["seed"] = Key(INT, ProviderConfig.seed)
     if role == "embed":
-        keys["dimension"] = ("embed_dimension", Key(INT))
+        keys["dimension"] = Key(INT)
     return {f"{role}.{name}": spec for name, spec in keys.items()}
 
 
-# train.<key> -> (TrainConfig field, parser)
+# train.<TrainConfig field> -> parser
 TRAIN_KEYS = {
-    "max_epochs": ("max_epochs", INT),
-    "patience": ("early_stop_patience", INT),
-    "learning_rate": ("learning_rate", FLOAT),
-    "l2": ("l2", FLOAT),
-    "validation_fraction": ("validation_fraction", FLOAT),
-    "class_weighting": ("class_weighting", _bool),
+    "max_epochs": INT,
+    "patience": INT,
+    "learning_rate": FLOAT,
+    "l2": FLOAT,
+    "validation_fraction": FLOAT,
+    "class_weighting": _bool,
 }
 
 SCHEMA: dict[str, Key] = {
@@ -131,8 +131,8 @@ SCHEMA: dict[str, Key] = {
     "frequency_table": Key(str, shown="shipped table"),
     "zipf_oov_floor": Key(FLOAT, 0.0),
     "pos_lexicon": Key(str, shown="shipped lexicon"),
-    **{key: spec for role in ROLES for key, (_, spec) in _role_keys(role).items()},
-    **{f"train.{key}": Key(parse, getattr(TrainConfig, field)) for key, (field, parse) in TRAIN_KEYS.items()},
+    **{key: spec for role in ROLES for key, spec in _role_keys(role).items()},
+    **{f"train.{field}": Key(parse, getattr(TrainConfig, field)) for field, parse in TRAIN_KEYS.items()},
 }
 
 
@@ -194,7 +194,7 @@ class Config:
         for role, kind in ROLES.items():
             if self[f"{role}.endpoint"] is not None:
                 try:
-                    fields = {field: self[key] for key, (field, _) in _role_keys(role).items()}
+                    fields = {key.split(".")[1]: self[key] for key in _role_keys(role)}
                     self.providers[role] = ProviderConfig(kind=kind, **fields)
                 except ValueError as exc:
                     raise self.error(f"{role}.endpoint", str(exc)) from None
@@ -206,7 +206,7 @@ class Config:
             self.require("t2i", "ImageDescription is enabled")
             self.require("i2t", "ImageDescription is enabled")
         try:
-            self.train = TrainConfig(**{field: self[f"train.{key}"] for key, (field, _) in TRAIN_KEYS.items()})
+            self.train = TrainConfig(**{field: self[f"train.{field}"] for field in TRAIN_KEYS})
         except ValueError as exc:
             raise ConfigError(f"{self.path}: train: {exc}") from None
 

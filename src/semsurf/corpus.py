@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+from collections.abc import Container, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,21 +80,6 @@ class Dataset:
 
     def by_group(self, group: str) -> list[Transcript]:
         return [t for t in self.transcripts if t.group == group]
-
-
-@dataclass(frozen=True)
-class FoldAssignment:
-    k: int
-    assignments: dict[str, int]  # id -> fold index in [0, k)
-
-    def fold_ids(self, fold: int) -> list[str]:
-        return [i for i, f in self.assignments.items() if f == fold]
-
-    def fold_sizes(self) -> list[int]:
-        sizes = [0] * self.k
-        for f in self.assignments.values():
-            sizes[f] += 1
-        return sizes
 
 
 def _canonical_group(raw: str, where: str) -> str:
@@ -189,8 +175,8 @@ def _seeded_shuffle(items: list[str], seed: int) -> list[str]:
     return out
 
 
-def split_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
-    """Stratified k-fold assignment, deterministic per seed.
+def split_folds(transcripts: Sequence[Transcript], k: int, seed: int) -> dict[str, int]:
+    """Stratified k-fold assignment, id -> fold in [0, k), deterministic per seed.
 
     Per-group items are shuffled and dealt so each fold gets floor or ceil of
     n_group/k members; leftover items go to the folds with the smallest running
@@ -198,12 +184,12 @@ def split_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
     """
     if k < 2:
         raise DataError(f"k must be >= 2, got {k}")
-    group_ids = {g: [t.id for t in dataset.by_group(g)] for g in GROUPS}
+    group_ids = {g: [t.id for t in transcripts if t.group == g] for g in GROUPS}
     for g, ids in group_ids.items():
         if 0 < len(ids) < k:
             raise DataError(f"group {g} has {len(ids)} members, fewer than k={k}")
 
-    assignments: dict[str, int] = {}
+    fold_of: dict[str, int] = {}
     totals = [0] * k
     # larger groups first so small-group extras can balance the totals
     for gi, g in enumerate(sorted(GROUPS, key=lambda g: -len(group_ids[g]))):
@@ -215,24 +201,34 @@ def split_folds(dataset: Dataset, k: int, seed: int) -> FoldAssignment:
         pos = 0
         for fold in range(k):
             for _ in range(counts[fold]):
-                assignments[ids[pos]] = fold
+                fold_of[ids[pos]] = fold
                 pos += 1
             totals[fold] += counts[fold]
-    return FoldAssignment(k=k, assignments=assignments)
+    return fold_of
 
 
-def fixed_split(dataset: Dataset) -> tuple[Dataset, Dataset]:
-    """Partition by the ready-defined train/test tags, order preserved."""
-    untagged = [t.id for t in dataset.transcripts if t.split is None]
-    if untagged:
-        raise DataError(f"transcripts missing split tag: {untagged}")
-    train = tuple(t for t in dataset.transcripts if t.split == SPLIT_TRAIN)
-    test = tuple(t for t in dataset.transcripts if t.split == SPLIT_TEST)
-    if not test:
-        raise DataError("fixed split has an empty test set")
-    if not train:
-        raise DataError("fixed split has an empty train set")
-    return (
-        Dataset(f"{dataset.name}-train", train, dataset.source_language),
-        Dataset(f"{dataset.name}-test", test, dataset.source_language),
-    )
+def protocol(dataset: Dataset, k: int) -> str:
+    """classification.json's protocol: `fixed_split` if the transcripts carry split tags
+    (all or none do), else `cv<k>`."""
+    return "fixed_split" if any(t.split for t in dataset.transcripts) else f"cv{k}"
+
+
+def partitions(dataset: Dataset, k: int, seed: int, ids: Container[str]) -> list[tuple[list[str], list[str]]]:
+    """The (train ids, test ids) of each fold of `seed`'s run over the transcripts
+    whose id is in `ids`, in dataset order: the one fixed split, or the k stratified
+    folds of split_folds. They depend on no transformation, and every kind of a run
+    keeps the same ids, so all kinds share them: the pairing of per-seed results."""
+    kept = [t for t in dataset.transcripts if t.id in ids]
+    if protocol(dataset, k) == "fixed_split":
+        train = [t.id for t in kept if t.split == SPLIT_TRAIN]
+        test = [t.id for t in kept if t.split == SPLIT_TEST]
+        if not test:
+            raise DataError("fixed split has an empty test set")
+        if not train:
+            raise DataError("fixed split has an empty train set")
+        return [(train, test)]
+    fold_of = split_folds(kept, k, seed)
+    return [
+        ([t.id for t in kept if fold_of[t.id] != fold], [t.id for t in kept if fold_of[t.id] == fold])
+        for fold in range(k)
+    ]

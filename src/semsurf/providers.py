@@ -61,7 +61,7 @@ class ProviderConfig:
     max_tokens: int | None = None
     seed: int | None = 0
     credential_env: str | None = None
-    embed_dimension: int | None = None  # declared dimension, checked on responses
+    dimension: int | None = None  # declared embedding dimension, checked on responses
 
     def __post_init__(self):
         if self.kind not in PROVIDER_KINDS:
@@ -332,7 +332,7 @@ class ProviderClient:
         rec = self._fetch(cfg, payload, compute)
         # a mock miss returns the vector its record was written from
         vec = computed[0] if computed else EmbeddingVector(tuple(json.loads(rec.response_text)))
-        expected = cfg.embed_dimension or (MOCK_EMBED_DIM if cfg.is_mock else None)
+        expected = cfg.dimension or (MOCK_EMBED_DIM if cfg.is_mock else None)
         if expected is not None and vec.dimension != expected:
             raise ProviderError(f"embedding dimension {vec.dimension} != declared {expected}")
         return vec

@@ -22,7 +22,7 @@ from semsurf.classifier import (
     weighted_loss_and_grad,
 )
 from semsurf.cli import EXIT_OK, main
-from semsurf.corpus import GROUP_AD, GROUP_CONTROL, load_dataset, split_folds
+from semsurf.corpus import GROUP_AD, GROUP_CONTROL, load_dataset, partitions
 from semsurf.stattests import pearson, welch_t, wilcoxon_signed_rank
 from semsurf.textmetrics import bleu, chrf
 from semsurf.transform import DEFAULT_PROMPTS
@@ -229,19 +229,21 @@ def test_criterion_7_protocol_fidelity(tmp_path):
     for kind, prompt in DEFAULT_PROMPTS.items():
         ok &= manifest["prompts"][kind.value] == prompt
 
-    # (c) fold pairing: the assignment is a function of (dataset, k, seed)
-    # only, so two independently loaded dataset objects — standing in for the
-    # per-transformation calls inside classifier.evaluate — agree fold for fold
+    # (c) fold pairing: the partitions are a function of (dataset, k, seed)
+    # and the kept ids only, so two independently loaded dataset objects —
+    # standing in for the per-transformation calls inside classifier.evaluate —
+    # agree fold for fold
     ds_a = load_dataset(d1 / "dataset.jsonl", "jsonl", name="dogstory40")
     ds_b = load_dataset(d2 / "dataset.jsonl", "jsonl", name="dogstory40")
     groups = {t.id: t.group for t in ds_a.transcripts}
     cls = json.loads((d1 / "classification.json").read_text())
     for seed in cls["seeds"]:
-        fa = split_folds(ds_a, 5, seed)
-        ok &= fa == split_folds(ds_b, 5, seed)
-        ok &= max(fa.fold_sizes()) - min(fa.fold_sizes()) <= 1
-        for fold in range(5):
-            n_ad = sum(1 for i in fa.fold_ids(fold) if groups[i] == "AD")
+        parts = partitions(ds_a, 5, seed, set(source_ids))
+        ok &= parts == partitions(ds_b, 5, seed, set(source_ids))
+        sizes = [len(test) for _, test in parts]
+        ok &= len(parts) == 5 and max(sizes) - min(sizes) <= 1
+        for _, test in parts:
+            n_ad = sum(1 for i in test if groups[i] == "AD")
             ok &= n_ad == 2  # 10 AD over 5 folds, stratified
     ok &= cls["protocol"] == "cv5"
     ok &= all(len(runs) == len(cls["seeds"]) for runs in cls["runs"].values())

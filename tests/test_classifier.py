@@ -10,12 +10,11 @@ from semsurf.classifier import (
     macro_f1,
     per_class_accuracy,
     predict,
-    protocol,
     run_seeds,
     train,
     weighted_loss_and_grad,
 )
-from semsurf.corpus import GROUP_AD, GROUP_CONTROL, Dataset, Transcript, split_folds
+from semsurf.corpus import GROUP_AD, GROUP_CONTROL, Dataset, Transcript, partitions, protocol
 from semsurf.providers import mock_embed
 from semsurf.transform import TransformationKind, TransformedCorpus
 
@@ -203,11 +202,13 @@ def fixed_split_dataset():
 
 class TestCrossValidation:
     def test_fold_pairing_across_transformations(self):
-        # fold assignment depends only on (dataset, k, seed)
+        # the partitions evaluate draws depend only on (dataset, k, seed) and the
+        # ids, which the corpora of two transformations share
         ds = mini_dataset()
+        original, summary = corpus_for(ds), corpus_for(ds, TransformationKind.SHORT_SUMMARY)
         for seed in run_seeds(42, 3):
-            a = split_folds(ds, 4, seed)
-            b = split_folds(ds, 4, seed)
+            a = partitions(ds, 4, seed, set(original.ids()))
+            b = partitions(ds, 4, seed, set(summary.ids()))
             assert a == b
 
     def test_cross_validate_shapes(self):

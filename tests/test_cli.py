@@ -469,8 +469,10 @@ class TestUnusableArtifacts:
             # a lexical.json of the format that held Welch results, not values
             ("lexical.json", json.dumps({"Original": {"ttr": {"mean_control": 0.5, "mean_ad": 0.4, "p_value": 0.1}}}),
              'lexical.json entry Original/ttr is not {"AD": [...], "C": [...]}; run `semsurf lexical`'),
+            ("classification.json", "[]",
+             "classification.json is not a JSON object with keys runs, seeds; run `semsurf classify`"),
         ],
-        ids=["not JSON", "Welch-result lexical.json"],
+        ids=["not JSON", "Welch-result lexical.json", "list classification.json"],
     )
     def test_stats_exits_2_naming_the_producer(self, pt_run, tmp_path, runner, artifact, content, message):
         run_dir = tmp_path / "run"
@@ -483,6 +485,20 @@ class TestUnusableArtifacts:
         assert result.exit_code == EXIT_DATA, result.output
         assert result.output.splitlines() == [f"error: {message}"]
         assert not (run_dir / "stats.json").exists()
+
+    def test_classify_exits_2_on_a_manifest_without_kinds(self, pt_run, tmp_path, runner):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        shutil.copy(pt_run[0] / "dataset.jsonl", run_dir)
+        shutil.copytree(pt_run[0] / "transformed", run_dir / "transformed")
+        (run_dir / "transformed" / "manifest.json").write_text("{}")
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        result = runner.invoke(main, ["classify", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert result.output.splitlines() == [
+            "error: transformed/manifest.json is not a JSON object with keys kinds, embed; run `semsurf transform`"
+        ]
+        assert not (run_dir / "classification.json").exists()
 
 
 # each case: a line added to the config, a key whose line is dropped, the key the error names

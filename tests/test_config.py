@@ -95,7 +95,7 @@ def test_role_keys_fill_provider_config(tmp_path):
         seed=3, credential_env="CHAT_KEY",
     )
     assert cfg.providers["embed"] == ProviderConfig(
-        kind="embed", endpoint="mock:embed", model="e5", credential_env="EMBED_KEY", embed_dimension=8,
+        kind="embed", endpoint="mock:embed", model="e5", credential_env="EMBED_KEY", dimension=8,
     )
     # the roles that no key of theirs can tune keep ProviderConfig's defaults
     assert cfg.providers["t2i"] == ProviderConfig(kind="text_to_image", endpoint="mock:t2i", model="mock-t2i")

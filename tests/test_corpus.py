@@ -1,9 +1,12 @@
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semsurf.corpus import (
     GROUP_AD,
@@ -12,8 +15,9 @@ from semsurf.corpus import (
     Dataset,
     Transcript,
     dataset_stats,
-    fixed_split,
     load_dataset,
+    partitions,
+    protocol,
     save_dataset,
     split_folds,
 )
@@ -172,60 +176,88 @@ class TestFolds:
         # 23 + 116 items over k=5: overall sizes differ by at most 1,
         # minority spread 4-5 per fold
         ds = make_dataset(23, 116)
-        fa = split_folds(ds, k=5, seed=0)
-        assert sorted(fa.fold_sizes()) == [27, 28, 28, 28, 28]
+        fold_of = split_folds(ds.transcripts, k=5, seed=0)
+        assert sorted(Counter(fold_of.values()).values()) == [27, 28, 28, 28, 28]
         by_id = {t.id: t.group for t in ds.transcripts}
-        for fold in range(5):
-            ad = sum(1 for i in fa.fold_ids(fold) if by_id[i] == GROUP_AD)
-            assert ad in (4, 5)
+        ad = Counter(f for i, f in fold_of.items() if by_id[i] == GROUP_AD)
+        assert sorted(ad) == list(range(5))
+        assert set(ad.values()) <= {4, 5}
 
     def test_every_item_assigned_once(self):
         ds = make_dataset(10, 30)
-        fa = split_folds(ds, k=5, seed=3)
-        assert sorted(fa.assignments) == sorted(ds.ids())
-        assert all(0 <= f < 5 for f in fa.assignments.values())
+        fold_of = split_folds(ds.transcripts, k=5, seed=3)
+        assert sorted(fold_of) == sorted(ds.ids())
+        assert all(0 <= f < 5 for f in fold_of.values())
 
     def test_deterministic_per_seed(self):
         ds = make_dataset(10, 30)
-        assert split_folds(ds, 5, seed=7) == split_folds(ds, 5, seed=7)
-        assert split_folds(ds, 5, seed=7) != split_folds(ds, 5, seed=8)
+        assert split_folds(ds.transcripts, 5, seed=7) == split_folds(ds.transcripts, 5, seed=7)
+        assert split_folds(ds.transcripts, 5, seed=7) != split_folds(ds.transcripts, 5, seed=8)
 
     def test_group_smaller_than_k_rejected(self):
         ds = make_dataset(3, 30)
         with pytest.raises(DataError, match="fewer than k"):
-            split_folds(ds, 5, seed=0)
+            split_folds(ds.transcripts, 5, seed=0)
 
     def test_k_too_small(self):
         with pytest.raises(DataError):
-            split_folds(make_dataset(5, 5), 1, seed=0)
+            split_folds(make_dataset(5, 5).transcripts, 1, seed=0)
 
     def test_balanced_group_exact_stratification(self):
         ds = make_dataset(20, 20)
-        fa = split_folds(ds, 4, seed=1)
+        fold_of = split_folds(ds.transcripts, 4, seed=1)
         by_id = {t.id: t.group for t in ds.transcripts}
-        for fold in range(4):
-            ids = fa.fold_ids(fold)
-            assert len(ids) == 10
-            assert sum(1 for i in ids if by_id[i] == GROUP_AD) == 5
+        assert Counter(fold_of.values()) == {fold: 10 for fold in range(4)}
+        assert Counter(f for i, f in fold_of.items() if by_id[i] == GROUP_AD) == {fold: 5 for fold in range(4)}
+
+
+class TestPartitions:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_cv_partitions_are_stratified_folds_of_the_kept_ids(self, data):
+        k = data.draw(st.integers(2, 6), label="k")
+        kept_counts = {g: data.draw(st.integers(k, 3 * k + 2), label=f"kept {g}") for g in (GROUP_AD, GROUP_CONTROL)}
+        dropped_counts = {g: data.draw(st.integers(0, 4), label=f"dropped {g}") for g in (GROUP_AD, GROUP_CONTROL)}
+        ds = make_dataset(*(kept_counts[g] + dropped_counts[g] for g in (GROUP_AD, GROUP_CONTROL)))
+        # groups interleaved in dataset order; of each group a random subset of ids is kept
+        ds = replace(ds, transcripts=tuple(data.draw(st.permutations(ds.transcripts), label="order")))
+        ids = set()
+        for g, n in kept_counts.items():
+            ids |= set(data.draw(st.permutations([t.id for t in ds.by_group(g)]), label=f"{g} ids")[:n])
+        seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+
+        parts = partitions(ds, k, seed, ids)
+        kept = [i for i in ds.ids() if i in ids]
+        group = {t.id: t.group for t in ds.transcripts}
+        assert len(parts) == k
+        assert sorted(i for _, test in parts for i in test) == sorted(kept)  # each kept id tested exactly once
+        for train, test in parts:
+            assert test == [i for i in kept if i in set(test)]  # dataset order
+            assert train == [i for i in kept if i not in set(test)]
+        sizes = [len(test) for _, test in parts]
+        assert max(sizes) - min(sizes) <= 1
+        for g in (GROUP_AD, GROUP_CONTROL):
+            per_fold = [sum(1 for i in test if group[i] == g) for _, test in parts]
+            assert max(per_fold) - min(per_fold) <= 1
+        assert partitions(ds, k, seed, ids) == parts
 
 
 class TestFixedSplit:
     def test_partition(self):
         ds = make_dataset(6, 6, split_frac=2 / 3)
-        train, test = fixed_split(ds)
+        assert protocol(ds, 5) == "fixed_split"
+        [(train, test)] = partitions(ds, 5, 0, set(ds.ids()))
         assert len(train) == 8 and len(test) == 4
-        assert set(train.ids()) | set(test.ids()) == set(ds.ids())
-        assert not set(train.ids()) & set(test.ids())
-
-    def test_untagged_rejected(self):
-        ds = make_dataset(3, 3)
-        with pytest.raises(DataError, match="missing split"):
-            fixed_split(ds)
+        assert set(train) | set(test) == set(ds.ids())
+        assert not set(train) & set(test)
+        assert train == [t.id for t in ds.transcripts if t.split == "train"]
+        assert test == [t.id for t in ds.transcripts if t.split == "test"]
 
     def test_empty_side_rejected(self):
-        rows = tuple(
-            Transcript(f"i{i}", "some words here", GROUP_AD if i < 2 else GROUP_CONTROL, "en", split="train")
-            for i in range(4)
-        )
-        with pytest.raises(DataError, match="empty test"):
-            fixed_split(Dataset("d", rows, "en"))
+        for split, message in (("train", "empty test"), ("test", "empty train")):
+            rows = tuple(
+                Transcript(f"i{i}", "some words here", GROUP_AD if i < 2 else GROUP_CONTROL, "en", split=split)
+                for i in range(4)
+            )
+            with pytest.raises(DataError, match=message):
+                partitions(Dataset("d", rows, "en"), 5, 0, {f"i{i}" for i in range(4)})

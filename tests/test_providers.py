@@ -376,7 +376,7 @@ class TestHttpPath:
         session = FakeSession([FakeResponse(200, body)])
         cfg = ProviderConfig(
             kind="embed", endpoint="https://api.example.com/v1", model="m",
-            embed_dimension=4,
+            dimension=4,
         )
         client = make_client(tmp_path, session=session)
         with pytest.raises(ProviderError, match="dimension"):
