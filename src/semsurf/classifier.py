@@ -2,10 +2,8 @@
 
 A class-weighted logistic regression head trained by full-batch gradient
 descent over provider embeddings, with stratified early-stopping validation,
-evaluated per seed by k-fold cross-validation or on a fixed split.
-The partitions of a seed's run (corpus.partitions) are shared across all
-transformations of that dataset, so per-seed results are paired for the
-Wilcoxon comparisons downstream.
+evaluated per seed over the (train ids, test ids) folds it is given: the k
+folds of cross-validation, or the one fold of a fixed split.
 """
 
 from __future__ import annotations
@@ -15,8 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Dataset, GROUP_AD, GROUP_CONTROL, partitions
-from .transform import TransformedCorpus
+from .corpus import GROUP_AD, GROUP_CONTROL
 
 POSITIVE = GROUP_AD  # ties at score 0.5 resolve to the positive class
 
@@ -220,28 +217,20 @@ def run_seeds(master_seed: int, n_runs: int) -> list[int]:
 
 
 def evaluate(
-    corpus: TransformedCorpus,
-    dataset: Dataset,
-    k: int,
-    seeds: list[int],
-    vectors: np.ndarray,
+    vectors_by_id: dict[str, np.ndarray],
+    labels: dict[str, str],
+    splits: list[tuple[int, list[tuple[list[str], list[str]]]]],
     cfg: TrainConfig,
 ) -> list[dict]:
-    """One run per seed over `vectors`, the embeddings of the corpus's items in
-    its order: each fold of the protocol trained and scored, and the run as
-    its classification.json record, the fold scores and their means.
-
-    The folds are corpus.partitions over the ids the corpus has: in lenient
-    mode every corpus lacks the same failed ids, so all kinds share them.
-    """
-    labels = {t.id: t.group for t in dataset.transcripts}
-    by_id = dict(zip(corpus.ids(), vectors))
+    """One run per (seed, folds) of `splits`: each (train ids, test ids) fold
+    trained and scored, and the run as its classification.json record, the
+    fold scores and their means."""
     runs = []
-    for seed in seeds:
+    for seed, seed_folds in splits:
         folds = []
-        for fold, (train_ids, test_ids) in enumerate(partitions(dataset, k, seed, by_id)):
+        for fold, (train_ids, test_ids) in enumerate(seed_folds):
             try:
-                folds.append(_evaluate(fold, train_ids, test_ids, by_id, labels, replace(cfg, seed=seed)))
+                folds.append(_evaluate(fold, train_ids, test_ids, vectors_by_id, labels, replace(cfg, seed=seed)))
             except TrainingError as exc:
                 raise TrainingError(f"seed {seed} fold {fold}: {exc}") from exc
         means = {m: float(np.mean([f[m] for f in folds])) for m in ("macro_f1", "acc_ad", "acc_c")}

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classifier, lexstats, report, stattests, textmetrics
 from .config import Config, StageError, config_digest
-from .corpus import GROUPS, DataError, Dataset, dataset_stats, load_dataset, protocol, save_dataset
+from .corpus import GROUPS, DataError, Dataset, dataset_stats, load_dataset, partitions, protocol, save_dataset
 from .providers import OfflineViolation, ProviderClient, ProviderError, ResponseCache, TransportError
 from .transform import KIND_ORDER, TransformationKind, TransformedCorpus, TransformError, run_pipeline
 
@@ -34,6 +34,7 @@ EXIT_PROVIDER = 3
 K = TransformationKind
 # the five kinds the pipeline derives from the reference text
 SIMILARITY_TABLE_KINDS = [K.SHORT_SUMMARY, K.MEDIUM_SUMMARY, K.LONG_SUMMARY, K.STORYBOARD, K.IMAGE_DESCRIPTION]
+JSON_TYPES = {dict: "object", list: "array", str: "string"}
 
 
 class RunContext:
@@ -66,14 +67,17 @@ class RunContext:
             )
         return path
 
-    def read_json(self, artifact: str, *keys: str) -> dict:
-        """The artifact's JSON object, which must hold `keys`, the top-level keys the caller indexes."""
+    def read_json(self, artifact: str, **keys: type) -> dict:
+        """The artifact's JSON object, which must hold `keys`, the top-level keys the caller indexes, as their types."""
         try:
             obj = json.loads(self.need(artifact).read_text())
         except json.JSONDecodeError as exc:
             raise unusable(artifact, f"is not JSON ({exc})") from None
-        if not isinstance(obj, dict) or not obj.keys() >= set(keys):
+        if not isinstance(obj, dict) or not obj.keys() >= keys.keys():
             raise unusable(artifact, "is not a JSON object" + (f" with keys {', '.join(keys)}" if keys else ""))
+        for key, kind in keys.items():
+            if not isinstance(obj[key], kind):
+                raise unusable(artifact, f"key {key} is not a JSON {JSON_TYPES[kind]}")
         return obj
 
     def write_json(self, artifact: str, obj) -> None:
@@ -84,18 +88,24 @@ class RunContext:
 
     def load_transformed(self) -> dict[TransformationKind, TransformedCorpus]:
         """The corpora of the kinds that the last `transform` listed in its manifest."""
-        return self._corpora(self.read_json("transformed/manifest.json", "kinds"))
+        return self._corpora(self.read_json("transformed/manifest.json", kinds=list))
 
     def load_embedded(self) -> dict[TransformationKind, TransformedCorpus]:
         """The corpora, as load_transformed gives them, once the manifest shows
         that their embeddings came from the configured embed provider."""
-        manifest = self.read_json("transformed/manifest.json", "kinds", "embed")
+        manifest = self.read_json("transformed/manifest.json", kinds=list, embed=dict)
         if manifest["embed"] != self.config.providers["embed"].summary():
             raise unusable("transformed/*.npy", "was embedded before embed.* changed")
         return self._corpora(manifest)
 
     def _corpora(self, manifest: dict) -> dict[TransformationKind, TransformedCorpus]:
-        return {K(k): TransformedCorpus.load(self.need(f"transformed/{k}.jsonl")) for k in manifest["kinds"]}
+        """The listed corpora, which must all list the first one's ids in its order: the ids every stage pairs."""
+        corpora = {K(k): TransformedCorpus.load(self.need(f"transformed/{k}.jsonl")) for k in manifest["kinds"]}
+        for kind, corpus in corpora.items():
+            if corpus.ids() != next(iter(corpora.values())).ids():
+                first = manifest["kinds"][0]
+                raise unusable(f"transformed/{kind.value}.jsonl", f"does not match the ids of {first}.jsonl")
+        return corpora
 
     def load_vectors(self, kind: TransformationKind, corpus: TransformedCorpus) -> np.ndarray:
         """The embeddings that `transform` stored for `corpus`, a corpus of
@@ -199,22 +209,10 @@ def stage_lexical(ctx: RunContext) -> None:
 
     results: dict[str, dict[str, dict[str, list[float | None]]]] = {}
     for kind, corpus in corpora.items():
-        per_measure: dict[str, dict[str, list[float | None]]] = {
-            m: {"C": [], "AD": []} for m in ("ttr", "zipf", "pnr", "adv", "part")
-        }
+        per_measure: dict[str, dict[str, list[float | None]]] = {m: {"C": [], "AD": []} for m in lexstats.MEASURES}
         for item_id, text in corpus.items:
-            tokens = lexstats.tokenize(text)
-            group = groups[item_id]
-            if not tokens:
-                for m in per_measure:
-                    per_measure[m][group].append(None)
-                continue
-            ratios = lexstats.pos_ratios(tagger.tag(tokens))
-            per_measure["ttr"][group].append(lexstats.ttr(tokens))
-            per_measure["zipf"][group].append(lexstats.avg_zipf(tokens, freq, oov_floor))
-            per_measure["pnr"][group].append(ratios.pnr)
-            per_measure["adv"][group].append(ratios.adv_ratio)
-            per_measure["part"][group].append(ratios.part_ratio)
+            for m, value in lexstats.measures(text, freq, tagger, oov_floor).items():
+                per_measure[m][groups[item_id]].append(value)
         results[kind.value] = per_measure
     ctx.write_json("lexical.json", results)
     click.echo(f"lexical measures for {len(results)} corpora")
@@ -223,12 +221,17 @@ def stage_lexical(ctx: RunContext) -> None:
 @stage("classification.json")
 def stage_classify(ctx: RunContext) -> None:
     dataset = ctx.load_ingested()
+    corpora = ctx.load_embedded()
     seeds = classifier.run_seeds(ctx.config["master_seed"], ctx.config["runs"])
     k, cfg = ctx.config["k"], ctx.config.train
+    # one draw per seed, over the ids that every corpus holds, trains and tests every kind
+    ids = {i for corpus in corpora.values() for i in corpus.ids()}
+    splits = [(seed, partitions(dataset, k, seed, ids)) for seed in seeds]
+    labels = {t.id: t.group for t in dataset.transcripts}
     # each kind's array is loaded in its turn, so classify holds one at a time
     runs = {
-        kind.value: classifier.evaluate(corpus, dataset, k, seeds, ctx.load_vectors(kind, corpus), cfg)
-        for kind, corpus in ctx.load_embedded().items()
+        kind.value: classifier.evaluate(dict(zip(corpus.ids(), ctx.load_vectors(kind, corpus))), labels, splits, cfg)
+        for kind, corpus in corpora.items()
     }
     name = protocol(dataset, k)
     ctx.write_json("classification.json", {"protocol": name, "seeds": seeds, "runs": runs})
@@ -258,8 +261,8 @@ def welch_comparison(values: dict[str, list[float | None]]) -> dict:
 
 @stage("stats.json")
 def stage_stats(ctx: RunContext) -> None:
-    sim = ctx.read_json("similarity.json", "scores")
-    cls = ctx.read_json("classification.json", "runs", "seeds")
+    sim = ctx.read_json("similarity.json", scores=dict)
+    cls = ctx.read_json("classification.json", runs=dict, seeds=list)
     lex = ctx.read_json("lexical.json")
     for kind, measures in lex.items():
         for m, values in measures.items():
@@ -271,7 +274,11 @@ def stage_stats(ctx: RunContext) -> None:
     runs = cls["runs"]
     if baseline not in runs:
         raise DataError(f"classification.json has no runs of the baseline {baseline}")
+    fields = {"seed", *report.CLASSIFICATION_MEASURES}
     for kind, kind_runs in runs.items():
+        if not isinstance(kind_runs, list) or not all(isinstance(r, dict) and r.keys() >= fields for r in kind_runs):
+            problem = f"entry runs/{kind} is not a list of objects with keys {', '.join(sorted(fields))}"
+            raise unusable("classification.json", problem)
         if [r["seed"] for r in kind_runs] != cls["seeds"]:
             raise DataError(f"{kind}: {len(kind_runs)} runs, expected one per seed {cls['seeds']} (unpaired)")
     n_runs = len(cls["seeds"])
@@ -316,9 +323,9 @@ def stage_stats(ctx: RunContext) -> None:
 
 @stage()
 def stage_report(ctx: RunContext) -> None:
-    per_group = ctx.read_json("dataset_stats.json", *GROUPS)
-    sim = ctx.read_json("similarity.json", "reference", "scores")
-    stats = ctx.read_json("stats.json", "baseline", "classification", "wilcoxon_vs_baseline", "welch")
+    per_group = ctx.read_json("dataset_stats.json", **dict.fromkeys(GROUPS, dict))
+    sim = ctx.read_json("similarity.json", reference=str, scores=dict)
+    stats = ctx.read_json("stats.json", baseline=str, classification=dict, wilcoxon_vs_baseline=dict, welch=dict)
     ctx.reports_dir.mkdir(exist_ok=True)
 
     def write(table: report.ReportTable, name: str) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -54,9 +55,11 @@ def _number(convert, what: str, low=None, high=None):
             value = convert(raw)
         except ValueError:
             raise ValueError(f"expected {what}") from None
-        if low is not None and not value >= low:  # `not >=` also rejects nan
+        if convert is float and not math.isfinite(value):
+            raise ValueError("expected a finite number")
+        if low is not None and value < low:
             raise ValueError(f"expected {what} >= {low}")
-        if high is not None and not value <= high:
+        if high is not None and value > high:
             raise ValueError(f"expected {what} <= {high}")
         return value
 
@@ -122,7 +125,7 @@ SCHEMA: dict[str, Key] = {
     "enabled": Key(_kinds, frozenset(KIND_ORDER), "all kinds"),
     "k": Key(_number(int, "an integer", 2), 5),
     "runs": Key(_number(int, "an integer", 1), 10),
-    "master_seed": Key(INT, 42),
+    "master_seed": Key(_number(int, "an integer", 0), 42),
     "mode": Key(_choice("strict", "lenient"), "strict"),
     "lenient_threshold": Key(_number(float, "a number", 0, 1), PipelineConfig.lenient_threshold),
     "max_workers": Key(_number(int, "an integer", 1), PipelineConfig.max_workers),

@@ -155,24 +155,23 @@ class BaselineTagger:
         return out
 
 
-@dataclass(frozen=True)
-class PosRatios:
-    pnr: float | None  # pronouns per noun; None when the text has no nouns
-    adv_ratio: float
-    part_ratio: float
+MEASURES = ("ttr", "zipf", "pnr", "adv", "part")
 
 
-def pos_ratios(tags: list[PosTag]) -> PosRatios:
-    """Pronoun-to-noun, adverb, and participle ratios.
-
-    pnr is per-noun; the other two are per-token. Zero-noun documents get
-    pnr=None and are excluded from group means rather than imputed.
-    """
-    if not tags:
-        raise ValueError("pos_ratios of an empty tag list is undefined")
-    n_noun = sum(1 for t in tags if t == PosTag.NOUN)
-    n_pron = sum(1 for t in tags if t == PosTag.PRON)
-    n_adv = sum(1 for t in tags if t == PosTag.ADV)
-    n_part = sum(1 for t in tags if t == PosTag.VERB_PART)
-    pnr = n_pron / n_noun if n_noun else None
-    return PosRatios(pnr, n_adv / len(tags), n_part / len(tags))
+def measures(text: str, table: FrequencyTable, tagger: BaselineTagger, oov_floor: float) -> dict[str, float | None]:
+    """lexical.json's MEASURES of one text: type-token ratio, average Zipf
+    frequency, pronouns per noun, and adverbs and participles per token. A
+    measure undefined for the text (every one without tokens, pnr without
+    nouns) is None, so group means exclude the text rather than impute a value."""
+    tokens = tokenize(text)
+    if not tokens:
+        return dict.fromkeys(MEASURES)
+    tags = tagger.tag(tokens)
+    n_noun = tags.count(PosTag.NOUN)
+    return dict(zip(MEASURES, (
+        ttr(tokens),
+        avg_zipf(tokens, table, oov_floor),
+        tags.count(PosTag.PRON) / n_noun if n_noun else None,
+        tags.count(PosTag.ADV) / len(tags),
+        tags.count(PosTag.VERB_PART) / len(tags),
+    )))

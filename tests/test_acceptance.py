@@ -231,8 +231,7 @@ def test_criterion_7_protocol_fidelity(tmp_path):
 
     # (c) fold pairing: the partitions are a function of (dataset, k, seed)
     # and the kept ids only, so two independently loaded dataset objects —
-    # standing in for the per-transformation calls inside classifier.evaluate —
-    # agree fold for fold
+    # standing in for two runs of `semsurf classify` — agree fold for fold
     ds_a = load_dataset(d1 / "dataset.jsonl", "jsonl", name="dogstory40")
     ds_b = load_dataset(d2 / "dataset.jsonl", "jsonl", name="dogstory40")
     groups = {t.id: t.group for t in ds_a.transcripts}

@@ -186,8 +186,17 @@ def corpus_for(ds, kind=TransformationKind.ORIGINAL):
 
 
 def vectors_for(corpus):
-    """The mock embeddings of the corpus's texts, one row per item in its order."""
-    return np.array([mock_embed(text).values for _, text in corpus.items])
+    """The mock embeddings of the corpus's texts, by id."""
+    return {item_id: np.array(mock_embed(text).values) for item_id, text in corpus.items}
+
+
+def labels_of(ds):
+    return {t.id: t.group for t in ds.transcripts}
+
+
+def splits_for(ds, k, seeds, ids):
+    """evaluate's splits, as stage_classify draws them: each seed's partitions over `ids`."""
+    return [(seed, partitions(ds, k, seed, ids)) for seed in seeds]
 
 
 def fixed_split_dataset():
@@ -202,7 +211,7 @@ def fixed_split_dataset():
 
 class TestCrossValidation:
     def test_fold_pairing_across_transformations(self):
-        # the partitions evaluate draws depend only on (dataset, k, seed) and the
+        # the partitions of a seed depend only on (dataset, k, seed) and the
         # ids, which the corpora of two transformations share
         ds = mini_dataset()
         original, summary = corpus_for(ds), corpus_for(ds, TransformationKind.SHORT_SUMMARY)
@@ -217,8 +226,8 @@ class TestCrossValidation:
         seeds = run_seeds(1, 2)
         assert protocol(ds, 4) == "cv4"
         runs = evaluate(
-            corpus, ds, k=4, seeds=seeds, vectors=vectors_for(corpus),
-            cfg=TrainConfig(max_epochs=5, learning_rate=2.0),
+            vectors_for(corpus), labels_of(ds), splits_for(ds, 4, seeds, set(corpus.ids())),
+            TrainConfig(max_epochs=5, learning_rate=2.0),
         )
         assert [r["seed"] for r in runs] == seeds
         for run in runs:
@@ -230,10 +239,10 @@ class TestCrossValidation:
 
     def test_cross_validate_deterministic(self):
         ds = mini_dataset()
-        kw = dict(k=4, seeds=run_seeds(7, 2), vectors=vectors_for(corpus_for(ds)),
-                  cfg=TrainConfig(max_epochs=5, learning_rate=2.0))
-        r1 = evaluate(corpus_for(ds), ds, **kw)
-        r2 = evaluate(corpus_for(ds), ds, **kw)
+        splits = splits_for(ds, 4, run_seeds(7, 2), set(ds.ids()))
+        cfg = TrainConfig(max_epochs=5, learning_rate=2.0)
+        r1 = evaluate(vectors_for(corpus_for(ds)), labels_of(ds), splits, cfg)
+        r2 = evaluate(vectors_for(corpus_for(ds)), labels_of(ds), splits, cfg)
         assert r1 == r2
 
     def test_fixed_split_evaluate(self):
@@ -241,8 +250,8 @@ class TestCrossValidation:
         corpus = corpus_for(ds)
         assert protocol(ds, 4) == "fixed_split"
         runs = evaluate(
-            corpus, ds, k=4, seeds=run_seeds(1, 3), vectors=vectors_for(corpus),
-            cfg=TrainConfig(max_epochs=10, learning_rate=5.0),
+            vectors_for(corpus), labels_of(ds), splits_for(ds, 4, run_seeds(1, 3), set(corpus.ids())),
+            TrainConfig(max_epochs=10, learning_rate=5.0),
         )
         assert len(runs) == 3
         assert all([f["fold"] for f in r["folds"]] == [0] for r in runs)
@@ -253,7 +262,10 @@ class TestCrossValidation:
         dropped = {"f00", "f08"}  # one train id, one test id
         assert {t.split for t in ds.transcripts if t.id in dropped} == {"train", "test"}
         rest = Dataset("fixed", tuple(t for t in ds.transcripts if t.id not in dropped), "en")
-        kw = dict(k=4, seeds=run_seeds(1, 2), vectors=vectors_for(corpus_for(rest)), cfg=TrainConfig(learning_rate=5.0))
-        runs = evaluate(corpus_for(rest), ds, **kw)
-        expected = evaluate(corpus_for(rest), rest, **kw)
+        kept, seeds = set(corpus_for(rest).ids()), run_seeds(1, 2)
+        splits = splits_for(ds, 4, seeds, kept)
+        assert splits == splits_for(rest, 4, seeds, set(rest.ids()))
+        vectors, cfg = vectors_for(corpus_for(rest)), TrainConfig(learning_rate=5.0)
+        runs = evaluate(vectors, labels_of(ds), splits, cfg)
+        expected = evaluate(vectors, labels_of(rest), splits_for(rest, 4, seeds, set(rest.ids())), cfg)
         assert runs == expected

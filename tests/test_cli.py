@@ -4,12 +4,14 @@ import shutil
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import semsurf.classifier as classifier
+import semsurf.corpus as corpus
 import semsurf.providers as providers
-from semsurf.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, main
+from semsurf.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, STAGES, main
 from semsurf.config import StageError, config_digest, parse_config
 from semsurf.textmetrics import METRICS
 from semsurf.transform import DEFAULT_PROMPTS, TransformationKind
@@ -260,7 +262,7 @@ class TestFullRun:
         conf = tmp_path / "c.conf"
         write_config(conf, small_dataset(tmp_path))
         run_dir = tmp_path / "steps"
-        for stage in ("ingest", "transform", "similarity", "lexical", "classify", "stats", "report"):
+        for stage, _ in STAGES:
             result = runner.invoke(
                 main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"]
             )
@@ -471,8 +473,13 @@ class TestUnusableArtifacts:
              'lexical.json entry Original/ttr is not {"AD": [...], "C": [...]}; run `semsurf lexical`'),
             ("classification.json", "[]",
              "classification.json is not a JSON object with keys runs, seeds; run `semsurf classify`"),
+            ("classification.json", json.dumps({"runs": {"Original": 5}, "seeds": [1]}),
+             "classification.json entry runs/Original is not a list of objects with keys acc_ad, acc_c, macro_f1, "
+             "seed; run `semsurf classify`"),
+            ("similarity.json", json.dumps({"reference": "Original", "scores": []}),
+             "similarity.json key scores is not a JSON object; run `semsurf similarity`"),
         ],
-        ids=["not JSON", "Welch-result lexical.json", "list classification.json"],
+        ids=["not JSON", "Welch-result lexical.json", "list classification.json", "int runs", "list scores"],
     )
     def test_stats_exits_2_naming_the_producer(self, pt_run, tmp_path, runner, artifact, content, message):
         run_dir = tmp_path / "run"
@@ -500,6 +507,61 @@ class TestUnusableArtifacts:
         ]
         assert not (run_dir / "classification.json").exists()
 
+    @pytest.mark.parametrize("stage, output", [
+        ("similarity", "similarity.json"), ("lexical", "lexical.json"), ("classify", "classification.json"),
+    ])
+    def test_corpora_without_the_same_ids_exit_2(self, pt_run, tmp_path, runner, stage, output):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        shutil.copy(pt_run[0] / "dataset.jsonl", run_dir)
+        shutil.copytree(pt_run[0] / "transformed", run_dir / "transformed")
+        # drop pt005 from ShortSummary, text and vector alike
+        jsonl, npy = (run_dir / "transformed" / f"ShortSummary.{ext}" for ext in ("jsonl", "npy"))
+        lines = jsonl.read_text().splitlines(keepends=True)
+        assert json.loads(lines[4])["id"] == "pt005"
+        jsonl.write_text("".join(lines[:4] + lines[5:]))
+        np.save(npy, np.delete(np.load(npy), 4, axis=0))
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert result.output.splitlines() == [
+            "error: transformed/ShortSummary.jsonl does not match the ids of BackTranslated.jsonl; "
+            "run `semsurf transform`"
+        ]
+        assert not (run_dir / output).exists()
+        assert not (run_dir / "reports").exists()
+
+
+class TestSharedPartitions:
+    def test_classify_draws_each_seeds_partitions_once_for_every_kind(self, tmp_path, runner, monkeypatch):
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path))
+        run_dir = tmp_path / "run"
+        for stage in ("ingest", "transform"):
+            result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+            assert result.exit_code == EXIT_OK, result.output
+        drawn, evaluated = [], []
+        split_folds, evaluate = corpus.split_folds, classifier._evaluate
+
+        def recording_split_folds(transcripts, k, seed):
+            drawn.append(seed)
+            return split_folds(transcripts, k, seed)
+
+        def recording_evaluate(fold, train_ids, test_ids, *args):
+            evaluated.append((train_ids, test_ids))
+            return evaluate(fold, train_ids, test_ids, *args)
+
+        monkeypatch.setattr(corpus, "split_folds", recording_split_folds)
+        monkeypatch.setattr(classifier, "_evaluate", recording_evaluate)
+        result = runner.invoke(main, ["classify", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_OK, result.output
+        cls = read_json(run_dir, "classification.json")
+        assert cls["protocol"] == "cv3"
+        assert drawn == cls["seeds"]  # once per seed, not once per kind and seed
+        per_kind = len(cls["seeds"]) * 3
+        assert len(cls["runs"]) == 8 and len(evaluated) == 8 * per_kind
+        assert all(evaluated[i:i + per_kind] == evaluated[:per_kind] for i in range(0, len(evaluated), per_kind))
+
 
 # each case: a line added to the config, a key whose line is dropped, the key the error names
 CONFIG_ERRORS = {
@@ -517,6 +579,9 @@ CONFIG_ERRORS = {
     "translate missing for pt": (None, "translate.endpoint", "translate.endpoint"),
     "t2i missing for ImageDescription": (None, "t2i.endpoint", "t2i.endpoint"),
     "i2t missing for ImageDescription": (None, "i2t.endpoint", "i2t.endpoint"),
+    "master_seed below 0": ("master_seed = -1", None, "master_seed"),
+    "nan zipf_oov_floor": ("zipf_oov_floor = nan", None, "zipf_oov_floor"),
+    "infinite l2": ("train.l2 = inf", None, "train.l2"),
 }
 
 # keys that configs once accepted and no provider call or stage read

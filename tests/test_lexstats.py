@@ -4,11 +4,12 @@ import pytest
 
 from semsurf.cli import welch_comparison
 from semsurf.lexstats import (
+    MEASURES,
     BaselineTagger,
     FrequencyTable,
     PosTag,
     avg_zipf,
-    pos_ratios,
+    measures,
     tokenize,
     ttr,
 )
@@ -101,20 +102,27 @@ class TestTagging:
 
 
 class TestRatios:
+    tagger = BaselineTagger(lexicon={
+        "she": PosTag.PRON, "he": PosTag.PRON, "dog": PosTag.NOUN, "quickly": PosTag.ADV,
+        "running": PosTag.VERB_PART, "ran": PosTag.VERB,
+    })
+    table = FrequencyTable({"dog": 1e-4})
+
     def test_counts(self):
-        tags = [PosTag.PRON, PosTag.PRON, PosTag.NOUN, PosTag.ADV, PosTag.VERB_PART]
-        r = pos_ratios(tags)
-        assert r.pnr == 2.0
-        assert r.adv_ratio == pytest.approx(0.2)
-        assert r.part_ratio == pytest.approx(0.2)
+        # tags PRON, PRON, NOUN, ADV, VERB_PART
+        m = measures("She, he: dog quickly running.", self.table, self.tagger, 0.0)
+        assert tuple(m) == MEASURES
+        assert m["pnr"] == 2.0
+        assert m["adv"] == pytest.approx(0.2)
+        assert m["part"] == pytest.approx(0.2)
 
     def test_no_nouns_gives_none(self):
-        r = pos_ratios([PosTag.PRON, PosTag.VERB])
-        assert r.pnr is None
+        m = measures("she ran", self.table, self.tagger, 0.0)
+        assert m["pnr"] is None
+        assert m["ttr"] == 1.0
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            pos_ratios([])
+    def test_no_tokens_gives_all_none(self):
+        assert measures(" ?! ", self.table, self.tagger, 0.0) == dict.fromkeys(MEASURES)
 
 
 class TestGroupCompare:
