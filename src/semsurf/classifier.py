@@ -13,13 +13,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import GROUP_AD, GROUP_CONTROL
+from .config import TrainConfig
+from .corpus import GROUP_AD, GROUP_CONTROL, DataError
 
 POSITIVE = GROUP_AD  # ties at score 0.5 resolve to the positive class
 
 
-class TrainingError(RuntimeError):
-    pass
+class TrainingError(DataError):
+    """The training rows of a fold cannot train a head."""
 
 
 @dataclass(frozen=True)
@@ -35,23 +36,6 @@ class LinearHead:
         if x.shape[1] != self.weights.shape[0]:
             raise ValueError(f"dimension mismatch: {x.shape[1]} vs {self.weights.shape[0]}")
         return _sigmoid(x @ self.weights + self.bias)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    max_epochs: int = 10
-    patience: int = 3
-    learning_rate: float = 0.1
-    l2: float = 1e-4
-    validation_fraction: float = 0.2
-    seed: int = 0
-    class_weighting: bool = True
-
-    def __post_init__(self):
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if not (0.0 < self.validation_fraction < 0.5):
-            raise ValueError("validation_fraction must be in (0, 0.5)")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -15,16 +15,19 @@ import json
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import click
-import numpy as np
 
-from . import classifier, lexstats, report, stattests, textmetrics
+from . import lexstats, report, stattests, textmetrics
 from .config import Config, StageError, config_digest
 from .corpus import GROUPS, DataError, Dataset, dataset_stats, load_dataset, partitions, protocol, save_dataset
 from .providers import OfflineViolation, ProviderClient, ProviderError, ResponseCache, TransportError
 from .transform import KIND_ORDER, TransformationKind, TransformedCorpus, TransformError, run_pipeline
+
+# numpy, and classifier, which needs it, load inside the stages that use them, so the others start faster
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,6 +83,14 @@ class RunContext:
                 raise unusable(artifact, f"key {key} is not a JSON {JSON_TYPES[kind]}")
         return obj
 
+    def read_similarity(self) -> dict:
+        """similarity.json, whose every scores entry holds each metric as a number."""
+        sim = self.read_json("similarity.json", reference=str, scores=dict)
+        for kind, entry in sim["scores"].items():
+            if not isinstance(entry, dict) or any(type(entry.get(m)) not in (int, float) for m in textmetrics.METRICS):
+                raise unusable("similarity.json", f"entry scores/{kind} is not an object of numbers bleu, chrf, cosine")
+        return sim
+
     def write_json(self, artifact: str, obj) -> None:
         (self.run_dir / artifact).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -100,6 +111,9 @@ class RunContext:
 
     def _corpora(self, manifest: dict) -> dict[TransformationKind, TransformedCorpus]:
         """The listed corpora, which must all list the first one's ids in its order: the ids every stage pairs."""
+        for k in manifest["kinds"]:
+            if k not in [kind.value for kind in K]:
+                raise unusable("transformed/manifest.json", f"lists {k!r}, which is not a transformation kind")
         corpora = {K(k): TransformedCorpus.load(self.need(f"transformed/{k}.jsonl")) for k in manifest["kinds"]}
         for kind, corpus in corpora.items():
             if corpus.ids() != next(iter(corpora.values())).ids():
@@ -110,6 +124,8 @@ class RunContext:
     def load_vectors(self, kind: TransformationKind, corpus: TransformedCorpus) -> np.ndarray:
         """The embeddings that `transform` stored for `corpus`, a corpus of
         load_embedded, one row per item in its order."""
+        import numpy as np
+
         artifact = f"transformed/{kind.value}.npy"
         vectors = np.load(self.need(artifact))
         if vectors.ndim != 2 or len(vectors) != len(corpus.items):
@@ -153,6 +169,8 @@ def stage_ingest(ctx: RunContext) -> None:
 
 @stage("transformed")
 def stage_transform(ctx: RunContext) -> None:
+    import numpy as np
+
     dataset = ctx.load_ingested()
     config = ctx.config.pipeline(dataset.source_language)
     corpora, failures = run_pipeline(dataset, config, ctx.client)
@@ -220,6 +238,8 @@ def stage_lexical(ctx: RunContext) -> None:
 
 @stage("classification.json")
 def stage_classify(ctx: RunContext) -> None:
+    from . import classifier
+
     dataset = ctx.load_ingested()
     corpora = ctx.load_embedded()
     seeds = classifier.run_seeds(ctx.config["master_seed"], ctx.config["runs"])
@@ -261,7 +281,7 @@ def welch_comparison(values: dict[str, list[float | None]]) -> dict:
 
 @stage("stats.json")
 def stage_stats(ctx: RunContext) -> None:
-    sim = ctx.read_json("similarity.json", scores=dict)
+    sim = ctx.read_similarity()
     cls = ctx.read_json("classification.json", runs=dict, seeds=list)
     lex = ctx.read_json("lexical.json")
     for kind, measures in lex.items():
@@ -324,7 +344,7 @@ def stage_stats(ctx: RunContext) -> None:
 @stage()
 def stage_report(ctx: RunContext) -> None:
     per_group = ctx.read_json("dataset_stats.json", **dict.fromkeys(GROUPS, dict))
-    sim = ctx.read_json("similarity.json", reference=str, scores=dict)
+    sim = ctx.read_similarity()
     stats = ctx.read_json("stats.json", baseline=str, classification=dict, wilcoxon_vs_baseline=dict, welch=dict)
     ctx.reports_dir.mkdir(exist_ok=True)
 
@@ -367,6 +387,7 @@ def stage_report(ctx: RunContext) -> None:
 
 
 def _run_stage(fn, config: str, run_dir: str, offline: bool) -> int:
+    ctx = None
     try:
         ctx = RunContext(Path(config), Path(run_dir), offline)
         fn(ctx)
@@ -374,7 +395,7 @@ def _run_stage(fn, config: str, run_dir: str, offline: bool) -> int:
     except StageError as exc:
         click.echo(f"error: {exc}", err=True)
         return exc.exit_code
-    except (DataError, classifier.TrainingError) as exc:
+    except DataError as exc:
         click.echo(f"data error: {exc}", err=True)
         return EXIT_DATA
     except (TransportError, ProviderError, OfflineViolation) as exc:
@@ -386,6 +407,9 @@ def _run_stage(fn, config: str, run_dir: str, offline: bool) -> int:
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_DATA
+    finally:
+        if ctx is not None and "client" in vars(ctx):  # the stage opened the cache
+            ctx.client.cache.close()
 
 
 def _common_options(fn):

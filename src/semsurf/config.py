@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .classifier import TrainConfig
 from .providers import ProviderConfig
 from .transform import DEFAULT_PROMPTS, KIND_ORDER, PIVOT_LANGUAGE, PipelineConfig, TransformationKind
 
@@ -106,6 +105,25 @@ def _role_keys(role: str) -> dict[str, Key]:
     if role == "embed":
         keys["dimension"] = Key(INT)
     return {f"{role}.{name}": spec for name, spec in keys.items()}
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """The classifier's training settings; config.py holds it so that parsing a config loads no numpy."""
+
+    max_epochs: int = 10
+    patience: int = 3
+    learning_rate: float = 0.1
+    l2: float = 1e-4
+    validation_fraction: float = 0.2
+    seed: int = 0
+    class_weighting: bool = True
+
+    def __post_init__(self):
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if not (0.0 < self.validation_fraction < 0.5):
+            raise ValueError("validation_fraction must be in (0, 0.5)")
 
 
 # train.<TrainConfig field> -> parser

@@ -1,6 +1,6 @@
 """Provider access layer: chat, translation, embeddings, text-to-image and
 image-to-text over OpenAI-style HTTP endpoints, plus a deterministic offline
-mock and a content-addressed on-disk response cache.
+mock and a content-addressed response cache in one SQLite database.
 
 Every call goes through the cache: the canonical request is hashed, and a hit
 short-circuits all network I/O. Endpoints whose URL starts with "mock:" are
@@ -15,8 +15,8 @@ import hashlib
 import json
 import math
 import os
+import sqlite3
 import struct
-import tempfile
 import threading
 import time
 import zlib
@@ -118,23 +118,60 @@ def cache_key_for(canonical: str) -> str:
 
 
 class ResponseCache:
-    """Content-addressed cache at <root>/<first 2 hex>/<key>.json.
+    """Content-addressed cache: one SQLite database, <root>/responses.sqlite3,
+    holding one row per key, the image (if any) as a BLOB.
 
-    Writes are atomic (temp file + rename), so concurrent writers of the same
-    key are idempotent. Image payloads live in a sibling .png file.
+    One connection, guarded by the cache's lock, serves every thread, and each
+    store commits at once. The database is in WAL mode, so its -wal and -shm
+    files sit beside it until close() folds them back in. Records of the
+    earlier layout, <root>/<first 2 hex>/<key>.json with the image in a
+    sibling .png, are still read but never written.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        path = self.root / "responses.sqlite3"
+        self._lock = threading.Lock()
+        db = None
+        try:
+            db = sqlite3.connect(path, check_same_thread=False, isolation_level=None)
+            db.execute("PRAGMA journal_mode=WAL")
+            db.execute("PRAGMA synchronous=NORMAL")
+            db.execute("PRAGMA cache_size=-64")  # KiB; each lookup reads one row
+            db.execute(
+                "CREATE TABLE IF NOT EXISTS responses (key TEXT PRIMARY KEY, request TEXT, response_text TEXT,"
+                " response_image BLOB, created_at REAL, provider TEXT)"
+            )
+        except sqlite3.Error as exc:
+            if db is not None:
+                db.close()
+            raise ValueError(f"cannot open the provider cache {path}: {exc}") from None
+        self._db = db
 
     def _paths(self, key: str) -> tuple[Path, Path]:
+        """The record and image files of `key` in the earlier layout."""
         d = self.root / key[:2]
         return d / f"{key}.json", d / f"{key}.png"
 
     def lookup(self, key: str) -> GenerationRecord | None:
         if len(key) != 64:
             raise ValueError(f"cache key must be 64 hex chars: {key!r}")
+        with self._lock:
+            row = self._db.execute(
+                "SELECT request, response_text, response_image, created_at, provider FROM responses WHERE key = ?",
+                (key,),
+            ).fetchone()
+        if row is None:
+            return self._lookup_file(key)
+        request, text, image, created_at, provider = row
+        try:
+            return GenerationRecord(key, request, text, image, created_at, json.loads(provider))
+        except (ValueError, TypeError):
+            # corrupted record: treat as a miss
+            return None
+
+    def _lookup_file(self, key: str) -> GenerationRecord | None:
         json_path, png_path = self._paths(key)
         if not json_path.exists():
             return None
@@ -154,31 +191,18 @@ class ResponseCache:
             return None
 
     def store(self, record: GenerationRecord) -> None:
-        json_path, png_path = self._paths(record.cache_key)
-        json_path.parent.mkdir(parents=True, exist_ok=True)
-        if record.response_image is not None:
-            self._atomic_write(png_path, record.response_image)
-        obj = {
-            "cache_key": record.cache_key,
-            "request": record.request,
-            "response_text": record.response_text,
-            "has_image": record.response_image is not None,
-            "created_at": record.created_at,
-            "provider": record.provider,
-        }
-        self._atomic_write(json_path, json.dumps(obj, ensure_ascii=False).encode("utf-8"))
+        # REPLACE, not IGNORE: a miss on a corrupted row must overwrite it, as it overwrote a corrupted file
+        row = (
+            record.cache_key, record.request, record.response_text, record.response_image,
+            record.created_at, json.dumps(record.provider, ensure_ascii=False),
+        )
+        with self._lock:
+            self._db.execute("INSERT OR REPLACE INTO responses VALUES (?, ?, ?, ?, ?, ?)", row)
 
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+    def close(self) -> None:
+        """Close the connection; the last one to close removes the -wal and -shm files."""
+        with self._lock:
+            self._db.close()
 
 
 # ---------------------------------------------------------------------------

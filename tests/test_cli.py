@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -374,6 +377,76 @@ class TestEmbedOnce:
         assert "run `semsurf transform`" in result.output
 
 
+def file_stats(directory):
+    """Inode, mtime and size of every file under `directory`."""
+    return {p: (st.st_ino, st.st_mtime_ns, st.st_size) for p in directory.rglob("*") for st in [p.stat()]}
+
+
+class TestProviderCache:
+    """After any stage, the cache directory holds one database and nothing else."""
+
+    def test_warm_run_leaves_the_cache_unchanged(self, pt_run, tmp_path, runner):
+        run_dir = tmp_path / "run"
+        shutil.copytree(pt_run[0], run_dir)
+        before = file_stats(run_dir / "cache")
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        result = runner.invoke(main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_OK, result.output
+        assert [p.name for p in (run_dir / "cache").iterdir()] == ["responses.sqlite3"]
+        assert file_stats(run_dir / "cache") == before
+
+    def test_offline_miss_leaves_no_journal(self, tmp_path, runner):
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path))
+        conf.write_text(conf.read_text().replace("mock:chat", "http://localhost:9/v1/chat"))
+        run_dir = tmp_path / "run"
+        for stage, code in (("ingest", EXIT_OK), ("transform", EXIT_PROVIDER)):
+            result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+            assert result.exit_code == code, result.output
+        assert "cache miss" in result.output
+        assert [p.name for p in (run_dir / "cache").iterdir()] == ["responses.sqlite3"]
+
+    def test_a_cache_that_is_not_a_database_exits_2(self, tmp_path, runner):
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path))
+        run_dir = tmp_path / "run"
+        database = run_dir / "cache" / "responses.sqlite3"
+        database.parent.mkdir(parents=True)
+        database.write_text("not a database\n")
+        for stage, code in (("ingest", EXIT_OK), ("transform", EXIT_DATA)):
+            result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+            assert result.exit_code == code, result.output
+        assert result.output.splitlines() == [
+            f"error: cannot open the provider cache {database}: file is not a database"
+        ]
+        assert database.read_text() == "not a database\n"
+        assert not (run_dir / "transformed").exists()
+
+
+def test_ingest_and_lexical_leave_numpy_unloaded(pt_run, tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    shutil.copytree(pt_run[0] / "transformed", run_dir / "transformed")
+    conf = pt_fixture_config(tmp_path / "pt.conf")
+    code = (
+        "import sys\n"
+        "from semsurf.cli import main\n"
+        "for stage in ('ingest', 'lexical'):\n"
+        "    try:\n"
+        "        main([stage, '--config', sys.argv[1], '--run-dir', sys.argv[2], '--offline'])\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, (stage, exc.code)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = Path(classifier.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(conf), str(run_dir)], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "False"
+    assert (run_dir / "lexical.json").read_bytes() == (pt_run[0] / "lexical.json").read_bytes()
+
+
 def read_json(run_dir, name):
     return json.loads((run_dir / name).read_text())
 
@@ -478,8 +551,12 @@ class TestUnusableArtifacts:
              "seed; run `semsurf classify`"),
             ("similarity.json", json.dumps({"reference": "Original", "scores": []}),
              "similarity.json key scores is not a JSON object; run `semsurf similarity`"),
+            ("similarity.json", json.dumps({"reference": "Translated", "scores": {"ShortSummary": 5}}),
+             "similarity.json entry scores/ShortSummary is not an object of numbers bleu, chrf, cosine; "
+             "run `semsurf similarity`"),
         ],
-        ids=["not JSON", "Welch-result lexical.json", "list classification.json", "int runs", "list scores"],
+        ids=["not JSON", "Welch-result lexical.json", "list classification.json", "int runs", "list scores",
+             "int score"],
     )
     def test_stats_exits_2_naming_the_producer(self, pt_run, tmp_path, runner, artifact, content, message):
         run_dir = tmp_path / "run"
@@ -506,6 +583,22 @@ class TestUnusableArtifacts:
             "error: transformed/manifest.json is not a JSON object with keys kinds, embed; run `semsurf transform`"
         ]
         assert not (run_dir / "classification.json").exists()
+
+    def test_lexical_exits_2_on_an_unknown_manifest_kind(self, pt_run, tmp_path, runner):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        shutil.copy(pt_run[0] / "dataset.jsonl", run_dir)
+        shutil.copytree(pt_run[0] / "transformed", run_dir / "transformed")
+        manifest = run_dir / "transformed" / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "kinds": ["Original", "Bogus"]}))
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        result = runner.invoke(main, ["lexical", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert result.output.splitlines() == [
+            "error: transformed/manifest.json lists 'Bogus', which is not a transformation kind; "
+            "run `semsurf transform`"
+        ]
+        assert not (run_dir / "lexical.json").exists()
 
     @pytest.mark.parametrize("stage, output", [
         ("similarity", "similarity.json"), ("lexical", "lexical.json"), ("classify", "classification.json"),

@@ -2,12 +2,14 @@ import hashlib
 import json
 import math
 import os
+import sqlite3
 import subprocess
 import sys
 import threading
 import time
 import zlib
 from collections import Counter
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -90,8 +92,13 @@ class TestCache:
         cache.store(rec)
         back = cache.lookup(rec.cache_key)
         assert back == rec
-        # sharded layout: <2 hex>/<key>.json
-        assert (tmp_path / rec.cache_key[:2] / f"{rec.cache_key}.json").exists()
+        cache.close()
+        # one database per cache root, one row per key, read back by a new connection
+        with closing(sqlite3.connect(tmp_path / "responses.sqlite3")) as db:
+            assert db.execute("SELECT key FROM responses").fetchall() == [(rec.cache_key,)]
+        reopened = ResponseCache(tmp_path)
+        assert reopened.lookup(rec.cache_key) == rec
+        reopened.close()
 
     def test_miss(self, tmp_path):
         assert ResponseCache(tmp_path).lookup("0" * 64) is None
@@ -106,24 +113,79 @@ class TestCache:
         cache = ResponseCache(tmp_path)
         rec = self.record()
         cache.store(rec)
-        path = tmp_path / rec.cache_key[:2] / f"{rec.cache_key}.json"
-        path.write_text("{not json")
+        with closing(sqlite3.connect(tmp_path / "responses.sqlite3")) as db:
+            db.execute("UPDATE responses SET provider = '{not json' WHERE key = ?", (rec.cache_key,))
+            db.commit()
         assert cache.lookup(rec.cache_key) is None
+        # the store after that miss replaces the corrupted row
+        cache.store(rec)
+        assert cache.lookup(rec.cache_key) == rec
+        cache.close()
 
-    def test_image_sidecar(self, tmp_path):
+    def test_image_roundtrip(self, tmp_path):
         cache = ResponseCache(tmp_path)
         png = mock_text_to_image("a dog")
         rec = self.record(text="img", image=png)
         cache.store(rec)
-        back = cache.lookup(rec.cache_key)
-        assert back.response_image == png
-        assert (tmp_path / rec.cache_key[:2] / f"{rec.cache_key}.png").exists()
+        assert cache.lookup(rec.cache_key) == rec
+        with closing(sqlite3.connect(tmp_path / "responses.sqlite3")) as db:
+            assert db.execute("SELECT response_image FROM responses").fetchall() == [(png,)]
+        cache.close()
 
     def test_no_temp_files_left(self, tmp_path):
         cache = ResponseCache(tmp_path)
         cache.store(self.record())
-        leftovers = [p for p in tmp_path.rglob(".tmp-*")]
-        assert leftovers == []
+        cache.store(self.record(text="img", image=mock_text_to_image("a dog")))
+        cache.close()
+        assert [p.name for p in tmp_path.iterdir()] == ["responses.sqlite3"]
+
+    def test_old_layout_record_is_a_hit(self, tmp_path):
+        png = mock_text_to_image("a dog")
+        old = self.record(text="img", image=png)
+        json_path = tmp_path / old.cache_key[:2] / f"{old.cache_key}.json"
+        json_path.parent.mkdir()
+        json_path.write_text(json.dumps({
+            "cache_key": old.cache_key, "request": old.request, "response_text": None, "has_image": True,
+            "created_at": old.created_at, "provider": old.provider,
+        }))
+        json_path.with_suffix(".png").write_bytes(png)
+        old_files = {p: p.stat().st_mtime_ns for p in json_path.parent.iterdir()}
+        cache = ResponseCache(tmp_path)
+        assert cache.lookup(old.cache_key) == old
+        new = self.record(text="new")
+        cache.store(new)
+        cache.close()
+        # read, never written: new records go to the database
+        assert {p: p.stat().st_mtime_ns for p in json_path.parent.iterdir()} == old_files
+        assert sorted(p.name for p in tmp_path.iterdir()) == [old.cache_key[:2], "responses.sqlite3"]
+        reopened = ResponseCache(tmp_path)
+        assert reopened.lookup(new.cache_key) == new
+        assert reopened.lookup(old.cache_key) == old
+        reopened.close()
+
+    def test_threads_share_the_connection(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        records = [[self.record(text=f"thread {t} record {i}") for i in range(25)] for t in range(8)]
+
+        def store_and_read(t):
+            return [cache.store(rec) or cache.lookup(rec.cache_key) for rec in records[t]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_together([lambda t=t: store_and_read(t) for t in range(8)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == records
+        cache.close()
+        reopened = ResponseCache(tmp_path)
+        assert [[reopened.lookup(rec.cache_key) for rec in recs] for recs in records] == records
+        reopened.close()
+
+    def test_not_a_database(self, tmp_path):
+        (tmp_path / "responses.sqlite3").write_text("not a database\n")
+        with pytest.raises(ValueError, match="responses.sqlite3: file is not a database"):
+            ResponseCache(tmp_path)
 
 
 class TestMocks:
@@ -359,7 +421,9 @@ class TestHttpPath:
         client.chat_generate(cfg, "sys", "input")
         assert session.calls[0]["headers"]["Authorization"] == "Bearer sk-secret"
         # the credential never lands in the cache on disk
-        on_disk = b"".join(p.read_bytes() for p in tmp_path.rglob("*.json"))
+        client.cache.close()
+        on_disk = b"".join(p.read_bytes() for p in tmp_path.rglob("*") if p.is_file())
+        assert b"Bearer" not in on_disk and b"input" in on_disk
         assert b"sk-secret" not in on_disk
 
     def test_missing_credential(self, tmp_path):
