@@ -15,7 +15,7 @@ import json
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import click
 
@@ -84,8 +84,10 @@ class RunContext:
         return obj
 
     def read_similarity(self) -> dict:
-        """similarity.json, whose every scores entry holds each metric as a number."""
+        """similarity.json, whose reference and scores keys are kinds, each scores entry holding every metric."""
         sim = self.read_json("similarity.json", reference=str, scores=dict)
+        check_kinds("similarity.json", "key reference holds", [sim["reference"]])
+        check_kinds("similarity.json", "key scores holds", sim["scores"])
         for kind, entry in sim["scores"].items():
             if not isinstance(entry, dict) or any(type(entry.get(m)) not in (int, float) for m in textmetrics.METRICS):
                 raise unusable("similarity.json", f"entry scores/{kind} is not an object of numbers bleu, chrf, cosine")
@@ -111,9 +113,7 @@ class RunContext:
 
     def _corpora(self, manifest: dict) -> dict[TransformationKind, TransformedCorpus]:
         """The listed corpora, which must all list the first one's ids in its order: the ids every stage pairs."""
-        for k in manifest["kinds"]:
-            if k not in [kind.value for kind in K]:
-                raise unusable("transformed/manifest.json", f"lists {k!r}, which is not a transformation kind")
+        check_kinds("transformed/manifest.json", "lists", manifest["kinds"])
         corpora = {K(k): TransformedCorpus.load(self.need(f"transformed/{k}.jsonl")) for k in manifest["kinds"]}
         for kind, corpus in corpora.items():
             if corpus.ids() != next(iter(corpora.values())).ids():
@@ -136,6 +136,13 @@ class RunContext:
 def unusable(artifact: str, problem: str) -> StageError:
     """The exit-2 error for an artifact a stage cannot read, naming the stage that writes it."""
     return StageError(f"{artifact} {problem}; run `semsurf {PRODUCER[artifact.split('/')[0]]}`", EXIT_DATA)
+
+
+def check_kinds(artifact: str, where: str, names: Iterable[str]) -> None:
+    """Exit 2 as `unusable` on the first of the artifact's `names` that is not a transformation kind."""
+    for name in names:
+        if name not in [kind.value for kind in K]:
+            raise unusable(artifact, f"{where} {name!r}, which is not a transformation kind")
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +353,10 @@ def stage_report(ctx: RunContext) -> None:
     per_group = ctx.read_json("dataset_stats.json", **dict.fromkeys(GROUPS, dict))
     sim = ctx.read_similarity()
     stats = ctx.read_json("stats.json", baseline=str, classification=dict, wilcoxon_vs_baseline=dict, welch=dict)
+    check_kinds("stats.json", "key baseline holds", [stats["baseline"]])
+    check_kinds("stats.json", "key classification/means holds", stats["classification"]["means"])
+    check_kinds("stats.json", "key wilcoxon_vs_baseline holds", stats["wilcoxon_vs_baseline"])
+    check_kinds("stats.json", "key welch holds", stats["welch"])
     ctx.reports_dir.mkdir(exist_ok=True)
 
     def write(table: report.ReportTable, name: str) -> None:

@@ -2,10 +2,11 @@
 (embedding cosine), and the pairwise matrices of their means over id-paired
 items across transformations.
 
-Every score is computed from a profile of each side: its length and n-gram
-counts, or its embedding and norm. `pairwise_matrices` builds the profile of
-each text once and scores every pair of them, where the public `bleu`, `chrf`
-and `cosine` profile their two arguments per call.
+BLEU and chrF are computed from each side's length and the clipped n-gram
+matches of the pair, which one counter, `_overlaps`, gives for every pair of
+a list of token or character sequences at once: `pairwise_matrices` passes it
+the texts of one id across all kinds, and the public `bleu` and `chrf` their
+two arguments. The cosine is computed from the embeddings and their norms.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .lexstats import tokenize
 from .transform import TransformedCorpus
@@ -28,42 +29,50 @@ CHRF_MAX_N = 6
 CHRF_BETA = 2.0
 
 
-def _ngram_profile(seq: str | tuple[str, ...], max_n: int) -> tuple[int, list[Counter]]:
-    """len(seq) and the counts of its n-grams (slices of seq) for n = 1..min(max_n, len(seq))."""
-    size = len(seq)
-    return size, [Counter(seq[i : i + n] for i in range(size - n + 1)) for n in range(1, min(max_n, size) + 1)]
-
-
-def _word_profile(text: str) -> tuple[int, list[Counter]]:
-    tokens = tuple(tokenize(text))
+def _words(text: str) -> list[str]:
+    tokens = tokenize(text)
     if not tokens:
         raise ValueError("BLEU requires non-empty tokenizations on both sides")
-    return _ngram_profile(tokens, BLEU_MAX_N)
+    return tokens
 
 
-def _char_profile(text: str) -> tuple[int, list[Counter]]:
+def _chars(text: str) -> str:
     # whitespace runs removed entirely before character n-gram extraction
     chars = "".join(text.split())
     if not chars:
         raise ValueError("chrF requires non-empty inputs after whitespace removal")
-    return _ngram_profile(chars, CHRF_MAX_N)
+    return chars
 
 
-def _matches(a: list[Counter], b: list[Counter]) -> list[int]:
-    """Clipped match counts of two n-gram profiles, order 1 first; the same for (a, b) and (b, a).
+def _overlaps(seqs: Sequence[Sequence[str]], max_n: int) -> list[list[list[int]]]:
+    """Clipped n-gram match counts of every pair of seqs: [i][j][n - 1] for i <= j and n = 1..max_n.
 
-    Counting stops at the first order with no match, or where either side has
-    no n-grams: every higher order then matches nothing either, as the prefix
-    of a shared n-gram is a shared (n-1)-gram.
+    Symbols, then each order's n-grams, are ranked into small integers, and
+    one count array per order holds a row per sequence. An n-gram is an
+    (n-1)-gram's rank and its last symbol, ranked again, so no two n-grams
+    share a code.
     """
-    counts = []
-    for x, y in zip(a, b):
-        if len(x) > len(y):
-            x, y = y, x
-        counts.append(sum(min(c, y.get(g, 0)) for g, c in x.items()))
-        if not counts[-1]:
-            break
-    return counts
+    import numpy as np
+
+    size = len(seqs)
+    seq_of = np.repeat(np.arange(size), [len(s) for s in seqs])  # the sequence each symbol is in
+    starts = np.arange(len(seq_of))
+    # the symbols from each start to the end of its sequence: the highest order of an n-gram starting there
+    left = np.concatenate([np.arange(len(s), 0, -1) for s in seqs])
+    # numpy strips a symbol's trailing NULs, which keeps them distinct: tokens hold none, and "\x00" becomes ""
+    vocabulary, codes = np.unique(np.array([x for s in seqs for x in s]), return_inverse=True)
+    symbols, alphabet = codes, len(vocabulary)
+    matches = np.zeros((size, size, max_n), dtype=np.int64)
+    for n in range(1, max_n + 1):
+        if n > 1:
+            keep = left >= n
+            starts, left = starts[keep], left[keep]
+            vocabulary, codes = np.unique(codes[keep] * alphabet + symbols[starts + n - 1], return_inverse=True)
+        counts = np.bincount(seq_of[starts] * len(vocabulary) + codes, minlength=size * len(vocabulary))
+        counts = counts.reshape(size, len(vocabulary))
+        for i, row in enumerate(counts):
+            matches[i, i:, n - 1] = np.minimum(row, counts[i:]).sum(axis=1)
+    return matches.tolist()
 
 
 def _bleu(cand_len: int, ref_len: int, matches: list[int]) -> float:
@@ -73,7 +82,7 @@ def _bleu(cand_len: int, ref_len: int, matches: list[int]) -> float:
         total = cand_len - n + 1
         if total <= 0:
             break  # candidate too short for this and higher orders
-        matched = matches[n - 1] if n <= len(matches) else 0
+        matched = matches[n - 1]
         if matched == 0:
             return 0.0
         log_sum += math.log(matched / total)
@@ -90,7 +99,7 @@ def _chrf(cand_len: int, ref_len: int, matches: list[int]) -> float:
         n_ref = max(ref_len - n + 1, 0)
         if n_cand == 0 and n_ref == 0:
             continue
-        matched = matches[n - 1] if n <= len(matches) else 0
+        matched = matches[n - 1]
         precisions.append(matched / n_cand if n_cand else 0.0)
         recalls.append(matched / n_ref if n_ref else 0.0)
     avg_p = sum(precisions) / len(precisions)
@@ -102,7 +111,7 @@ def _chrf(cand_len: int, ref_len: int, matches: list[int]) -> float:
 
 
 def _norm(v: Sequence[float]) -> float:
-    return math.sqrt(sum(x * x for x in v))
+    return math.sqrt(sum(map(operator.mul, v, v)))
 
 
 def _cosine(a: Sequence[float], norm_a: float, b: Sequence[float], norm_b: float) -> float:
@@ -111,7 +120,7 @@ def _cosine(a: Sequence[float], norm_a: float, b: Sequence[float], norm_b: float
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("cosine of a zero vector is undefined")
-    return sum(x * y for x, y in zip(a, b)) / (norm_a * norm_b)
+    return sum(map(operator.mul, a, b)) / (norm_a * norm_b)
 
 
 def bleu(candidate: str, reference: str) -> float:
@@ -121,18 +130,16 @@ def bleu(candidate: str, reference: str) -> float:
 
     Unsmoothed: any included order with zero matches makes the score 0.
     """
-    cand_len, cand = _word_profile(candidate)
-    ref_len, ref = _word_profile(reference)
-    return _bleu(cand_len, ref_len, _matches(cand, ref))
+    cand, ref = _words(candidate), _words(reference)
+    return _bleu(len(cand), len(ref), _overlaps([cand, ref], BLEU_MAX_N)[0][1])
 
 
 def chrf(candidate: str, reference: str) -> float:
     """chrF: F-beta (beta = CHRF_BETA) over character n-gram precision/recall
     averaged across orders 1..CHRF_MAX_N (orders where neither side has
     n-grams are skipped)."""
-    cand_len, cand = _char_profile(candidate)
-    ref_len, ref = _char_profile(reference)
-    return _chrf(cand_len, ref_len, _matches(cand, ref))
+    cand, ref = _chars(candidate), _chars(reference)
+    return _chrf(len(cand), len(ref), _overlaps([cand, ref], CHRF_MAX_N)[0][1])
 
 
 def cosine(a: Sequence[float], b: Sequence[float]) -> float:
@@ -154,22 +161,13 @@ class PairwiseMatrix:
         return buf.getvalue()
 
 
-class _Profile(NamedTuple):
-    words: int
-    word_ngrams: list[Counter]
-    chars: int
-    char_ngrams: list[Counter]
-    vector: list[float]
-    norm: float
-
-
 def pairwise_matrices(corpora: list[TransformedCorpus], vectors: list) -> dict[str, PairwiseMatrix]:
     """The BLEU, chrF and cosine matrices (keyed as in METRICS) of every ordered corpus pair.
 
     vectors[i] is corpus i's embedding array, one numpy row per item in its order;
     values[i][j] is the mean over ids of the metric with corpus i's text as
     the candidate and corpus j's as the reference, summed in the first
-    corpus's id order. One pass over the ids scores every pair of them.
+    corpus's id order. Each id's texts share one n-gram count array per order.
     """
     texts = [c.texts_by_id() for c in corpora]
     rows = [dict(zip(c.ids(), v)) for c, v in zip(corpora, vectors)]
@@ -182,22 +180,18 @@ def pairwise_matrices(corpora: list[TransformedCorpus], vectors: list) -> dict[s
     cells = {m: [[[] for _ in range(size)] for _ in range(size)] for m in METRICS}
     bleu_cells, chrf_cells, cosine_cells = (cells[m] for m in METRICS)
     for item_id in ids:
-        profiles = []
-        for by_id, vector_by_id in zip(texts, rows):
-            text = by_id[item_id]
-            words = _word_profile(text)
-            chars = _char_profile(text)
-            vector = vector_by_id[item_id].tolist()  # Python floats sum as the public `cosine` does
-            profiles.append(_Profile(*words, *chars, vector, _norm(vector)))
-        for i, a in enumerate(profiles):
+        words = [_words(by_id[item_id]) for by_id in texts]
+        chars = [_chars(by_id[item_id]) for by_id in texts]
+        word_matches = _overlaps(words, BLEU_MAX_N)
+        char_matches = _overlaps(chars, CHRF_MAX_N)
+        embeddings = [vector_by_id[item_id].tolist() for vector_by_id in rows]  # Python floats sum as `cosine` does
+        norms = [_norm(v) for v in embeddings]
+        for i in range(size):
             for j in range(i, size):
-                b = profiles[j]
-                word_matches = _matches(a.word_ngrams, b.word_ngrams)
-                char_matches = _matches(a.char_ngrams, b.char_ngrams)
-                cos = _cosine(a.vector, a.norm, b.vector, b.norm)
-                for row, col, cand, ref in [(i, j, a, b)] if i == j else [(i, j, a, b), (j, i, b, a)]:
-                    bleu_cells[row][col].append(_bleu(cand.words, ref.words, word_matches))
-                    chrf_cells[row][col].append(_chrf(cand.chars, ref.chars, char_matches))
+                cos = _cosine(embeddings[i], norms[i], embeddings[j], norms[j])
+                for row, col in [(i, j)] if i == j else [(i, j), (j, i)]:
+                    bleu_cells[row][col].append(_bleu(len(words[row]), len(words[col]), word_matches[i][j]))
+                    chrf_cells[row][col].append(_chrf(len(chars[row]), len(chars[col]), char_matches[i][j]))
                     cosine_cells[row][col].append(cos)
 
     labels = tuple(c.kind.value for c in corpora)

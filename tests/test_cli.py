@@ -423,15 +423,18 @@ class TestProviderCache:
         assert not (run_dir / "transformed").exists()
 
 
-def test_ingest_and_lexical_leave_numpy_unloaded(pt_run, tmp_path):
+def test_stages_without_embeddings_leave_numpy_unloaded(pt_run, tmp_path):
+    """ingest, lexical, stats and report, in one process, never import numpy and write what `semsurf run` wrote."""
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     shutil.copytree(pt_run[0] / "transformed", run_dir / "transformed")
+    for name in ("similarity.json", "classification.json"):
+        shutil.copy(pt_run[0] / name, run_dir / name)
     conf = pt_fixture_config(tmp_path / "pt.conf")
     code = (
         "import sys\n"
         "from semsurf.cli import main\n"
-        "for stage in ('ingest', 'lexical'):\n"
+        "for stage in ('ingest', 'lexical', 'stats', 'report'):\n"
         "    try:\n"
         "        main([stage, '--config', sys.argv[1], '--run-dir', sys.argv[2], '--offline'])\n"
         "    except SystemExit as exc:\n"
@@ -444,7 +447,12 @@ def test_ingest_and_lexical_leave_numpy_unloaded(pt_run, tmp_path):
         [sys.executable, "-c", code, str(conf), str(run_dir)], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines()[-1] == "False"
-    assert (run_dir / "lexical.json").read_bytes() == (pt_run[0] / "lexical.json").read_bytes()
+    for name in ("lexical.json", "stats.json"):
+        assert (run_dir / name).read_bytes() == (pt_run[0] / name).read_bytes(), name
+    tables = sorted(p.name for p in (pt_run[0] / "reports").glob("table_*"))
+    assert tables == sorted(p.name for p in (run_dir / "reports").iterdir())
+    for name in tables:
+        assert (run_dir / "reports" / name).read_bytes() == (pt_run[0] / "reports" / name).read_bytes(), name
 
 
 def read_json(run_dir, name):
@@ -554,9 +562,14 @@ class TestUnusableArtifacts:
             ("similarity.json", json.dumps({"reference": "Translated", "scores": {"ShortSummary": 5}}),
              "similarity.json entry scores/ShortSummary is not an object of numbers bleu, chrf, cosine; "
              "run `semsurf similarity`"),
+            ("similarity.json", json.dumps({"reference": "Bogus", "scores": {}}),
+             "similarity.json key reference holds 'Bogus', which is not a transformation kind; "
+             "run `semsurf similarity`"),
+            ("similarity.json", json.dumps({"reference": "Translated", "scores": {"Bogus": {m: 0.5 for m in METRICS}}}),
+             "similarity.json key scores holds 'Bogus', which is not a transformation kind; run `semsurf similarity`"),
         ],
         ids=["not JSON", "Welch-result lexical.json", "list classification.json", "int runs", "list scores",
-             "int score"],
+             "int score", "unknown reference", "unknown scores kind"],
     )
     def test_stats_exits_2_naming_the_producer(self, pt_run, tmp_path, runner, artifact, content, message):
         run_dir = tmp_path / "run"
@@ -569,6 +582,38 @@ class TestUnusableArtifacts:
         assert result.exit_code == EXIT_DATA, result.output
         assert result.output.splitlines() == [f"error: {message}"]
         assert not (run_dir / "stats.json").exists()
+
+    @pytest.mark.parametrize(
+        "artifact, edit, message",
+        [
+            ("similarity.json", lambda sim: sim["scores"].update(Bogus=sim["scores"]["ShortSummary"]),
+             "similarity.json key scores holds 'Bogus', which is not a transformation kind; run `semsurf similarity`"),
+            ("stats.json", lambda stats: stats.update(baseline="Bogus"),
+             "stats.json key baseline holds 'Bogus', which is not a transformation kind; run `semsurf stats`"),
+            ("stats.json", lambda stats: stats["classification"]["means"].update(Bogus={}),
+             "stats.json key classification/means holds 'Bogus', which is not a transformation kind; "
+             "run `semsurf stats`"),
+            ("stats.json", lambda stats: stats["wilcoxon_vs_baseline"].update(Bogus={}),
+             "stats.json key wilcoxon_vs_baseline holds 'Bogus', which is not a transformation kind; "
+             "run `semsurf stats`"),
+            ("stats.json", lambda stats: stats["welch"].update(Bogus={}),
+             "stats.json key welch holds 'Bogus', which is not a transformation kind; run `semsurf stats`"),
+        ],
+        ids=["scores kind", "baseline", "means kind", "wilcoxon kind", "welch kind"],
+    )
+    def test_report_exits_2_on_an_unknown_kind(self, pt_run, tmp_path, runner, artifact, edit, message):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in ("dataset_stats.json", "similarity.json", "stats.json"):
+            shutil.copy(pt_run[0] / name, run_dir / name)
+        obj = read_json(run_dir, artifact)
+        edit(obj)
+        (run_dir / artifact).write_text(json.dumps(obj))
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        result = runner.invoke(main, ["report", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert result.output.splitlines() == [f"error: {message}"]
+        assert not (run_dir / "reports").exists()
 
     def test_classify_exits_2_on_a_manifest_without_kinds(self, pt_run, tmp_path, runner):
         run_dir = tmp_path / "run"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from semsurf.lexstats import tokenize
 from semsurf.providers import mock_embed
-from semsurf.textmetrics import METRICS, bleu, chrf, cosine, pairwise_matrices
+from semsurf.textmetrics import BLEU_MAX_N, CHRF_MAX_N, METRICS, _overlaps, bleu, chrf, cosine, pairwise_matrices
 from semsurf.transform import KIND_ORDER, TransformationKind, TransformedCorpus
 
 WORDS = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "fast", "home"]
@@ -153,6 +153,82 @@ class TestCosine:
             cosine((0.0, 0.0), (1.0, 2.0))
 
 
+class TestOverlaps:
+    """Hand-worked clipped n-gram match counts: [i][j][n - 1] for every pair i <= j."""
+
+    @staticmethod
+    def upper(matches):
+        return {(i, j): row[j] for i, row in enumerate(matches) for j in range(i, len(matches))}
+
+    def test_three_sequences(self):
+        # ab: a b / ab; ba: a b / ba; aba: a a b / ab ba / aba
+        assert self.upper(_overlaps(["ab", "ba", "aba"], 3)) == {
+            (0, 0): [2, 1, 0], (0, 1): [2, 0, 0], (0, 2): [2, 1, 0],
+            (1, 1): [2, 1, 0], (1, 2): [2, 1, 0],
+            (2, 2): [3, 2, 1],
+        }
+
+    def test_one_character_sequences(self):
+        assert self.upper(_overlaps(["a", "b", "a"], CHRF_MAX_N)) == {
+            (0, 0): [1, 0, 0, 0, 0, 0], (0, 1): [0] * 6, (0, 2): [1, 0, 0, 0, 0, 0],
+            (1, 1): [1, 0, 0, 0, 0, 0], (1, 2): [0] * 6,
+            (2, 2): [1, 0, 0, 0, 0, 0],
+        }
+
+    def test_every_sequence_shorter_than_every_order_above_one(self):
+        # no sequence has a bigram: orders 2..6 count over an empty vocabulary
+        assert all(m == [1, 0, 0, 0, 0, 0] for m in self.upper(_overlaps(["a"] * 4, CHRF_MAX_N)).values())
+
+    def test_repeats_are_clipped(self):
+        assert self.upper(_overlaps(["aaaa", "aa"], CHRF_MAX_N)) == {
+            (0, 0): [4, 3, 2, 1, 0, 0], (0, 1): [2, 1, 0, 0, 0, 0], (1, 1): [2, 1, 0, 0, 0, 0],
+        }
+        words = [["the"] * 4, ["the", "cat", "the"]]
+        assert _overlaps(words, BLEU_MAX_N)[0][1] == [2, 0, 0, 0]
+
+    def test_symbols_are_exact(self):
+        # numpy stores "\x00" as "", which no other symbol is; "e" + a combining acute is not "é"
+        assert _overlaps(["a\x00", "\x00a"], 2)[0][1] == [2, 0]
+        assert _overlaps(["e\u0301", "é"], 2)[0][1] == [0, 0]
+        assert _overlaps(["😀😀x", "😀x"], 3)[0][1] == [2, 1, 0]
+
+
+class TestShortTexts:
+    """Scores of texts with fewer symbols than BLEU_MAX_N/CHRF_MAX_N, in the public scores and the matrices."""
+
+    def scores(self, cand, ref):
+        corpora = [_corpus(TransformationKind.ORIGINAL, [cand]), _corpus(TransformationKind.SHORT_SUMMARY, [ref])]
+        matrices = matrices_of(corpora)
+        return {m: (matrices[m].values[0][1], score(cand, ref)) for m, score in (("bleu", bleu), ("chrf", chrf))}
+
+    @pytest.mark.parametrize(
+        "cand, ref, expected",
+        [
+            # order 1 p 1, r 1/2; order 2 p 0, r 0: F2 of p 1/2, r 1/4
+            ("a", "ab", {"bleu": 0.0, "chrf": 5 / 18}),
+            ("ab", "a", {"bleu": 0.0, "chrf": 5 / 12}),
+            # BLEU over order 1 only, with the brevity penalty of 1 token against 2
+            ("a", "a b", {"bleu": math.exp(-1.0), "chrf": 5 / 18}),
+            # chrF orders 1..3 each p = r: 2/3, 1/2, 0
+            ("abc", "abd", {"bleu": 0.0, "chrf": 7 / 18}),
+            # BLEU orders 1..3 all match, 4 is skipped; chrF p 1, 1, 1, 0 and r 3/4, 2/3, 1/2, 0
+            ("a b c", "a b c d", {"bleu": math.exp(1.0 - 4 / 3), "chrf": 345 / 668}),
+            # clipped: 2 of 4 a's, 1 of 3 aa's; orders 3, 4 unmatched, 5, 6 skipped
+            ("aaaa", "aa", {"bleu": 0.0, "chrf": 25 / 64}),
+        ],
+    )
+    def test_hand_worked(self, cand, ref, expected):
+        for metric, (cell, public) in self.scores(cand, ref).items():
+            assert cell == public, metric
+            assert cell == pytest.approx(expected[metric], abs=1e-12), metric
+
+    def test_every_text_of_an_id_is_one_character(self):
+        corpora = [_corpus(kind, ["a", "a b"]) for kind in KIND_ORDER[:3]]
+        matrices = matrices_of(corpora)
+        for metric in ("bleu", "chrf"):
+            assert all(v == 1.0 for row in matrices[metric].values for v in row), metric
+
+
 def _corpus(kind, texts, ids=None):
     ids = ids or [f"t{i}" for i in range(len(texts))]
     items = tuple(zip(ids, texts))
@@ -254,3 +330,25 @@ def test_matrices_equal_the_mean_of_the_public_scores(corpora):
             for j, b in enumerate(corpora):
                 scores = [score[metric](x, y) for (_, x), (_, y) in zip(a.items, b.items)]
                 assert m.values[i][j] == sum(scores) / len(scores), (metric, i, j)
+
+
+FRAGMENT = st.sampled_from(
+    ["a", "b", "é", "ç", "ãã", "e\u0301", "\u0301", "𝔘", "😀", "😀😀", "\x00", "aaa", "ab", " ", " ", "  "]
+)
+UNICODE_TEXT = st.lists(FRAGMENT, min_size=1, max_size=12).map("".join).filter(lambda t: tokenize(t))
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(st.lists(UNICODE_TEXT, min_size=n, max_size=n), min_size=2,
+                                                      max_size=4)))
+@settings(max_examples=150, deadline=None)
+def test_unicode_matrices_equal_the_mean_of_the_oracles(texts):
+    """Accented Latin, combining marks, non-BMP characters and repeated runs: each cell is the mean of the oracles."""
+    corpora = [_corpus(kind, kind_texts) for kind, kind_texts in zip(KIND_ORDER, texts)]
+    matrices = matrices_of(corpora)
+    for metric, oracle in (("bleu", oracle_bleu), ("chrf", oracle_chrf)):
+        for i, a in enumerate(texts):
+            for j, b in enumerate(texts):
+                scores = [oracle(x, y) for x, y in zip(a, b)]
+                assert matrices[metric].values[i][j] == pytest.approx(sum(scores) / len(scores), abs=1e-12), (
+                    metric, i, j,
+                )
