@@ -39,12 +39,9 @@ class LinearHead:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) <= 1 never overflows: 1/(1+e) where z >= 0, e/(1+e) elsewhere (nan included)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def class_weights(labels: list[str]) -> dict[str, float]:
@@ -67,20 +64,24 @@ def weighted_loss_and_grad(
     sample_weights: np.ndarray,
     l2: float,
 ) -> tuple[float, np.ndarray, float]:
-    """Class-weighted binary cross-entropy with L2 penalty on the weights.
+    """Class-weighted binary cross-entropy with L2 penalty on the weights, and its gradient.
 
     Loss = sum_i cw_i * BCE_i / sum_i cw_i + l2 * ||w||^2 / 2.
     """
     z = x @ w + b
-    # numerically stable log-loss: log(1+exp(-|z|)) + max(z,0) - z*y
-    per_item = np.logaddexp(0.0, -np.abs(z)) + np.maximum(z, 0.0) - z * y
-    wsum = sample_weights.sum()
-    loss = float((sample_weights * per_item).sum() / wsum + l2 * (w @ w) / 2.0)
+    loss = _loss(z, w, y, sample_weights, l2)
     p = _sigmoid(z)
-    resid = sample_weights * (p - y) / wsum
+    resid = sample_weights * (p - y) / sample_weights.sum()
     grad_w = x.T @ resid + l2 * w
     grad_b = float(resid.sum())
     return loss, grad_w, grad_b
+
+
+def _loss(z: np.ndarray, w: np.ndarray, y: np.ndarray, sample_weights: np.ndarray, l2: float) -> float:
+    """weighted_loss_and_grad's loss, from the scores z = x @ w + b."""
+    # numerically stable log-loss: log(1+exp(-|z|)) + max(z,0) - z*y
+    per_item = np.logaddexp(0.0, -np.abs(z)) + np.maximum(z, 0.0) - z * y
+    return float((sample_weights * per_item).sum() / sample_weights.sum() + l2 * (w @ w) / 2.0)
 
 
 def _stratified_holdout(y: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
@@ -130,7 +131,7 @@ def train(embeddings: np.ndarray, labels: list[str], cfg: TrainConfig) -> Linear
         lr = cfg.learning_rate / math.sqrt(epoch)
         w -= lr * gw
         b -= lr * gb
-        val_loss, _, _ = weighted_loss_and_grad(w, b, xv, yv, sv, cfg.l2)
+        val_loss = _loss(xv @ w + b, w, yv, sv, cfg.l2)
         if val_loss < best[0] - 1e-12:
             best = (val_loss, w.copy(), b)
             patience_left = cfg.patience

@@ -89,7 +89,7 @@ class RunContext:
         check_kinds("similarity.json", "key reference holds", [sim["reference"]])
         check_kinds("similarity.json", "key scores holds", sim["scores"])
         for kind, entry in sim["scores"].items():
-            if not isinstance(entry, dict) or any(type(entry.get(m)) not in (int, float) for m in textmetrics.METRICS):
+            if not numbers_object(entry, textmetrics.METRICS):
                 raise unusable("similarity.json", f"entry scores/{kind} is not an object of numbers bleu, chrf, cosine")
         return sim
 
@@ -136,6 +136,11 @@ class RunContext:
 def unusable(artifact: str, problem: str) -> StageError:
     """The exit-2 error for an artifact a stage cannot read, naming the stage that writes it."""
     return StageError(f"{artifact} {problem}; run `semsurf {PRODUCER[artifact.split('/')[0]]}`", EXIT_DATA)
+
+
+def numbers_object(entry, keys: Iterable[str]) -> bool:
+    """Whether a JSON value is an object holding a number at each of `keys`."""
+    return isinstance(entry, dict) and all(type(entry.get(key)) in (int, float) for key in keys)
 
 
 def check_kinds(artifact: str, where: str, names: Iterable[str]) -> None:
@@ -186,9 +191,9 @@ def stage_transform(ctx: RunContext) -> None:
     embed_cfg = ctx.config.providers["embed"]
     for kind, corpus in corpora.items():
         corpus.save(out_dir / f"{kind.value}.jsonl")
-        # the pipeline's only embed calls; one array per row, as a kind's Python floats take 4x the memory
-        rows = [np.array(ctx.client.embed(embed_cfg, text).values) for _, text in corpus.items]
-        np.save(out_dir / f"{kind.value}.npy", np.array(rows, dtype=np.float64))
+        # the pipeline's only embed call, one per kind; each row is packed little-endian float64
+        rows = ctx.client.embed_batch(embed_cfg, [text for _, text in corpus.items])
+        np.save(out_dir / f"{kind.value}.npy", np.array([np.frombuffer(r, "<f8") for r in rows], dtype=np.float64))
     manifest = {
         "dataset_name": dataset.name,
         "prompts": {k.value: v for k, v in config.prompts.items()},
@@ -354,8 +359,22 @@ def stage_report(ctx: RunContext) -> None:
     sim = ctx.read_similarity()
     stats = ctx.read_json("stats.json", baseline=str, classification=dict, wilcoxon_vs_baseline=dict, welch=dict)
     check_kinds("stats.json", "key baseline holds", [stats["baseline"]])
-    check_kinds("stats.json", "key classification/means holds", stats["classification"]["means"])
+    classification = stats["classification"]
+    if not isinstance(classification.get("means"), dict) or type(classification.get("n_runs")) is not int:
+        problem = "key classification is not an object with keys means (an object), n_runs (an integer)"
+        raise unusable("stats.json", problem)
+    check_kinds("stats.json", "key classification/means holds", classification["means"])
+    for kind, entry in classification["means"].items():
+        if not numbers_object(entry, report.CLASSIFICATION_MEASURES):
+            measures = ", ".join(sorted(report.CLASSIFICATION_MEASURES))
+            raise unusable("stats.json", f"entry classification/means/{kind} is not an object of numbers {measures}")
+    if stats["baseline"] not in classification["means"]:
+        raise unusable("stats.json", f"key classification/means lacks the baseline {stats['baseline']}")
     check_kinds("stats.json", "key wilcoxon_vs_baseline holds", stats["wilcoxon_vs_baseline"])
+    for kind, entry in stats["wilcoxon_vs_baseline"].items():
+        if not isinstance(entry, dict) or ("p_value" in entry and not numbers_object(entry, ["p_value"])):
+            problem = f"entry wilcoxon_vs_baseline/{kind} is not an object whose p_value is a number"
+            raise unusable("stats.json", problem)
     check_kinds("stats.json", "key welch holds", stats["welch"])
     ctx.reports_dir.mkdir(exist_ok=True)
 
@@ -367,8 +386,8 @@ def stage_report(ctx: RunContext) -> None:
     scores = {K(k): v for k, v in sim["scores"].items()}
     write(report.similarity_table(scores, K(sim["reference"])), "similarity")
 
-    means = {K(kind): m for kind, m in stats["classification"]["means"].items()}
-    n_runs = stats["classification"]["n_runs"]
+    means = {K(kind): m for kind, m in classification["means"].items()}
+    n_runs = classification["n_runs"]
     baseline = K(stats["baseline"])
     p_values = {
         K(kind): r["p_value"] for kind, r in stats["wilcoxon_vs_baseline"].items() if "p_value" in r

@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 _DATA = Path(__file__).parent / "data"
 
@@ -111,15 +113,21 @@ _SUFFIX_RULES: list[tuple[str, PosTag]] = [
 _DEFAULT_LEXICON = _DATA / "pos_lexicon.tsv"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BaselineTagger:
     """Deterministic lexicon + suffix-rule tagger.
 
     Absolute tag accuracy is not the point; the group-comparison machinery
-    downstream works with any consistent tagger.
+    downstream works with any consistent tagger. A token's tag depends only
+    on the token and the lexicon, so `tag` memoizes it; the tagger is frozen
+    and holds a read-only copy of its lexicon, so the memo cannot outlive it.
     """
 
-    lexicon: dict[str, PosTag] = field(default_factory=dict)
+    lexicon: Mapping[str, PosTag] = field(default_factory=dict)
+    _memo: dict[str, PosTag] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lexicon", MappingProxyType(dict(self.lexicon)))
 
     @classmethod
     def load(cls, path: str | Path | None = None) -> "BaselineTagger":
@@ -138,21 +146,24 @@ class BaselineTagger:
         return cls(lexicon)
 
     def tag(self, tokens: list[str]) -> list[PosTag]:
-        out = []
-        for tok in tokens:
-            tag = self.lexicon.get(tok)
-            if tag is None:
-                if tok.isdigit():
-                    tag = PosTag.NUM
+        memo = self._memo
+        return [memo.get(tok) or self._tag_new(tok) for tok in tokens]
+
+    def _tag_new(self, tok: str) -> PosTag:
+        """The tag of a token not yet in the memo, which keeps it."""
+        tag = self.lexicon.get(tok)
+        if tag is None:
+            if tok.isdigit():
+                tag = PosTag.NUM
+            else:
+                for suffix, rule_tag in _SUFFIX_RULES:
+                    if len(tok) > len(suffix) + 1 and tok.endswith(suffix):
+                        tag = rule_tag
+                        break
                 else:
-                    for suffix, rule_tag in _SUFFIX_RULES:
-                        if len(tok) > len(suffix) + 1 and tok.endswith(suffix):
-                            tag = rule_tag
-                            break
-                    else:
-                        tag = PosTag.X
-            out.append(tag)
-        return out
+                    tag = PosTag.X
+        self._memo[tok] = tag
+        return tag
 
 
 MEASURES = ("ttr", "zipf", "pnr", "adv", "part")

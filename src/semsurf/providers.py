@@ -3,8 +3,10 @@ image-to-text over OpenAI-style HTTP endpoints, plus a deterministic offline
 mock and a content-addressed response cache in one SQLite database.
 
 Every call goes through the cache: the canonical request is hashed, and a hit
-short-circuits all network I/O. Endpoints whose URL starts with "mock:" are
-served by pure in-process functions, so the whole pipeline can run offline.
+short-circuits all network I/O. Embeddings are requested a corpus at a time,
+so one query reads the cache for many texts. Endpoints whose URL starts with
+"mock:" are served by pure in-process functions, so the whole pipeline can
+run offline.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:
     import requests
@@ -34,6 +36,8 @@ MOCK_EMBED_DIM = 256
 
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = 1.0
+
+LOOKUP_CHUNK = 500  # keys per SELECT ... IN (...), well below SQLite's bound on query parameters
 
 
 class ProviderError(RuntimeError):
@@ -84,7 +88,7 @@ class GenerationRecord:
     cache_key: str
     request: str  # canonical serialized request
     response_text: str | None
-    response_image: bytes | None
+    response_image: bytes | None  # an image, or an embedding as EmbeddingVector.to_bytes packs it
     created_at: float
     provider: dict
 
@@ -100,12 +104,46 @@ class EmbeddingVector:
     def __post_init__(self):
         if not self.values:
             raise ValueError("embedding must be non-empty")
-        if not all(map(math.isfinite, self.values)):
+        # a finite sum means finite entries; only a sum that overflows needs the check entry by entry
+        if not math.isfinite(sum(self.values)) and not all(map(math.isfinite, self.values)):
             raise ValueError("embedding contains non-finite entries")
 
     @property
     def dimension(self) -> int:
         return len(self.values)
+
+    def to_bytes(self) -> bytes:
+        """The vector as an embedding record holds it: packed little-endian float64."""
+        return struct.pack(f"<{len(self.values)}d", *self.values)
+
+    @classmethod
+    def from_bytes(cls, packed: bytes) -> "EmbeddingVector":
+        if len(packed) % 8:
+            raise ValueError(f"{len(packed)} bytes are not packed float64")
+        return cls(struct.unpack(f"<{len(packed) // 8}d", packed))
+
+
+def _pack_embedding(values) -> bytes:
+    """A JSON embedding, which must be a list of numbers, as EmbeddingVector.to_bytes packs it."""
+    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+        raise ProviderError("embedding is not a list of numbers")
+    try:
+        return struct.pack(f"<{len(values)}d", *values)
+    except struct.error:  # an integer beyond the float64 range
+        raise ProviderError("embedding entry out of the float64 range") from None
+
+
+def _vector_row(record: GenerationRecord, dimension: int | None) -> bytes:
+    """The record's embedding, packed, once it is non-empty, finite and, unless
+    `dimension` is None, of that dimension. Records written before embeddings
+    were packed hold a JSON list as their text."""
+    packed = record.response_image
+    if packed is None:
+        packed = _pack_embedding(json.loads(record.response_text))
+    vec = EmbeddingVector.from_bytes(packed)
+    if dimension is not None and vec.dimension != dimension:
+        raise ProviderError(f"embedding dimension {vec.dimension} != declared {dimension}")
+    return packed
 
 
 def canonical_request(payload: dict) -> str:
@@ -119,13 +157,13 @@ def cache_key_for(canonical: str) -> str:
 
 class ResponseCache:
     """Content-addressed cache: one SQLite database, <root>/responses.sqlite3,
-    holding one row per key, the image (if any) as a BLOB.
+    holding one row per key, the image or the packed embedding (if any) as a BLOB.
 
-    One connection, guarded by the cache's lock, serves every thread, and each
-    store commits at once. The database is in WAL mode, so its -wal and -shm
-    files sit beside it until close() folds them back in. Records of the
-    earlier layout, <root>/<first 2 hex>/<key>.json with the image in a
-    sibling .png, are still read but never written.
+    One connection, guarded by the cache's lock, serves every thread. Each
+    store, and each store_many, commits at once. The database is in WAL
+    mode, so its -wal and -shm files sit beside it until close() folds them
+    back in. Records of the earlier layout, <root>/<first 2 hex>/<key>.json
+    with the image in a sibling .png, are still read but never written.
     """
 
     def __init__(self, root: str | Path):
@@ -155,21 +193,40 @@ class ResponseCache:
         return d / f"{key}.json", d / f"{key}.png"
 
     def lookup(self, key: str) -> GenerationRecord | None:
-        if len(key) != 64:
-            raise ValueError(f"cache key must be 64 hex chars: {key!r}")
+        return self.lookup_many([key]).get(key)
+
+    def lookup_many(self, keys: Sequence[str]) -> dict[str, GenerationRecord]:
+        """The records the cache holds for `keys`, read with one query per LOOKUP_CHUNK keys.
+
+        A key the database lacks is looked up in the earlier layout; a row
+        that cannot be read is a miss.
+        """
+        for key in keys:
+            if len(key) != 64:
+                raise ValueError(f"cache key must be 64 hex chars: {key!r}")
+        rows = []
         with self._lock:
-            row = self._db.execute(
-                "SELECT request, response_text, response_image, created_at, provider FROM responses WHERE key = ?",
-                (key,),
-            ).fetchone()
-        if row is None:
-            return self._lookup_file(key)
-        request, text, image, created_at, provider = row
-        try:
-            return GenerationRecord(key, request, text, image, created_at, json.loads(provider))
-        except (ValueError, TypeError):
-            # corrupted record: treat as a miss
-            return None
+            for i in range(0, len(keys), LOOKUP_CHUNK):
+                chunk = keys[i : i + LOOKUP_CHUNK]
+                rows += self._db.execute(
+                    "SELECT key, request, response_text, response_image, created_at, provider FROM responses"
+                    f" WHERE key IN ({','.join('?' * len(chunk))})",
+                    chunk,
+                ).fetchall()
+        found = {}
+        for key, request, text, image, created_at, provider in rows:
+            try:
+                found[key] = GenerationRecord(key, request, text, image, created_at, json.loads(provider))
+            except (ValueError, TypeError):
+                pass  # corrupted record: treat as a miss
+        in_db = {row[0] for row in rows}
+        missing = [key for key in keys if key not in in_db]
+        if missing:
+            subdirs = set(os.listdir(self.root))  # one listing, not a stat per key of a fresh cache
+            for key in missing:
+                if key[:2] in subdirs and (record := self._lookup_file(key)) is not None:
+                    found[key] = record
+        return found
 
     def _lookup_file(self, key: str) -> GenerationRecord | None:
         json_path, png_path = self._paths(key)
@@ -190,14 +247,32 @@ class ResponseCache:
             # corrupted record: treat as a miss
             return None
 
-    def store(self, record: GenerationRecord) -> None:
-        # REPLACE, not IGNORE: a miss on a corrupted row must overwrite it, as it overwrote a corrupted file
-        row = (
+    @staticmethod
+    def _row(record: GenerationRecord) -> tuple:
+        return (
             record.cache_key, record.request, record.response_text, record.response_image,
             record.created_at, json.dumps(record.provider, ensure_ascii=False),
         )
+
+    # REPLACE, not IGNORE: a miss on a corrupted row must overwrite it, as it overwrote a corrupted file
+    _INSERT = "INSERT OR REPLACE INTO responses VALUES (?, ?, ?, ?, ?, ?)"
+
+    def store(self, record: GenerationRecord) -> None:
+        row = self._row(record)
         with self._lock:
-            self._db.execute("INSERT OR REPLACE INTO responses VALUES (?, ?, ?, ?, ?, ?)", row)
+            self._db.execute(self._INSERT, row)
+
+    def store_many(self, records: Iterable[GenerationRecord]) -> None:
+        """Store `records` in one transaction: all of them or, on an error, none."""
+        rows = [self._row(record) for record in records]
+        with self._lock:
+            self._db.execute("BEGIN")
+            try:
+                self._db.executemany(self._INSERT, rows)
+            except BaseException:
+                self._db.execute("ROLLBACK")
+                raise
+            self._db.execute("COMMIT")
 
     def close(self) -> None:
         """Close the connection; the last one to close removes the -wal and -shm files."""
@@ -341,25 +416,56 @@ class ProviderClient:
             raise ProviderError("empty translation")
         return rec.response_text, rec.cache_key
 
-    def embed(self, cfg: ProviderConfig, text: str) -> EmbeddingVector:
+    def embed_batch(self, cfg: ProviderConfig, texts: Sequence[str]) -> list[bytes]:
+        """The embedding of each of `texts`, in order, as EmbeddingVector.to_bytes packs it.
+
+        One lookup_many reads the cache for all the distinct texts. The misses
+        are then read again under their single-flight locks, and each one still
+        missing is computed once: mock misses are stored in one transaction,
+        and each HTTP miss, one request per text, is stored as soon as its
+        response arrives, so a failure later in the batch loses no response.
+        """
         if cfg.kind != "embed":
             raise ValueError(f"embed requires an embed provider, got {cfg.kind!r}")
-        if not text.strip():
+        if not all(text.strip() for text in texts):
             raise ValueError("cannot embed empty text")
-        payload = {"op": "embed", "model": cfg.model, "input": text}
-        computed: list[EmbeddingVector] = []
+        wanted = {}  # distinct text -> (cache key, canonical request)
+        for text in dict.fromkeys(texts):
+            canonical = canonical_request({"op": "embed", "model": cfg.model, "input": text})
+            wanted[text] = (cache_key_for(canonical), canonical)
+        records = self.cache.lookup_many([key for key, _ in wanted.values()])
+        misses = {text: m for text, m in wanted.items() if m[0] not in records}
+        if misses:
+            # the first caller of a key computes and stores it; the others wait, then hit
+            with self._single_flight(key for key, _ in misses.values()):
+                records.update(self.cache.lookup_many([key for key, _ in misses.values()]))
+                misses = {text: m for text, m in misses.items() if m[0] not in records}
+                records.update(self._embed_misses(cfg, misses))
+        dimension = cfg.dimension or (MOCK_EMBED_DIM if cfg.is_mock else None)
+        rows = {key: _vector_row(records[key], dimension) for key, _ in wanted.values()}
+        return [rows[wanted[text][0]] for text in texts]
 
-        def compute() -> str:
-            computed.append(mock_embed(text))
-            return json.dumps(computed[0].values)
+    def _embed_misses(self, cfg: ProviderConfig, misses: dict[str, tuple[str, str]]) -> dict[str, GenerationRecord]:
+        """Compute and store the embedding of each text in `misses` (text -> (cache key, canonical request))."""
+        provider = cfg.summary()
 
-        rec = self._fetch(cfg, payload, compute)
-        # a mock miss returns the vector its record was written from
-        vec = computed[0] if computed else EmbeddingVector(tuple(json.loads(rec.response_text)))
-        expected = cfg.dimension or (MOCK_EMBED_DIM if cfg.is_mock else None)
-        if expected is not None and vec.dimension != expected:
-            raise ProviderError(f"embedding dimension {vec.dimension} != declared {expected}")
-        return vec
+        def record(key: str, canonical: str, packed: bytes) -> GenerationRecord:
+            return GenerationRecord(key, canonical, None, packed, time.time(), provider)
+
+        if cfg.is_mock:
+            records = {
+                key: record(key, canonical, mock_embed(text).to_bytes()) for text, (key, canonical) in misses.items()
+            }
+            self.cache.store_many(records.values())
+            return records
+        records = {}
+        for text, (key, canonical) in misses.items():
+            if self.offline:
+                raise OfflineViolation(f"cache miss for {key} with transport disabled")
+            packed = self._http_call(cfg, {"op": "embed", "model": cfg.model, "input": text}, image=False)
+            records[key] = record(key, canonical, packed)
+            self.cache.store(records[key])
+        return records
 
     def text_to_image(self, cfg: ProviderConfig, prompt: str) -> tuple[bytes, str]:
         if cfg.kind != "text_to_image":
@@ -408,27 +514,38 @@ class ProviderClient:
         return payload
 
     @contextmanager
-    def _single_flight(self, key: str):
-        """Hold the lock of one cache key; callers of other keys never wait."""
+    def _single_flight(self, keys: Iterable[str]):
+        """Hold the locks of `keys`; callers of other keys never wait. The locks
+        are taken in sorted key order, so overlapping batches cannot deadlock."""
+        keys = sorted(set(keys))
         with self._lock:
-            lock, callers = self._inflight.get(key) or (threading.Lock(), 0)
-            self._inflight[key] = (lock, callers + 1)
+            locks = []
+            for key in keys:
+                lock, callers = self._inflight.get(key) or (threading.Lock(), 0)
+                self._inflight[key] = (lock, callers + 1)
+                locks.append(lock)
+        held = []
         try:
-            with lock:
-                yield
+            for lock in locks:
+                lock.acquire()
+                held.append(lock)
+            yield
         finally:
+            for lock in held:
+                lock.release()
             with self._lock:
-                callers = self._inflight[key][1] - 1
-                if callers:
-                    self._inflight[key] = (lock, callers)
-                else:
-                    del self._inflight[key]
+                for key, lock in zip(keys, locks):
+                    callers = self._inflight[key][1] - 1
+                    if callers:
+                        self._inflight[key] = (lock, callers)
+                    else:
+                        del self._inflight[key]
 
     def _fetch(self, cfg, payload, mock_fn, image: bool = False) -> GenerationRecord:
         canonical = canonical_request(payload)
         key = cache_key_for(canonical)
         # the first caller of a key computes and stores it; the others wait, then hit
-        with self._single_flight(key):
+        with self._single_flight([key]):
             hit = self.cache.lookup(key)
             if hit is not None:
                 return hit
@@ -485,7 +602,7 @@ class ProviderClient:
         if image:
             return base64.b64decode(obj["data"][0]["b64_json"])
         if cfg.kind == "embed":
-            return json.dumps(obj["data"][0]["embedding"])
+            return _pack_embedding(obj["data"][0]["embedding"])
         if cfg.kind == "translate" and "choices" not in obj:
             return obj["translation"]  # translation servers return either envelope
         if cfg.kind in ("chat", "image_to_text", "translate"):

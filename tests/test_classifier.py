@@ -1,3 +1,7 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,8 @@ from semsurf.classifier import (
     LinearHead,
     TrainConfig,
     TrainingError,
+    _sigmoid,
+    _stratified_holdout,
     class_weights,
     evaluate,
     macro_f1,
@@ -159,6 +165,94 @@ class TestTraining:
             TrainConfig(max_epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(validation_fraction=0.9)
+
+
+def two_branch_sigmoid(z):
+    """The sigmoid as it was computed before np.where: two boolean-mask branches."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_train(embeddings, labels, cfg):
+    """The training loop as it was before the validation loss left out the
+    gradient: (weights, bias) of the best epoch."""
+
+    def loss_and_grad(w, b, x, y, sw, l2):
+        z = x @ w + b
+        per_item = np.logaddexp(0.0, -np.abs(z)) + np.maximum(z, 0.0) - z * y
+        wsum = sw.sum()
+        loss = float((sw * per_item).sum() / wsum + l2 * (w @ w) / 2.0)
+        resid = sw * (two_branch_sigmoid(z) - y) / wsum
+        return loss, x.T @ resid + l2 * w, float(resid.sum())
+
+    x = np.asarray(embeddings, dtype=np.float64)
+    y = np.array([1.0 if lab == GROUP_AD else 0.0 for lab in labels])
+    if cfg.class_weighting:
+        cw = class_weights(labels)
+        sw = np.array([cw[lab] for lab in labels])
+    else:
+        sw = np.ones(len(labels))
+    val_mask = _stratified_holdout(y, cfg.validation_fraction, np.random.default_rng(cfg.seed))
+    xt, yt, st = x[~val_mask], y[~val_mask], sw[~val_mask]
+    xv, yv, sv = x[val_mask], y[val_mask], sw[val_mask]
+    if len(set(yt)) < 2:
+        xt, yt, st = x, y, sw
+        xv, yv, sv = x, y, sw
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    best = (math.inf, w.copy(), b)
+    patience_left = cfg.patience
+    for epoch in range(1, cfg.max_epochs + 1):
+        _, gw, gb = loss_and_grad(w, b, xt, yt, st, cfg.l2)
+        lr = cfg.learning_rate / math.sqrt(epoch)
+        w -= lr * gw
+        b -= lr * gb
+        val_loss, _, _ = loss_and_grad(w, b, xv, yv, sv, cfg.l2)
+        if val_loss < best[0] - 1e-12:
+            best = (val_loss, w.copy(), b)
+            patience_left = cfg.patience
+        else:
+            patience_left -= 1
+            if patience_left <= 0:
+                break
+    return best[1], best[2]
+
+
+def fixture_embeddings(name="dogstory40.jsonl"):
+    rows = [json.loads(line) for line in (Path(__file__).parent.parent / "fixtures" / name).read_text().splitlines()]
+    return np.array([mock_embed(r["text"]).values for r in rows]), [r["group"] for r in rows]
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TrainConfig(learning_rate=5.0, seed=420294),
+            TrainConfig(learning_rate=5.0, seed=7, max_epochs=40, patience=5),
+            TrainConfig(learning_rate=0.5, seed=3, class_weighting=False),
+            TrainConfig(learning_rate=50.0, seed=1, max_epochs=30, l2=0.0),
+        ],
+        ids=["fixture settings", "long", "unweighted", "large steps"],
+    )
+    def test_weights_equal_the_reference_bit_for_bit(self, cfg):
+        x, labels = fixture_embeddings()
+        head = train(x, labels, cfg)
+        weights, bias = reference_train(x, labels, cfg)
+        assert head.weights.tobytes() == weights.tobytes()
+        assert head.bias.hex() == bias.hex()
+
+    def test_sigmoid_equals_the_two_branch_formula(self):
+        z = np.array([0.0, -0.0, 30.0, -30.0, 745.0, -745.0, 1e308, -1e308, np.nan])
+        new, old = _sigmoid(z), two_branch_sigmoid(z)  # a warning fails the test
+        finite = ~np.isnan(z)
+        assert new[finite].tobytes() == old[finite].tobytes()
+        assert np.isnan(new[~finite]).all() and np.isnan(old[~finite]).all()
+        assert new[6] == 1.0 and new[7] == 0.0 and new[5] == old[5] > 0.0
 
 
 class TestSeeds:

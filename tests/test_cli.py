@@ -331,17 +331,17 @@ def pt_fixture_config(path, extra=""):
 
 @pytest.fixture(scope="module")
 def pt_run(tmp_path_factory):
-    """One `semsurf run` of the pt fixture: its run directory and the texts passed to ProviderClient.embed."""
+    """One `semsurf run` of the pt fixture: its run directory and the texts of each ProviderClient.embed_batch call."""
     root = tmp_path_factory.mktemp("pt")
     embedded = []
-    embed = providers.ProviderClient.embed
+    embed_batch = providers.ProviderClient.embed_batch
 
-    def counting_embed(self, cfg, text):
-        embedded.append(text)
-        return embed(self, cfg, text)
+    def counting_embed_batch(self, cfg, texts):
+        embedded.append(list(texts))
+        return embed_batch(self, cfg, texts)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(providers.ProviderClient, "embed", counting_embed)
+        mp.setattr(providers.ProviderClient, "embed_batch", counting_embed_batch)
         conf = pt_fixture_config(root / "pt.conf")
         run_dir = root / "run"
         result = CliRunner().invoke(main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
@@ -351,8 +351,8 @@ def pt_run(tmp_path_factory):
 
 class TestEmbedOnce:
     def test_each_text_is_embedded_once(self, pt_run):
-        _, embedded = pt_run
-        assert len(embedded) == 8 * 40  # kinds x items
+        _, batches = pt_run
+        assert [len(texts) for texts in batches] == [40] * 8  # one batch per kind, one text per item
 
     def test_similarity_and_classify_need_no_cache(self, pt_run, tmp_path, runner):
         run_dir = tmp_path / "run"
@@ -404,6 +404,17 @@ class TestProviderCache:
             result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
             assert result.exit_code == code, result.output
         assert "cache miss" in result.output
+        assert [p.name for p in (run_dir / "cache").iterdir()] == ["responses.sqlite3"]
+
+    def test_offline_embed_miss_exits_3(self, tmp_path, runner):
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path))
+        conf.write_text(conf.read_text().replace("mock:embed", "http://localhost:9/v1/embeddings"))
+        run_dir = tmp_path / "run"
+        for stage, code in (("ingest", EXIT_OK), ("transform", EXIT_PROVIDER)):
+            result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+            assert result.exit_code == code, result.output
+        assert result.output.startswith("provider error: cache miss for "), result.output
         assert [p.name for p in (run_dir / "cache").iterdir()] == ["responses.sqlite3"]
 
     def test_a_cache_that_is_not_a_database_exits_2(self, tmp_path, runner):
@@ -613,6 +624,45 @@ class TestUnusableArtifacts:
         result = runner.invoke(main, ["report", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
         assert result.exit_code == EXIT_DATA, result.output
         assert result.output.splitlines() == [f"error: {message}"]
+        assert not (run_dir / "reports").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda stats: stats.update(classification={}),
+             "key classification is not an object with keys means (an object), n_runs (an integer)"),
+            (lambda stats: stats["classification"].pop("n_runs"),
+             "key classification is not an object with keys means (an object), n_runs (an integer)"),
+            (lambda stats: stats["classification"].update(n_runs="10"),
+             "key classification is not an object with keys means (an object), n_runs (an integer)"),
+            (lambda stats: stats["classification"].update(means=[]),
+             "key classification is not an object with keys means (an object), n_runs (an integer)"),
+            (lambda stats: stats["classification"]["means"]["Translated"].pop("acc_c"),
+             "entry classification/means/Translated is not an object of numbers acc_ad, acc_c, macro_f1"),
+            (lambda stats: stats["classification"]["means"].update(Translated=0.5),
+             "entry classification/means/Translated is not an object of numbers acc_ad, acc_c, macro_f1"),
+            (lambda stats: stats["classification"]["means"].pop("Original"),
+             "key classification/means lacks the baseline Original"),
+            (lambda stats: stats["wilcoxon_vs_baseline"].update(Translated=0.04),
+             "entry wilcoxon_vs_baseline/Translated is not an object whose p_value is a number"),
+            (lambda stats: stats["wilcoxon_vs_baseline"]["Translated"].update(p_value=None),
+             "entry wilcoxon_vs_baseline/Translated is not an object whose p_value is a number"),
+        ],
+        ids=["no classification keys", "no n_runs", "n_runs string", "means list", "means entry lacks a measure",
+             "means entry number", "no baseline means", "wilcoxon entry number", "wilcoxon p_value null"],
+    )
+    def test_report_exits_2_on_a_wrong_classification_shape(self, pt_run, tmp_path, runner, edit, message):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in ("dataset_stats.json", "similarity.json", "stats.json"):
+            shutil.copy(pt_run[0] / name, run_dir / name)
+        stats = read_json(run_dir, "stats.json")
+        edit(stats)
+        (run_dir / "stats.json").write_text(json.dumps(stats))
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        result = runner.invoke(main, ["report", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert result.output.splitlines() == [f"error: stats.json {message}; run `semsurf stats`"]
         assert not (run_dir / "reports").exists()
 
     def test_classify_exits_2_on_a_manifest_without_kinds(self, pt_run, tmp_path, runner):

@@ -1,9 +1,13 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from semsurf.cli import welch_comparison
 from semsurf.lexstats import (
+    _SUFFIX_RULES,
     MEASURES,
     BaselineTagger,
     FrequencyTable,
@@ -13,6 +17,8 @@ from semsurf.lexstats import (
     tokenize,
     ttr,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestTokenize:
@@ -98,6 +104,37 @@ class TestTagging:
 
     def test_lexicon_beats_suffix(self):
         tagger = BaselineTagger(lexicon={"running": PosTag.NOUN})
+        assert tagger.tag(["running"]) == [PosTag.NOUN]
+
+    def test_memoized_tags_equal_the_unmemoized_rules(self):
+        def reference(tagger, tok):
+            tag = tagger.lexicon.get(tok)
+            if tag is not None:
+                return tag
+            if tok.isdigit():
+                return PosTag.NUM
+            for suffix, rule_tag in _SUFFIX_RULES:
+                if len(tok) > len(suffix) + 1 and tok.endswith(suffix):
+                    return rule_tag
+            return PosTag.X
+
+        tagger = BaselineTagger.load()
+        lines = [line for path in sorted(FIXTURES.glob("*.jsonl")) for line in path.read_text().splitlines()]
+        token_lists = [tokenize(json.loads(line)["text"]) for line in lines]
+        for _ in range(2):  # the second pass is served from the memo
+            for tokens in token_lists:
+                assert tagger.tag(tokens) == [reference(tagger, tok) for tok in tokens]
+        assert len(tagger._memo) == len({tok for tokens in token_lists for tok in tokens})
+
+    def test_lexicon_cannot_change_under_the_memo(self):
+        lexicon = {"running": PosTag.NOUN}
+        tagger = BaselineTagger(lexicon=lexicon)
+        assert tagger.tag(["running"]) == [PosTag.NOUN]
+        lexicon["running"] = PosTag.VERB  # the tagger holds a copy
+        with pytest.raises(TypeError):
+            tagger.lexicon["running"] = PosTag.VERB
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tagger.lexicon = {}
         assert tagger.tag(["running"]) == [PosTag.NOUN]
 
 

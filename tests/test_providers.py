@@ -3,6 +3,7 @@ import json
 import math
 import os
 import sqlite3
+import struct
 import subprocess
 import sys
 import threading
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semsurf
+import semsurf.providers as providers
 from semsurf.providers import (
     MOCK_EMBED_DIM,
     EmbeddingVector,
@@ -227,6 +229,10 @@ class TestMocks:
             EmbeddingVector((float("nan"),))
         with pytest.raises(ValueError):
             EmbeddingVector((0.5, float("-inf")))
+        with pytest.raises(ValueError):
+            EmbeddingVector((float("inf"), float("-inf")))
+        # finite entries whose sum overflows
+        assert EmbeddingVector((1e308, 1e308)).dimension == 2
 
     @given(st.one_of(st.text(max_size=40), st.text(alphabet="aAbB zZçÇİıßẞΣσς", max_size=12)))
     @settings(max_examples=200, deadline=None)
@@ -273,7 +279,7 @@ class TestClientMockPath:
     def test_kind_mismatch(self, tmp_path):
         client = make_client(tmp_path)
         with pytest.raises(ValueError):
-            client.embed(chat_cfg(), "text")
+            client.embed_batch(chat_cfg(), ["text"])
 
     def test_translate_same_language(self, tmp_path):
         client = make_client(tmp_path)
@@ -284,19 +290,75 @@ class TestClientMockPath:
     def test_embed_empty(self, tmp_path):
         client = make_client(tmp_path)
         cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
-        with pytest.raises(ValueError):
-            client.embed(cfg, "   ")
+        with pytest.raises(ValueError, match="empty text"):
+            client.embed_batch(cfg, ["some text", "   "])
 
     def test_embed_cache_traffic(self, tmp_path):
         cache = CountingCache(tmp_path)
         cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
-        cold = ProviderClient(cache).embed(cfg, "the boy sees a dog")
-        assert (cache.lookups.total(), cache.stores.total()) == (1, 1)
+        cold = ProviderClient(cache).embed_batch(cfg, ["the boy sees a dog"])
+        # a miss is read once with the batch and once more under its single-flight lock
+        assert (cache.lookups.total(), cache.stores.total()) == (2, 1)
         cache.lookups.clear()
         cache.stores.clear()
-        warm = ProviderClient(cache).embed(cfg, "the boy sees a dog")
+        warm = ProviderClient(cache).embed_batch(cfg, ["the boy sees a dog"])
         assert (cache.lookups.total(), cache.stores.total()) == (1, 0)
-        assert warm == cold == mock_embed("the boy sees a dog")
+        assert warm == cold == [mock_embed("the boy sees a dog").to_bytes()]
+
+    def test_duplicate_texts_are_computed_and_stored_once(self, tmp_path, monkeypatch):
+        computed = Counter()
+
+        def counting_mock_embed(text):
+            computed[text] += 1
+            return mock_embed(text)
+
+        monkeypatch.setattr(providers, "mock_embed", counting_mock_embed)
+        cache = CountingCache(tmp_path)
+        cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
+        texts = ["a dog", "a cat", "a dog", "a bird", "a cat", "a dog"]
+        rows = ProviderClient(cache).embed_batch(cfg, texts)
+        assert rows == [mock_embed(text).to_bytes() for text in texts]
+        assert computed == {"a dog": 1, "a cat": 1, "a bird": 1}
+        assert sorted(cache.stores.values()) == [1, 1, 1]
+        assert cache.store_transactions == 1
+
+    def test_vector_records_are_packed_float64(self, tmp_path):
+        client = make_client(tmp_path)
+        cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
+        client.embed_batch(cfg, ["a dog in a garden"])
+        client.cache.close()
+        with closing(sqlite3.connect(tmp_path / "cache" / "responses.sqlite3")) as db:
+            [(text, blob)] = db.execute("SELECT response_text, response_image FROM responses").fetchall()
+        assert text is None
+        assert blob == struct.pack(f"<{MOCK_EMBED_DIM}d", *mock_embed("a dog in a garden").values)
+        assert EmbeddingVector.from_bytes(blob) == mock_embed("a dog in a garden")
+
+    def test_json_text_vectors_are_still_read(self, tmp_path):
+        """A vector row of the JSON-text format and an old-layout vector file both
+        hit, give the vector they hold, and are left as they are."""
+        cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
+        in_row, in_file = "a vector row of JSON text", "an old-layout vector file"
+        records = {}
+        for text in (in_row, in_file):
+            canonical = canonical_request({"op": "embed", "model": "m", "input": text})
+            vector = json.dumps(mock_embed(text).values)
+            records[text] = GenerationRecord(cache_key_for(canonical), canonical, vector, None, 1.5, cfg.summary())
+        ResponseCache(tmp_path).store(records[in_row])
+        old = records[in_file]
+        json_path = tmp_path / old.cache_key[:2] / f"{old.cache_key}.json"
+        json_path.parent.mkdir()
+        json_path.write_text(json.dumps({
+            "cache_key": old.cache_key, "request": old.request, "response_text": old.response_text,
+            "has_image": False, "created_at": old.created_at, "provider": old.provider,
+        }))
+        before = json_path.read_bytes(), json_path.stat().st_mtime_ns
+        cache = CountingCache(tmp_path)
+        rows = ProviderClient(cache, offline=True).embed_batch(cfg, [in_row, in_file])
+        assert [EmbeddingVector.from_bytes(row) for row in rows] == [mock_embed(in_row), mock_embed(in_file)]
+        assert cache.stores.total() == 0
+        assert cache.lookup(records[in_row].cache_key) == records[in_row]
+        cache.close()
+        assert (json_path.read_bytes(), json_path.stat().st_mtime_ns) == before
 
     def test_image_roundtrip_types(self, tmp_path):
         client = make_client(tmp_path)
@@ -310,23 +372,31 @@ class TestClientMockPath:
 
 
 class CountingCache(ResponseCache):
-    """Counts lookups and stores per key."""
+    """Counts lookups and stores per key, and the transactions of store_many."""
 
     def __init__(self, root):
         super().__init__(root)
         self._count_lock = threading.Lock()
         self.lookups = Counter()
         self.stores = Counter()
+        self.store_transactions = 0
 
-    def lookup(self, key):
+    def lookup_many(self, keys):  # lookup reads through lookup_many
         with self._count_lock:
-            self.lookups[key] += 1
-        return super().lookup(key)
+            self.lookups.update(keys)
+        return super().lookup_many(keys)
 
     def store(self, record):
         with self._count_lock:
             self.stores[record.cache_key] += 1
         super().store(record)
+
+    def store_many(self, records):
+        records = list(records)
+        with self._count_lock:
+            self.stores.update(record.cache_key for record in records)
+            self.store_transactions += 1
+        super().store_many(records)
 
 
 class FakeResponse:
@@ -359,6 +429,7 @@ def chat_body(content):
 
 
 HTTP_CFG = ProviderConfig(kind="chat", endpoint="https://api.example.com/v1", model="m")
+EMBED_HTTP_CFG = ProviderConfig(kind="embed", endpoint="https://api.example.com/v1", model="m")
 
 
 class TestHttpPath:
@@ -444,7 +515,30 @@ class TestHttpPath:
         )
         client = make_client(tmp_path, session=session)
         with pytest.raises(ProviderError, match="dimension"):
-            client.embed(cfg, "text")
+            client.embed_batch(cfg, ["text"])
+
+    @pytest.mark.parametrize(
+        "entry", ["0.3", None, [0.3], True, 10**400], ids=["string", "null", "list", "bool", "beyond float64"]
+    )
+    def test_embed_entry_not_a_number(self, tmp_path, entry):
+        session = FakeSession([FakeResponse(200, {"data": [{"embedding": [0.1, 0.2, entry]}]})])
+        client = make_client(tmp_path, session=session)
+        with pytest.raises(ProviderError, match="embedding"):
+            client.embed_batch(EMBED_HTTP_CFG, ["text"])
+        client.cache.close()
+        with closing(sqlite3.connect(tmp_path / "cache" / "responses.sqlite3")) as db:
+            assert db.execute("SELECT COUNT(*) FROM responses").fetchone() == (0,)
+
+    def test_embed_stores_each_response_as_it_arrives(self, tmp_path):
+        ok = {"data": [{"embedding": [0.6, 0.8]}]}
+        session = FakeSession([FakeResponse(200, ok), FakeResponse(401, text="bad key")])
+        client = make_client(tmp_path, session=session)
+        with pytest.raises(ProviderError, match="401"):
+            client.embed_batch(EMBED_HTTP_CFG, ["one", "two"])
+        # the first response is in the cache although the batch failed after it
+        assert client.embed_batch(EMBED_HTTP_CFG, ["one"]) == [struct.pack("<2d", 0.6, 0.8)]
+        assert [call["json"]["input"] for call in session.calls] == ["one", "two"]
+        assert client.network_calls == 2
 
 
 class GatedSession:
@@ -515,18 +609,22 @@ class TestSingleFlight:
         client = ProviderClient(cache)
         cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
         texts = [f"text number {i}" for i in range(10)]
+
+        def batches(k):
+            # overlapping batches: each thread's windows start at its own offset and share keys with the others
+            return [client.embed_batch(cfg, [texts[(k + j + i) % 10] for i in range(4)]) for j in range(0, 30, 3)]
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = run_together(
-                [lambda k=k: [client.embed(cfg, texts[(k + j) % 10]) for j in range(30)] for k in range(8)]
-            )
+            results = run_together([lambda k=k: batches(k) for k in range(8)])
         finally:
             sys.setswitchinterval(interval)
         assert sorted(cache.stores.values()) == [1] * 10
         assert client._inflight == {}
-        for k, vectors in enumerate(results):
-            assert vectors == [mock_embed(texts[(k + j) % 10]) for j in range(30)]
+        for k, rows in enumerate(results):
+            expected = [[mock_embed(texts[(k + j + i) % 10]).to_bytes() for i in range(4)] for j in range(0, 30, 3)]
+            assert rows == expected
 
 
 def test_cli_import_leaves_requests_unloaded():
