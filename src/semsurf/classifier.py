@@ -3,13 +3,15 @@
 A class-weighted logistic regression head trained by full-batch gradient
 descent over provider embeddings, with stratified early-stopping validation,
 evaluated per seed over the (train ids, test ids) folds it is given: the k
-folds of cross-validation, or the one fold of a fixed split.
+folds of cross-validation, or the one fold of a fixed split. `prepare` turns
+the folds into row indices, targets, class weights and holdouts once, and
+`evaluate` trains every kind's heads on that one preparation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +37,16 @@ class LinearHead:
     def scores(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.weights.shape[0]:
             raise ValueError(f"dimension mismatch: {x.shape[1]} vs {self.weights.shape[0]}")
-        return _sigmoid(x @ self.weights + self.bias)
+        z = x @ self.weights + self.bias
+        return _sigmoid(z, -np.abs(z))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, neg_abs: np.ndarray) -> np.ndarray:
+    """The sigmoid of z, given neg_abs = -|z|."""
     # exp(-|z|) <= 1 never overflows: 1/(1+e) where z >= 0, e/(1+e) elsewhere (nan included)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.exp(neg_abs)
+    one_plus_e = 1.0 + e
+    return np.where(z >= 0, 1.0 / one_plus_e, e / one_plus_e)
 
 
 def class_weights(labels: list[str]) -> dict[str, float]:
@@ -62,26 +67,30 @@ def weighted_loss_and_grad(
     x: np.ndarray,
     y: np.ndarray,
     sample_weights: np.ndarray,
+    weight_sum: float,
     l2: float,
 ) -> tuple[float, np.ndarray, float]:
     """Class-weighted binary cross-entropy with L2 penalty on the weights, and its gradient.
 
-    Loss = sum_i cw_i * BCE_i / sum_i cw_i + l2 * ||w||^2 / 2.
+    Loss = sum_i cw_i * BCE_i / sum_i cw_i + l2 * ||w||^2 / 2, where weight_sum = sum_i cw_i.
     """
     z = x @ w + b
-    loss = _loss(z, w, y, sample_weights, l2)
-    p = _sigmoid(z)
-    resid = sample_weights * (p - y) / sample_weights.sum()
+    neg_abs = -np.abs(z)
+    loss = _loss(z, neg_abs, w, y, sample_weights, weight_sum, l2)
+    resid = sample_weights * (_sigmoid(z, neg_abs) - y) / weight_sum
     grad_w = x.T @ resid + l2 * w
     grad_b = float(resid.sum())
     return loss, grad_w, grad_b
 
 
-def _loss(z: np.ndarray, w: np.ndarray, y: np.ndarray, sample_weights: np.ndarray, l2: float) -> float:
-    """weighted_loss_and_grad's loss, from the scores z = x @ w + b."""
+def _loss(
+    z: np.ndarray, neg_abs: np.ndarray, w: np.ndarray, y: np.ndarray, sample_weights: np.ndarray,
+    weight_sum: float, l2: float,
+) -> float:
+    """weighted_loss_and_grad's loss, from the scores z = x @ w + b and neg_abs = -|z|."""
     # numerically stable log-loss: log(1+exp(-|z|)) + max(z,0) - z*y
-    per_item = np.logaddexp(0.0, -np.abs(z)) + np.maximum(z, 0.0) - z * y
-    return float((sample_weights * per_item).sum() / sample_weights.sum() + l2 * (w @ w) / 2.0)
+    per_item = np.logaddexp(0.0, neg_abs) + np.maximum(z, 0.0) - z * y
+    return float((sample_weights * per_item).sum() / weight_sum + l2 * (w @ w) / 2.0)
 
 
 def _stratified_holdout(y: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
@@ -97,41 +106,100 @@ def _stratified_holdout(y: np.ndarray, fraction: float, rng: np.random.Generator
     return mask
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a diverging loss raises TrainingError instead
-def train(embeddings: np.ndarray, labels: list[str], cfg: TrainConfig) -> LinearHead:
-    """Full-batch gradient descent with lr/sqrt(epoch) decay and early stopping
-    on held-out validation loss. Deterministic for a fixed seed."""
-    x = np.asarray(embeddings, dtype=np.float64)
-    y = np.array([1.0 if lab == POSITIVE else 0.0 for lab in labels])
-    if len(set(labels)) < 2:
+@dataclass(frozen=True)
+class Rows:
+    """Rows of each kind's embedding array, with their targets (1.0 for AD) and sample weights."""
+
+    index: np.ndarray
+    y: np.ndarray
+    weights: np.ndarray
+    weight_sum: float  # weights.sum(), which each epoch divides by
+
+
+@dataclass(frozen=True)
+class Fold:
+    """What one fold of one seed trains and tests every kind's head on."""
+
+    number: int
+    descent: Rows  # the training rows that the gradient steps on
+    validation: Rows  # the early-stopping holdout
+    test: np.ndarray  # row indices
+    gold: list[str]  # the test rows' labels
+
+
+def _rows(index: np.ndarray, y: np.ndarray, weights: np.ndarray) -> Rows:
+    return Rows(index, y, weights, weights.sum())
+
+
+def _prepare_fold(
+    number: int, train: list[int], test: list[int], labels: list[str], seed: int, cfg: TrainConfig
+) -> Fold:
+    """The fold that trains on rows `train` and tests on rows `test` of arrays whose row i has labels[i]."""
+    train_labels = [labels[i] for i in train]
+    if len(set(train_labels)) < 2:
         raise TrainingError("training data must contain both classes")
+    index = np.array(train, dtype=np.intp)
+    y = np.array([1.0 if lab == POSITIVE else 0.0 for lab in train_labels])
     if cfg.class_weighting:
-        cw = class_weights(labels)
-        sw = np.array([cw[lab] for lab in labels])
+        cw = class_weights(train_labels)
+        sw = np.array([cw[lab] for lab in train_labels])
     else:
-        sw = np.ones(len(labels))
+        sw = np.ones(len(train_labels))
 
-    rng = np.random.default_rng(cfg.seed)
-    val_mask = _stratified_holdout(y, cfg.validation_fraction, rng)
-    xt, yt, st = x[~val_mask], y[~val_mask], sw[~val_mask]
-    xv, yv, sv = x[val_mask], y[val_mask], sw[val_mask]
-    if len(set(yt)) < 2:
+    val_mask = _stratified_holdout(y, cfg.validation_fraction, np.random.default_rng(seed))
+    descent = _rows(index[~val_mask], y[~val_mask], sw[~val_mask])
+    validation = _rows(index[val_mask], y[val_mask], sw[val_mask])
+    if len(set(descent.y)) < 2:
         # tiny folds can lose a class to the holdout; train on everything
-        xt, yt, st = x, y, sw
-        xv, yv, sv = x, y, sw
+        descent = validation = _rows(index, y, sw)
+    return Fold(number, descent, validation, np.array(test, dtype=np.intp), [labels[i] for i in test])
 
+
+def prepare(
+    ids: list[str],
+    labels: dict[str, str],
+    splits: list[tuple[int, list[tuple[list[str], list[str]]]]],
+    cfg: TrainConfig,
+) -> list[tuple[int, list[Fold]]]:
+    """Each (seed, folds) of `splits` with its (train ids, test ids) folds
+    prepared for arrays whose rows are `ids`: the row indices, and the training
+    rows' targets, class weights and stratified holdout. They depend on no
+    kind, so every kind trains on the one preparation."""
+    row = {item_id: i for i, item_id in enumerate(ids)}
+    row_labels = [labels[item_id] for item_id in ids]
+    prepared = []
+    for seed, seed_folds in splits:
+        folds = []
+        for number, (train_ids, test_ids) in enumerate(seed_folds):
+            train_rows, test_rows = [row[i] for i in train_ids], [row[i] for i in test_ids]
+            try:
+                folds.append(_prepare_fold(number, train_rows, test_rows, row_labels, seed, cfg))
+            except TrainingError as exc:
+                raise TrainingError(f"seed {seed} fold {number}: {exc}") from exc
+        prepared.append((seed, folds))
+    return prepared
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a diverging loss raises TrainingError instead
+def train(x: np.ndarray, fold: Fold, cfg: TrainConfig) -> LinearHead:
+    """A head on the fold's training rows of x: full-batch gradient descent
+    with lr/sqrt(epoch) decay and early stopping on the validation rows' loss.
+    Deterministic."""
+    d, v = fold.descent, fold.validation
+    xt, xv = x[d.index], x[v.index]
     w = np.zeros(x.shape[1])
     b = 0.0
     best = (math.inf, w.copy(), b)
     patience_left = cfg.patience
     for epoch in range(1, cfg.max_epochs + 1):
-        loss, gw, gb = weighted_loss_and_grad(w, b, xt, yt, st, cfg.l2)
+        loss, gw, gb = weighted_loss_and_grad(w, b, xt, d.y, d.weights, d.weight_sum, cfg.l2)
         if not math.isfinite(loss):
             raise TrainingError(f"non-finite training loss at epoch {epoch}: {loss}")
         lr = cfg.learning_rate / math.sqrt(epoch)
         w -= lr * gw
         b -= lr * gb
-        val_loss = _loss(xv @ w + b, w, yv, sv, cfg.l2)
+        z = xv @ w + b
+        val_loss = _loss(z, -np.abs(z), w, v.y, v.weights, v.weight_sum, cfg.l2)
         if val_loss < best[0] - 1e-12:
             best = (val_loss, w.copy(), b)
             patience_left = cfg.patience
@@ -180,44 +248,30 @@ def per_class_accuracy(pred: list[str], gold: list[str]) -> tuple[float, float]:
     return recall(GROUP_AD), recall(GROUP_CONTROL)
 
 
-def _evaluate(
-    fold: int,
-    train_ids: list[str],
-    test_ids: list[str],
-    vectors: dict[str, np.ndarray],
-    labels: dict[str, str],
-    cfg: TrainConfig,
-) -> dict:
-    """Train on train_ids, score the predictions for test_ids: the fold's classification.json record."""
-    head = train(np.stack([vectors[i] for i in train_ids]), [labels[i] for i in train_ids], cfg)
-    pred, _ = predict(head, np.stack([vectors[i] for i in test_ids]))
-    gold = [labels[i] for i in test_ids]
-    acc_ad, acc_c = per_class_accuracy(pred, gold)
-    return {"fold": fold, "macro_f1": macro_f1(pred, gold), "acc_ad": acc_ad, "acc_c": acc_c}
-
-
 def run_seeds(master_seed: int, n_runs: int) -> list[int]:
     """Derived run seeds: a documented counter scheme over one master seed."""
     return [master_seed * 10007 + i for i in range(n_runs)]
 
 
-def evaluate(
-    vectors_by_id: dict[str, np.ndarray],
-    labels: dict[str, str],
-    splits: list[tuple[int, list[tuple[list[str], list[str]]]]],
-    cfg: TrainConfig,
-) -> list[dict]:
-    """One run per (seed, folds) of `splits`: each (train ids, test ids) fold
-    trained and scored, and the run as its classification.json record, the
-    fold scores and their means."""
+def evaluate(vectors: np.ndarray, folds: list[tuple[int, list[Fold]]], cfg: TrainConfig) -> list[dict]:
+    """One run per (seed, folds) of prepare's `folds` over one kind's array:
+    each fold's head trained on its rows of `vectors` and scored on its test
+    rows, and the run as its classification.json record, the fold scores and
+    their means."""
+    x = np.asarray(vectors, dtype=np.float64)
     runs = []
-    for seed, seed_folds in splits:
-        folds = []
-        for fold, (train_ids, test_ids) in enumerate(seed_folds):
+    for seed, seed_folds in folds:
+        records = []
+        for fold in seed_folds:
             try:
-                folds.append(_evaluate(fold, train_ids, test_ids, vectors_by_id, labels, replace(cfg, seed=seed)))
+                head = train(x, fold, cfg)
             except TrainingError as exc:
-                raise TrainingError(f"seed {seed} fold {fold}: {exc}") from exc
-        means = {m: float(np.mean([f[m] for f in folds])) for m in ("macro_f1", "acc_ad", "acc_c")}
-        runs.append({"seed": seed, **means, "folds": folds})
+                raise TrainingError(f"seed {seed} fold {fold.number}: {exc}") from exc
+            pred, _ = predict(head, x[fold.test])
+            acc_ad, acc_c = per_class_accuracy(pred, fold.gold)
+            records.append(
+                {"fold": fold.number, "macro_f1": macro_f1(pred, fold.gold), "acc_ad": acc_ad, "acc_c": acc_c}
+            )
+        means = {m: float(np.mean([f[m] for f in records])) for m in ("macro_f1", "acc_ad", "acc_c")}
+        runs.append({"seed": seed, **means, "folds": records})
     return runs

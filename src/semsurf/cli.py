@@ -112,8 +112,11 @@ class RunContext:
         return self._corpora(manifest)
 
     def _corpora(self, manifest: dict) -> dict[TransformationKind, TransformedCorpus]:
-        """The listed corpora, which must all list the first one's ids in its order: the ids every stage pairs."""
+        """The listed corpora, Original among them, which must all list the first one's ids in
+        its order: the ids every stage pairs."""
         check_kinds("transformed/manifest.json", "lists", manifest["kinds"])
+        if K.ORIGINAL.value not in manifest["kinds"]:
+            raise unusable("transformed/manifest.json", f"does not list {K.ORIGINAL.value}")
         corpora = {K(k): TransformedCorpus.load(self.need(f"transformed/{k}.jsonl")) for k in manifest["kinds"]}
         for kind, corpus in corpora.items():
             if corpus.ids() != next(iter(corpora.values())).ids():
@@ -256,14 +259,15 @@ def stage_classify(ctx: RunContext) -> None:
     corpora = ctx.load_embedded()
     seeds = classifier.run_seeds(ctx.config["master_seed"], ctx.config["runs"])
     k, cfg = ctx.config["k"], ctx.config.train
-    # one draw per seed, over the ids that every corpus holds, trains and tests every kind
-    ids = {i for corpus in corpora.values() for i in corpus.ids()}
-    splits = [(seed, partitions(dataset, k, seed, ids)) for seed in seeds]
+    # every corpus lists Original's ids in its order: the rows of each kind's array
+    ids = corpora[K.ORIGINAL].ids()
     labels = {t.id: t.group for t in dataset.transcripts}
+    # one draw per seed over those ids, prepared once, trains and tests every kind
+    splits = [(seed, partitions(dataset, k, seed, set(ids))) for seed in seeds]
+    folds = classifier.prepare(ids, labels, splits, cfg)
     # each kind's array is loaded in its turn, so classify holds one at a time
     runs = {
-        kind.value: classifier.evaluate(dict(zip(corpus.ids(), ctx.load_vectors(kind, corpus))), labels, splits, cfg)
-        for kind, corpus in corpora.items()
+        kind.value: classifier.evaluate(ctx.load_vectors(kind, corpus), folds, cfg) for kind, corpus in corpora.items()
     }
     name = protocol(dataset, k)
     ctx.write_json("classification.json", {"protocol": name, "seeds": seeds, "runs": runs})

@@ -116,7 +116,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     l2: float = 1e-4
     validation_fraction: float = 0.2
-    seed: int = 0
     class_weighting: bool = True
 
     def __post_init__(self):

@@ -226,6 +226,9 @@ def partitions(dataset: Dataset, k: int, seed: int, ids: Container[str]) -> list
             raise DataError("fixed split has an empty test set")
         if not train:
             raise DataError("fixed split has an empty train set")
+        for group in GROUPS:
+            if not any(t.group == group for t in kept if t.split == SPLIT_TEST):
+                raise DataError(f"fixed split test set has no {group} transcripts")
         return [(train, test)]
     fold_of = split_folds(kept, k, seed)
     return [

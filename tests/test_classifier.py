@@ -16,13 +16,23 @@ from semsurf.classifier import (
     macro_f1,
     per_class_accuracy,
     predict,
+    prepare,
     run_seeds,
     train,
     weighted_loss_and_grad,
 )
-from semsurf.corpus import GROUP_AD, GROUP_CONTROL, Dataset, Transcript, partitions, protocol
+from semsurf.corpus import GROUP_AD, GROUP_CONTROL, Dataset, Transcript, load_dataset, partitions, protocol
 from semsurf.providers import mock_embed
 from semsurf.transform import TransformationKind, TransformedCorpus
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+
+def fit(x, labels, cfg, seed=0):
+    """The head that train gives on all rows of x, labelled `labels`, for `seed`'s holdout."""
+    ids = [str(i) for i in range(len(labels))]
+    [(_, [fold])] = prepare(ids, dict(zip(ids, labels)), [(seed, [(ids, [])])], cfg)
+    return train(x, fold, cfg)
 
 
 class TestClassWeights:
@@ -58,17 +68,17 @@ class TestGradient:
             w = rng.normal(size=d)
             b = float(rng.normal())
             l2 = 0.01
-            loss, gw, gb = weighted_loss_and_grad(w, b, x, y, sw, l2)
+            loss, gw, gb = weighted_loss_and_grad(w, b, x, y, sw, sw.sum(), l2)
             for j in range(d):
                 wp, wm = w.copy(), w.copy()
                 wp[j] += eps
                 wm[j] -= eps
-                lp, _, _ = weighted_loss_and_grad(wp, b, x, y, sw, l2)
-                lm, _, _ = weighted_loss_and_grad(wm, b, x, y, sw, l2)
+                lp, _, _ = weighted_loss_and_grad(wp, b, x, y, sw, sw.sum(), l2)
+                lm, _, _ = weighted_loss_and_grad(wm, b, x, y, sw, sw.sum(), l2)
                 num = (lp - lm) / (2 * eps)
                 assert abs(gw[j] - num) <= 1e-4 * max(1.0, abs(num)), (j, gw[j], num)
-            lp, _, _ = weighted_loss_and_grad(w, b + eps, x, y, sw, l2)
-            lm, _, _ = weighted_loss_and_grad(w, b - eps, x, y, sw, l2)
+            lp, _, _ = weighted_loss_and_grad(w, b + eps, x, y, sw, sw.sum(), l2)
+            lm, _, _ = weighted_loss_and_grad(w, b - eps, x, y, sw, sw.sum(), l2)
             num_b = (lp - lm) / (2 * eps)
             assert abs(gb - num_b) <= 1e-4 * max(1.0, abs(num_b))
 
@@ -77,7 +87,7 @@ class TestGradient:
         x = np.ones((4, 3))
         y = np.array([0.0, 1.0, 0.0, 1.0])
         sw = np.array([1.0, 2.0, 3.0, 4.0])
-        loss, _, _ = weighted_loss_and_grad(np.zeros(3), 0.0, x, y, sw, 0.0)
+        loss, _, _ = weighted_loss_and_grad(np.zeros(3), 0.0, x, y, sw, sw.sum(), 0.0)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -115,21 +125,21 @@ def separable_data(n_per_class=20, d=4, gap=6.0, seed=0):
 class TestTraining:
     def test_separable_toy_perfect(self):
         x, labels = separable_data()
-        head = train(x, labels, TrainConfig(max_epochs=50, learning_rate=1.0, seed=0))
+        head = fit(x, labels, TrainConfig(max_epochs=50, learning_rate=1.0))
         pred, _ = predict(head, x)
         assert macro_f1(pred, labels) == 1.0
 
     def test_deterministic_per_seed(self):
         x, labels = separable_data()
-        cfg = TrainConfig(seed=3)
-        h1 = train(x, labels, cfg)
-        h2 = train(x, labels, cfg)
+        cfg = TrainConfig()
+        h1 = fit(x, labels, cfg, seed=3)
+        h2 = fit(x, labels, cfg, seed=3)
         assert np.array_equal(h1.weights, h2.weights) and h1.bias == h2.bias
 
     def test_single_class_rejected(self):
         x = np.ones((4, 2))
         with pytest.raises(TrainingError):
-            train(x, [GROUP_AD] * 4, TrainConfig())
+            fit(x, [GROUP_AD] * 4, TrainConfig())
 
     def test_weighting_lifts_minority_recall(self):
         # 1:5 imbalance with overlapping classes; the weighted head must
@@ -140,9 +150,9 @@ class TestTraining:
             [rng.normal(loc=0.8, size=(n_min, d)), rng.normal(loc=-0.2, size=(n_maj, d))]
         )
         labels = [GROUP_AD] * n_min + [GROUP_CONTROL] * n_maj
-        base_cfg = dict(max_epochs=30, learning_rate=1.0, seed=0)
-        weighted = train(x, labels, TrainConfig(**base_cfg, class_weighting=True))
-        unweighted = train(x, labels, TrainConfig(**base_cfg, class_weighting=False))
+        base_cfg = dict(max_epochs=30, learning_rate=1.0)
+        weighted = fit(x, labels, TrainConfig(**base_cfg, class_weighting=True))
+        unweighted = fit(x, labels, TrainConfig(**base_cfg, class_weighting=False))
         rec_w = per_class_accuracy(predict(weighted, x)[0], labels)[0]
         rec_u = per_class_accuracy(predict(unweighted, x)[0], labels)[0]
         assert rec_w > rec_u
@@ -151,7 +161,7 @@ class TestTraining:
         # huge learning rate diverges after the first steps; early stopping
         # must hand back finite, usable parameters
         x, labels = separable_data(gap=2.0)
-        head = train(x, labels, TrainConfig(max_epochs=40, learning_rate=50.0, seed=0))
+        head = fit(x, labels, TrainConfig(max_epochs=40, learning_rate=50.0))
         assert np.all(np.isfinite(head.weights))
 
     def test_tie_at_half_is_ad(self):
@@ -178,7 +188,7 @@ def two_branch_sigmoid(z):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def reference_train(embeddings, labels, cfg):
+def reference_train(embeddings, labels, cfg, seed):
     """The training loop as it was before the validation loss left out the
     gradient: (weights, bias) of the best epoch."""
 
@@ -197,7 +207,7 @@ def reference_train(embeddings, labels, cfg):
         sw = np.array([cw[lab] for lab in labels])
     else:
         sw = np.ones(len(labels))
-    val_mask = _stratified_holdout(y, cfg.validation_fraction, np.random.default_rng(cfg.seed))
+    val_mask = _stratified_holdout(y, cfg.validation_fraction, np.random.default_rng(seed))
     xt, yt, st = x[~val_mask], y[~val_mask], sw[~val_mask]
     xv, yv, sv = x[val_mask], y[val_mask], sw[val_mask]
     if len(set(yt)) < 2:
@@ -223,32 +233,40 @@ def reference_train(embeddings, labels, cfg):
     return best[1], best[2]
 
 
-def fixture_embeddings(name="dogstory40.jsonl"):
-    rows = [json.loads(line) for line in (Path(__file__).parent.parent / "fixtures" / name).read_text().splitlines()]
+def fixture_embeddings(name):
+    rows = [json.loads(line) for line in (FIXTURES / name).read_text().splitlines()]
     return np.array([mock_embed(r["text"]).values for r in rows]), [r["group"] for r in rows]
+
+
+# (train settings, seed) of the reference comparisons
+REFERENCE_SETTINGS = {
+    "fixture settings": (TrainConfig(learning_rate=5.0), 420294),
+    "long": (TrainConfig(learning_rate=5.0, max_epochs=40, patience=5), 7),
+    "unweighted": (TrainConfig(learning_rate=0.5, class_weighting=False), 3),
+    "large steps": (TrainConfig(learning_rate=50.0, max_epochs=30, l2=0.0), 1),
+}
 
 
 class TestReferenceLoop:
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, seed, fixture",
         [
-            TrainConfig(learning_rate=5.0, seed=420294),
-            TrainConfig(learning_rate=5.0, seed=7, max_epochs=40, patience=5),
-            TrainConfig(learning_rate=0.5, seed=3, class_weighting=False),
-            TrainConfig(learning_rate=50.0, seed=1, max_epochs=30, l2=0.0),
+            (cfg, seed, fixture)
+            for fixture in ("dogstory40.jsonl", "dogstory139.jsonl")
+            for cfg, seed in REFERENCE_SETTINGS.values()
         ],
-        ids=["fixture settings", "long", "unweighted", "large steps"],
+        ids=[*REFERENCE_SETTINGS, *(f"{name}, dogstory139" for name in REFERENCE_SETTINGS)],
     )
-    def test_weights_equal_the_reference_bit_for_bit(self, cfg):
-        x, labels = fixture_embeddings()
-        head = train(x, labels, cfg)
-        weights, bias = reference_train(x, labels, cfg)
+    def test_weights_equal_the_reference_bit_for_bit(self, cfg, seed, fixture):
+        x, labels = fixture_embeddings(fixture)
+        head = fit(x, labels, cfg, seed)
+        weights, bias = reference_train(x, labels, cfg, seed)
         assert head.weights.tobytes() == weights.tobytes()
         assert head.bias.hex() == bias.hex()
 
     def test_sigmoid_equals_the_two_branch_formula(self):
         z = np.array([0.0, -0.0, 30.0, -30.0, 745.0, -745.0, 1e308, -1e308, np.nan])
-        new, old = _sigmoid(z), two_branch_sigmoid(z)  # a warning fails the test
+        new, old = _sigmoid(z, -np.abs(z)), two_branch_sigmoid(z)  # a warning fails the test
         finite = ~np.isnan(z)
         assert new[finite].tobytes() == old[finite].tobytes()
         assert np.isnan(new[~finite]).all() and np.isnan(old[~finite]).all()
@@ -280,8 +298,13 @@ def corpus_for(ds, kind=TransformationKind.ORIGINAL):
 
 
 def vectors_for(corpus):
-    """The mock embeddings of the corpus's texts, by id."""
-    return {item_id: np.array(mock_embed(text).values) for item_id, text in corpus.items}
+    """The mock embeddings of the corpus's texts, one row per item."""
+    return np.array([mock_embed(text).values for _, text in corpus.items])
+
+
+def evaluate_corpus(corpus, labels, splits, cfg):
+    """The runs that classify records for the corpus: its vectors over the prepared splits."""
+    return evaluate(vectors_for(corpus), prepare(corpus.ids(), labels, splits, cfg), cfg)
 
 
 def labels_of(ds):
@@ -319,8 +342,8 @@ class TestCrossValidation:
         corpus = corpus_for(ds)
         seeds = run_seeds(1, 2)
         assert protocol(ds, 4) == "cv4"
-        runs = evaluate(
-            vectors_for(corpus), labels_of(ds), splits_for(ds, 4, seeds, set(corpus.ids())),
+        runs = evaluate_corpus(
+            corpus, labels_of(ds), splits_for(ds, 4, seeds, set(corpus.ids())),
             TrainConfig(max_epochs=5, learning_rate=2.0),
         )
         assert [r["seed"] for r in runs] == seeds
@@ -335,16 +358,16 @@ class TestCrossValidation:
         ds = mini_dataset()
         splits = splits_for(ds, 4, run_seeds(7, 2), set(ds.ids()))
         cfg = TrainConfig(max_epochs=5, learning_rate=2.0)
-        r1 = evaluate(vectors_for(corpus_for(ds)), labels_of(ds), splits, cfg)
-        r2 = evaluate(vectors_for(corpus_for(ds)), labels_of(ds), splits, cfg)
+        r1 = evaluate_corpus(corpus_for(ds), labels_of(ds), splits, cfg)
+        r2 = evaluate_corpus(corpus_for(ds), labels_of(ds), splits, cfg)
         assert r1 == r2
 
     def test_fixed_split_evaluate(self):
         ds = fixed_split_dataset()
         corpus = corpus_for(ds)
         assert protocol(ds, 4) == "fixed_split"
-        runs = evaluate(
-            vectors_for(corpus), labels_of(ds), splits_for(ds, 4, run_seeds(1, 3), set(corpus.ids())),
+        runs = evaluate_corpus(
+            corpus, labels_of(ds), splits_for(ds, 4, run_seeds(1, 3), set(corpus.ids())),
             TrainConfig(max_epochs=10, learning_rate=5.0),
         )
         assert len(runs) == 3
@@ -359,7 +382,140 @@ class TestCrossValidation:
         kept, seeds = set(corpus_for(rest).ids()), run_seeds(1, 2)
         splits = splits_for(ds, 4, seeds, kept)
         assert splits == splits_for(rest, 4, seeds, set(rest.ids()))
-        vectors, cfg = vectors_for(corpus_for(rest)), TrainConfig(learning_rate=5.0)
-        runs = evaluate(vectors, labels_of(ds), splits, cfg)
-        expected = evaluate(vectors, labels_of(rest), splits_for(rest, 4, seeds, set(rest.ids())), cfg)
+        corpus, cfg = corpus_for(rest), TrainConfig(learning_rate=5.0)
+        runs = evaluate_corpus(corpus, labels_of(ds), splits, cfg)
+        expected = evaluate_corpus(corpus, labels_of(rest), splits_for(rest, 4, seeds, set(rest.ids())), cfg)
         assert runs == expected
+
+
+# -- the per-kind evaluation loop that prepare and evaluate replaced, kept as their reference: it rebuilt
+# every (seed, fold)'s labels, class weights and holdout for each kind, and stacked its rows from a dict
+
+
+def reference_sigmoid(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def reference_loss(z, w, y, sample_weights, l2):
+    per_item = np.logaddexp(0.0, -np.abs(z)) + np.maximum(z, 0.0) - z * y
+    return float((sample_weights * per_item).sum() / sample_weights.sum() + l2 * (w @ w) / 2.0)
+
+
+def reference_loss_and_grad(w, b, x, y, sample_weights, l2):
+    z = x @ w + b
+    loss = reference_loss(z, w, y, sample_weights, l2)
+    p = reference_sigmoid(z)
+    resid = sample_weights * (p - y) / sample_weights.sum()
+    grad_w = x.T @ resid + l2 * w
+    grad_b = float(resid.sum())
+    return loss, grad_w, grad_b
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_head(embeddings, labels, cfg, seed):
+    x = np.asarray(embeddings, dtype=np.float64)
+    y = np.array([1.0 if lab == GROUP_AD else 0.0 for lab in labels])
+    if len(set(labels)) < 2:
+        raise TrainingError("training data must contain both classes")
+    if cfg.class_weighting:
+        cw = class_weights(labels)
+        sw = np.array([cw[lab] for lab in labels])
+    else:
+        sw = np.ones(len(labels))
+
+    rng = np.random.default_rng(seed)
+    val_mask = _stratified_holdout(y, cfg.validation_fraction, rng)
+    xt, yt, st = x[~val_mask], y[~val_mask], sw[~val_mask]
+    xv, yv, sv = x[val_mask], y[val_mask], sw[val_mask]
+    if len(set(yt)) < 2:
+        xt, yt, st = x, y, sw
+        xv, yv, sv = x, y, sw
+
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    best = (math.inf, w.copy(), b)
+    patience_left = cfg.patience
+    for epoch in range(1, cfg.max_epochs + 1):
+        loss, gw, gb = reference_loss_and_grad(w, b, xt, yt, st, cfg.l2)
+        if not math.isfinite(loss):
+            raise TrainingError(f"non-finite training loss at epoch {epoch}: {loss}")
+        lr = cfg.learning_rate / math.sqrt(epoch)
+        w -= lr * gw
+        b -= lr * gb
+        val_loss = reference_loss(xv @ w + b, w, yv, sv, cfg.l2)
+        if val_loss < best[0] - 1e-12:
+            best = (val_loss, w.copy(), b)
+            patience_left = cfg.patience
+        else:
+            patience_left -= 1
+            if patience_left <= 0:
+                break
+    return LinearHead(best[1], best[2])
+
+
+def reference_fold(fold, train_ids, test_ids, vectors, labels, cfg, seed):
+    head = reference_head(np.stack([vectors[i] for i in train_ids]), [labels[i] for i in train_ids], cfg, seed)
+    scores = reference_sigmoid(np.stack([vectors[i] for i in test_ids]) @ head.weights + head.bias)
+    pred = [GROUP_AD if s >= 0.5 else GROUP_CONTROL for s in scores]
+    gold = [labels[i] for i in test_ids]
+    acc_ad, acc_c = per_class_accuracy(pred, gold)
+    return {"fold": fold, "macro_f1": macro_f1(pred, gold), "acc_ad": acc_ad, "acc_c": acc_c}
+
+
+def reference_evaluate(vectors_by_id, labels, splits, cfg):
+    runs = []
+    for seed, seed_folds in splits:
+        folds = []
+        for fold, (train_ids, test_ids) in enumerate(seed_folds):
+            try:
+                folds.append(reference_fold(fold, train_ids, test_ids, vectors_by_id, labels, cfg, seed))
+            except TrainingError as exc:
+                raise TrainingError(f"seed {seed} fold {fold}: {exc}") from exc
+        means = {m: float(np.mean([f[m] for f in folds])) for m in ("macro_f1", "acc_ad", "acc_c")}
+        runs.append({"seed": seed, **means, "folds": folds})
+    return runs
+
+
+def kinds_of(ds):
+    """Corpora of three kinds for the dataset: its texts, their first sentences and their words reversed."""
+    texts = {
+        TransformationKind.ORIGINAL: [t.text for t in ds.transcripts],
+        TransformationKind.SHORT_SUMMARY: [t.text.split(". ")[0] for t in ds.transcripts],
+        TransformationKind.STORYBOARD: [" ".join(reversed(t.text.split())) for t in ds.transcripts],
+    }
+    prov = {i: ("0" * 64,) for i in ds.ids()}
+    return {kind: TransformedCorpus(kind, tuple(zip(ds.ids(), kind_texts)), prov) for kind, kind_texts in texts.items()}
+
+
+class TestReferenceEvaluate:
+    """Every kind's runs, prepared once per (seed, fold), equal the per-kind loop's byte for byte."""
+
+    def check(self, ds, corpora, k, cfg):
+        ids = next(iter(corpora.values())).ids()
+        splits = splits_for(ds, k, run_seeds(42, 10), set(ids))
+        folds = prepare(ids, labels_of(ds), splits, cfg)
+        for kind, corpus in corpora.items():
+            vectors = vectors_for(corpus)
+            expected = reference_evaluate(dict(zip(ids, vectors)), labels_of(ds), splits, cfg)
+            assert json.dumps(evaluate(vectors, folds, cfg)) == json.dumps(expected), kind
+
+    def test_dogstory40_cv(self):
+        ds = load_dataset(FIXTURES / "dogstory40.jsonl")
+        assert protocol(ds, 5) == "cv5"
+        self.check(ds, kinds_of(ds), 5, TrainConfig(learning_rate=5.0))
+
+    def test_adress24_fixed_split(self):
+        ds = load_dataset(FIXTURES / "adress24.jsonl")
+        assert protocol(ds, 5) == "fixed_split"
+        self.check(ds, kinds_of(ds), 5, TrainConfig(learning_rate=5.0))
+
+    def test_lenient_subset_of_ids(self):
+        # a lenient run drops the ids of failed items from every corpus, not from the dataset
+        ds = load_dataset(FIXTURES / "dogstory40.jsonl")
+        dropped = {ds.transcripts[i].id for i in (0, 7, 13, 38)}
+        corpora = {
+            kind: TransformedCorpus(kind, tuple(it for it in corpus.items if it[0] not in dropped), corpus.provenance)
+            for kind, corpus in kinds_of(ds).items()
+        }
+        self.check(ds, corpora, 5, TrainConfig(learning_rate=5.0, max_epochs=20, class_weighting=False))

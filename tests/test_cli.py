@@ -43,7 +43,8 @@ train.learning_rate = 5.0
 
 
 def small_dataset(tmp_path, language="pt", n_ad=4, n_c=8, split=None):
-    """`n_ad` AD then `n_c` C transcripts; `split` maps a group to the split tag of its transcripts."""
+    """`n_ad` AD then `n_c` C transcripts; `split` maps a group to the split tag of its
+    transcripts, or to a list of tags, one per transcript of the group."""
     rows = []
     for i in range(n_ad + n_c):
         group = "AD" if i < n_ad else "C"
@@ -56,7 +57,8 @@ def small_dataset(tmp_path, language="pt", n_ad=4, n_c=8, split=None):
             {"id": f"s{i:02d}", "text": f"{base} item {i}.", "group": group, "language": language}
         )
         if split:
-            rows[-1]["split"] = split[group]
+            tags = split[group]
+            rows[-1]["split"] = tags if isinstance(tags, str) else tags[i if i < n_ad else i - n_ad]
     p = tmp_path / "data.jsonl"
     p.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     return p
@@ -307,9 +309,14 @@ class TestFullRun:
             (0, None, "", "training data must contain both classes"),
             (8, None, "train.learning_rate = 1e308", "non-finite training loss at epoch 2: inf"),
             # only AD transcripts in the train split
-            (8, {"AD": "train", "C": "test"}, "", f"seed {7 * 10007} fold 0: training data must contain both classes"),
+            (
+                8, {"AD": ["train"] * 8 + ["test"] * 4, "C": "test"}, "",
+                f"seed {7 * 10007} fold 0: training data must contain both classes",
+            ),
+            # only C transcripts in the test split: no head can be scored, so none is trained
+            (8, {"AD": "train", "C": "test"}, "", "fixed split test set has no AD transcripts"),
         ],
-        ids=["one class", "diverging loss", "fixed split one class"],
+        ids=["one class", "diverging loss", "fixed split one class", "fixed split one-class test set"],
     )
     def test_training_failure_exits_2(self, tmp_path, runner, n_c, split, extra, message):
         conf = tmp_path / "c.conf"
@@ -679,6 +686,24 @@ class TestUnusableArtifacts:
         ]
         assert not (run_dir / "classification.json").exists()
 
+    @pytest.mark.parametrize("stage, output", [
+        ("similarity", "similarity.json"), ("lexical", "lexical.json"), ("classify", "classification.json"),
+    ])
+    def test_a_manifest_without_original_exits_2(self, pt_run, tmp_path, runner, stage, output):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        shutil.copy(pt_run[0] / "dataset.jsonl", run_dir)
+        shutil.copytree(pt_run[0] / "transformed", run_dir / "transformed")
+        manifest = run_dir / "transformed" / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "kinds": []}))
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert result.output.splitlines() == [
+            "error: transformed/manifest.json does not list Original; run `semsurf transform`"
+        ]
+        assert not (run_dir / output).exists()
+
     def test_lexical_exits_2_on_an_unknown_manifest_kind(self, pt_run, tmp_path, runner):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
@@ -728,27 +753,37 @@ class TestSharedPartitions:
         for stage in ("ingest", "transform"):
             result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
             assert result.exit_code == EXIT_OK, result.output
-        drawn, evaluated = [], []
-        split_folds, evaluate = corpus.split_folds, classifier._evaluate
+        drawn, held_out, evaluated = [], [], []
+        split_folds, holdout, train = corpus.split_folds, classifier._stratified_holdout, classifier.train
 
         def recording_split_folds(transcripts, k, seed):
             drawn.append(seed)
             return split_folds(transcripts, k, seed)
 
-        def recording_evaluate(fold, train_ids, test_ids, *args):
-            evaluated.append((train_ids, test_ids))
-            return evaluate(fold, train_ids, test_ids, *args)
+        def recording_holdout(*args):
+            held_out.append(args)
+            return holdout(*args)
+
+        def recording_train(x, fold, cfg):
+            rows = np.union1d(fold.descent.index, fold.validation.index)
+            evaluated.append((fold, rows.tolist(), fold.test.tolist()))
+            return train(x, fold, cfg)
 
         monkeypatch.setattr(corpus, "split_folds", recording_split_folds)
-        monkeypatch.setattr(classifier, "_evaluate", recording_evaluate)
+        monkeypatch.setattr(classifier, "_stratified_holdout", recording_holdout)
+        monkeypatch.setattr(classifier, "train", recording_train)
         result = runner.invoke(main, ["classify", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
         assert result.exit_code == EXIT_OK, result.output
         cls = read_json(run_dir, "classification.json")
         assert cls["protocol"] == "cv3"
         assert drawn == cls["seeds"]  # once per seed, not once per kind and seed
         per_kind = len(cls["seeds"]) * 3
+        assert len(held_out) == per_kind  # each (seed, fold) is prepared once, not once per kind
         assert len(cls["runs"]) == 8 and len(evaluated) == 8 * per_kind
-        assert all(evaluated[i:i + per_kind] == evaluated[:per_kind] for i in range(0, len(evaluated), per_kind))
+        # every kind trains on the first kind's folds, the very same objects
+        for i in range(0, len(evaluated), per_kind):
+            for (fold, *rows), (first, *first_rows) in zip(evaluated[i:i + per_kind], evaluated[:per_kind]):
+                assert fold is first and rows == first_rows
 
 
 # each case: a line added to the config, a key whose line is dropped, the key the error names
@@ -842,14 +877,21 @@ def fail_short_summaries(monkeypatch, ids):
 class TestLenientRun:
     def test_every_artifact_keeps_the_ids_that_did_not_fail(self, tmp_path, runner, monkeypatch):
         fail_short_summaries(monkeypatch, ["s01", "s06"])
-        fold_ids = []
-        evaluate = classifier._evaluate
+        fold_ids, fold_rows = [], []
+        prepare, train = classifier.prepare, classifier.train
 
-        def recording_evaluate(fold, train_ids, test_ids, *args):
-            fold_ids.append(sorted(train_ids + test_ids))
-            return evaluate(fold, train_ids, test_ids, *args)
+        def recording_prepare(ids, labels, splits, cfg):
+            fold_ids.append(ids)
+            fold_ids.extend(sorted(train + test) for _, seed_folds in splits for train, test in seed_folds)
+            return prepare(ids, labels, splits, cfg)
 
-        monkeypatch.setattr(classifier, "_evaluate", recording_evaluate)
+        def recording_train(x, fold, cfg):
+            rows = np.concatenate([fold.descent.index, fold.validation.index, fold.test])
+            fold_rows.append((len(x), sorted(set(rows.tolist()))))
+            return train(x, fold, cfg)
+
+        monkeypatch.setattr(classifier, "prepare", recording_prepare)
+        monkeypatch.setattr(classifier, "train", recording_train)
         conf = tmp_path / "c.conf"
         write_config(conf, small_dataset(tmp_path), extra="mode = lenient")
         run_dir = tmp_path / "run"
@@ -866,8 +908,10 @@ class TestLenientRun:
             lines = (run_dir / "transformed" / f"{kind}.jsonl").read_text().splitlines()
             assert [json.loads(line)["id"] for line in lines] == kept, kind
         cls = json.loads((run_dir / "classification.json").read_text())
-        assert len(fold_ids) == 8 * 4 * 3  # kinds x seeds x folds
+        assert len(fold_ids) == 1 + 4 * 3  # the rows' ids, then seeds x folds
         assert all(ids == kept for ids in fold_ids)
+        assert len(fold_rows) == 8 * 4 * 3  # kinds x seeds x folds
+        assert all(rows == (len(kept), list(range(len(kept)))) for rows in fold_rows)
         assert sorted(cls["runs"]) == sorted(manifest["kinds"])
 
     def test_failures_are_listed_in_source_order(self, tmp_path, runner, monkeypatch):

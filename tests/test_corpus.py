@@ -261,3 +261,26 @@ class TestFixedSplit:
             )
             with pytest.raises(DataError, match=message):
                 partitions(Dataset("d", rows, "en"), 5, 0, {f"i{i}" for i in range(4)})
+
+    def test_one_class_test_set_rejected(self):
+        # no macro-F1 can be scored on a test set of one group
+        for missing, test_group in ((GROUP_AD, GROUP_CONTROL), (GROUP_CONTROL, GROUP_AD)):
+            groups = [GROUP_AD] * 4 + [GROUP_CONTROL] * 4
+            splits = ["test" if group == test_group and i % 2 else "train" for i, group in enumerate(groups)]
+            rows = tuple(
+                Transcript(f"i{i}", "some words here", group, "en", split=split)
+                for i, (group, split) in enumerate(zip(groups, splits))
+            )
+            with pytest.raises(DataError, match=f"^fixed split test set has no {missing} transcripts$"):
+                partitions(Dataset("d", rows, "en"), 5, 0, {f"i{i}" for i in range(8)})
+        # the check reads the kept ids: dropping the only AD test transcript empties the AD side
+        rows = tuple(
+            Transcript(f"i{i}", "some words here", GROUP_AD if i < 4 else GROUP_CONTROL, "en", split=split)
+            for i, split in enumerate(["train"] * 3 + ["test"] + ["train"] * 3 + ["test"])
+        )
+        ds = Dataset("d", rows, "en")
+        assert partitions(ds, 5, 0, {f"i{i}" for i in range(8)}) == [
+            ([f"i{i}" for i in (0, 1, 2, 4, 5, 6)], ["i3", "i7"])
+        ]
+        with pytest.raises(DataError, match="no AD transcripts"):
+            partitions(ds, 5, 0, {f"i{i}" for i in range(8) if i != 3})
