@@ -15,7 +15,7 @@ import json
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
 import click
 
@@ -38,6 +38,8 @@ K = TransformationKind
 # the five kinds the pipeline derives from the reference text
 SIMILARITY_TABLE_KINDS = [K.SHORT_SUMMARY, K.MEDIUM_SUMMARY, K.LONG_SUMMARY, K.STORYBOARD, K.IMAGE_DESCRIPTION]
 JSON_TYPES = {dict: "object", list: "array", str: "string"}
+WELCH_FIELDS = ("excluded", "mean_ad", "mean_control", "p_value")  # the numbers of a Welch entry that report reads
+T = TypeVar("T")
 
 
 class RunContext:
@@ -117,7 +119,7 @@ class RunContext:
         check_kinds("transformed/manifest.json", "lists", manifest["kinds"])
         if K.ORIGINAL.value not in manifest["kinds"]:
             raise unusable("transformed/manifest.json", f"does not list {K.ORIGINAL.value}")
-        corpora = {K(k): TransformedCorpus.load(self.need(f"transformed/{k}.jsonl")) for k in manifest["kinds"]}
+        corpora = {K(k): self._read(f"transformed/{k}.jsonl", TransformedCorpus.load) for k in manifest["kinds"]}
         for kind, corpus in corpora.items():
             if corpus.ids() != next(iter(corpora.values())).ids():
                 first = manifest["kinds"][0]
@@ -130,10 +132,17 @@ class RunContext:
         import numpy as np
 
         artifact = f"transformed/{kind.value}.npy"
-        vectors = np.load(self.need(artifact))
+        vectors = self._read(artifact, np.load)
         if vectors.ndim != 2 or len(vectors) != len(corpus.items):
             raise unusable(artifact, f"does not match {kind.value}.jsonl")
         return vectors
+
+    def _read(self, artifact: str, load: Callable[[Path], T]) -> T:
+        """load(path) of the artifact; one it cannot read exits 2 as `unusable`."""
+        try:
+            return load(self.need(artifact))
+        except (OSError, EOFError, ValueError, KeyError, TypeError) as exc:
+            raise unusable(artifact, f"cannot be read ({type(exc).__name__}: {exc})") from None
 
 
 def unusable(artifact: str, problem: str) -> StageError:
@@ -144,6 +153,13 @@ def unusable(artifact: str, problem: str) -> StageError:
 def numbers_object(entry, keys: Iterable[str]) -> bool:
     """Whether a JSON value is an object holding a number at each of `keys`."""
     return isinstance(entry, dict) and all(type(entry.get(key)) in (int, float) for key in keys)
+
+
+def group_values(entry) -> bool:
+    """Whether a JSON value is {"AD": [...], "C": [...]}, each list of numbers and nulls."""
+    return isinstance(entry, dict) and entry.keys() == {"AD", "C"} and all(
+        isinstance(side, list) and all(v is None or type(v) in (int, float) for v in side) for side in entry.values()
+    )
 
 
 def check_kinds(artifact: str, where: str, names: Iterable[str]) -> None:
@@ -300,20 +316,22 @@ def stage_stats(ctx: RunContext) -> None:
     sim = ctx.read_similarity()
     cls = ctx.read_json("classification.json", runs=dict, seeds=list)
     lex = ctx.read_json("lexical.json")
+    check_kinds("lexical.json", "holds", lex)
     for kind, measures in lex.items():
-        for m, values in measures.items():
-            if not isinstance(values, dict) or {g: type(v) for g, v in values.items()} != {"AD": list, "C": list}:
+        for m in lexstats.MEASURES:
+            if not group_values(measures.get(m) if isinstance(measures, dict) else None):
                 raise unusable("lexical.json", f"entry {kind}/{m} is not {{\"AD\": [...], \"C\": [...]}}")
 
     # the Wilcoxon tests pair each kind's runs with the baseline's by seed
     baseline = K.ORIGINAL.value  # the baseline the classification tables name
     runs = cls["runs"]
+    check_kinds("classification.json", "key runs holds", runs)
     if baseline not in runs:
         raise DataError(f"classification.json has no runs of the baseline {baseline}")
-    fields = {"seed", *report.CLASSIFICATION_MEASURES}
+    fields = sorted({"seed", *report.CLASSIFICATION_MEASURES})
     for kind, kind_runs in runs.items():
-        if not isinstance(kind_runs, list) or not all(isinstance(r, dict) and r.keys() >= fields for r in kind_runs):
-            problem = f"entry runs/{kind} is not a list of objects with keys {', '.join(sorted(fields))}"
+        if not isinstance(kind_runs, list) or not all(numbers_object(r, fields) for r in kind_runs):
+            problem = f"entry runs/{kind} is not a list of objects of numbers {', '.join(fields)}"
             raise unusable("classification.json", problem)
         if [r["seed"] for r in kind_runs] != cls["seeds"]:
             raise DataError(f"{kind}: {len(kind_runs)} runs, expected one per seed {cls['seeds']} (unpaired)")
@@ -327,7 +345,7 @@ def stage_stats(ctx: RunContext) -> None:
         "classification": {"n_runs": n_runs, "means": means},
         "wilcoxon_vs_baseline": {},
         "pearson": None,
-        "welch": {kind: {m: welch_comparison(v) for m, v in measures.items()} for kind, measures in lex.items()},
+        "welch": {kind: {m: welch_comparison(values[m]) for m in lexstats.MEASURES} for kind, values in lex.items()},
     }
     base_f1 = [r["macro_f1"] for r in runs[baseline]]
     for kind, kind_runs in sorted(runs.items()):
@@ -360,6 +378,12 @@ def stage_stats(ctx: RunContext) -> None:
 @stage()
 def stage_report(ctx: RunContext) -> None:
     per_group = ctx.read_json("dataset_stats.json", **dict.fromkeys(GROUPS, dict))
+    for group in GROUPS:
+        entry = per_group[group]
+        has_numbers = numbers_object(entry, ("count", "mean_tokens", "std_tokens"))
+        if not has_numbers or type(entry.get("degenerate")) is not bool:
+            problem = "is not an object of numbers count, mean_tokens, std_tokens and a boolean degenerate"
+            raise unusable("dataset_stats.json", f"key {group} {problem}")
     sim = ctx.read_similarity()
     stats = ctx.read_json("stats.json", baseline=str, classification=dict, wilcoxon_vs_baseline=dict, welch=dict)
     check_kinds("stats.json", "key baseline holds", [stats["baseline"]])
@@ -380,6 +404,12 @@ def stage_report(ctx: RunContext) -> None:
             problem = f"entry wilcoxon_vs_baseline/{kind} is not an object whose p_value is a number"
             raise unusable("stats.json", problem)
     check_kinds("stats.json", "key welch holds", stats["welch"])
+    for kind, measures in stats["welch"].items():
+        for m in lexstats.MEASURES:
+            entry = measures.get(m) if isinstance(measures, dict) else None
+            if not (isinstance(entry, dict) and "error" in entry) and not numbers_object(entry, WELCH_FIELDS):
+                problem = f"entry welch/{kind}/{m} is not an error or an object of numbers {', '.join(WELCH_FIELDS)}"
+                raise unusable("stats.json", problem)
     ctx.reports_dir.mkdir(exist_ok=True)
 
     def write(table: report.ReportTable, name: str) -> None:

@@ -2,11 +2,12 @@
 image-to-text over OpenAI-style HTTP endpoints, plus a deterministic offline
 mock and a content-addressed response cache in one SQLite database.
 
-Every call goes through the cache: the canonical request is hashed, and a hit
-short-circuits all network I/O. Embeddings are requested a corpus at a time,
-so one query reads the cache for many texts. Endpoints whose URL starts with
-"mock:" are served by pure in-process functions, so the whole pipeline can
-run offline.
+Every call goes through one cache path, ProviderClient._fetch: the canonical
+request is hashed, and a hit short-circuits all network I/O. It fetches one
+request for chat, translation and the image operations, and a corpus's
+distinct texts for embeddings, reading the cache for all of them with one
+query. Endpoints whose URL starts with "mock:" are served by pure in-process
+functions, so the whole pipeline can run offline.
 """
 
 from __future__ import annotations
@@ -191,9 +192,6 @@ class ResponseCache:
         """The record and image files of `key` in the earlier layout."""
         d = self.root / key[:2]
         return d / f"{key}.json", d / f"{key}.png"
-
-    def lookup(self, key: str) -> GenerationRecord | None:
-        return self.lookup_many([key]).get(key)
 
     def lookup_many(self, keys: Sequence[str]) -> dict[str, GenerationRecord]:
         """The records the cache holds for `keys`, read with one query per LOOKUP_CHUNK keys.
@@ -391,17 +389,13 @@ class ProviderClient:
 
     def chat_generate(self, cfg: ProviderConfig, system_prompt: str, user_text: str) -> tuple[str, str]:
         """Returns (completion text, cache key)."""
-        if cfg.kind != "chat":
-            raise ValueError(f"chat_generate requires a chat provider, got {cfg.kind!r}")
         payload = self._chat_payload(cfg, system_prompt, user_text)
-        rec = self._fetch(cfg, payload, lambda: mock_chat(system_prompt, user_text))
+        [rec] = self._fetch(cfg, [payload], lambda _: mock_chat(system_prompt, user_text))
         if not rec.response_text:
             raise ProviderError("empty completion")
         return rec.response_text, rec.cache_key
 
     def translate(self, cfg: ProviderConfig, text: str, source: str, target: str) -> tuple[str, str]:
-        if cfg.kind != "translate":
-            raise ValueError(f"translate requires a translate provider, got {cfg.kind!r}")
         if source == target:
             raise ValueError(f"source and target language are both {source!r}")
         payload = {
@@ -411,7 +405,7 @@ class ProviderClient:
             "source": source,
             "target": target,
         }
-        rec = self._fetch(cfg, payload, lambda: mock_translate(text, source, target))
+        [rec] = self._fetch(cfg, [payload], lambda _: mock_translate(text, source, target))
         if not rec.response_text:
             raise ProviderError("empty translation")
         return rec.response_text, rec.cache_key
@@ -419,68 +413,28 @@ class ProviderClient:
     def embed_batch(self, cfg: ProviderConfig, texts: Sequence[str]) -> list[bytes]:
         """The embedding of each of `texts`, in order, as EmbeddingVector.to_bytes packs it.
 
-        One lookup_many reads the cache for all the distinct texts. The misses
-        are then read again under their single-flight locks, and each one still
-        missing is computed once: mock misses are stored in one transaction,
-        and each HTTP miss, one request per text, is stored as soon as its
-        response arrives, so a failure later in the batch loses no response.
+        Each distinct text is fetched once, all of them in one _fetch. An HTTP
+        endpoint still gets one request per text.
         """
-        if cfg.kind != "embed":
-            raise ValueError(f"embed requires an embed provider, got {cfg.kind!r}")
         if not all(text.strip() for text in texts):
             raise ValueError("cannot embed empty text")
-        wanted = {}  # distinct text -> (cache key, canonical request)
-        for text in dict.fromkeys(texts):
-            canonical = canonical_request({"op": "embed", "model": cfg.model, "input": text})
-            wanted[text] = (cache_key_for(canonical), canonical)
-        records = self.cache.lookup_many([key for key, _ in wanted.values()])
-        misses = {text: m for text, m in wanted.items() if m[0] not in records}
-        if misses:
-            # the first caller of a key computes and stores it; the others wait, then hit
-            with self._single_flight(key for key, _ in misses.values()):
-                records.update(self.cache.lookup_many([key for key, _ in misses.values()]))
-                misses = {text: m for text, m in misses.items() if m[0] not in records}
-                records.update(self._embed_misses(cfg, misses))
+        distinct = list(dict.fromkeys(texts))
+        payloads = [{"op": "embed", "model": cfg.model, "input": text} for text in distinct]
+        records = self._fetch(cfg, payloads, lambda payload: mock_embed(payload["input"]).to_bytes())
         dimension = cfg.dimension or (MOCK_EMBED_DIM if cfg.is_mock else None)
-        rows = {key: _vector_row(records[key], dimension) for key, _ in wanted.values()}
-        return [rows[wanted[text][0]] for text in texts]
-
-    def _embed_misses(self, cfg: ProviderConfig, misses: dict[str, tuple[str, str]]) -> dict[str, GenerationRecord]:
-        """Compute and store the embedding of each text in `misses` (text -> (cache key, canonical request))."""
-        provider = cfg.summary()
-
-        def record(key: str, canonical: str, packed: bytes) -> GenerationRecord:
-            return GenerationRecord(key, canonical, None, packed, time.time(), provider)
-
-        if cfg.is_mock:
-            records = {
-                key: record(key, canonical, mock_embed(text).to_bytes()) for text, (key, canonical) in misses.items()
-            }
-            self.cache.store_many(records.values())
-            return records
-        records = {}
-        for text, (key, canonical) in misses.items():
-            if self.offline:
-                raise OfflineViolation(f"cache miss for {key} with transport disabled")
-            packed = self._http_call(cfg, {"op": "embed", "model": cfg.model, "input": text}, image=False)
-            records[key] = record(key, canonical, packed)
-            self.cache.store(records[key])
-        return records
+        rows = {text: _vector_row(record, dimension) for text, record in zip(distinct, records)}
+        return [rows[text] for text in texts]
 
     def text_to_image(self, cfg: ProviderConfig, prompt: str) -> tuple[bytes, str]:
-        if cfg.kind != "text_to_image":
-            raise ValueError(f"text_to_image requires a text_to_image provider, got {cfg.kind!r}")
         if not prompt.strip():
             raise ValueError("empty image prompt")
         payload = {"op": "text_to_image", "model": cfg.model, "prompt": prompt}
-        rec = self._fetch(cfg, payload, lambda: mock_text_to_image(prompt), image=True)
+        [rec] = self._fetch(cfg, [payload], lambda _: mock_text_to_image(prompt))
         if not rec.response_image:
             raise ProviderError("provider returned no image")
         return rec.response_image, rec.cache_key
 
     def image_to_text(self, cfg: ProviderConfig, image: bytes, prompt: str) -> tuple[str, str]:
-        if cfg.kind != "image_to_text":
-            raise ValueError(f"image_to_text requires an image_to_text provider, got {cfg.kind!r}")
         if not image.startswith(b"\x89PNG\r\n\x1a\n"):
             raise ValueError("image payload is not a PNG")
         payload = {
@@ -489,7 +443,7 @@ class ProviderClient:
             "image_sha256": hashlib.sha256(image).hexdigest(),
             "prompt": prompt,
         }
-        rec = self._fetch(cfg, payload, lambda: mock_image_to_text(image, prompt))
+        [rec] = self._fetch(cfg, [payload], lambda _: mock_image_to_text(image, prompt))
         if not rec.response_text:
             raise ProviderError("empty caption")
         return rec.response_text, rec.cache_key
@@ -541,32 +495,45 @@ class ProviderClient:
                     else:
                         del self._inflight[key]
 
-    def _fetch(self, cfg, payload, mock_fn, image: bool = False) -> GenerationRecord:
-        canonical = canonical_request(payload)
-        key = cache_key_for(canonical)
-        # the first caller of a key computes and stores it; the others wait, then hit
-        with self._single_flight([key]):
-            hit = self.cache.lookup(key)
-            if hit is not None:
-                return hit
-            if cfg.is_mock:
-                result = mock_fn()
-            elif self.offline:
-                raise OfflineViolation(f"cache miss for {key} with transport disabled")
-            else:
-                result = self._http_call(cfg, payload, image=image)
-            record = GenerationRecord(
-                cache_key=key,
-                request=canonical,
-                response_text=None if image else result,
-                response_image=result if image else None,
-                created_at=time.time(),
-                provider=cfg.summary(),
-            )
-            self.cache.store(record)
-            return record
+    def _fetch(
+        self, cfg: ProviderConfig, payloads: Sequence[dict], mock_fn: Callable[[dict], str | bytes]
+    ) -> list[GenerationRecord]:
+        """The record of each of `payloads`, in order, each miss computed once.
 
-    def _http_call(self, cfg: ProviderConfig, payload: dict, image: bool):
+        The first caller of a key computes and stores it; the others wait for
+        its lock, then hit. One lookup_many reads every key. Mock misses,
+        `mock_fn(payload)` each, are stored in one transaction; each HTTP miss
+        is stored as soon as its response arrives, so a failure later in the
+        batch loses none of them. A result is the record's text, or its BLOB
+        if it is bytes.
+        """
+        for payload in payloads:
+            if payload["op"] != cfg.kind:
+                raise ValueError(f"{payload['op']} requires a {payload['op']} provider, got {cfg.kind!r}")
+        canonicals = [canonical_request(payload) for payload in payloads]
+        keys = [cache_key_for(canonical) for canonical in canonicals]
+        with self._single_flight(keys):
+            records = self.cache.lookup_many(keys)
+            misses = {key: (c, p) for key, c, p in zip(keys, canonicals, payloads) if key not in records}
+            provider = cfg.summary()
+
+            def record(key: str, canonical: str, result) -> GenerationRecord:
+                text, blob = (None, result) if isinstance(result, bytes) else (result, None)
+                return GenerationRecord(key, canonical, text, blob, time.time(), provider)
+
+            if misses and cfg.is_mock:
+                computed = [record(key, c, mock_fn(p)) for key, (c, p) in misses.items()]
+                self.cache.store_many(computed)
+                records.update((r.cache_key, r) for r in computed)
+            elif misses and self.offline:
+                raise OfflineViolation(f"cache miss for {next(iter(misses))} with transport disabled")
+            else:
+                for key, (canonical, payload) in misses.items():
+                    records[key] = record(key, canonical, self._http_call(cfg, payload))
+                    self.cache.store(records[key])
+        return [records[key] for key in keys]
+
+    def _http_call(self, cfg: ProviderConfig, payload: dict):
         import requests  # deferred: mock and warm runs never send a request
 
         headers = {"Content-Type": "application/json"}
@@ -588,7 +555,7 @@ class ProviderClient:
                 last_err = str(exc)
             else:
                 if resp.status_code < 400:
-                    return self._parse_response(cfg, resp, image)
+                    return self._parse_response(cfg, resp)
                 if resp.status_code < 500:
                     raise ProviderError(f"HTTP {resp.status_code}: {resp.text[:500]}")
                 last_err = f"HTTP {resp.status_code}"
@@ -597,14 +564,12 @@ class ProviderClient:
         raise TransportError(f"{cfg.endpoint}: {last_err}", attempts=RETRY_ATTEMPTS)
 
     @staticmethod
-    def _parse_response(cfg: ProviderConfig, resp, image: bool):
+    def _parse_response(cfg: ProviderConfig, resp):
         obj = resp.json()
-        if image:
+        if cfg.kind == "text_to_image":
             return base64.b64decode(obj["data"][0]["b64_json"])
         if cfg.kind == "embed":
             return _pack_embedding(obj["data"][0]["embedding"])
         if cfg.kind == "translate" and "choices" not in obj:
             return obj["translation"]  # translation servers return either envelope
-        if cfg.kind in ("chat", "image_to_text", "translate"):
-            return obj["choices"][0]["message"]["content"]
-        raise ProviderError(f"no parser for provider kind {cfg.kind!r}")
+        return obj["choices"][0]["message"]["content"]  # chat, image_to_text and translate

@@ -573,8 +573,19 @@ class TestUnusableArtifacts:
             ("classification.json", "[]",
              "classification.json is not a JSON object with keys runs, seeds; run `semsurf classify`"),
             ("classification.json", json.dumps({"runs": {"Original": 5}, "seeds": [1]}),
-             "classification.json entry runs/Original is not a list of objects with keys acc_ad, acc_c, macro_f1, "
+             "classification.json entry runs/Original is not a list of objects of numbers acc_ad, acc_c, macro_f1, "
              "seed; run `semsurf classify`"),
+            ("classification.json",
+             json.dumps({"runs": {"Original": [{"seed": 1, "macro_f1": "x", "acc_ad": 0.5, "acc_c": 0.5}]},
+                         "seeds": [1]}),
+             "classification.json entry runs/Original is not a list of objects of numbers acc_ad, acc_c, macro_f1, "
+             "seed; run `semsurf classify`"),
+            ("classification.json", json.dumps({"runs": {"Bogus": []}, "seeds": [1]}),
+             "classification.json key runs holds 'Bogus', which is not a transformation kind; run `semsurf classify`"),
+            ("lexical.json", json.dumps({"Original": []}),
+             'lexical.json entry Original/ttr is not {"AD": [...], "C": [...]}; run `semsurf lexical`'),
+            ("lexical.json", json.dumps({"Bogus": {}}),
+             "lexical.json holds 'Bogus', which is not a transformation kind; run `semsurf lexical`"),
             ("similarity.json", json.dumps({"reference": "Original", "scores": []}),
              "similarity.json key scores is not a JSON object; run `semsurf similarity`"),
             ("similarity.json", json.dumps({"reference": "Translated", "scores": {"ShortSummary": 5}}),
@@ -586,8 +597,9 @@ class TestUnusableArtifacts:
             ("similarity.json", json.dumps({"reference": "Translated", "scores": {"Bogus": {m: 0.5 for m in METRICS}}}),
              "similarity.json key scores holds 'Bogus', which is not a transformation kind; run `semsurf similarity`"),
         ],
-        ids=["not JSON", "Welch-result lexical.json", "list classification.json", "int runs", "list scores",
-             "int score", "unknown reference", "unknown scores kind"],
+        ids=["not JSON", "Welch-result lexical.json", "list classification.json", "int runs", "string macro_f1",
+             "unknown runs kind", "list lexical kind", "unknown lexical kind", "list scores", "int score",
+             "unknown reference", "unknown scores kind"],
     )
     def test_stats_exits_2_naming_the_producer(self, pt_run, tmp_path, runner, artifact, content, message):
         run_dir = tmp_path / "run"
@@ -616,8 +628,11 @@ class TestUnusableArtifacts:
              "run `semsurf stats`"),
             ("stats.json", lambda stats: stats["welch"].update(Bogus={}),
              "stats.json key welch holds 'Bogus', which is not a transformation kind; run `semsurf stats`"),
+            ("dataset_stats.json", lambda per_group: per_group["AD"].pop("mean_tokens"),
+             "dataset_stats.json key AD is not an object of numbers count, mean_tokens, std_tokens and a boolean "
+             "degenerate; run `semsurf ingest`"),
         ],
-        ids=["scores kind", "baseline", "means kind", "wilcoxon kind", "welch kind"],
+        ids=["scores kind", "baseline", "means kind", "wilcoxon kind", "welch kind", "dataset stats without a mean"],
     )
     def test_report_exits_2_on_an_unknown_kind(self, pt_run, tmp_path, runner, artifact, edit, message):
         run_dir = tmp_path / "run"
@@ -654,9 +669,16 @@ class TestUnusableArtifacts:
              "entry wilcoxon_vs_baseline/Translated is not an object whose p_value is a number"),
             (lambda stats: stats["wilcoxon_vs_baseline"]["Translated"].update(p_value=None),
              "entry wilcoxon_vs_baseline/Translated is not an object whose p_value is a number"),
+            (lambda stats: stats["welch"]["Original"].update(ttr={"p_value": "x"}),
+             "entry welch/Original/ttr is not an error or an object of numbers excluded, mean_ad, mean_control, "
+             "p_value"),
+            (lambda stats: stats["welch"].update(Original=[]),
+             "entry welch/Original/ttr is not an error or an object of numbers excluded, mean_ad, mean_control, "
+             "p_value"),
         ],
         ids=["no classification keys", "no n_runs", "n_runs string", "means list", "means entry lacks a measure",
-             "means entry number", "no baseline means", "wilcoxon entry number", "wilcoxon p_value null"],
+             "means entry number", "no baseline means", "wilcoxon entry number", "wilcoxon p_value null",
+             "welch p_value string", "welch kind list"],
     )
     def test_report_exits_2_on_a_wrong_classification_shape(self, pt_run, tmp_path, runner, edit, message):
         run_dir = tmp_path / "run"
@@ -719,6 +741,39 @@ class TestUnusableArtifacts:
             "run `semsurf transform`"
         ]
         assert not (run_dir / "lexical.json").exists()
+
+    def test_lexical_exits_2_on_a_record_without_kind(self, pt_run, tmp_path, runner):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        shutil.copy(pt_run[0] / "dataset.jsonl", run_dir)
+        shutil.copytree(pt_run[0] / "transformed", run_dir / "transformed")
+        jsonl = run_dir / "transformed" / "ShortSummary.jsonl"
+        lines = jsonl.read_text().splitlines(keepends=True)
+        record = json.loads(lines[4])
+        del record["kind"]
+        jsonl.write_text("".join(lines[:4] + [json.dumps(record) + "\n"] + lines[5:]))
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        result = runner.invoke(main, ["lexical", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert result.output.splitlines() == [
+            "error: transformed/ShortSummary.jsonl cannot be read (KeyError: 'kind'); run `semsurf transform`"
+        ]
+        assert not (run_dir / "lexical.json").exists()
+
+    def test_classify_exits_2_on_a_truncated_array(self, pt_run, tmp_path, runner):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        shutil.copy(pt_run[0] / "dataset.jsonl", run_dir)
+        shutil.copytree(pt_run[0] / "transformed", run_dir / "transformed")
+        npy = run_dir / "transformed" / "ShortSummary.npy"
+        npy.write_bytes(npy.read_bytes()[:-8])
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        result = runner.invoke(main, ["classify", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        [line] = result.output.splitlines()
+        assert line.startswith("error: transformed/ShortSummary.npy cannot be read (ValueError: "), line
+        assert line.endswith("); run `semsurf transform`"), line
+        assert not (run_dir / "classification.json").exists()
 
     @pytest.mark.parametrize("stage, output", [
         ("similarity", "similarity.json"), ("lexical", "lexical.json"), ("classify", "classification.json"),

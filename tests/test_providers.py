@@ -48,6 +48,28 @@ def make_client(tmp_path, **kw):
     return ProviderClient(ResponseCache(tmp_path / "cache"), **kw)
 
 
+def lookup(cache, key):
+    """The cache's record of one key, or None."""
+    return cache.lookup_many([key]).get(key)
+
+
+def mock_cfg(kind):
+    return ProviderConfig(kind=kind, endpoint=f"mock:{kind}", model="m")
+
+
+# provider kind -> (a call of its operation on one input, the mock that computes a miss)
+OPERATIONS = {
+    "chat": (lambda client, cfg: client.chat_generate(cfg, "sys", "the boy sees a dog"), "mock_chat"),
+    "translate": (lambda client, cfg: client.translate(cfg, "o menino viu o cachorro.", "pt", "en"), "mock_translate"),
+    "embed": (lambda client, cfg: client.embed_batch(cfg, ["the boy sees a dog"]), "mock_embed"),
+    "text_to_image": (lambda client, cfg: client.text_to_image(cfg, "a dog in a garden"), "mock_text_to_image"),
+    "image_to_text": (
+        lambda client, cfg: client.image_to_text(cfg, mock_text_to_image("a dog"), "Describe the image."),
+        "mock_image_to_text",
+    ),
+}
+
+
 class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -92,22 +114,22 @@ class TestCache:
         cache = ResponseCache(tmp_path)
         rec = self.record()
         cache.store(rec)
-        back = cache.lookup(rec.cache_key)
+        back = lookup(cache, rec.cache_key)
         assert back == rec
         cache.close()
         # one database per cache root, one row per key, read back by a new connection
         with closing(sqlite3.connect(tmp_path / "responses.sqlite3")) as db:
             assert db.execute("SELECT key FROM responses").fetchall() == [(rec.cache_key,)]
         reopened = ResponseCache(tmp_path)
-        assert reopened.lookup(rec.cache_key) == rec
+        assert lookup(reopened, rec.cache_key) == rec
         reopened.close()
 
     def test_miss(self, tmp_path):
-        assert ResponseCache(tmp_path).lookup("0" * 64) is None
+        assert ResponseCache(tmp_path).lookup_many(["0" * 64]) == {}
 
     def test_bad_key_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            ResponseCache(tmp_path).lookup("short")
+            ResponseCache(tmp_path).lookup_many(["short"])
         with pytest.raises(ValueError):
             GenerationRecord("xyz", "{}", "t", None, 0.0, {})
 
@@ -118,10 +140,10 @@ class TestCache:
         with closing(sqlite3.connect(tmp_path / "responses.sqlite3")) as db:
             db.execute("UPDATE responses SET provider = '{not json' WHERE key = ?", (rec.cache_key,))
             db.commit()
-        assert cache.lookup(rec.cache_key) is None
+        assert lookup(cache, rec.cache_key) is None
         # the store after that miss replaces the corrupted row
         cache.store(rec)
-        assert cache.lookup(rec.cache_key) == rec
+        assert lookup(cache, rec.cache_key) == rec
         cache.close()
 
     def test_image_roundtrip(self, tmp_path):
@@ -129,7 +151,7 @@ class TestCache:
         png = mock_text_to_image("a dog")
         rec = self.record(text="img", image=png)
         cache.store(rec)
-        assert cache.lookup(rec.cache_key) == rec
+        assert lookup(cache, rec.cache_key) == rec
         with closing(sqlite3.connect(tmp_path / "responses.sqlite3")) as db:
             assert db.execute("SELECT response_image FROM responses").fetchall() == [(png,)]
         cache.close()
@@ -153,7 +175,7 @@ class TestCache:
         json_path.with_suffix(".png").write_bytes(png)
         old_files = {p: p.stat().st_mtime_ns for p in json_path.parent.iterdir()}
         cache = ResponseCache(tmp_path)
-        assert cache.lookup(old.cache_key) == old
+        assert lookup(cache, old.cache_key) == old
         new = self.record(text="new")
         cache.store(new)
         cache.close()
@@ -161,8 +183,8 @@ class TestCache:
         assert {p: p.stat().st_mtime_ns for p in json_path.parent.iterdir()} == old_files
         assert sorted(p.name for p in tmp_path.iterdir()) == [old.cache_key[:2], "responses.sqlite3"]
         reopened = ResponseCache(tmp_path)
-        assert reopened.lookup(new.cache_key) == new
-        assert reopened.lookup(old.cache_key) == old
+        assert lookup(reopened, new.cache_key) == new
+        assert lookup(reopened, old.cache_key) == old
         reopened.close()
 
     def test_threads_share_the_connection(self, tmp_path):
@@ -170,7 +192,7 @@ class TestCache:
         records = [[self.record(text=f"thread {t} record {i}") for i in range(25)] for t in range(8)]
 
         def store_and_read(t):
-            return [cache.store(rec) or cache.lookup(rec.cache_key) for rec in records[t]]
+            return [cache.store(rec) or lookup(cache, rec.cache_key) for rec in records[t]]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -181,7 +203,7 @@ class TestCache:
         assert results == records
         cache.close()
         reopened = ResponseCache(tmp_path)
-        assert [[reopened.lookup(rec.cache_key) for rec in recs] for recs in records] == records
+        assert [[lookup(reopened, rec.cache_key) for rec in recs] for recs in records] == records
         reopened.close()
 
     def test_not_a_database(self, tmp_path):
@@ -276,10 +298,13 @@ class TestClientMockPath:
         text, key2 = cold.chat_generate(cfg, "sys", "hello world")
         assert key2 == key and text
 
-    def test_kind_mismatch(self, tmp_path):
-        client = make_client(tmp_path)
-        with pytest.raises(ValueError):
-            client.embed_batch(chat_cfg(), ["text"])
+    @pytest.mark.parametrize("op", OPERATIONS)
+    def test_kind_mismatch(self, tmp_path, op):
+        cache = CountingCache(tmp_path)
+        other = "embed" if op == "chat" else "chat"
+        with pytest.raises(ValueError, match=f"{op} requires a {op} provider, got '{other}'"):
+            OPERATIONS[op][0](ProviderClient(cache), mock_cfg(other))
+        assert (cache.lookups.total(), cache.stores.total()) == (0, 0)
 
     def test_translate_same_language(self, tmp_path):
         client = make_client(tmp_path)
@@ -297,8 +322,8 @@ class TestClientMockPath:
         cache = CountingCache(tmp_path)
         cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
         cold = ProviderClient(cache).embed_batch(cfg, ["the boy sees a dog"])
-        # a miss is read once with the batch and once more under its single-flight lock
-        assert (cache.lookups.total(), cache.stores.total()) == (2, 1)
+        # a miss is read once, under its single-flight lock
+        assert (cache.lookups.total(), cache.stores.total()) == (1, 1)
         cache.lookups.clear()
         cache.stores.clear()
         warm = ProviderClient(cache).embed_batch(cfg, ["the boy sees a dog"])
@@ -356,7 +381,7 @@ class TestClientMockPath:
         rows = ProviderClient(cache, offline=True).embed_batch(cfg, [in_row, in_file])
         assert [EmbeddingVector.from_bytes(row) for row in rows] == [mock_embed(in_row), mock_embed(in_file)]
         assert cache.stores.total() == 0
-        assert cache.lookup(records[in_row].cache_key) == records[in_row]
+        assert lookup(cache, records[in_row].cache_key) == records[in_row]
         cache.close()
         assert (json_path.read_bytes(), json_path.stat().st_mtime_ns) == before
 
@@ -371,6 +396,55 @@ class TestClientMockPath:
             client.image_to_text(i2t, b"JPEG?", "Describe the image.")
 
 
+def count_computations(monkeypatch, mock_name):
+    """Counts the calls of the named mock."""
+    computed = Counter()
+    mock = getattr(providers, mock_name)
+
+    def counting(*args):
+        computed[args] += 1
+        return mock(*args)
+
+    monkeypatch.setattr(providers, mock_name, counting)
+    return computed
+
+
+class TestOneCachePath:
+    """Every operation reads each key once, computes each miss once and stores it once."""
+
+    @pytest.mark.parametrize("op", OPERATIONS)
+    def test_cold_then_warm(self, tmp_path, monkeypatch, op):
+        call, mock_name = OPERATIONS[op]
+        computed = count_computations(monkeypatch, mock_name)
+        cache = CountingCache(tmp_path)
+        cold = call(ProviderClient(cache), mock_cfg(op))
+        assert (cache.lookups.total(), computed.total(), cache.stores.total()) == (1, 1, 1)
+        [key] = cache.lookups
+        assert cache.stores == {key: 1}
+        cache.lookups.clear()
+        cache.stores.clear()
+        warm = call(ProviderClient(cache), mock_cfg(op))
+        assert warm == cold
+        assert cache.lookups == {key: 1}
+        assert (computed.total(), cache.stores.total()) == (1, 0)
+
+    def test_mixed_batch_reads_each_distinct_key_once(self, tmp_path, monkeypatch):
+        computed = count_computations(monkeypatch, "mock_embed")
+        cache = CountingCache(tmp_path)
+        client = ProviderClient(cache)
+        cfg = mock_cfg("embed")
+        client.embed_batch(cfg, ["a dog", "a cat"])
+        cache.lookups.clear()
+        cache.stores.clear()
+        texts = ["a cat", "a bird", "a dog", "a bird", "a fish", "a cat"]
+        rows = client.embed_batch(cfg, texts)
+        assert rows == [mock_embed(text).to_bytes() for text in texts]
+        assert sorted(cache.lookups.values()) == [1, 1, 1, 1]
+        assert computed == {("a dog",): 1, ("a cat",): 1, ("a bird",): 1, ("a fish",): 1}
+        assert sorted(cache.stores.values()) == [1, 1]
+        assert cache.lookups.keys() > cache.stores.keys()
+
+
 class CountingCache(ResponseCache):
     """Counts lookups and stores per key, and the transactions of store_many."""
 
@@ -381,7 +455,7 @@ class CountingCache(ResponseCache):
         self.stores = Counter()
         self.store_transactions = 0
 
-    def lookup_many(self, keys):  # lookup reads through lookup_many
+    def lookup_many(self, keys):
         with self._count_lock:
             self.lookups.update(keys)
         return super().lookup_many(keys)
