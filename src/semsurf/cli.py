@@ -12,6 +12,7 @@ runs), 2 data error, 3 provider/transport error.
 from __future__ import annotations
 
 import json
+import struct
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -25,7 +26,7 @@ from .corpus import GROUPS, DataError, Dataset, dataset_stats, load_dataset, par
 from .providers import OfflineViolation, ProviderClient, ProviderError, ResponseCache, TransportError
 from .transform import KIND_ORDER, TransformationKind, TransformedCorpus, TransformError, run_pipeline
 
-# numpy, and classifier, which needs it, load inside the stages that use them, so the others start faster
+# numpy, and classifier, which needs it, load inside the stages that read embeddings, so the others start faster
 if TYPE_CHECKING:
     import numpy as np
 
@@ -55,7 +56,8 @@ class RunContext:
 
     @cached_property  # built on first use, so a stage that calls no provider never opens the cache
     def client(self) -> ProviderClient:
-        return ProviderClient(ResponseCache(self.resolve(self.config["cache_root"])), offline=self.offline)
+        cache = ResponseCache(self.resolve(self.config["cache_root"]))
+        return ProviderClient(cache, offline=self.offline, max_workers=self.config["max_workers"])
 
     def resolve(self, p: str | None) -> Path | None:
         """A config path, relative to the run directory unless absolute; None stays None."""
@@ -198,10 +200,24 @@ def stage_ingest(ctx: RunContext) -> None:
     click.echo(f"ingested {len(dataset)} transcripts -> {ctx.run_dir / 'dataset.jsonl'}")
 
 
+def npy_bytes(rows: list[bytes]) -> bytes:
+    """The .npy file that np.save writes for the float64 array of `rows`, each
+    a vector packed as little-endian float64: a format 1.0 header, then the
+    rows. No rows make an array of shape (0,); rows of unequal length exit 2."""
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise DataError(f"embeddings of unequal dimensions {sorted(w // 8 for w in widths)}")
+    shape = (len(rows), widths.pop() // 8) if rows else (0,)
+    # np.save leaves room for the first axis to grow to 21 digits in place
+    header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {shape!r}, }}" + " " * (21 - len(str(shape[0])))
+    # magic, version and length, then the header, padded with spaces and a newline to a multiple of 64 bytes
+    pad = 64 - (10 + len(header) + 1) % 64
+    length = struct.pack("<H", len(header) + pad + 1)
+    return b"\x93NUMPY\x01\x00" + length + header.encode("latin1") + b" " * pad + b"\n" + b"".join(rows)
+
+
 @stage("transformed")
 def stage_transform(ctx: RunContext) -> None:
-    import numpy as np
-
     dataset = ctx.load_ingested()
     config = ctx.config.pipeline(dataset.source_language)
     corpora, failures = run_pipeline(dataset, config, ctx.client)
@@ -212,7 +228,10 @@ def stage_transform(ctx: RunContext) -> None:
         corpus.save(out_dir / f"{kind.value}.jsonl")
         # the pipeline's only embed call, one per kind; each row is packed little-endian float64
         rows = ctx.client.embed_batch(embed_cfg, [text for _, text in corpus.items])
-        np.save(out_dir / f"{kind.value}.npy", np.array([np.frombuffer(r, "<f8") for r in rows], dtype=np.float64))
+        try:
+            (out_dir / f"{kind.value}.npy").write_bytes(npy_bytes(rows))
+        except DataError as exc:
+            raise DataError(f"{kind.value}: {exc}") from None
     manifest = {
         "dataset_name": dataset.name,
         "prompts": {k.value: v for k, v in config.prompts.items()},

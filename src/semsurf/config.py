@@ -2,7 +2,7 @@
 
 SCHEMA maps every accepted key to a parser and a default. It is the one
 place each default is written; library defaults are read from the
-dataclasses that own them. A file is parsed once, before any stage runs,
+dataclasses and modules that own them. A file is parsed once, before any stage runs,
 and every error names the key and, for a key present in the file, its line.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .providers import ProviderConfig
+from .providers import DEFAULT_MAX_WORKERS, ProviderConfig
 from .transform import DEFAULT_PROMPTS, KIND_ORDER, PIVOT_LANGUAGE, PipelineConfig, TransformationKind
 
 # config role -> provider kind
@@ -145,7 +145,7 @@ SCHEMA: dict[str, Key] = {
     "master_seed": Key(_number(int, "an integer", 0), 42),
     "mode": Key(_choice("strict", "lenient"), "strict"),
     "lenient_threshold": Key(_number(float, "a number", 0, 1), PipelineConfig.lenient_threshold),
-    "max_workers": Key(_number(int, "an integer", 1), PipelineConfig.max_workers),
+    "max_workers": Key(_number(int, "an integer", 1), DEFAULT_MAX_WORKERS),
     "cache_root": Key(str, "cache"),
     **{f"prompt.{kind.value}": Key(str, prompt, "shipped default") for kind, prompt in DEFAULT_PROMPTS.items()},
     "frequency_table": Key(str, shown="shipped table"),
@@ -255,7 +255,6 @@ class Config:
             image_to_text=self.providers.get("i2t"),
             prompts={kind: self[f"prompt.{kind.value}"] for kind in DEFAULT_PROMPTS},
             enabled=set(self["enabled"]),
-            max_workers=self["max_workers"],
             strict=self["mode"] == "strict",
             lenient_threshold=self["lenient_threshold"],
         )

@@ -2,12 +2,13 @@
 image-to-text over OpenAI-style HTTP endpoints, plus a deterministic offline
 mock and a content-addressed response cache in one SQLite database.
 
-Every call goes through one cache path, ProviderClient._fetch: the canonical
-request is hashed, and a hit short-circuits all network I/O. It fetches one
-request for chat, translation and the image operations, and a corpus's
-distinct texts for embeddings, reading the cache for all of them with one
-query. Endpoints whose URL starts with "mock:" are served by pure in-process
-functions, so the whole pipeline can run offline.
+Every operation takes a batch of inputs and sends it through one cache path,
+ProviderClient._fetch: each canonical request is hashed, one query reads the
+cache for the whole batch, and a hit short-circuits all network I/O. Each
+response is checked before it is stored, so a rejected one is never cached.
+Endpoints whose URL starts with "mock:" are served by pure in-process
+functions, computed in order on the calling thread, so the whole pipeline can
+run offline; HTTP misses are sent on up to `max_workers` threads at once.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ import struct
 import threading
 import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 if TYPE_CHECKING:
     import requests
@@ -35,10 +37,16 @@ PROVIDER_KINDS = ("chat", "translate", "embed", "text_to_image", "image_to_text"
 
 MOCK_EMBED_DIM = 256
 
+DEFAULT_MAX_WORKERS = 4  # concurrent HTTP requests of one batch
+
+PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = 1.0
 
 LOOKUP_CHUNK = 500  # keys per SELECT ... IN (...), well below SQLite's bound on query parameters
+
+T = TypeVar("T")
 
 
 class ProviderError(RuntimeError):
@@ -346,7 +354,7 @@ def _png_1x1(rgb: tuple[int, int, int]) -> bytes:
     ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0)
     raw = b"\x00" + bytes(rgb)
     return (
-        b"\x89PNG\r\n\x1a\n"
+        PNG_SIGNATURE
         + chunk(b"IHDR", ihdr)
         + chunk(b"IDAT", zlib.compress(raw))
         + chunk(b"IEND", b"")
@@ -367,8 +375,31 @@ def mock_image_to_text(image: bytes, prompt: str) -> str:
 # client
 
 
+def _text(what: str) -> Callable[[GenerationRecord], str]:
+    """The check of an operation that returns text: the record's text, which must be non-empty."""
+
+    def check(record: GenerationRecord) -> str:
+        if not record.response_text:
+            raise ProviderError(f"empty {what}")
+        return record.response_text
+
+    return check
+
+
+def _png(record: GenerationRecord) -> bytes:
+    """The check of text_to_image: the record's image, which must be a PNG."""
+    if not (record.response_image or b"").startswith(PNG_SIGNATURE):
+        raise ProviderError("provider returned no PNG image")
+    return record.response_image
+
+
 class ProviderClient:
-    """Cached provider frontend. One instance may serve several configs."""
+    """Cached provider frontend. One instance may serve several configs.
+
+    Each operation takes a list of inputs and returns, in order, each input's
+    (result, cache key) or the exception that failed it; embed_batch raises
+    the first failure instead.
+    """
 
     def __init__(
         self,
@@ -376,77 +407,76 @@ class ProviderClient:
         offline: bool = False,
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
+        max_workers: int = DEFAULT_MAX_WORKERS,
     ):
         self.cache = cache
         self.offline = offline
         self._session = session
         self._sleep = sleep
+        self.max_workers = max_workers
         self._lock = threading.Lock()
         self._inflight: dict[str, tuple[threading.Lock, int]] = {}  # key -> (lock, callers)
         self.network_calls = 0  # HTTP requests sent, retries included
 
     # -- public operations ------------------------------------------------
 
-    def chat_generate(self, cfg: ProviderConfig, system_prompt: str, user_text: str) -> tuple[str, str]:
-        """Returns (completion text, cache key)."""
-        payload = self._chat_payload(cfg, system_prompt, user_text)
-        [rec] = self._fetch(cfg, [payload], lambda _: mock_chat(system_prompt, user_text))
-        if not rec.response_text:
-            raise ProviderError("empty completion")
-        return rec.response_text, rec.cache_key
+    def chat_generate(
+        self, cfg: ProviderConfig, system_prompt: str, user_texts: Sequence[str]
+    ) -> list[tuple[str, str] | Exception]:
+        """The completion of each of `user_texts` under `system_prompt`."""
+        payloads = [self._chat_payload(cfg, system_prompt, text) for text in user_texts]
+        return self._fetch(cfg, payloads, lambda i: mock_chat(system_prompt, user_texts[i]), _text("completion"))
 
-    def translate(self, cfg: ProviderConfig, text: str, source: str, target: str) -> tuple[str, str]:
+    def translate(
+        self, cfg: ProviderConfig, texts: Sequence[str], source: str, target: str
+    ) -> list[tuple[str, str] | Exception]:
         if source == target:
             raise ValueError(f"source and target language are both {source!r}")
-        payload = {
-            "op": "translate",
-            "model": cfg.model,
-            "text": text,
-            "source": source,
-            "target": target,
-        }
-        [rec] = self._fetch(cfg, [payload], lambda _: mock_translate(text, source, target))
-        if not rec.response_text:
-            raise ProviderError("empty translation")
-        return rec.response_text, rec.cache_key
+        payloads = [
+            {"op": "translate", "model": cfg.model, "text": text, "source": source, "target": target}
+            for text in texts
+        ]
+        return self._fetch(cfg, payloads, lambda i: mock_translate(texts[i], source, target), _text("translation"))
 
     def embed_batch(self, cfg: ProviderConfig, texts: Sequence[str]) -> list[bytes]:
         """The embedding of each of `texts`, in order, as EmbeddingVector.to_bytes packs it.
 
-        Each distinct text is fetched once, all of them in one _fetch. An HTTP
-        endpoint still gets one request per text.
+        Each distinct text is fetched once, all of them in one _fetch; the
+        first failure is raised.
         """
         if not all(text.strip() for text in texts):
             raise ValueError("cannot embed empty text")
-        distinct = list(dict.fromkeys(texts))
-        payloads = [{"op": "embed", "model": cfg.model, "input": text} for text in distinct]
-        records = self._fetch(cfg, payloads, lambda payload: mock_embed(payload["input"]).to_bytes())
+        payloads = [{"op": "embed", "model": cfg.model, "input": text} for text in texts]
         dimension = cfg.dimension or (MOCK_EMBED_DIM if cfg.is_mock else None)
-        rows = {text: _vector_row(record, dimension) for text, record in zip(distinct, records)}
-        return [rows[text] for text in texts]
+        outcomes = self._fetch(
+            cfg, payloads, lambda i: mock_embed(texts[i]).to_bytes(), lambda record: _vector_row(record, dimension)
+        )
+        rows = []
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+            rows.append(outcome[0])
+        return rows
 
-    def text_to_image(self, cfg: ProviderConfig, prompt: str) -> tuple[bytes, str]:
-        if not prompt.strip():
-            raise ValueError("empty image prompt")
-        payload = {"op": "text_to_image", "model": cfg.model, "prompt": prompt}
-        [rec] = self._fetch(cfg, [payload], lambda _: mock_text_to_image(prompt))
-        if not rec.response_image:
-            raise ProviderError("provider returned no image")
-        return rec.response_image, rec.cache_key
+    def text_to_image(self, cfg: ProviderConfig, prompts: Sequence[str]) -> list[tuple[bytes, str] | Exception]:
+        payloads = [
+            {"op": "text_to_image", "model": cfg.model, "prompt": prompt}
+            if prompt.strip() else ValueError("empty image prompt")
+            for prompt in prompts
+        ]
+        return self._fetch(cfg, payloads, lambda i: mock_text_to_image(prompts[i]), _png)
 
-    def image_to_text(self, cfg: ProviderConfig, image: bytes, prompt: str) -> tuple[str, str]:
-        if not image.startswith(b"\x89PNG\r\n\x1a\n"):
-            raise ValueError("image payload is not a PNG")
-        payload = {
-            "op": "image_to_text",
-            "model": cfg.model,
-            "image_sha256": hashlib.sha256(image).hexdigest(),
-            "prompt": prompt,
-        }
-        [rec] = self._fetch(cfg, [payload], lambda _: mock_image_to_text(image, prompt))
-        if not rec.response_text:
-            raise ProviderError("empty caption")
-        return rec.response_text, rec.cache_key
+    def image_to_text(
+        self, cfg: ProviderConfig, images: Sequence[bytes], prompt: str
+    ) -> list[tuple[str, str] | Exception]:
+        """The caption of each of `images`, each a PNG, under `prompt`."""
+        payloads = [
+            {"op": "image_to_text", "model": cfg.model, "image_sha256": hashlib.sha256(image).hexdigest(),
+             "prompt": prompt}
+            if image.startswith(PNG_SIGNATURE) else ValueError("image payload is not a PNG")
+            for image in images
+        ]
+        return self._fetch(cfg, payloads, lambda i: mock_image_to_text(images[i], prompt), _text("caption"))
 
     # -- internals ---------------------------------------------------------
 
@@ -496,42 +526,80 @@ class ProviderClient:
                         del self._inflight[key]
 
     def _fetch(
-        self, cfg: ProviderConfig, payloads: Sequence[dict], mock_fn: Callable[[dict], str | bytes]
-    ) -> list[GenerationRecord]:
-        """The record of each of `payloads`, in order, each miss computed once.
+        self,
+        cfg: ProviderConfig,
+        payloads: Sequence[dict | Exception],
+        mock_fn: Callable[[int], str | bytes],
+        check: Callable[[GenerationRecord], T],
+    ) -> list[tuple[T, str] | Exception]:
+        """The outcome of each of `payloads`, in order: (check(record), cache key)
+        or the exception that failed it. A payload that is an exception is its
+        own outcome.
 
-        The first caller of a key computes and stores it; the others wait for
-        its lock, then hit. One lookup_many reads every key. Mock misses,
-        `mock_fn(payload)` each, are stored in one transaction; each HTTP miss
-        is stored as soon as its response arrives, so a failure later in the
-        batch loses none of them. A result is the record's text, or its BLOB
-        if it is bytes.
+        One lookup_many reads every distinct key, and each miss is computed
+        once. Mock misses, mock_fn(index of the key's first payload) each, are
+        computed in order on this thread and stored in one transaction. HTTP
+        misses are sent on up to max_workers threads, each stored as soon as
+        its response arrives, so a failure elsewhere in the batch loses none
+        of them. A miss while offline fails with OfflineViolation. check runs
+        on every record, and a miss it rejects is not stored, so the next call
+        asks the provider again. The first caller of a key computes it; the
+        others wait for its lock, then hit. A result is the record's text, or
+        its BLOB if it is bytes.
         """
-        for payload in payloads:
+        first: dict[str, tuple[int, str]] = {}  # key -> (index of its first payload, canonical request)
+        keys: list[str | None] = []
+        for i, payload in enumerate(payloads):
+            if isinstance(payload, Exception):
+                keys.append(None)
+                continue
             if payload["op"] != cfg.kind:
                 raise ValueError(f"{payload['op']} requires a {payload['op']} provider, got {cfg.kind!r}")
-        canonicals = [canonical_request(payload) for payload in payloads]
-        keys = [cache_key_for(canonical) for canonical in canonicals]
-        with self._single_flight(keys):
-            records = self.cache.lookup_many(keys)
-            misses = {key: (c, p) for key, c, p in zip(keys, canonicals, payloads) if key not in records}
-            provider = cfg.summary()
+            canonical = canonical_request(payload)
+            keys.append(cache_key_for(canonical))
+            first.setdefault(keys[-1], (i, canonical))
+        provider = cfg.summary()
+        outcomes: dict[str, tuple[T, str] | Exception] = {}
 
-            def record(key: str, canonical: str, result) -> GenerationRecord:
-                text, blob = (None, result) if isinstance(result, bytes) else (result, None)
-                return GenerationRecord(key, canonical, text, blob, time.time(), provider)
+        def checked(key: str, result: str | bytes) -> tuple[GenerationRecord, T]:
+            text, blob = (None, result) if isinstance(result, bytes) else (result, None)
+            record = GenerationRecord(key, first[key][1], text, blob, time.time(), provider)
+            return record, check(record)
 
-            if misses and cfg.is_mock:
-                computed = [record(key, c, mock_fn(p)) for key, (c, p) in misses.items()]
-                self.cache.store_many(computed)
-                records.update((r.cache_key, r) for r in computed)
-            elif misses and self.offline:
-                raise OfflineViolation(f"cache miss for {next(iter(misses))} with transport disabled")
-            else:
-                for key, (canonical, payload) in misses.items():
-                    records[key] = record(key, canonical, self._http_call(cfg, payload))
-                    self.cache.store(records[key])
-        return [records[key] for key in keys]
+        def send(key: str) -> tuple[T, str]:
+            record, value = checked(key, self._http_call(cfg, payloads[first[key][0]]))
+            self.cache.store(record)
+            return value, key
+
+        with self._single_flight(first):
+            found = self.cache.lookup_many(list(first))
+            misses = [key for key in first if key not in found]
+            for key, record in found.items():
+                try:
+                    outcomes[key] = check(record), key
+                except (ProviderError, ValueError) as exc:
+                    outcomes[key] = exc
+            if cfg.is_mock:
+                records = []
+                for key in misses:
+                    try:
+                        record, value = checked(key, mock_fn(first[key][0]))
+                    except Exception as exc:  # fails this payload alone, as an HTTP error would
+                        outcomes[key] = exc
+                    else:
+                        records.append(record)
+                        outcomes[key] = value, key
+                if records:
+                    self.cache.store_many(records)
+            elif self.offline:
+                for key in misses:
+                    outcomes[key] = OfflineViolation(f"cache miss for {key} with transport disabled")
+            elif misses:
+                with ThreadPoolExecutor(max_workers=min(self.max_workers, len(misses))) as pool:
+                    futures = {key: pool.submit(send, key) for key in misses}
+                for key, future in futures.items():
+                    outcomes[key] = future.exception() or future.result()
+        return [payload if key is None else outcomes[key] for payload, key in zip(payloads, keys)]
 
     def _http_call(self, cfg: ProviderConfig, payload: dict):
         import requests  # deferred: mock and warm runs never send a request

@@ -1,16 +1,16 @@
 """Corpus transformations: translation, summaries, storyboards, the
 storyboard -> image -> caption round-trip, and back-translation.
 
-Each transformation is one row of STEPS: a per-item provider call mapped
-over the corpus of an earlier step. It produces a TransformedCorpus keyed by
-the source transcript ids, with per-item provenance (the cache keys of every
-provider call that contributed to the item).
+Each transformation is one row of STEPS: a provider call that maps the
+texts of an earlier step's corpus, as one batch, to their outcomes. It
+produces a TransformedCorpus keyed by the source transcript ids, with
+per-item provenance (the cache keys of every provider call that contributed
+to the item).
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -131,45 +131,55 @@ class PipelineConfig:
     image_to_text: ProviderConfig | None = None
     prompts: dict[TransformationKind, str] = field(default_factory=DEFAULT_PROMPTS.copy)
     enabled: set[TransformationKind] = field(default_factory=lambda: set(KIND_ORDER))
-    max_workers: int = 4
     strict: bool = True
     lenient_threshold: float = 0.8
 
 
-# a step's per-item call: (client, config, source text, corpus language) -> (text, cache keys)
-ItemCall = Callable[[ProviderClient, PipelineConfig, str, str], tuple[str, tuple[str, ...]]]
+# an item's outcome: (text, cache keys), or the exception that failed it
+Outcome = tuple[str, tuple[str, ...]] | Exception
+
+# a step's call: (client, config, source texts, corpus language) -> each text's outcome, in order
+BatchCall = Callable[[ProviderClient, PipelineConfig, list[str], str], list[Outcome]]
 
 
 class Step(NamedTuple):
     kind: TransformationKind
     source: TransformationKind
-    call: ItemCall
+    call: BatchCall
 
 
-def _chat(kind: TransformationKind) -> ItemCall:
-    def call(client, config, text, language):
-        out, key = client.chat_generate(config.chat, config.prompts[kind], text)
-        return out, (key,)
+def _keyed(outcomes: list[tuple[str, str] | Exception]) -> list[Outcome]:
+    """A provider operation's (result, key) outcomes as items' (result, (key,))."""
+    return [out if isinstance(out, Exception) else (out[0], (out[1],)) for out in outcomes]
+
+
+def _chat(kind: TransformationKind) -> BatchCall:
+    def call(client, config, texts, language):
+        return _keyed(client.chat_generate(config.chat, config.prompts[kind], texts))
 
     return call
 
 
-def _translate(client, config, text, language):
-    out, key = client.translate(config.translate, text, language, PIVOT_LANGUAGE)
-    return out, (key,)
+def _translate(client, config, texts, language):
+    return _keyed(client.translate(config.translate, texts, language, PIVOT_LANGUAGE))
 
 
-def _back_translate(client, config, text, language):
-    out, key = client.translate(config.translate, text, PIVOT_LANGUAGE, language)
-    return out, (key,)
+def _back_translate(client, config, texts, language):
+    return _keyed(client.translate(config.translate, texts, PIVOT_LANGUAGE, language))
 
 
-def _image_roundtrip(client, config, text, language):
-    """Storyboard -> image -> caption; the keys are (image key, caption key)."""
-    image, image_key = client.text_to_image(config.text_to_image, text)
+def _image_roundtrip(client, config, texts, language):
+    """Storyboard -> image -> caption: one t2i batch, then one i2t batch over
+    the images that succeeded; the keys are (image key, caption key)."""
+    images = client.text_to_image(config.text_to_image, texts)
+    drawn = [image[0] for image in images if not isinstance(image, Exception)]
     prompt = config.prompts[TransformationKind.IMAGE_DESCRIPTION]
-    caption, caption_key = client.image_to_text(config.image_to_text, image, prompt)
-    return caption, (image_key, caption_key)
+    captions = iter(client.image_to_text(config.image_to_text, drawn, prompt))
+    outcomes = []
+    for image in images:
+        caption = image if isinstance(image, Exception) else next(captions)
+        outcomes.append(caption if isinstance(caption, Exception) else (caption[0], (image[1], caption[1])))
+    return outcomes
 
 
 K = TransformationKind
@@ -195,36 +205,36 @@ def apply_step(
     config: PipelineConfig,
     language: str,
 ) -> tuple[TransformedCorpus, list[tuple[str, str]]]:
-    """Map step's per-item call concurrently over `source`, keeping source order.
+    """Map step's call over the non-empty texts of `source` as one batch, keeping source order.
 
     `language` is the dataset's. Each item's provenance is its source cache
-    keys followed by the step's. In strict mode the first failure in source
-    order aborts the step; in lenient mode a failed item is left out and
-    returned as (id, message) among the failures, in source order, unless
-    it failed on an offline cache miss, which aborts in either mode.
+    keys followed by the step's. An empty text fails as "empty source text".
+    In strict mode the first failure in source order aborts the step; in
+    lenient mode a failed item is left out and returned as (id, message)
+    among the failures, in source order, unless it failed on an offline cache
+    miss, which aborts in either mode. A call refused as a whole aborts too.
     """
-
-    def run(item):
-        item_id, text = item
-        try:
-            if not text.strip():
-                raise ValueError("empty source text")
-            return step.call(client, config, text, language), None
-        except Exception as exc:
-            # a cache miss while offline is the run's fault, not the item's
-            if config.strict or isinstance(exc, OfflineViolation):
-                raise TransformError(f"{step.kind.value} {item_id}: {exc}") from exc
-            return None, str(exc)
-
-    with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-        results = list(zip(source.ids(), pool.map(run, source.items)))
-    done = [(i, out) for i, (out, _) in results if out is not None]
+    texts = [text for _, text in source.items if text.strip()]
+    try:
+        outcomes = iter(step.call(client, config, texts, language))
+    except ValueError as exc:  # refused whatever the texts, such as a translation from en to en
+        raise TransformError(f"{step.kind.value}: {exc}") from exc
+    done, failures = [], []
+    for item_id, text in source.items:
+        outcome = next(outcomes) if text.strip() else ValueError("empty source text")
+        if not isinstance(outcome, Exception):
+            done.append((item_id, outcome))
+        # a cache miss while offline is the run's fault, not the item's
+        elif config.strict or isinstance(outcome, OfflineViolation):
+            raise TransformError(f"{step.kind.value} {item_id}: {outcome}") from outcome
+        else:
+            failures.append((item_id, str(outcome)))
     corpus = TransformedCorpus(
         step.kind,
         tuple((i, text) for i, (text, _) in done),
         {i: source.provenance.get(i, ()) + keys for i, (_, keys) in done},
     )
-    return corpus, [(i, error) for i, (_, error) in results if error is not None]
+    return corpus, failures
 
 
 def run_pipeline(

@@ -1,4 +1,6 @@
 import csv
+import functools
+import io
 import json
 import os
 import shutil
@@ -12,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import semsurf.classifier as classifier
+import semsurf.cli as cli
 import semsurf.corpus as corpus
 import semsurf.providers as providers
 from semsurf.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, STAGES, main
@@ -442,17 +445,17 @@ class TestProviderCache:
 
 
 def test_stages_without_embeddings_leave_numpy_unloaded(pt_run, tmp_path):
-    """ingest, lexical, stats and report, in one process, never import numpy and write what `semsurf run` wrote."""
+    """The stages that read no embeddings, ingest, transform (which writes them), lexical, stats and
+    report, in one process, never import numpy and write what `semsurf run` wrote."""
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    shutil.copytree(pt_run[0] / "transformed", run_dir / "transformed")
     for name in ("similarity.json", "classification.json"):
         shutil.copy(pt_run[0] / name, run_dir / name)
     conf = pt_fixture_config(tmp_path / "pt.conf")
     code = (
         "import sys\n"
         "from semsurf.cli import main\n"
-        "for stage in ('ingest', 'lexical', 'stats', 'report'):\n"
+        "for stage in ('ingest', 'transform', 'lexical', 'stats', 'report'):\n"
         "    try:\n"
         "        main([stage, '--config', sys.argv[1], '--run-dir', sys.argv[2], '--offline'])\n"
         "    except SystemExit as exc:\n"
@@ -465,12 +468,44 @@ def test_stages_without_embeddings_leave_numpy_unloaded(pt_run, tmp_path):
         [sys.executable, "-c", code, str(conf), str(run_dir)], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines()[-1] == "False"
-    for name in ("lexical.json", "stats.json"):
+    transformed = sorted(p.name for p in (pt_run[0] / "transformed").iterdir())
+    assert transformed == sorted(p.name for p in (run_dir / "transformed").iterdir())
+    for name in ["lexical.json", "stats.json", *(f"transformed/{name}" for name in transformed)]:
         assert (run_dir / name).read_bytes() == (pt_run[0] / name).read_bytes(), name
     tables = sorted(p.name for p in (pt_run[0] / "reports").glob("table_*"))
     assert tables == sorted(p.name for p in (run_dir / "reports").iterdir())
     for name in tables:
         assert (run_dir / "reports" / name).read_bytes() == (pt_run[0] / "reports" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("shape", [(0, 256), (1, 256), (40, 256)], ids=["0 rows", "1 row", "40 rows"])
+def test_npy_bytes_are_what_np_save_writes(shape):
+    array = np.random.default_rng(3).normal(size=shape)
+    rows = [row.astype("<f8").tobytes() for row in array]
+    saved = io.BytesIO()
+    np.save(saved, np.array([np.frombuffer(row, "<f8") for row in rows], dtype=np.float64))
+    written = cli.npy_bytes(rows)
+    assert written == saved.getvalue()
+    loaded = np.load(io.BytesIO(written))
+    assert loaded.shape == (shape if rows else (0,))
+    assert loaded.tobytes() == array.tobytes()
+
+
+def test_transform_exits_2_on_embeddings_of_unequal_length(tmp_path, runner, monkeypatch):
+    embed_batch = providers.ProviderClient.embed_batch
+
+    def ragged_embed_batch(self, cfg, texts):
+        rows = embed_batch(self, cfg, texts)
+        return rows[:-1] + [rows[-1][:-8]]
+
+    monkeypatch.setattr(providers.ProviderClient, "embed_batch", ragged_embed_batch)
+    conf = tmp_path / "c.conf"
+    write_config(conf, small_dataset(tmp_path))
+    run_dir = tmp_path / "run"
+    for stage, code in (("ingest", EXIT_OK), ("transform", EXIT_DATA)):
+        result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == code, result.output
+    assert result.output.splitlines()[-1] == "data error: Original: embeddings of unequal dimensions [255, 256]"
 
 
 def read_json(run_dir, name):
@@ -912,21 +947,48 @@ class TestConfigErrors:
 
 
 def fail_short_summaries(monkeypatch, ids):
-    """Make the mock chat fail the ShortSummary of each of small_dataset's `ids`,
-    each failure after the one listed before it."""
+    """Make the mock chat fail the ShortSummary of each of small_dataset's `ids`."""
     real = providers.mock_chat
-    raised = [threading.Event() for _ in ids]
 
     def chat(system_prompt, user_text):
         if system_prompt == DEFAULT_PROMPTS[TransformationKind.SHORT_SUMMARY]:
-            for n, item_id in enumerate(ids):
+            for item_id in ids:
                 if user_text.endswith(f" item {int(item_id[1:])}."):
-                    assert n == 0 or raised[n - 1].wait(timeout=10)
-                    raised[n].set()
                     raise RuntimeError(f"no summary for {item_id}")
         return real(system_prompt, user_text)
 
     monkeypatch.setattr(providers, "mock_chat", chat)
+
+
+class ShortSummaryFailures:
+    """A fake HTTP chat session that answers as the mock does, but fails the
+    ShortSummary of each of small_dataset's `ids` with a 400, each one once the
+    one listed before it has failed (or after 10 s); `failed` lists them in the
+    order they failed."""
+
+    class Response:
+        def __init__(self, status_code, body=None, text=""):
+            self.status_code, self._body, self.text = status_code, body, text
+
+        def json(self):
+            return self._body
+
+    def __init__(self, ids):
+        self.ids = ids
+        self.raised = [threading.Event() for _ in ids]
+        self.failed = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        system, user = (message["content"] for message in json["messages"])
+        if system == DEFAULT_PROMPTS[TransformationKind.SHORT_SUMMARY]:
+            for n, item_id in enumerate(self.ids):
+                if user.endswith(f" item {int(item_id[1:])}."):
+                    if n:
+                        self.raised[n - 1].wait(timeout=10)
+                    self.failed.append(item_id)
+                    self.raised[n].set()
+                    return self.Response(400, text=f"no summary for {item_id}")
+        return self.Response(200, {"choices": [{"message": {"content": providers.mock_chat(system, user)}}]})
 
 
 class TestLenientRun:
@@ -970,15 +1032,16 @@ class TestLenientRun:
         assert sorted(cls["runs"]) == sorted(manifest["kinds"])
 
     def test_failures_are_listed_in_source_order(self, tmp_path, runner, monkeypatch):
-        fail_short_summaries(monkeypatch, ["s06", "s01"])  # s06 fails first
+        session = ShortSummaryFailures(["s06", "s01"])  # s01's request waits for s06 to fail
+        monkeypatch.setattr(cli, "ProviderClient", functools.partial(providers.ProviderClient, session=session))
         conf = tmp_path / "c.conf"
         write_config(conf, small_dataset(tmp_path), extra="mode = lenient\nmax_workers = 4")
+        conf.write_text(conf.read_text().replace("mock:chat", "http://localhost:9/v1/chat"))
         run_dir = tmp_path / "run"
         for stage in ("ingest", "transform"):
-            result = runner.invoke(
-                main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"]
-            )
+            result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir)])
             assert result.exit_code == EXIT_OK, result.output
+        assert session.failed == ["s06", "s01"]
         manifest = json.loads((run_dir / "transformed" / "manifest.json").read_text())
         assert [i for i, _ in manifest["failures"]["ShortSummary"]] == ["s01", "s06"]
 

@@ -5,7 +5,7 @@ import pytest
 
 from semsurf.classifier import TrainConfig
 from semsurf.config import ROLES, SCHEMA, Config, ConfigError
-from semsurf.providers import ProviderConfig
+from semsurf.providers import DEFAULT_MAX_WORKERS, ProviderConfig
 from semsurf.transform import DEFAULT_PROMPTS, KIND_ORDER, PipelineConfig, TransformationKind
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,7 +58,7 @@ def test_defaults_come_from_the_owning_dataclasses(tmp_path):
     cfg = load(tmp_path, MINIMAL)
     assert cfg.train == TrainConfig()
     pipeline = cfg.pipeline("en")
-    assert pipeline.max_workers == PipelineConfig.max_workers
+    assert cfg["max_workers"] == DEFAULT_MAX_WORKERS
     assert pipeline.lenient_threshold == PipelineConfig.lenient_threshold
     assert pipeline.strict and pipeline.enabled == set(KIND_ORDER)
     assert pipeline.prompts == DEFAULT_PROMPTS

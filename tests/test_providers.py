@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import math
@@ -38,6 +39,7 @@ from semsurf.providers import (
     mock_translate,
 )
 from semsurf.textmetrics import cosine
+from semsurf.transform import STEPS, PipelineConfig, TransformationKind, TransformedCorpus, apply_step
 
 
 def chat_cfg(endpoint="mock:chat"):
@@ -53,18 +55,28 @@ def lookup(cache, key):
     return cache.lookup_many([key]).get(key)
 
 
+def only(outcomes):
+    """The outcome of a one-input operation, raised if it is an exception."""
+    [outcome] = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def mock_cfg(kind):
     return ProviderConfig(kind=kind, endpoint=f"mock:{kind}", model="m")
 
 
 # provider kind -> (a call of its operation on one input, the mock that computes a miss)
 OPERATIONS = {
-    "chat": (lambda client, cfg: client.chat_generate(cfg, "sys", "the boy sees a dog"), "mock_chat"),
-    "translate": (lambda client, cfg: client.translate(cfg, "o menino viu o cachorro.", "pt", "en"), "mock_translate"),
+    "chat": (lambda client, cfg: only(client.chat_generate(cfg, "sys", ["the boy sees a dog"])), "mock_chat"),
+    "translate": (
+        lambda client, cfg: only(client.translate(cfg, ["o menino viu o cachorro."], "pt", "en")), "mock_translate"
+    ),
     "embed": (lambda client, cfg: client.embed_batch(cfg, ["the boy sees a dog"]), "mock_embed"),
-    "text_to_image": (lambda client, cfg: client.text_to_image(cfg, "a dog in a garden"), "mock_text_to_image"),
+    "text_to_image": (lambda client, cfg: only(client.text_to_image(cfg, ["a dog in a garden"])), "mock_text_to_image"),
     "image_to_text": (
-        lambda client, cfg: client.image_to_text(cfg, mock_text_to_image("a dog"), "Describe the image."),
+        lambda client, cfg: only(client.image_to_text(cfg, [mock_text_to_image("a dog")], "Describe the image.")),
         "mock_image_to_text",
     ),
 }
@@ -273,29 +285,29 @@ class TestMocks:
 class TestClientMockPath:
     def test_chat_caches(self, tmp_path):
         client = make_client(tmp_path)
-        text1, key1 = client.chat_generate(chat_cfg(), "sys", "hello world")
-        text2, key2 = client.chat_generate(chat_cfg(), "sys", "hello world")
+        text1, key1 = only(client.chat_generate(chat_cfg(), "sys", ["hello world"]))
+        text2, key2 = only(client.chat_generate(chat_cfg(), "sys", ["hello world"]))
         assert (text1, key1) == (text2, key2)
         assert client.network_calls == 0
 
     def test_offline_mock_ok(self, tmp_path):
         client = make_client(tmp_path, offline=True)
-        text, _ = client.chat_generate(chat_cfg(), "sys", "hello world")
+        text, _ = only(client.chat_generate(chat_cfg(), "sys", ["hello world"]))
         assert text
 
     def test_offline_http_miss_raises(self, tmp_path):
         client = make_client(tmp_path, offline=True)
         cfg = chat_cfg("https://api.example.com/v1/chat")
         with pytest.raises(OfflineViolation):
-            client.chat_generate(cfg, "sys", "hello world")
+            only(client.chat_generate(cfg, "sys", ["hello world"]))
 
     def test_offline_http_hit_served(self, tmp_path):
         # warm the cache via the mock, then replay the exact record offline
         warm = make_client(tmp_path)
         cfg = chat_cfg()
-        _, key = warm.chat_generate(cfg, "sys", "hello world")
+        _, key = only(warm.chat_generate(cfg, "sys", ["hello world"]))
         cold = ProviderClient(warm.cache, offline=True)
-        text, key2 = cold.chat_generate(cfg, "sys", "hello world")
+        text, key2 = only(cold.chat_generate(cfg, "sys", ["hello world"]))
         assert key2 == key and text
 
     @pytest.mark.parametrize("op", OPERATIONS)
@@ -310,7 +322,7 @@ class TestClientMockPath:
         client = make_client(tmp_path)
         cfg = ProviderConfig(kind="translate", endpoint="mock:t", model="m")
         with pytest.raises(ValueError):
-            client.translate(cfg, "text", "en", "en")
+            client.translate(cfg, ["text"], "en", "en")
 
     def test_embed_empty(self, tmp_path):
         client = make_client(tmp_path)
@@ -389,11 +401,11 @@ class TestClientMockPath:
         client = make_client(tmp_path)
         t2i = ProviderConfig(kind="text_to_image", endpoint="mock:t2i", model="m")
         i2t = ProviderConfig(kind="image_to_text", endpoint="mock:i2t", model="m")
-        img, _ = client.text_to_image(t2i, "a dog in a garden")
-        caption, _ = client.image_to_text(i2t, img, "Describe the image.")
+        img, _ = only(client.text_to_image(t2i, ["a dog in a garden"]))
+        caption, _ = only(client.image_to_text(i2t, [img], "Describe the image."))
         assert caption
         with pytest.raises(ValueError, match="not a PNG"):
-            client.image_to_text(i2t, b"JPEG?", "Describe the image.")
+            only(client.image_to_text(i2t, [b"JPEG?"], "Describe the image."))
 
 
 def count_computations(monkeypatch, mock_name):
@@ -510,15 +522,15 @@ class TestHttpPath:
     def test_success(self, tmp_path):
         session = FakeSession([FakeResponse(200, chat_body("hi there"))])
         client = make_client(tmp_path, session=session)
-        text, _ = client.chat_generate(HTTP_CFG, "sys", "input")
+        text, _ = only(client.chat_generate(HTTP_CFG, "sys", ["input"]))
         assert text == "hi there"
         assert client.network_calls == 1
 
     def test_second_call_served_from_cache(self, tmp_path):
         session = FakeSession([FakeResponse(200, chat_body("hi"))])
         client = make_client(tmp_path, session=session)
-        client.chat_generate(HTTP_CFG, "sys", "input")
-        client.chat_generate(HTTP_CFG, "sys", "input")  # would IndexError on refetch
+        only(client.chat_generate(HTTP_CFG, "sys", ["input"]))
+        only(client.chat_generate(HTTP_CFG, "sys", ["input"]))  # would IndexError on refetch
         assert client.network_calls == 1
 
     def test_retry_on_5xx_then_success(self, tmp_path):
@@ -527,7 +539,7 @@ class TestHttpPath:
             [FakeResponse(503), FakeResponse(502), FakeResponse(200, chat_body("ok"))]
         )
         client = make_client(tmp_path, session=session, sleep=sleeps.append)
-        text, _ = client.chat_generate(HTTP_CFG, "sys", "input")
+        text, _ = only(client.chat_generate(HTTP_CFG, "sys", ["input"]))
         assert text == "ok"
         assert sleeps == [1.0, 2.0]  # exponential backoff
         assert client.network_calls == 3
@@ -536,14 +548,14 @@ class TestHttpPath:
         session = FakeSession([FakeResponse(500)] * 3)
         client = make_client(tmp_path, session=session, sleep=lambda s: None)
         with pytest.raises(TransportError) as err:
-            client.chat_generate(HTTP_CFG, "sys", "input")
+            only(client.chat_generate(HTTP_CFG, "sys", ["input"]))
         assert err.value.attempts == 3
 
     def test_4xx_fails_fast(self, tmp_path):
         session = FakeSession([FakeResponse(401, text="bad key")])
         client = make_client(tmp_path, session=session, sleep=lambda s: None)
         with pytest.raises(ProviderError, match="401"):
-            client.chat_generate(HTTP_CFG, "sys", "input")
+            only(client.chat_generate(HTTP_CFG, "sys", ["input"]))
         assert session.script == []  # exactly one request, no retries
 
     def test_transport_exception_retried(self, tmp_path):
@@ -551,7 +563,7 @@ class TestHttpPath:
             [requests.ConnectionError("down"), FakeResponse(200, chat_body("ok"))]
         )
         client = make_client(tmp_path, session=session, sleep=lambda s: None)
-        text, _ = client.chat_generate(HTTP_CFG, "sys", "input")
+        text, _ = only(client.chat_generate(HTTP_CFG, "sys", ["input"]))
         assert text == "ok"
         assert client.network_calls == 2
 
@@ -563,7 +575,7 @@ class TestHttpPath:
         )
         session = FakeSession([FakeResponse(200, chat_body("ok"))])
         client = make_client(tmp_path, session=session)
-        client.chat_generate(cfg, "sys", "input")
+        only(client.chat_generate(cfg, "sys", ["input"]))
         assert session.calls[0]["headers"]["Authorization"] == "Bearer sk-secret"
         # the credential never lands in the cache on disk
         client.cache.close()
@@ -578,7 +590,7 @@ class TestHttpPath:
         )
         client = make_client(tmp_path, session=FakeSession([]))
         with pytest.raises(ProviderError, match="UNSET_VAR_XYZ"):
-            client.chat_generate(cfg, "sys", "input")
+            only(client.chat_generate(cfg, "sys", ["input"]))
 
     def test_embed_dimension_check(self, tmp_path):
         body = {"data": [{"embedding": [0.1, 0.2, 0.3]}]}
@@ -606,7 +618,7 @@ class TestHttpPath:
     def test_embed_stores_each_response_as_it_arrives(self, tmp_path):
         ok = {"data": [{"embedding": [0.6, 0.8]}]}
         session = FakeSession([FakeResponse(200, ok), FakeResponse(401, text="bad key")])
-        client = make_client(tmp_path, session=session)
+        client = make_client(tmp_path, session=session, max_workers=1)  # one request at a time, in order
         with pytest.raises(ProviderError, match="401"):
             client.embed_batch(EMBED_HTTP_CFG, ["one", "two"])
         # the first response is in the cache although the batch failed after it
@@ -615,22 +627,115 @@ class TestHttpPath:
         assert client.network_calls == 2
 
 
+class TestRejectedResponses:
+    """A response its operation rejects fails its input and is not stored, so the next call asks again."""
+
+    @staticmethod
+    def retried(tmp_path, call, rejected, accepted):
+        session = FakeSession([FakeResponse(200, rejected), FakeResponse(200, accepted)])
+        client = make_client(tmp_path, session=session)
+        with pytest.raises(ProviderError) as err:
+            call(client)
+        assert client.network_calls == 1
+        result = call(client)
+        assert client.network_calls == 2
+        client.cache.close()
+        with closing(sqlite3.connect(tmp_path / "cache" / "responses.sqlite3")) as db:
+            rows = db.execute("SELECT response_text, response_image FROM responses").fetchall()
+        return str(err.value), result, rows
+
+    def test_empty_completion(self, tmp_path):
+        error, (text, _), rows = self.retried(
+            tmp_path, lambda client: only(client.chat_generate(HTTP_CFG, "sys", ["input"])),
+            chat_body(""), chat_body("a summary"),
+        )
+        assert error == "empty completion"
+        assert text == "a summary"
+        assert rows == [("a summary", None)]
+
+    def test_embedding_of_another_dimension(self, tmp_path):
+        cfg = ProviderConfig(kind="embed", endpoint="https://api.example.com/v1", model="m", dimension=4)
+        error, rows_out, rows = self.retried(
+            tmp_path, lambda client: client.embed_batch(cfg, ["text"]),
+            {"data": [{"embedding": [0.1, 0.2, 0.3]}]}, {"data": [{"embedding": [0.1, 0.2, 0.3, 0.4]}]},
+        )
+        assert error == "embedding dimension 3 != declared 4"
+        packed = struct.pack("<4d", 0.1, 0.2, 0.3, 0.4)
+        assert rows_out == [packed]
+        assert rows == [(None, packed)]
+
+    def test_image_that_is_not_a_png(self, tmp_path):
+        cfg = ProviderConfig(kind="text_to_image", endpoint="https://api.example.com/v1", model="m")
+        png = mock_text_to_image("a dog")
+        error, (image, _), rows = self.retried(
+            tmp_path, lambda client: only(client.text_to_image(cfg, ["a dog"])),
+            {"data": [{"b64_json": base64.b64encode(b"GIF89a").decode()}]},
+            {"data": [{"b64_json": base64.b64encode(png).decode()}]},
+        )
+        assert error == "provider returned no PNG image"
+        assert image == png
+        assert rows == [(None, png)]
+
+
+class TestHttpConcurrency:
+    """A batch's HTTP misses are sent max_workers at a time; one at a time when it is 1."""
+
+    CASES = {  # max_workers -> (barrier parties, barrier wait, requests that met the others)
+        3: (3, 10, 6),
+        1: (2, 0.2, 0),
+    }
+
+    @pytest.mark.parametrize("max_workers", CASES)
+    def test_transform_step(self, tmp_path, max_workers):
+        parties, wait_s, together = self.CASES[max_workers]
+        session = GatedSession(parties, wait_s)
+        client = make_client(tmp_path, session=session, max_workers=max_workers)
+        source = TransformedCorpus(TransformationKind.ORIGINAL, tuple((f"d{i}", f"text {i}") for i in range(6)))
+        step = next(s for s in STEPS if s.kind is TransformationKind.SHORT_SUMMARY)
+        corpus, failures = apply_step(step, source, client, PipelineConfig(chat=HTTP_CFG), "en")
+        assert failures == []
+        assert corpus.items == source.items
+        assert (len(session.together), session.peak, client.network_calls) == (together, max_workers, 6)
+
+    @pytest.mark.parametrize("max_workers", CASES)
+    def test_embed_batch(self, tmp_path, max_workers):
+        parties, wait_s, together = self.CASES[max_workers]
+        session = GatedSession(parties, wait_s)
+        client = make_client(tmp_path, session=session, max_workers=max_workers)
+        texts = [f"text {i}" * (i + 1) for i in range(6)]
+        rows = client.embed_batch(EMBED_HTTP_CFG, texts)
+        assert rows == [struct.pack("<2d", 1.0, len(text)) for text in texts]
+        assert (len(session.together), session.peak, client.network_calls) == (together, max_workers, 6)
+
+
 class GatedSession:
-    """Answers each chat request with its user text once `parties` requests are
-    in flight together, or after `wait_s` if they never are."""
+    """Answers each chat request with its user text, and each embed request with
+    [1, len(text)], once `parties` requests are in flight together, or after
+    `wait_s` if they never are. `peak` is the most requests it held at once."""
 
     def __init__(self, parties, wait_s):
         self.barrier = threading.Barrier(parties)
         self.wait_s = wait_s
-        self.together = []  # user texts of the requests that met all the others in flight
+        self.together = []  # texts of the requests that met all the others in flight
+        self._lock = threading.Lock()
+        self.in_flight = self.peak = 0
 
     def post(self, url, json=None, headers=None, timeout=None):
+        text = json["input"] if "input" in json else json["messages"][1]["content"]
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
         try:
             self.barrier.wait(timeout=self.wait_s)
-            self.together.append(json["messages"][1]["content"])
+            self.together.append(text)
         except threading.BrokenBarrierError:
             pass
-        return FakeResponse(200, chat_body(json["messages"][1]["content"]))
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+        if "input" in json:
+            return FakeResponse(200, {"data": [{"embedding": [1.0, float(len(text))]}]})
+        return FakeResponse(200, chat_body(text))
 
 
 def run_together(calls):
@@ -661,7 +766,7 @@ class TestSingleFlight:
         n = 6
         session = GatedSession(parties=n, wait_s=0.5)
         client = make_client(tmp_path, session=session)
-        results = run_together([lambda: client.chat_generate(HTTP_CFG, "sys", "input")] * n)
+        results = run_together([lambda: only(client.chat_generate(HTTP_CFG, "sys", ["input"]))] * n)
         assert client.network_calls == 1
         assert session.together == []
         assert set(results) == {results[0]}
@@ -671,8 +776,8 @@ class TestSingleFlight:
         session = GatedSession(parties=2, wait_s=10)
         client = make_client(tmp_path, session=session)
         results = run_together(
-            [lambda: client.chat_generate(HTTP_CFG, "sys", "one"),
-             lambda: client.chat_generate(HTTP_CFG, "sys", "two")]
+            [lambda: only(client.chat_generate(HTTP_CFG, "sys", ["one"])),
+             lambda: only(client.chat_generate(HTTP_CFG, "sys", ["two"]))]
         )
         assert sorted(session.together) == ["one", "two"]
         assert [text for text, _ in results] == ["one", "two"]

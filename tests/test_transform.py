@@ -213,7 +213,7 @@ class TestPipeline:
 
     def test_strict_mode_aborts_on_failure(self, client, monkeypatch):
         failing_chat(monkeypatch, lambda kind, text: True)
-        cfg = PipelineConfig(**cfgs(), enabled={K.ORIGINAL, K.SHORT_SUMMARY}, max_workers=1)
+        cfg = PipelineConfig(**cfgs(), enabled={K.ORIGINAL, K.SHORT_SUMMARY})
         with pytest.raises(TransformError):
             run_pipeline(dataset("en"), cfg, client)
 
@@ -221,7 +221,7 @@ class TestPipeline:
         failing_chat(monkeypatch, lambda kind, text: "numero 3" in text)
         cfg = PipelineConfig(
             **cfgs(), enabled={K.ORIGINAL, K.SHORT_SUMMARY},
-            strict=False, lenient_threshold=0.5, max_workers=1,
+            strict=False, lenient_threshold=0.5,
         )
         out, failures = run_pipeline(dataset("en"), cfg, client)
         assert len(out[K.SHORT_SUMMARY].items) == 3
@@ -246,7 +246,7 @@ class TestPipeline:
         failing_chat(monkeypatch, lambda kind, text: True)
         cfg = PipelineConfig(
             **cfgs(), enabled={K.ORIGINAL, K.SHORT_SUMMARY},
-            strict=False, lenient_threshold=0.8, max_workers=1,
+            strict=False, lenient_threshold=0.8,
         )
         with pytest.raises(TransformError, match="threshold"):
             run_pipeline(dataset("en"), cfg, client)
