@@ -100,10 +100,10 @@ def _role_keys(role: str) -> dict[str, Key]:
     }
     if role == "chat":
         keys["temperature"] = Key(_number(float, "a number", 0), ProviderConfig.temperature)
-        keys["max_tokens"] = Key(INT)
+        keys["max_tokens"] = Key(_number(int, "an integer", 1))
         keys["seed"] = Key(INT, ProviderConfig.seed)
     if role == "embed":
-        keys["dimension"] = Key(INT)
+        keys["dimension"] = Key(_number(int, "an integer", 1))
     return {f"{role}.{name}": spec for name, spec in keys.items()}
 
 

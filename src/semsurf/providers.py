@@ -25,10 +25,9 @@ import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 if TYPE_CHECKING:
     import requests
@@ -43,6 +42,8 @@ PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = 1.0
+
+CACHE_VERSION = 1  # PRAGMA user_version of a cache database in the current format
 
 LOOKUP_CHUNK = 500  # keys per SELECT ... IN (...), well below SQLite's bound on query parameters
 
@@ -144,11 +145,8 @@ def _pack_embedding(values) -> bytes:
 
 def _vector_row(record: GenerationRecord, dimension: int | None) -> bytes:
     """The record's embedding, packed, once it is non-empty, finite and, unless
-    `dimension` is None, of that dimension. Records written before embeddings
-    were packed hold a JSON list as their text."""
-    packed = record.response_image
-    if packed is None:
-        packed = _pack_embedding(json.loads(record.response_text))
+    `dimension` is None, of that dimension."""
+    packed = record.response_image or b""  # a record without a BLOB holds no vector
     vec = EmbeddingVector.from_bytes(packed)
     if dimension is not None and vec.dimension != dimension:
         raise ProviderError(f"embedding dimension {vec.dimension} != declared {dimension}")
@@ -169,10 +167,10 @@ class ResponseCache:
     holding one row per key, the image or the packed embedding (if any) as a BLOB.
 
     One connection, guarded by the cache's lock, serves every thread. Each
-    store, and each store_many, commits at once. The database is in WAL
-    mode, so its -wal and -shm files sit beside it until close() folds them
-    back in. Records of the earlier layout, <root>/<first 2 hex>/<key>.json
-    with the image in a sibling .png, are still read but never written.
+    store_many commits at once. The database is in WAL mode, so its -wal and
+    -shm files sit beside it until close() folds them back in. A database of
+    an earlier version is brought to the current format once, on open (see
+    _upgrade).
     """
 
     def __init__(self, root: str | Path):
@@ -186,27 +184,66 @@ class ResponseCache:
             db.execute("PRAGMA journal_mode=WAL")
             db.execute("PRAGMA synchronous=NORMAL")
             db.execute("PRAGMA cache_size=-64")  # KiB; each lookup reads one row
-            db.execute(
-                "CREATE TABLE IF NOT EXISTS responses (key TEXT PRIMARY KEY, request TEXT, response_text TEXT,"
-                " response_image BLOB, created_at REAL, provider TEXT)"
-            )
+            if db.execute("PRAGMA user_version").fetchone()[0] == 0:
+                self._upgrade(db)
         except sqlite3.Error as exc:
             if db is not None:
                 db.close()
             raise ValueError(f"cannot open the provider cache {path}: {exc}") from None
         self._db = db
 
-    def _paths(self, key: str) -> tuple[Path, Path]:
-        """The record and image files of `key` in the earlier layout."""
-        d = self.root / key[:2]
-        return d / f"{key}.json", d / f"{key}.png"
+    def _upgrade(self, db: sqlite3.Connection) -> None:
+        """Bring a database of user_version 0 to CACHE_VERSION in one transaction.
+
+        A new database gets its table. An older one also gets the records of
+        the file layout before the database, <root>/<first 2 hex>/<key>.json
+        with the image in a sibling .png, unless it holds their key already;
+        an unreadable file is skipped, and the files are never read again.
+        Each embedding row that holds its vector as JSON text gets it packed
+        as float64. A row without a BLOB that cannot be read, or whose text
+        is no vector, was a miss and is deleted.
+        """
+        with db:  # commits, or rolls back on an error
+            db.execute("BEGIN IMMEDIATE")
+            if db.execute("PRAGMA user_version").fetchone()[0]:
+                return  # another process upgraded it meanwhile
+            db.execute(
+                "CREATE TABLE IF NOT EXISTS responses (key TEXT PRIMARY KEY, request TEXT, response_text TEXT,"
+                " response_image BLOB, created_at REAL, provider TEXT)"
+            )
+            db.executemany("INSERT OR IGNORE INTO responses VALUES (?, ?, ?, ?, ?, ?)", self._old_files())
+            text_rows = db.execute(
+                "SELECT key, response_text, provider FROM responses WHERE response_image IS NULL"
+            ).fetchall()
+            for key, text, provider in text_rows:
+                try:
+                    if json.loads(provider)["kind"] != "embed":
+                        continue
+                    packed = _pack_embedding(json.loads(text))
+                except (ValueError, KeyError, TypeError, ProviderError):
+                    db.execute("DELETE FROM responses WHERE key = ?", (key,))  # a miss, as it was
+                else:
+                    db.execute(
+                        "UPDATE responses SET response_text = NULL, response_image = ? WHERE key = ?", (packed, key)
+                    )
+            db.execute(f"PRAGMA user_version = {CACHE_VERSION}")
+
+    def _old_files(self) -> Iterator[tuple]:
+        """The row of each readable record file of the layout before the database."""
+        for path in sorted(self.root.glob("[0-9a-f][0-9a-f]/*.json")):
+            try:
+                obj = json.loads(path.read_text(encoding="utf-8"))
+                image = path.with_suffix(".png").read_bytes() if obj["has_image"] else None
+                record = GenerationRecord(
+                    obj["cache_key"], obj["request"], obj["response_text"], image, obj["created_at"], obj["provider"]
+                )
+            except (OSError, ValueError, KeyError, TypeError):
+                continue  # an unreadable record stays a miss
+            yield self._row(record)
 
     def lookup_many(self, keys: Sequence[str]) -> dict[str, GenerationRecord]:
-        """The records the cache holds for `keys`, read with one query per LOOKUP_CHUNK keys.
-
-        A key the database lacks is looked up in the earlier layout; a row
-        that cannot be read is a miss.
-        """
+        """The records the cache holds for `keys`, read with one query per
+        LOOKUP_CHUNK keys. A row that cannot be read is a miss."""
         for key in keys:
             if len(key) != 64:
                 raise ValueError(f"cache key must be 64 hex chars: {key!r}")
@@ -225,33 +262,7 @@ class ResponseCache:
                 found[key] = GenerationRecord(key, request, text, image, created_at, json.loads(provider))
             except (ValueError, TypeError):
                 pass  # corrupted record: treat as a miss
-        in_db = {row[0] for row in rows}
-        missing = [key for key in keys if key not in in_db]
-        if missing:
-            subdirs = set(os.listdir(self.root))  # one listing, not a stat per key of a fresh cache
-            for key in missing:
-                if key[:2] in subdirs and (record := self._lookup_file(key)) is not None:
-                    found[key] = record
         return found
-
-    def _lookup_file(self, key: str) -> GenerationRecord | None:
-        json_path, png_path = self._paths(key)
-        if not json_path.exists():
-            return None
-        try:
-            obj = json.loads(json_path.read_text(encoding="utf-8"))
-            image = png_path.read_bytes() if obj.get("has_image") else None
-            return GenerationRecord(
-                cache_key=obj["cache_key"],
-                request=obj["request"],
-                response_text=obj.get("response_text"),
-                response_image=image,
-                created_at=obj["created_at"],
-                provider=obj["provider"],
-            )
-        except (ValueError, KeyError, OSError):
-            # corrupted record: treat as a miss
-            return None
 
     @staticmethod
     def _row(record: GenerationRecord) -> tuple:
@@ -260,25 +271,15 @@ class ResponseCache:
             record.created_at, json.dumps(record.provider, ensure_ascii=False),
         )
 
-    # REPLACE, not IGNORE: a miss on a corrupted row must overwrite it, as it overwrote a corrupted file
-    _INSERT = "INSERT OR REPLACE INTO responses VALUES (?, ?, ?, ?, ?, ?)"
-
-    def store(self, record: GenerationRecord) -> None:
-        row = self._row(record)
-        with self._lock:
-            self._db.execute(self._INSERT, row)
-
     def store_many(self, records: Iterable[GenerationRecord]) -> None:
-        """Store `records` in one transaction: all of them or, on an error, none."""
+        """Store `records` in one transaction: all of them or, on an error, none.
+
+        A record replaces the row of its key, so a miss on a corrupted row overwrites it.
+        """
         rows = [self._row(record) for record in records]
-        with self._lock:
+        with self._lock, self._db:  # commits, or rolls back on an error
             self._db.execute("BEGIN")
-            try:
-                self._db.executemany(self._INSERT, rows)
-            except BaseException:
-                self._db.execute("ROLLBACK")
-                raise
-            self._db.execute("COMMIT")
+            self._db.executemany("INSERT OR REPLACE INTO responses VALUES (?, ?, ?, ?, ?, ?)", rows)
 
     def close(self) -> None:
         """Close the connection; the last one to close removes the -wal and -shm files."""
@@ -394,7 +395,9 @@ def _png(record: GenerationRecord) -> bytes:
 
 
 class ProviderClient:
-    """Cached provider frontend. One instance may serve several configs.
+    """Cached provider frontend. One instance may serve several configs, and
+    callers on several threads; two calls that miss the same key at once both
+    compute it, and the cache keeps one row.
 
     Each operation takes a list of inputs and returns, in order, each input's
     (result, cache key) or the exception that failed it; embed_batch raises
@@ -414,8 +417,7 @@ class ProviderClient:
         self._session = session
         self._sleep = sleep
         self.max_workers = max_workers
-        self._lock = threading.Lock()
-        self._inflight: dict[str, tuple[threading.Lock, int]] = {}  # key -> (lock, callers)
+        self._lock = threading.Lock()  # guards network_calls, counted on the threads of _fetch's pool
         self.network_calls = 0  # HTTP requests sent, retries included
 
     # -- public operations ------------------------------------------------
@@ -476,7 +478,10 @@ class ProviderClient:
             if image.startswith(PNG_SIGNATURE) else ValueError("image payload is not a PNG")
             for image in images
         ]
-        return self._fetch(cfg, payloads, lambda i: mock_image_to_text(images[i], prompt), _text("caption"))
+        return self._fetch(
+            cfg, payloads, lambda i: mock_image_to_text(images[i], prompt), _text("caption"),
+            http_body=lambda i: self._caption_body(cfg, images[i], prompt),
+        )
 
     # -- internals ---------------------------------------------------------
 
@@ -497,33 +502,12 @@ class ProviderClient:
             payload["seed"] = cfg.seed
         return payload
 
-    @contextmanager
-    def _single_flight(self, keys: Iterable[str]):
-        """Hold the locks of `keys`; callers of other keys never wait. The locks
-        are taken in sorted key order, so overlapping batches cannot deadlock."""
-        keys = sorted(set(keys))
-        with self._lock:
-            locks = []
-            for key in keys:
-                lock, callers = self._inflight.get(key) or (threading.Lock(), 0)
-                self._inflight[key] = (lock, callers + 1)
-                locks.append(lock)
-        held = []
-        try:
-            for lock in locks:
-                lock.acquire()
-                held.append(lock)
-            yield
-        finally:
-            for lock in held:
-                lock.release()
-            with self._lock:
-                for key, lock in zip(keys, locks):
-                    callers = self._inflight[key][1] - 1
-                    if callers:
-                        self._inflight[key] = (lock, callers)
-                    else:
-                        del self._inflight[key]
+    @staticmethod
+    def _caption_body(cfg: ProviderConfig, image: bytes, prompt: str) -> dict:
+        """The chat request that asks for a caption of `image`, sent inline as a data URL."""
+        url = "data:image/png;base64," + base64.b64encode(image).decode("ascii")
+        content = [{"type": "text", "text": prompt}, {"type": "image_url", "image_url": {"url": url}}]
+        return {"model": cfg.model, "messages": [{"role": "user", "content": content}]}
 
     def _fetch(
         self,
@@ -531,6 +515,7 @@ class ProviderClient:
         payloads: Sequence[dict | Exception],
         mock_fn: Callable[[int], str | bytes],
         check: Callable[[GenerationRecord], T],
+        http_body: Callable[[int], dict] | None = None,
     ) -> list[tuple[T, str] | Exception]:
         """The outcome of each of `payloads`, in order: (check(record), cache key)
         or the exception that failed it. A payload that is an exception is its
@@ -543,9 +528,11 @@ class ProviderClient:
         its response arrives, so a failure elsewhere in the batch loses none
         of them. A miss while offline fails with OfflineViolation. check runs
         on every record, and a miss it rejects is not stored, so the next call
-        asks the provider again. The first caller of a key computes it; the
-        others wait for its lock, then hit. A result is the record's text, or
-        its BLOB if it is bytes.
+        asks the provider again. A result is the record's text, or its BLOB if
+        it is bytes.
+
+        The body of an HTTP request is http_body(index of the key's first
+        payload), or by default that payload without its op.
         """
         first: dict[str, tuple[int, str]] = {}  # key -> (index of its first payload, canonical request)
         keys: list[str | None] = []
@@ -567,41 +554,42 @@ class ProviderClient:
             return record, check(record)
 
         def send(key: str) -> tuple[T, str]:
-            record, value = checked(key, self._http_call(cfg, payloads[first[key][0]]))
-            self.cache.store(record)
+            i = first[key][0]
+            body = http_body(i) if http_body else {k: v for k, v in payloads[i].items() if k != "op"}
+            record, value = checked(key, self._http_call(cfg, body))
+            self.cache.store_many([record])
             return value, key
 
-        with self._single_flight(first):
-            found = self.cache.lookup_many(list(first))
-            misses = [key for key in first if key not in found]
-            for key, record in found.items():
+        found = self.cache.lookup_many(list(first))
+        misses = [key for key in first if key not in found]
+        for key, record in found.items():
+            try:
+                outcomes[key] = check(record), key
+            except (ProviderError, ValueError) as exc:
+                outcomes[key] = exc
+        if cfg.is_mock:
+            records = []
+            for key in misses:
                 try:
-                    outcomes[key] = check(record), key
-                except (ProviderError, ValueError) as exc:
+                    record, value = checked(key, mock_fn(first[key][0]))
+                except Exception as exc:  # fails this payload alone, as an HTTP error would
                     outcomes[key] = exc
-            if cfg.is_mock:
-                records = []
-                for key in misses:
-                    try:
-                        record, value = checked(key, mock_fn(first[key][0]))
-                    except Exception as exc:  # fails this payload alone, as an HTTP error would
-                        outcomes[key] = exc
-                    else:
-                        records.append(record)
-                        outcomes[key] = value, key
-                if records:
-                    self.cache.store_many(records)
-            elif self.offline:
-                for key in misses:
-                    outcomes[key] = OfflineViolation(f"cache miss for {key} with transport disabled")
-            elif misses:
-                with ThreadPoolExecutor(max_workers=min(self.max_workers, len(misses))) as pool:
-                    futures = {key: pool.submit(send, key) for key in misses}
-                for key, future in futures.items():
-                    outcomes[key] = future.exception() or future.result()
+                else:
+                    records.append(record)
+                    outcomes[key] = value, key
+            if records:
+                self.cache.store_many(records)
+        elif self.offline:
+            for key in misses:
+                outcomes[key] = OfflineViolation(f"cache miss for {key} with transport disabled")
+        elif misses:
+            with ThreadPoolExecutor(max_workers=min(self.max_workers, len(misses))) as pool:
+                futures = {key: pool.submit(send, key) for key in misses}
+            for key, future in futures.items():
+                outcomes[key] = future.exception() or future.result()
         return [payload if key is None else outcomes[key] for payload, key in zip(payloads, keys)]
 
-    def _http_call(self, cfg: ProviderConfig, payload: dict):
+    def _http_call(self, cfg: ProviderConfig, body: dict):
         import requests  # deferred: mock and warm runs never send a request
 
         headers = {"Content-Type": "application/json"}
@@ -611,8 +599,6 @@ class ProviderClient:
                 raise ProviderError(f"credential env var {cfg.credential_env} is not set")
             headers["Authorization"] = f"Bearer {key}"
         session = self._session or requests
-        body = dict(payload)
-        body.pop("op", None)
         last_err = None
         for attempt in range(1, RETRY_ATTEMPTS + 1):
             with self._lock:
@@ -633,11 +619,19 @@ class ProviderClient:
 
     @staticmethod
     def _parse_response(cfg: ProviderConfig, resp):
-        obj = resp.json()
-        if cfg.kind == "text_to_image":
-            return base64.b64decode(obj["data"][0]["b64_json"])
-        if cfg.kind == "embed":
-            return _pack_embedding(obj["data"][0]["embedding"])
-        if cfg.kind == "translate" and "choices" not in obj:
-            return obj["translation"]  # translation servers return either envelope
-        return obj["choices"][0]["message"]["content"]  # chat, image_to_text and translate
+        """The text, image or packed embedding of a response; ProviderError if its envelope is malformed."""
+        try:
+            obj = resp.json()
+            if cfg.kind == "text_to_image":
+                return base64.b64decode(obj["data"][0]["b64_json"])
+            if cfg.kind == "embed":
+                return _pack_embedding(obj["data"][0]["embedding"])
+            if cfg.kind == "translate" and "choices" not in obj:
+                text = obj["translation"]  # translation servers return either envelope
+            else:
+                text = obj["choices"][0]["message"]["content"]  # chat, image_to_text and translate
+            if text is not None and not isinstance(text, str):  # None is an empty completion
+                raise TypeError(f"the text is a {type(text).__name__}")
+            return text
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise ProviderError(f"malformed {cfg.kind} response: {exc!r}") from None

@@ -4,9 +4,11 @@ import io
 import json
 import os
 import shutil
+import sqlite3
 import subprocess
 import sys
 import threading
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +428,28 @@ class TestProviderCache:
             assert result.exit_code == code, result.output
         assert result.output.startswith("provider error: cache miss for "), result.output
         assert [p.name for p in (run_dir / "cache").iterdir()] == ["responses.sqlite3"]
+
+    def test_malformed_embed_response_exits_3(self, tmp_path, runner, monkeypatch):
+        class EmptyEmbeddings:
+            def post(self, url, json=None, headers=None, timeout=None):
+                return ShortSummaryFailures.Response(200, {"data": []})
+
+        session = EmptyEmbeddings()
+        monkeypatch.setattr(cli, "ProviderClient", functools.partial(providers.ProviderClient, session=session))
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path))
+        conf.write_text(conf.read_text().replace("mock:embed", "http://localhost:9/v1/embeddings"))
+        run_dir = tmp_path / "run"
+        for stage, code in (("ingest", EXIT_OK), ("transform", EXIT_PROVIDER)):
+            result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir)])
+            assert result.exit_code == code, result.output
+        assert result.output.splitlines()[-1] == (
+            "provider error: malformed embed response: IndexError('list index out of range')"
+        )
+        assert not list((run_dir / "transformed").glob("*.npy"))
+        with closing(sqlite3.connect(run_dir / "cache" / "responses.sqlite3")) as db:
+            kinds = {json.loads(provider)["kind"] for provider, in db.execute("SELECT provider FROM responses")}
+        assert "embed" not in kinds
 
     def test_a_cache_that_is_not_a_database_exits_2(self, tmp_path, runner):
         conf = tmp_path / "c.conf"
@@ -895,6 +919,10 @@ CONFIG_ERRORS = {
     "master_seed below 0": ("master_seed = -1", None, "master_seed"),
     "nan zipf_oov_floor": ("zipf_oov_floor = nan", None, "zipf_oov_floor"),
     "infinite l2": ("train.l2 = inf", None, "train.l2"),
+    "embed.dimension 0": ("embed.dimension = 0", None, "embed.dimension"),
+    "negative embed.dimension": ("embed.dimension = -256", None, "embed.dimension"),
+    "chat.max_tokens 0": ("chat.max_tokens = 0", None, "chat.max_tokens"),
+    "negative chat.max_tokens": ("chat.max_tokens = -1", None, "chat.max_tokens"),
 }
 
 # keys that configs once accepted and no provider call or stage read

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import hashlib
 import json
 import math
@@ -125,7 +126,7 @@ class TestCache:
     def test_roundtrip(self, tmp_path):
         cache = ResponseCache(tmp_path)
         rec = self.record()
-        cache.store(rec)
+        cache.store_many([rec])
         back = lookup(cache, rec.cache_key)
         assert back == rec
         cache.close()
@@ -148,13 +149,13 @@ class TestCache:
     def test_corrupt_record_is_miss(self, tmp_path):
         cache = ResponseCache(tmp_path)
         rec = self.record()
-        cache.store(rec)
+        cache.store_many([rec])
         with closing(sqlite3.connect(tmp_path / "responses.sqlite3")) as db:
             db.execute("UPDATE responses SET provider = '{not json' WHERE key = ?", (rec.cache_key,))
             db.commit()
         assert lookup(cache, rec.cache_key) is None
         # the store after that miss replaces the corrupted row
-        cache.store(rec)
+        cache.store_many([rec])
         assert lookup(cache, rec.cache_key) == rec
         cache.close()
 
@@ -162,7 +163,7 @@ class TestCache:
         cache = ResponseCache(tmp_path)
         png = mock_text_to_image("a dog")
         rec = self.record(text="img", image=png)
-        cache.store(rec)
+        cache.store_many([rec])
         assert lookup(cache, rec.cache_key) == rec
         with closing(sqlite3.connect(tmp_path / "responses.sqlite3")) as db:
             assert db.execute("SELECT response_image FROM responses").fetchall() == [(png,)]
@@ -170,41 +171,46 @@ class TestCache:
 
     def test_no_temp_files_left(self, tmp_path):
         cache = ResponseCache(tmp_path)
-        cache.store(self.record())
-        cache.store(self.record(text="img", image=mock_text_to_image("a dog")))
+        cache.store_many([self.record()])
+        cache.store_many([self.record(text="img", image=mock_text_to_image("a dog"))])
         cache.close()
         assert [p.name for p in tmp_path.iterdir()] == ["responses.sqlite3"]
 
     def test_old_layout_record_is_a_hit(self, tmp_path):
-        png = mock_text_to_image("a dog")
-        old = self.record(text="img", image=png)
-        json_path = tmp_path / old.cache_key[:2] / f"{old.cache_key}.json"
-        json_path.parent.mkdir()
-        json_path.write_text(json.dumps({
-            "cache_key": old.cache_key, "request": old.request, "response_text": None, "has_image": True,
-            "created_at": old.created_at, "provider": old.provider,
-        }))
-        json_path.with_suffix(".png").write_bytes(png)
-        old_files = {p: p.stat().st_mtime_ns for p in json_path.parent.iterdir()}
+        """The first open copies each readable record of the earlier file layout into
+        the database, unless the database holds its key; the files are left as they
+        are and never read again."""
+        old = self.record(text="img", image=mock_text_to_image("a dog"))
+        corrupt = self.record(text="corrupt")
+        in_both = self.record(text="the database's")
+        path = write_old_file(tmp_path, old)
+        write_old_file(tmp_path, corrupt).write_text("{not json")
+        write_old_file(tmp_path, dataclasses.replace(in_both, response_text="the file's"))
+        write_version_0_database(tmp_path, [in_both])
+        old_files = {p: p.stat().st_mtime_ns for p in tmp_path.glob("*/*")}
         cache = ResponseCache(tmp_path)
-        assert lookup(cache, old.cache_key) == old
-        new = self.record(text="new")
-        cache.store(new)
+        keys = [old.cache_key, corrupt.cache_key, in_both.cache_key]
+        assert cache.lookup_many(keys) == {old.cache_key: old, in_both.cache_key: in_both}
         cache.close()
-        # read, never written: new records go to the database
-        assert {p: p.stat().st_mtime_ns for p in json_path.parent.iterdir()} == old_files
-        assert sorted(p.name for p in tmp_path.iterdir()) == [old.cache_key[:2], "responses.sqlite3"]
+        assert {p: p.stat().st_mtime_ns for p in tmp_path.glob("*/*")} == old_files
+        path.unlink()
+        path.with_suffix(".png").unlink()
+        database = tmp_path / "responses.sqlite3"
+        before = database.stat().st_mtime_ns, database.stat().st_size, database.read_bytes()
         reopened = ResponseCache(tmp_path)
-        assert lookup(reopened, new.cache_key) == new
-        assert lookup(reopened, old.cache_key) == old
+        assert reopened.lookup_many(keys) == {old.cache_key: old, in_both.cache_key: in_both}
         reopened.close()
+        # a second open writes nothing
+        assert (database.stat().st_mtime_ns, database.stat().st_size, database.read_bytes()) == before
+        with closing(sqlite3.connect(database)) as db:
+            assert db.execute("PRAGMA user_version").fetchone() == (1,)
 
     def test_threads_share_the_connection(self, tmp_path):
         cache = ResponseCache(tmp_path)
         records = [[self.record(text=f"thread {t} record {i}") for i in range(25)] for t in range(8)]
 
         def store_and_read(t):
-            return [cache.store(rec) or lookup(cache, rec.cache_key) for rec in records[t]]
+            return [cache.store_many([rec]) or lookup(cache, rec.cache_key) for rec in records[t]]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -334,7 +340,7 @@ class TestClientMockPath:
         cache = CountingCache(tmp_path)
         cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
         cold = ProviderClient(cache).embed_batch(cfg, ["the boy sees a dog"])
-        # a miss is read once, under its single-flight lock
+        # a miss is read once
         assert (cache.lookups.total(), cache.stores.total()) == (1, 1)
         cache.lookups.clear()
         cache.stores.clear()
@@ -371,31 +377,48 @@ class TestClientMockPath:
         assert EmbeddingVector.from_bytes(blob) == mock_embed("a dog in a garden")
 
     def test_json_text_vectors_are_still_read(self, tmp_path):
-        """A vector row of the JSON-text format and an old-layout vector file both
-        hit, give the vector they hold, and are left as they are."""
+        """The first open packs the JSON-text vector of each embedding row, and of each
+        old-layout vector file, as float64, bit for bit the vector the JSON holds; a
+        row whose text is no vector is deleted, and a row of another kind is kept."""
         cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
-        in_row, in_file = "a vector row of JSON text", "an old-layout vector file"
+        in_row, in_file, broken = "a vector row of JSON text", "an old-layout vector file", "a broken vector row"
         records = {}
-        for text in (in_row, in_file):
+        for text in (in_row, in_file, broken):
             canonical = canonical_request({"op": "embed", "model": "m", "input": text})
-            vector = json.dumps(mock_embed(text).values)
+            vector = json.dumps(mock_embed(text).values)[: 20 if text == broken else None]
             records[text] = GenerationRecord(cache_key_for(canonical), canonical, vector, None, 1.5, cfg.summary())
-        ResponseCache(tmp_path).store(records[in_row])
-        old = records[in_file]
-        json_path = tmp_path / old.cache_key[:2] / f"{old.cache_key}.json"
-        json_path.parent.mkdir()
-        json_path.write_text(json.dumps({
-            "cache_key": old.cache_key, "request": old.request, "response_text": old.response_text,
-            "has_image": False, "created_at": old.created_at, "provider": old.provider,
-        }))
-        before = json_path.read_bytes(), json_path.stat().st_mtime_ns
+        chat = GenerationRecord(cache_key_for("{}"), "{}", "[1.0, 2.0]", None, 1.5, chat_cfg().summary())
+        write_version_0_database(tmp_path, [records[in_row], records[broken], chat])
+        path = write_old_file(tmp_path, records[in_file])
+        before = path.read_bytes(), path.stat().st_mtime_ns
         cache = CountingCache(tmp_path)
         rows = ProviderClient(cache, offline=True).embed_batch(cfg, [in_row, in_file])
-        assert [EmbeddingVector.from_bytes(row) for row in rows] == [mock_embed(in_row), mock_embed(in_file)]
+        json_vectors = [json.loads(records[text].response_text) for text in (in_row, in_file)]
+        assert rows == [struct.pack(f"<{MOCK_EMBED_DIM}d", *vector) for vector in json_vectors]
+        assert rows == [mock_embed(in_row).to_bytes(), mock_embed(in_file).to_bytes()]
         assert cache.stores.total() == 0
-        assert lookup(cache, records[in_row].cache_key) == records[in_row]
+        assert cache.lookup_many([records[broken].cache_key, chat.cache_key]) == {chat.cache_key: chat}
         cache.close()
-        assert (json_path.read_bytes(), json_path.stat().st_mtime_ns) == before
+        assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+        path.unlink()
+        database = tmp_path / "responses.sqlite3"
+        with closing(sqlite3.connect(database)) as db:
+            assert db.execute("SELECT response_text, response_image FROM responses WHERE key = ?",
+                              (records[in_row].cache_key,)).fetchall() == [(None, rows[0])]
+        before = database.stat().st_mtime_ns, database.stat().st_size, database.read_bytes()
+        reopened = ResponseCache(tmp_path)
+        assert ProviderClient(reopened, offline=True).embed_batch(cfg, [in_file, in_row]) == rows[::-1]
+        reopened.close()
+        assert (database.stat().st_mtime_ns, database.stat().st_size, database.read_bytes()) == before
+
+    def test_a_record_without_a_vector_fails_its_embedding(self, tmp_path):
+        cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
+        canonical = canonical_request({"op": "embed", "model": "m", "input": "a dog"})
+        cache = ResponseCache(tmp_path)
+        cache.store_many([GenerationRecord(cache_key_for(canonical), canonical, "[1.0]", None, 1.5, cfg.summary())])
+        with pytest.raises(ValueError, match="embedding must be non-empty"):
+            ProviderClient(cache).embed_batch(cfg, ["a dog"])
+        cache.close()
 
     def test_image_roundtrip_types(self, tmp_path):
         client = make_client(tmp_path)
@@ -472,11 +495,6 @@ class CountingCache(ResponseCache):
             self.lookups.update(keys)
         return super().lookup_many(keys)
 
-    def store(self, record):
-        with self._count_lock:
-            self.stores[record.cache_key] += 1
-        super().store(record)
-
     def store_many(self, records):
         records = list(records)
         with self._count_lock:
@@ -492,6 +510,8 @@ class FakeResponse:
         self.text = text
 
     def json(self):
+        if isinstance(self._body, Exception):
+            raise self._body
         return self._body
 
 
@@ -625,6 +645,48 @@ class TestHttpPath:
         assert client.embed_batch(EMBED_HTTP_CFG, ["one"]) == [struct.pack("<2d", 0.6, 0.8)]
         assert [call["json"]["input"] for call in session.calls] == ["one", "two"]
         assert client.network_calls == 2
+
+    def test_image_to_text_sends_the_image(self, tmp_path):
+        png = mock_text_to_image("a dog")
+        cfg = ProviderConfig(kind="image_to_text", endpoint="https://api.example.com/v1", model="m")
+        session = FakeSession([FakeResponse(200, chat_body("a dog on the grass"))])
+        client = make_client(tmp_path / "http", session=session)
+        caption, key = only(client.image_to_text(cfg, [png], "Describe the image."))
+        assert caption == "a dog on the grass"
+        url = "data:image/png;base64," + base64.b64encode(png).decode()
+        assert [call["json"] for call in session.calls] == [{"model": "m", "messages": [{"role": "user", "content": [
+            {"type": "text", "text": "Describe the image."}, {"type": "image_url", "image_url": {"url": url}},
+        ]}]}]
+        # the cache key names the image by its sha256, as on the mock path
+        mock_client = make_client(tmp_path / "mock")
+        assert only(mock_client.image_to_text(mock_cfg("image_to_text"), [png], "Describe the image."))[1] == key
+
+
+# name -> (provider kind, body of a 200 response)
+MALFORMED = {
+    "embed without data": ("embed", {"data": []}),
+    "embed not JSON": ("embed", json.JSONDecodeError("Expecting value", "<html>", 0)),
+    "chat without choices": ("chat", {"choices": []}),
+    "chat without message": ("chat", {"choices": [{}]}),
+    "chat as a list": ("chat", []),
+    "chat text a list": ("chat", chat_body(["a", "summary"])),
+    "translation a number": ("translate", {"translation": 7}),
+    "translate without translation": ("translate", {"text": "hello"}),
+    "image not base64 text": ("text_to_image", {"data": [{"b64_json": 5}]}),
+    "caption without content": ("image_to_text", {"choices": [{"message": {}}]}),
+}
+
+
+@pytest.mark.parametrize("kind, body", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_response_is_a_provider_error_and_not_cached(tmp_path, kind, body):
+    cfg = ProviderConfig(kind=kind, endpoint="https://api.example.com/v1", model="m")
+    client = make_client(tmp_path, session=FakeSession([FakeResponse(200, body)]))
+    with pytest.raises(ProviderError, match=f"^malformed {kind} response: "):
+        OPERATIONS[kind][0](client, cfg)
+    assert client.network_calls == 1
+    client.cache.close()
+    with closing(sqlite3.connect(tmp_path / "cache" / "responses.sqlite3")) as db:
+        assert db.execute("SELECT COUNT(*) FROM responses").fetchone() == (0,)
 
 
 class TestRejectedResponses:
@@ -761,16 +823,8 @@ def run_together(calls):
     return results
 
 
-class TestSingleFlight:
-    def test_duplicate_requests_make_one_call(self, tmp_path):
-        n = 6
-        session = GatedSession(parties=n, wait_s=0.5)
-        client = make_client(tmp_path, session=session)
-        results = run_together([lambda: only(client.chat_generate(HTTP_CFG, "sys", ["input"]))] * n)
-        assert client.network_calls == 1
-        assert session.together == []
-        assert set(results) == {results[0]}
-        assert results[0][0] == "input"
+class TestConcurrentCalls:
+    """Callers on several threads may share one client and its cache."""
 
     def test_different_keys_are_in_flight_together(self, tmp_path):
         session = GatedSession(parties=2, wait_s=10)
@@ -783,8 +837,8 @@ class TestSingleFlight:
         assert [text for text, _ in results] == ["one", "two"]
         assert client.network_calls == 2
 
-    def test_each_key_stored_once_under_contention(self, tmp_path):
-        cache = CountingCache(tmp_path)
+    def test_overlapping_embed_batches_on_threads(self, tmp_path):
+        cache = ResponseCache(tmp_path)
         client = ProviderClient(cache)
         cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
         texts = [f"text number {i}" for i in range(10)]
@@ -799,12 +853,44 @@ class TestSingleFlight:
             results = run_together([lambda k=k: batches(k) for k in range(8)])
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(cache.stores.values()) == [1] * 10
-        assert client._inflight == {}
         for k, rows in enumerate(results):
             expected = [[mock_embed(texts[(k + j + i) % 10]).to_bytes() for i in range(4)] for j in range(0, 30, 3)]
             assert rows == expected
+        # the table holds one row per key, and the client no state left by the calls
+        keys = sorted(cache_key_for(canonical_request({"op": "embed", "model": "m", "input": t})) for t in texts)
+        with cache._lock:
+            assert [key for key, in cache._db.execute("SELECT key FROM responses ORDER BY key")] == keys
+        fresh = ProviderClient(cache)
+        assert {k: v for k, v in vars(client).items() if k != "_lock"} == {
+            k: v for k, v in vars(fresh).items() if k != "_lock"
+        }
+        assert not client._lock.locked()
+        cache.close()
 
+
+def write_old_file(root, record):
+    """`record` as the file layout before the database held it: <root>/<first 2 hex>/<key>.json,
+    the image in a sibling .png. The path of the .json file."""
+    path = root / record.cache_key[:2] / f"{record.cache_key}.json"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps({
+        "cache_key": record.cache_key, "request": record.request, "response_text": record.response_text,
+        "has_image": record.response_image is not None, "created_at": record.created_at, "provider": record.provider,
+    }))
+    if record.response_image is not None:
+        path.with_suffix(".png").write_bytes(record.response_image)
+    return path
+
+
+def write_version_0_database(root, records):
+    """A cache database as versions before its user_version wrote it, holding `records`."""
+    with closing(sqlite3.connect(root / "responses.sqlite3")) as db:
+        db.execute(
+            "CREATE TABLE responses (key TEXT PRIMARY KEY, request TEXT, response_text TEXT,"
+            " response_image BLOB, created_at REAL, provider TEXT)"
+        )
+        db.executemany("INSERT INTO responses VALUES (?, ?, ?, ?, ?, ?)", map(ResponseCache._row, records))
+        db.commit()
 
 def test_cli_import_leaves_requests_unloaded():
     src = Path(semsurf.__file__).resolve().parent.parent
