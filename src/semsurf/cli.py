@@ -1,9 +1,17 @@
 """Command-line front door.
 
 Each subcommand runs one pipeline stage against a run directory; `run`
-executes them all in order. Stage artifacts are plain files in the run
-directory, so stages are independently re-runnable, and with a warm cache
-(or mock providers) every stage is network-free and byte-deterministic.
+executes them all. Stage artifacts are plain files in the run directory, so
+stages are independently re-runnable, and with a warm cache (or mock
+providers) every stage is network-free and byte-deterministic.
+
+Each stage declares the artifacts it writes and those it reads. `run` groups
+the stages, in order, into waves: a stage joins the current wave unless it
+reads what a stage already in that wave writes. A one-stage wave runs in the
+`run` process; the stages of a larger wave run at once, in up to
+`max_workers` worker processes. Their output is written in stage order, and
+the first of them, in stage order, that fails decides the exit code; the
+others in its wave still finish and may write their own artifacts.
 
 Exit codes: 0 ok, 1 usage error (any config error, reported before a stage
 runs), 2 data error, 3 provider/transport error.
@@ -11,6 +19,8 @@ runs), 2 data error, 3 provider/transport error.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import struct
 import sys
@@ -176,18 +186,32 @@ def check_kinds(artifact: str, where: str, names: Iterable[str]) -> None:
 
 STAGES: list[tuple[str, Callable[[RunContext], None]]] = []  # (name, stage function), in run order
 PRODUCER: dict[str, str] = {}  # file or directory in the run directory -> stage writing it
+READS: dict[str, tuple[str, ...]] = {}  # stage -> the files and directories of earlier stages it reads
 
 
-def stage(*artifacts: str):
-    """Append the decorated `stage_<name>` to STAGES as the producer of `artifacts`."""
+def stage(*artifacts: str, reads: tuple[str, ...] = ()):
+    """Append the decorated `stage_<name>` to STAGES as the producer of
+    `artifacts` and a reader of `reads`, artifacts that earlier stages write."""
 
     def register(fn):
         name = fn.__name__.removeprefix("stage_")
         STAGES.append((name, fn))
         PRODUCER.update(dict.fromkeys(artifacts, name))
+        READS[name] = reads
         return fn
 
     return register
+
+
+def waves() -> list[list[str]]:
+    """The names of STAGES, in order, in groups that may run at once: each
+    stage joins the last group unless it reads what a stage in it writes."""
+    groups: list[list[str]] = []
+    for name, _ in STAGES:
+        if not groups or any(PRODUCER[artifact] in groups[-1] for artifact in READS[name]):
+            groups.append([])
+        groups[-1].append(name)
+    return groups
 
 
 @stage("dataset.jsonl", "dataset_stats.json")
@@ -216,7 +240,7 @@ def npy_bytes(rows: list[bytes]) -> bytes:
     return b"\x93NUMPY\x01\x00" + length + header.encode("latin1") + b" " * pad + b"\n" + b"".join(rows)
 
 
-@stage("transformed")
+@stage("transformed", reads=("dataset.jsonl",))
 def stage_transform(ctx: RunContext) -> None:
     dataset = ctx.load_ingested()
     config = ctx.config.pipeline(dataset.source_language)
@@ -244,7 +268,7 @@ def stage_transform(ctx: RunContext) -> None:
     click.echo(f"transformed -> {sorted(k.value for k in corpora)}")
 
 
-@stage("similarity.json")
+@stage("similarity.json", reads=("transformed",))
 def stage_similarity(ctx: RunContext) -> None:
     corpora = ctx.load_embedded()
     reference = K.TRANSLATED if K.TRANSLATED in corpora else K.ORIGINAL
@@ -266,7 +290,7 @@ def stage_similarity(ctx: RunContext) -> None:
     click.echo(f"similarity vs {reference.value}: {len(scores)} transformations")
 
 
-@stage("lexical.json")
+@stage("lexical.json", reads=("dataset.jsonl", "transformed"))
 def stage_lexical(ctx: RunContext) -> None:
     dataset = ctx.load_ingested()
     corpora = ctx.load_transformed()
@@ -286,7 +310,7 @@ def stage_lexical(ctx: RunContext) -> None:
     click.echo(f"lexical measures for {len(results)} corpora")
 
 
-@stage("classification.json")
+@stage("classification.json", reads=("dataset.jsonl", "transformed"))
 def stage_classify(ctx: RunContext) -> None:
     from . import classifier
 
@@ -330,7 +354,7 @@ def welch_comparison(values: dict[str, list[float | None]]) -> dict:
     }
 
 
-@stage("stats.json")
+@stage("stats.json", reads=("similarity.json", "classification.json", "lexical.json"))
 def stage_stats(ctx: RunContext) -> None:
     sim = ctx.read_similarity()
     cls = ctx.read_json("classification.json", runs=dict, seeds=list)
@@ -394,7 +418,7 @@ def stage_stats(ctx: RunContext) -> None:
     click.echo("stats written")
 
 
-@stage()
+@stage(reads=("dataset_stats.json", "similarity.json", "stats.json"))
 def stage_report(ctx: RunContext) -> None:
     per_group = ctx.read_json("dataset_stats.json", **dict.fromkeys(GROUPS, dict))
     for group in GROUPS:
@@ -469,12 +493,12 @@ def stage_report(ctx: RunContext) -> None:
     click.echo(f"reports -> {ctx.reports_dir}")
 
 
-def _run_stage(fn, config: str, run_dir: str, offline: bool) -> int:
+def _run_stage(fn: Callable[[RunContext], int | None], config: str, run_dir: str, offline: bool) -> int:
+    """fn(ctx) on a new RunContext, as an exit code: what fn returns, 0 for None, or that of the error it raised."""
     ctx = None
     try:
         ctx = RunContext(Path(config), Path(run_dir), offline)
-        fn(ctx)
-        return EXIT_OK
+        return fn(ctx) or EXIT_OK
     except StageError as exc:
         click.echo(f"error: {exc}", err=True)
         return exc.exit_code
@@ -518,12 +542,50 @@ for _name, _fn in STAGES:
     _register(_name, _fn)
 
 
+def _run_captured(name: str, config: str, run_dir: str, offline: bool) -> tuple[int, str, str]:
+    """_run_stage of the stage `name`, in a worker process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _run_stage(dict(STAGES)[name], config, run_dir, offline)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_wave(ctx: RunContext, names: list[str], config: str, run_dir: str, offline: bool) -> int:
+    """Run the stages `names` at once, one worker process each, at most max_workers at a time.
+    Their output is written in the order of `names`, up to the first that failed, whose exit
+    code is returned; 0 when none failed."""
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+
+    from . import classifier  # noqa: F401  (and numpy: imported once here, each forked worker inherits them)
+
+    if "client" in vars(ctx):
+        ctx.client.cache.close()  # an SQLite connection must not cross a fork; no later stage of `run` calls a provider
+    # a fork copies only the thread that calls it, so a lock that another thread holds would stay held in the worker
+    fork = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+    mp_context = multiprocessing.get_context("fork" if fork else "spawn")
+    with ProcessPoolExecutor(min(ctx.config["max_workers"], len(names)), mp_context=mp_context) as pool:
+        futures = [pool.submit(_run_captured, name, config, run_dir, offline) for name in names]
+        results = [future.result() for future in futures]
+    for code, out, err in results:
+        click.echo(out, nl=False)
+        click.echo(err, nl=False, err=True)
+        if code != EXIT_OK:
+            return code
+    return EXIT_OK
+
+
 @main.command(name="run", help="Run all stages end to end and write a run manifest.")
 @_common_options
 def cmd_run(config, run_dir, offline):
-    def all_stages(ctx: RunContext) -> None:
-        for name, fn in STAGES:
-            fn(ctx)
+    def all_stages(ctx: RunContext) -> int | None:
+        stage_fn = dict(STAGES)
+        for wave in waves():
+            if len(wave) == 1:
+                stage_fn[wave[0]](ctx)
+            elif code := _run_wave(ctx, wave, config, run_dir, offline):
+                return code
         ctx.write_json("run_manifest.json", {
             "config": ctx.config.raw,
             "config_digest": config_digest(ctx.config.raw),

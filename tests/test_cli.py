@@ -1022,17 +1022,24 @@ class ShortSummaryFailures:
 class TestLenientRun:
     def test_every_artifact_keeps_the_ids_that_did_not_fail(self, tmp_path, runner, monkeypatch):
         fail_short_summaries(monkeypatch, ["s01", "s06"])
-        fold_ids, fold_rows = [], []
+        # `run` classifies in a worker process, so the calls are recorded as JSON lines in a file
+        calls = tmp_path / "calls.jsonl"
         prepare, train = classifier.prepare, classifier.train
 
+        def record(name, value):
+            with calls.open("a") as f:
+                f.write(json.dumps([name, value]) + "\n")
+
         def recording_prepare(ids, labels, splits, cfg):
-            fold_ids.append(ids)
-            fold_ids.extend(sorted(train + test) for _, seed_folds in splits for train, test in seed_folds)
+            record("prepare", ids)
+            for _, seed_folds in splits:
+                for train, test in seed_folds:
+                    record("prepare", sorted(train + test))
             return prepare(ids, labels, splits, cfg)
 
         def recording_train(x, fold, cfg):
             rows = np.concatenate([fold.descent.index, fold.validation.index, fold.test])
-            fold_rows.append((len(x), sorted(set(rows.tolist()))))
+            record("train", [len(x), sorted(set(rows.tolist()))])
             return train(x, fold, cfg)
 
         monkeypatch.setattr(classifier, "prepare", recording_prepare)
@@ -1053,6 +1060,9 @@ class TestLenientRun:
             lines = (run_dir / "transformed" / f"{kind}.jsonl").read_text().splitlines()
             assert [json.loads(line)["id"] for line in lines] == kept, kind
         cls = json.loads((run_dir / "classification.json").read_text())
+        recorded = [json.loads(line) for line in calls.read_text().splitlines()]
+        fold_ids = [value for name, value in recorded if name == "prepare"]
+        fold_rows = [tuple(value) for name, value in recorded if name == "train"]
         assert len(fold_ids) == 1 + 4 * 3  # the rows' ids, then seeds x folds
         assert all(ids == kept for ids in fold_ids)
         assert len(fold_rows) == 8 * 4 * 3  # kinds x seeds x folds
@@ -1096,3 +1106,116 @@ def test_dataset_name_defaults_to_file_stem(tmp_path, runner):
     assert result.exit_code == EXIT_OK, result.output
     rows = (run_dir / "reports" / "table_dataset.md").read_text().splitlines()
     assert rows[4].startswith("| dogstory40 | "), rows
+
+
+class TestRunSchedule:
+    """`run` runs the stages of a wave at once, in worker processes, and writes what running them in turn writes."""
+
+    def test_stages_form_five_waves(self):
+        assert cli.waves() == [["ingest"], ["transform"], ["similarity", "lexical", "classify"], ["stats"], ["report"]]
+
+    def test_declared_reads_are_what_each_stage_asks_for(self, tmp_path, runner, monkeypatch):
+        asked = {name: set() for name, _ in STAGES}
+        need = cli.RunContext.need
+        current = None
+
+        def recording_need(self, artifact):
+            asked[current].add(artifact.split("/")[0])
+            return need(self, artifact)
+
+        monkeypatch.setattr(cli.RunContext, "need", recording_need)
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        for current, _ in STAGES:
+            result = runner.invoke(main, [current, "--config", str(conf), "--run-dir", str(tmp_path / "run"), "--offline"])
+            assert result.exit_code == EXIT_OK, (current, result.output)
+        assert asked == {name: set(cli.READS[name]) for name, _ in STAGES}
+
+    def test_the_number_of_workers_changes_no_output(self, tmp_path):
+        src = Path(classifier.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        outputs = []
+        for workers in (1, 3):
+            conf = pt_fixture_config(tmp_path / f"pt{workers}.conf", f"\nmax_workers = {workers}\n")
+            run_dir = tmp_path / f"run{workers}"
+            argv = [sys.executable, "-m", "semsurf.cli", "run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"]
+            out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+            assert out.returncode == EXIT_OK and out.stderr == "", out.stderr
+            files = {
+                str(p.relative_to(run_dir)): p.read_bytes()
+                for p in sorted(run_dir.rglob("*"))
+                if p.is_file() and p.relative_to(run_dir).parts[0] not in ("cache", "run_manifest.json")
+            }
+            outputs.append((out.stdout.replace(str(run_dir), "<run>").splitlines(), files))
+        (lines, files), (lines_3, files_3) = outputs
+        assert [line.split()[0] for line in lines] == [
+            "ingested", "transformed", "similarity", "lexical", "classified", "stats", "reports"
+        ]
+        assert lines_3 == lines
+        assert files_3.keys() == files.keys() and len(files) > 30
+        for name in files:
+            assert files_3[name] == files[name], name
+
+    @pytest.mark.parametrize("other_thread", [False, True], ids=["fork", "spawn while a thread is alive"])
+    def test_workers_fork_only_from_one_thread_and_are_reaped(self, tmp_path, runner, monkeypatch, other_thread):
+        import multiprocessing
+
+        forks = []  # (pid, threads alive) of each fork in this process
+        fork = os.fork
+
+        def recording_fork():
+            threads = threading.active_count()
+            pid = fork()
+            if pid:
+                forks.append((pid, threads))
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path), extra="max_workers = 2")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        if other_thread:
+            thread.start()
+        try:
+            result = runner.invoke(main, ["run", "--config", str(conf), "--run-dir", str(tmp_path / "run"), "--offline"])
+        finally:
+            release.set()
+            if other_thread:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        assert result.exit_code == EXIT_OK, result.output
+        assert len(result.output.splitlines()) == len(STAGES)
+        assert json.loads((tmp_path / "run" / "classification.json").read_text())["protocol"] == "cv3"
+        if other_thread:
+            assert forks == []
+        else:
+            assert [threads for _, threads in forks] == [1, 1]  # min(max_workers, 3 stages) workers
+        for pid, _ in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert multiprocessing.active_children() == []
+
+    def test_the_first_failure_in_stage_order_decides(self, tmp_path, runner, monkeypatch):
+        """A corrupt embedding array fails similarity and classify, not lexical; `run` reports
+        similarity's error, as `semsurf similarity` alone does, and stops before stats."""
+        transform = dict(STAGES)["transform"]
+
+        def corrupting_transform(ctx):
+            transform(ctx)
+            (ctx.run_dir / "transformed" / "ShortSummary.npy").write_bytes(b"not an array\n")
+
+        monkeypatch.setattr(cli, "STAGES", [(n, corrupting_transform if n == "transform" else f) for n, f in STAGES])
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path))
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "Traceback" not in result.output
+        assert not (run_dir / "stats.json").exists() and not (run_dir / "classification.json").exists()
+        assert (run_dir / "lexical.json").exists()  # a sibling of the failed stage still writes its artifact
+        alone = runner.invoke(main, ["similarity", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert alone.exit_code == EXIT_DATA
+        assert "ShortSummary.npy cannot be read" in alone.stderr
+        assert result.stderr.splitlines() == alone.stderr.splitlines()[:1]
+        # stage order, not the order the workers finish in: lexical's line follows similarity's, which failed
+        assert [line.split()[0] for line in result.stdout.splitlines()] == ["ingested", "transformed"]
