@@ -343,8 +343,8 @@ def welch_comparison(values: dict[str, list[float | None]]) -> dict:
     except ValueError as exc:  # fewer than 2 values in a group, or no variance in either
         return {"error": str(exc)}
     return {
-        "mean_control": sum(c) / len(c),
-        "mean_ad": sum(a) / len(a),
+        "mean_control": stattests._mean(c),
+        "mean_ad": stattests._mean(a),
         "n_control": len(c),
         "n_ad": len(a),
         "excluded": len(values["C"]) + len(values["AD"]) - len(c) - len(a),

@@ -146,6 +146,14 @@ def _t_two_sided_p(t: float, df: float) -> float:
 # tests
 
 
+def _mean(xs: list[float]) -> float:
+    """The mean of xs: the correctly rounded sum over n, corrected by the mean of
+    the deviations from it, so that the mean of a constant sample is its value."""
+    n = len(xs)
+    m = math.fsum(xs) / n
+    return m + math.fsum(x - m for x in xs) / n
+
+
 def _unit_scaled(xs: list[float]) -> tuple[list[float], int]:
     """xs times the power of two 2**-e that brings its largest |value| into [0.5, 1), and e.
 
@@ -167,7 +175,7 @@ def _scaled_moments(xs: list[float]) -> tuple[float, int, float, int]:
     the values does not underflow to 0.
     """
     xs, e = _unit_scaled(xs)
-    m = sum(xs) / len(xs)
+    m = _mean(xs)
     dev, f = _unit_scaled([x - m for x in xs])
     return m, e, sum(d**2 for d in dev) / (len(xs) - 1), e + f
 
@@ -282,8 +290,7 @@ def pearson(x: list[float], y: list[float]) -> StatTestResult:
     if n < 3:
         raise ValueError("pearson requires n >= 3")
     (x, _), (y, _) = _unit_scaled(x), _unit_scaled(y)  # r does not change when one side alone is scaled
-    mx = sum(x) / n
-    my = sum(y) / n
+    mx, my = _mean(x), _mean(y)
     dx = [v - mx for v in x]
     dy = [v - my for v in y]
     sxx = sum(d * d for d in dx)

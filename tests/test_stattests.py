@@ -7,6 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+try:
+    from scipy import stats as scipy_stats
+except ImportError:  # scipy serves only as an oracle
+    scipy_stats = None
+
 from semsurf.stattests import (
     DegenerateDataError,
     erf,
@@ -132,6 +137,43 @@ class TestWelch:
     def test_too_small(self):
         with pytest.raises(ValueError):
             welch_t([1.0], [1.0, 2.0])
+
+    def test_constant_equal_samples_whose_sum_rounds(self):
+        # sum([x] * 30) / 30 is one ulp off x, which once made every deviation a full-size +-ulp: t = sqrt(29)
+        x = 0.9333333333333333
+        res = welch_t([x] * 30, [x] * 10)
+        assert (res.statistic, res.p_value) == (0.0, 1.0)
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(2, 60),
+        st.integers(2, 60),
+    )
+    @example(0.9333333333333333, 0.9333333333333333, 30, 10)
+    @example(3.5442, 3.5442, 30, 10)
+    @settings(max_examples=300, deadline=None)
+    def test_constant_samples_take_the_degenerate_branch(self, c, d, n, m):
+        """Two constant samples have no variance: t = 0 and p = 1 when their values are equal, an error otherwise."""
+        if c == d:
+            assert outcome(welch_t, [c] * n, [d] * m) == (0.0, 1.0, float(n + m - 2))
+        else:
+            assert outcome(welch_t, [c] * n, [d] * m) == "DegenerateDataError"
+
+    @pytest.mark.skipif(scipy_stats is None, reason="scipy is not installed")
+    @given(
+        st.lists(st.floats(-50, 50), min_size=2, max_size=20).filter(lambda a: max(a) - min(a) > 1e-6),
+        st.lists(st.floats(-50, 50), min_size=2, max_size=20).filter(lambda b: max(b) - min(b) > 1e-6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scipy_oracle(self, a, b):
+        """Welch's t, df and p agree with scipy's ttest_ind(equal_var=False) on samples that vary
+        (scipy squares the deviations unscaled, so a spread below about 1e-154 underflows there)."""
+        res = welch_t(a, b)
+        ref = scipy_stats.ttest_ind(a, b, equal_var=False)
+        assert res.statistic == pytest.approx(ref.statistic, rel=1e-7, abs=1e-12)
+        assert res.df == pytest.approx(ref.df, rel=1e-7)
+        assert res.p_value == pytest.approx(ref.pvalue, rel=1e-7, abs=1e-12)
 
     @pytest.mark.parametrize("a, b", [([1, 1, 1], [0, 1e-300]), ([1e300] * 3, [0, 1.0])])
     def test_constant_sample_against_a_tiny_spread(self, a, b):
@@ -266,6 +308,16 @@ class TestPearson:
     def test_constant_input(self):
         with pytest.raises(DegenerateDataError):
             pearson([1, 1, 1], [1, 2, 3])
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.lists(st.floats(-50, 50), min_size=3, max_size=60),
+    )
+    @example(0.9333333333333333, [float(i) for i in range(30)])
+    @settings(max_examples=300, deadline=None)
+    def test_constant_sample_takes_the_degenerate_branch(self, c, ys):
+        assert outcome(pearson, [c] * len(ys), ys) == "DegenerateDataError"
+        assert outcome(pearson, ys, [c] * len(ys)) == "DegenerateDataError"
 
     @given(
         st.lists(st.floats(-100, 100), min_size=4, max_size=12, unique=True),
