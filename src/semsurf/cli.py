@@ -551,7 +551,7 @@ def _run_captured(name: str, config: str, run_dir: str, offline: bool) -> tuple[
 
 
 def _run_wave(ctx: RunContext, names: list[str], config: str, run_dir: str, offline: bool) -> int:
-    """Run the stages `names` at once, one worker process each, at most max_workers at a time.
+    """Run the stages `names` at once on min(max_workers, len(names)) worker processes.
     Their output is written in the order of `names`, up to the first that failed, whose exit
     code is returned; 0 when none failed."""
     import multiprocessing

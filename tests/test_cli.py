@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import sqlite3
@@ -1125,8 +1126,9 @@ class TestRunSchedule:
 
         monkeypatch.setattr(cli.RunContext, "need", recording_need)
         conf = pt_fixture_config(tmp_path / "pt.conf")
+        run_dir = tmp_path / "run"
         for current, _ in STAGES:
-            result = runner.invoke(main, [current, "--config", str(conf), "--run-dir", str(tmp_path / "run"), "--offline"])
+            result = runner.invoke(main, [current, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
             assert result.exit_code == EXIT_OK, (current, result.output)
         assert asked == {name: set(cli.READS[name]) for name, _ in STAGES}
 
@@ -1137,8 +1139,10 @@ class TestRunSchedule:
         for workers in (1, 3):
             conf = pt_fixture_config(tmp_path / f"pt{workers}.conf", f"\nmax_workers = {workers}\n")
             run_dir = tmp_path / f"run{workers}"
-            argv = [sys.executable, "-m", "semsurf.cli", "run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"]
-            out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+            args = ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"]
+            out = subprocess.run(
+                [sys.executable, "-m", "semsurf.cli", *args], env=env, capture_output=True, text=True, timeout=300
+            )
             assert out.returncode == EXIT_OK and out.stderr == "", out.stderr
             files = {
                 str(p.relative_to(run_dir)): p.read_bytes()
@@ -1157,8 +1161,6 @@ class TestRunSchedule:
 
     @pytest.mark.parametrize("other_thread", [False, True], ids=["fork", "spawn while a thread is alive"])
     def test_workers_fork_only_from_one_thread_and_are_reaped(self, tmp_path, runner, monkeypatch, other_thread):
-        import multiprocessing
-
         forks = []  # (pid, threads alive) of each fork in this process
         fork = os.fork
 
@@ -1172,12 +1174,13 @@ class TestRunSchedule:
         monkeypatch.setattr(os, "fork", recording_fork)
         conf = tmp_path / "c.conf"
         write_config(conf, small_dataset(tmp_path), extra="max_workers = 2")
+        run_dir = tmp_path / "run"
         release = threading.Event()
         thread = threading.Thread(target=release.wait, args=(60,))
         if other_thread:
             thread.start()
         try:
-            result = runner.invoke(main, ["run", "--config", str(conf), "--run-dir", str(tmp_path / "run"), "--offline"])
+            result = runner.invoke(main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
         finally:
             release.set()
             if other_thread:
@@ -1185,7 +1188,7 @@ class TestRunSchedule:
                 assert not thread.is_alive()
         assert result.exit_code == EXIT_OK, result.output
         assert len(result.output.splitlines()) == len(STAGES)
-        assert json.loads((tmp_path / "run" / "classification.json").read_text())["protocol"] == "cv3"
+        assert json.loads((run_dir / "classification.json").read_text())["protocol"] == "cv3"
         if other_thread:
             assert forks == []
         else:
