@@ -9,8 +9,9 @@ Each stage declares the artifacts it writes and those it reads. `run` groups
 the stages, in order, into waves: a stage joins the current wave unless it
 reads what a stage already in that wave writes. A one-stage wave runs in the
 `run` process; the stages of a larger wave run at once, in up to
-`max_workers` worker processes. Their output is written in stage order, and
-the first of them, in stage order, that fails decides the exit code; the
+`max_workers` worker processes, which take them in stage order, so the table
+lists a wave's cheapest stage last. Their output is written in stage order,
+and the first of them, in stage order, that fails decides the exit code; the
 others in its wave still finish and may write their own artifacts.
 
 Exit codes: 0 ok, 1 usage error (any config error, reported before a stage
@@ -20,6 +21,7 @@ runs), 2 data error, 3 provider/transport error.
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import struct
@@ -290,26 +292,6 @@ def stage_similarity(ctx: RunContext) -> None:
     click.echo(f"similarity vs {reference.value}: {len(scores)} transformations")
 
 
-@stage("lexical.json", reads=("dataset.jsonl", "transformed"))
-def stage_lexical(ctx: RunContext) -> None:
-    dataset = ctx.load_ingested()
-    corpora = ctx.load_transformed()
-    groups = {t.id: t.group for t in dataset.transcripts}
-    freq = lexstats.FrequencyTable.load(ctx.resolve(ctx.config["frequency_table"]))
-    tagger = lexstats.BaselineTagger.load(ctx.resolve(ctx.config["pos_lexicon"]))
-    oov_floor = ctx.config["zipf_oov_floor"]
-
-    results: dict[str, dict[str, dict[str, list[float | None]]]] = {}
-    for kind, corpus in corpora.items():
-        per_measure: dict[str, dict[str, list[float | None]]] = {m: {"C": [], "AD": []} for m in lexstats.MEASURES}
-        for item_id, text in corpus.items:
-            for m, value in lexstats.measures(text, freq, tagger, oov_floor).items():
-                per_measure[m][groups[item_id]].append(value)
-        results[kind.value] = per_measure
-    ctx.write_json("lexical.json", results)
-    click.echo(f"lexical measures for {len(results)} corpora")
-
-
 @stage("classification.json", reads=("dataset.jsonl", "transformed"))
 def stage_classify(ctx: RunContext) -> None:
     from . import classifier
@@ -331,6 +313,28 @@ def stage_classify(ctx: RunContext) -> None:
     name = protocol(dataset, k)
     ctx.write_json("classification.json", {"protocol": name, "seeds": seeds, "runs": runs})
     click.echo(f"classified {len(runs)} corpora ({name}, {len(seeds)} seeds)")
+
+
+# below classify: `run` hands the stages of a wave to its workers in table order, so on two workers
+# similarity and classify start at once and lexical, the cheapest, waits for the first to finish
+@stage("lexical.json", reads=("dataset.jsonl", "transformed"))
+def stage_lexical(ctx: RunContext) -> None:
+    dataset = ctx.load_ingested()
+    corpora = ctx.load_transformed()
+    groups = {t.id: t.group for t in dataset.transcripts}
+    freq = lexstats.FrequencyTable.load(ctx.resolve(ctx.config["frequency_table"]))
+    tagger = lexstats.BaselineTagger.load(ctx.resolve(ctx.config["pos_lexicon"]))
+    oov_floor = ctx.config["zipf_oov_floor"]
+
+    results: dict[str, dict[str, dict[str, list[float | None]]]] = {}
+    for kind, corpus in corpora.items():
+        per_measure: dict[str, dict[str, list[float | None]]] = {m: {"C": [], "AD": []} for m in lexstats.MEASURES}
+        for item_id, text in corpus.items:
+            for m, value in lexstats.measures(text, freq, tagger, oov_floor).items():
+                per_measure[m][groups[item_id]].append(value)
+        results[kind.value] = per_measure
+    ctx.write_json("lexical.json", results)
+    click.echo(f"lexical measures for {len(results)} corpora")
 
 
 def welch_comparison(values: dict[str, list[float | None]]) -> dict:
@@ -596,5 +600,14 @@ def cmd_run(config, run_dir, offline):
     sys.exit(_run_stage(all_stages, config, run_dir, offline))
 
 
+def entry():
+    """main() as a program: the console script and `python -m semsurf.cli`. On its way out it
+    freezes the heap, so the interpreter's exit does not collect the objects it is about to free."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    entry()

@@ -9,6 +9,7 @@ import sqlite3
 import subprocess
 import sys
 import threading
+import time
 from contextlib import closing
 from pathlib import Path
 
@@ -1113,7 +1114,7 @@ class TestRunSchedule:
     """`run` runs the stages of a wave at once, in worker processes, and writes what running them in turn writes."""
 
     def test_stages_form_five_waves(self):
-        assert cli.waves() == [["ingest"], ["transform"], ["similarity", "lexical", "classify"], ["stats"], ["report"]]
+        assert cli.waves() == [["ingest"], ["transform"], ["similarity", "classify", "lexical"], ["stats"], ["report"]]
 
     def test_declared_reads_are_what_each_stage_asks_for(self, tmp_path, runner, monkeypatch):
         asked = {name: set() for name, _ in STAGES}
@@ -1152,7 +1153,7 @@ class TestRunSchedule:
             outputs.append((out.stdout.replace(str(run_dir), "<run>").splitlines(), files))
         (lines, files), (lines_3, files_3) = outputs
         assert [line.split()[0] for line in lines] == [
-            "ingested", "transformed", "similarity", "lexical", "classified", "stats", "reports"
+            "ingested", "transformed", "similarity", "classified", "lexical", "stats", "reports"
         ]
         assert lines_3 == lines
         assert files_3.keys() == files.keys() and len(files) > 30
@@ -1222,3 +1223,81 @@ class TestRunSchedule:
         assert result.stderr.splitlines() == alone.stderr.splitlines()[:1]
         # stage order, not the order the workers finish in: lexical's line follows similarity's, which failed
         assert [line.split()[0] for line in result.stdout.splitlines()] == ["ingested", "transformed"]
+
+    def test_a_wave_is_submitted_in_table_order_and_written_in_it(self, tmp_path, runner, monkeypatch):
+        """The workers take similarity and classify first and lexical last; however the stages
+        finish (here similarity last), their output is written in table order."""
+        import concurrent.futures
+
+        submitted = []
+        pool = concurrent.futures.ProcessPoolExecutor
+
+        class RecordingPool(pool):
+            def submit(self, fn, name, *args):
+                submitted.append(name)
+                return super().submit(fn, name, *args)
+
+        similarity = dict(STAGES)["similarity"]
+
+        def slow_similarity(ctx):
+            time.sleep(0.5)  # in the forked worker, which inherits this table
+            similarity(ctx)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "STAGES", [(n, slow_similarity if n == "similarity" else f) for n, f in STAGES])
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path), extra="max_workers = 2")
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_OK, result.output
+        assert submitted == ["similarity", "classify", "lexical"]
+        assert [line.split()[0] for line in result.stdout.splitlines()] == [
+            "ingested", "transformed", "similarity", "classified", "lexical", "stats", "reports"
+        ]
+        assert json.loads((run_dir / "run_manifest.json").read_text())["stages"] == [name for name, _ in STAGES]
+
+
+class TestProgram:
+    """`python -m semsurf.cli`, as the console script runs it, behaves as `main` does under CliRunner."""
+
+    @staticmethod
+    def python(*args):
+        """`python args` with this checkout's semsurf first on the path."""
+        src = Path(classifier.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize(
+        "stage, extra, code",
+        [("ingest", "", EXIT_OK), ("ingest", "train.learning_rte = 5", EXIT_USAGE), ("similarity", "", EXIT_DATA)],
+        ids=["ok", "config error", "missing artifact"],
+    )
+    def test_exit_code_and_output_match_clirunner(self, tmp_path, runner, stage, extra, code):
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path), extra=extra)
+        args = [stage, "--config", str(conf), "--run-dir", str(tmp_path / "run")]
+        proc = self.python("-m", "semsurf.cli", *args)
+        result = runner.invoke(main, args)
+        assert proc.returncode == result.exit_code == code, proc.stderr
+        assert (proc.stdout, proc.stderr) == (result.stdout, result.stderr)
+        assert (proc.stdout if code == EXIT_OK else proc.stderr) != ""
+
+    @pytest.mark.parametrize("stage, code", [("ingest", EXIT_OK), ("similarity", EXIT_DATA)])
+    def test_entry_freezes_the_heap_on_its_way_out(self, tmp_path, stage, code):
+        """What is frozen when the interpreter starts to exit is left out of its final collection."""
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path))
+        program = (
+            "import atexit, gc\n"
+            "from semsurf.cli import entry\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "entry()\n"
+        )
+        proc = self.python("-c", program, stage, "--config", str(conf), "--run-dir", str(tmp_path / "run"))
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "frozen True"
+
+    def test_the_console_script_is_entry(self):
+        pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]\n")[1].split("\n\n")[0]
+        assert scripts.splitlines() == ['semsurf = "semsurf.cli:entry"']
