@@ -23,7 +23,7 @@ _WORD_RE = re.compile(r"\w+(?:['’]\w+)*", re.UNICODE)
 
 def tokenize(text: str) -> list[str]:
     """Lowercased Unicode word tokens; punctuation dropped."""
-    return [m.group(0).lower() for m in _WORD_RE.finditer(text)]
+    return [t.lower() for t in _WORD_RE.findall(text)]
 
 
 def ttr(tokens: list[str]) -> float:

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sqlite3
 import struct
 import threading
@@ -93,6 +94,9 @@ class ProviderConfig:
         return {"kind": self.kind, "endpoint": self.endpoint, "model": self.model}
 
 
+_CACHE_KEY_RE = re.compile("[0-9a-f]{64}")  # a SHA-256 hexdigest; not \d, which takes any Unicode digit
+
+
 @dataclass(frozen=True)
 class GenerationRecord:
     cache_key: str
@@ -103,7 +107,7 @@ class GenerationRecord:
     provider: dict
 
     def __post_init__(self):
-        if len(self.cache_key) != 64 or any(c not in "0123456789abcdef" for c in self.cache_key):
+        if not _CACHE_KEY_RE.fullmatch(self.cache_key):
             raise ValueError(f"cache_key must be 64 hex chars, got {self.cache_key!r}")
 
 

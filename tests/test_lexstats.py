@@ -4,9 +4,12 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from semsurf.cli import welch_comparison
 from semsurf.lexstats import (
+    _WORD_RE,
     _SUFFIX_RULES,
     MEASURES,
     BaselineTagger,
@@ -33,6 +36,11 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("...!?") == []
+
+    @given(st.text(st.one_of(st.sampled_from("İẞςﬁ'’ .-"), st.characters())))
+    def test_is_the_lowercase_of_each_match(self, text):
+        """Lowercasing can lengthen a token (İ, ﬁ) or change its letters (ẞ, ς); it still follows the match."""
+        assert tokenize(text) == [m.group(0).lower() for m in _WORD_RE.finditer(text)]
 
 
 class TestTtr:

@@ -146,6 +146,14 @@ class TestCache:
         with pytest.raises(ValueError):
             GenerationRecord("xyz", "{}", "t", None, 0.0, {})
 
+    @pytest.mark.parametrize(
+        "key", ["A" * 64, "0" * 63, "0" * 65, "0" * 64 + "\n", "0" * 63 + "\n", "٣" * 64, "0" * 63 + "g", ""]
+    )
+    def test_record_key_is_exactly_64_lowercase_hex_digits(self, key):
+        with pytest.raises(ValueError, match="64 hex chars"):
+            GenerationRecord(key, "{}", "t", None, 0.0, {})
+        GenerationRecord("0123456789abcdef" * 4, "{}", "t", None, 0.0, {})
+
     def test_corrupt_record_is_miss(self, tmp_path):
         cache = ResponseCache(tmp_path)
         rec = self.record()
