@@ -643,6 +643,9 @@ class TestUnusableArtifacts:
              "seed; run `semsurf classify`"),
             ("classification.json", json.dumps({"runs": {"Bogus": []}, "seeds": [1]}),
              "classification.json key runs holds 'Bogus', which is not a transformation kind; run `semsurf classify`"),
+            ("classification.json",
+             json.dumps({"protocol": "cv5", "seeds": [], "runs": {"Original": [], "Translated": []}}),
+             "classification.json key seeds is not a non-empty JSON array; run `semsurf classify`"),
             ("lexical.json", json.dumps({"Original": []}),
              'lexical.json entry Original/ttr is not {"AD": [...], "C": [...]}; run `semsurf lexical`'),
             ("lexical.json", json.dumps({"Bogus": {}}),
@@ -659,7 +662,7 @@ class TestUnusableArtifacts:
              "similarity.json key scores holds 'Bogus', which is not a transformation kind; run `semsurf similarity`"),
         ],
         ids=["not JSON", "Welch-result lexical.json", "list classification.json", "int runs", "string macro_f1",
-             "unknown runs kind", "list lexical kind", "unknown lexical kind", "list scores", "int score",
+             "unknown runs kind", "no seeds", "list lexical kind", "unknown lexical kind", "list scores", "int score",
              "unknown reference", "unknown scores kind"],
     )
     def test_stats_exits_2_naming_the_producer(self, pt_run, tmp_path, runner, artifact, content, message):
@@ -859,6 +862,34 @@ class TestUnusableArtifacts:
         ]
         assert not (run_dir / output).exists()
         assert not (run_dir / "reports").exists()
+
+
+class TestShapes:
+    """cli.SHAPES declares each JSON artifact that a stage reads, and what each fixture's run writes fits it."""
+
+    def test_a_cv_run_writes_the_declared_shapes(self, pt_run):
+        for artifact in cli.SHAPES:
+            cli.check(artifact, read_json(pt_run[0], artifact))
+
+    def test_a_fixed_split_run_reads_the_declared_artifacts_in_their_shapes(self, tmp_path, runner, monkeypatch):
+        read = set()
+        original = cli.RunContext.read_json
+
+        def recording_read_json(self, artifact):
+            read.add(artifact)
+            return original(self, artifact)
+
+        monkeypatch.setattr(cli.RunContext, "read_json", recording_read_json)
+        conf = tmp_path / "en.conf"
+        conf.write_text((FIXTURES / "run_mock_en.conf").read_text().replace("../../fixtures/", f"{FIXTURES}/"))
+        run_dir = tmp_path / "run"
+        for stage, _ in STAGES:
+            result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+            assert result.exit_code == EXIT_OK, (stage, result.output)
+        assert read == set(cli.SHAPES)
+        assert read_json(run_dir, "classification.json")["protocol"] == "fixed_split"
+        for artifact in cli.SHAPES:
+            cli.check(artifact, read_json(run_dir, artifact))
 
 
 class TestSharedPartitions:

@@ -14,7 +14,6 @@ except ImportError:  # scipy serves only as an oracle
 
 from semsurf.stattests import (
     DegenerateDataError,
-    erf,
     incomplete_beta,
     normal_cdf,
     pearson,
@@ -56,11 +55,6 @@ def brute_force_wilcoxon_p(diffs):
 
 
 class TestSpecialFunctions:
-    def test_erf_against_stdlib(self):
-        for i in range(-60, 61):
-            x = i / 8.0
-            assert erf(x) == pytest.approx(math.erf(x), abs=1e-10)
-
     def test_incomplete_beta_boundaries(self):
         assert incomplete_beta(2.5, 1.5, 0.0) == 0.0
         assert incomplete_beta(2.5, 1.5, 1.0) == 1.0
@@ -102,6 +96,13 @@ class TestSpecialFunctions:
     def test_normal_cdf_symmetry(self):
         assert normal_cdf(0.0) == 0.5
         assert normal_cdf(1.96) == pytest.approx(0.9750021, abs=1e-6)
+
+    @pytest.mark.skipif(scipy_stats is None, reason="scipy is not installed")
+    def test_normal_cdf_against_scipy(self):
+        """Relative error at most 1e-13 on [-8, 8], the lower tail included, where 1 + erf(x) cancels."""
+        for i in range(-64, 65):
+            z = i / 8.0
+            assert normal_cdf(z) == pytest.approx(scipy_stats.norm.cdf(z), rel=1e-13, abs=0.0), z
 
 
 class TestWelch:
