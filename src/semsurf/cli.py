@@ -334,9 +334,12 @@ def stage_similarity(ctx: RunContext) -> None:
     ctx.reports_dir.mkdir(exist_ok=True)
     vectors = [ctx.load_vectors(k, corpora[k]) for k in ordered]
     matrices = textmetrics.pairwise_matrices([corpora[k] for k in ordered], vectors)
+    labels = [k.value for k in ordered]
     for metric, matrix in matrices.items():
-        (ctx.reports_dir / f"matrix_{metric}.csv").write_text(matrix.to_csv())
-        for kind, row in zip(ordered, matrix.values):
+        rows = [(label, [report.Cell(v) for v in row]) for label, row in zip(labels, matrix)]
+        table = report.ReportTable(metric, labels, rows)
+        (ctx.reports_dir / f"matrix_{metric}.csv").write_text(report.emit(table, "csv"))
+        for kind, row in zip(ordered, matrix):
             if kind.value in scores:
                 scores[kind.value][metric] = row[ref_col]
     ctx.write_json("similarity.json", {"reference": reference.value, "scores": scores})

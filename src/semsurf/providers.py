@@ -102,7 +102,7 @@ class GenerationRecord:
     cache_key: str
     request: str  # canonical serialized request
     response_text: str | None
-    response_image: bytes | None  # an image, or an embedding as EmbeddingVector.to_bytes packs it
+    response_image: bytes | None  # an image, or an embedding packed as little-endian float64
     created_at: float
     provider: dict
 
@@ -111,35 +111,9 @@ class GenerationRecord:
             raise ValueError(f"cache_key must be 64 hex chars, got {self.cache_key!r}")
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("embedding must be non-empty")
-        # a finite sum means finite entries; only a sum that overflows needs the check entry by entry
-        if not math.isfinite(sum(self.values)) and not all(map(math.isfinite, self.values)):
-            raise ValueError("embedding contains non-finite entries")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.values)
-
-    def to_bytes(self) -> bytes:
-        """The vector as an embedding record holds it: packed little-endian float64."""
-        return struct.pack(f"<{len(self.values)}d", *self.values)
-
-    @classmethod
-    def from_bytes(cls, packed: bytes) -> "EmbeddingVector":
-        if len(packed) % 8:
-            raise ValueError(f"{len(packed)} bytes are not packed float64")
-        return cls(struct.unpack(f"<{len(packed) // 8}d", packed))
-
-
 def _pack_embedding(values) -> bytes:
-    """A JSON embedding, which must be a list of numbers, as EmbeddingVector.to_bytes packs it."""
-    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+    """An embedding, which must be a list of numbers, as an embedding record holds it: packed little-endian float64."""
+    if not isinstance(values, list) or not {*map(type, values)} <= {int, float}:  # a bool's type is neither
         raise ProviderError("embedding is not a list of numbers")
     try:
         return struct.pack(f"<{len(values)}d", *values)
@@ -151,9 +125,16 @@ def _vector_row(record: GenerationRecord, dimension: int | None) -> bytes:
     """The record's embedding, packed, once it is non-empty, finite and, unless
     `dimension` is None, of that dimension."""
     packed = record.response_image or b""  # a record without a BLOB holds no vector
-    vec = EmbeddingVector.from_bytes(packed)
-    if dimension is not None and vec.dimension != dimension:
-        raise ProviderError(f"embedding dimension {vec.dimension} != declared {dimension}")
+    if len(packed) % 8:
+        raise ValueError(f"{len(packed)} bytes are not packed float64")
+    if not packed:
+        raise ValueError("embedding must be non-empty")
+    values = struct.unpack(f"<{len(packed) // 8}d", packed)
+    # a finite sum means finite entries; only a sum that overflows needs the check entry by entry
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        raise ValueError("embedding contains non-finite entries")
+    if dimension is not None and len(values) != dimension:
+        raise ProviderError(f"embedding dimension {len(values)} != declared {dimension}")
     return packed
 
 
@@ -332,7 +313,7 @@ def _trigram_bucket(tri: str) -> int:
     return int.from_bytes(digest, "big") % MOCK_EMBED_DIM
 
 
-def mock_embed(text: str) -> EmbeddingVector:
+def mock_embed(text: str) -> list[float]:
     """L2-normalized hashed character-trigram counts (dimension MOCK_EMBED_DIM)."""
     counts = [0.0] * MOCK_EMBED_DIM
     padded = f"  {text.lower()}  "
@@ -342,7 +323,7 @@ def mock_embed(text: str) -> EmbeddingVector:
     if norm == 0.0:
         counts[0] = 1.0
         norm = 1.0
-    return EmbeddingVector(tuple(c / norm for c in counts))
+    return [c / norm for c in counts]
 
 
 def _png_1x1(rgb: tuple[int, int, int]) -> bytes:
@@ -445,7 +426,7 @@ class ProviderClient:
         return self._fetch(cfg, payloads, lambda i: mock_translate(texts[i], source, target), _text("translation"))
 
     def embed_batch(self, cfg: ProviderConfig, texts: Sequence[str]) -> list[bytes]:
-        """The embedding of each of `texts`, in order, as EmbeddingVector.to_bytes packs it.
+        """The embedding of each of `texts`, in order, packed as little-endian float64.
 
         Each distinct text is fetched once, all of them in one _fetch; the
         first failure is raised.
@@ -455,7 +436,8 @@ class ProviderClient:
         payloads = [{"op": "embed", "model": cfg.model, "input": text} for text in texts]
         dimension = cfg.dimension or (MOCK_EMBED_DIM if cfg.is_mock else None)
         outcomes = self._fetch(
-            cfg, payloads, lambda i: mock_embed(texts[i]).to_bytes(), lambda record: _vector_row(record, dimension)
+            cfg, payloads,
+            lambda i: _pack_embedding(mock_embed(texts[i])), lambda record: _vector_row(record, dimension),
         )
         rows = []
         for outcome in outcomes:

@@ -1,6 +1,7 @@
 """Surface-form similarity (sentence-level BLEU, chrF) and semantic similarity
 (embedding cosine), and the pairwise matrices of their means over id-paired
-items across transformations.
+items across transformations, each a list of rows of floats; the similarity
+stage writes them out as CSV tables.
 
 BLEU and chrF are computed from each side's length and the clipped n-gram
 matches of the pair, which one counter, `_overlaps`, gives for every pair of
@@ -11,11 +12,8 @@ two arguments. The cosine is computed from the embeddings and their norms.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 from .lexstats import tokenize
@@ -47,10 +45,10 @@ def _chars(text: str) -> str:
 def _overlaps(seqs: Sequence[Sequence[str]], max_n: int) -> list[list[list[int]]]:
     """Clipped n-gram match counts of every pair of seqs: [i][j][n - 1] for i <= j and n = 1..max_n.
 
-    Symbols, then each order's n-grams, are ranked into small integers, and
-    one count array per order holds a row per sequence. An n-gram is an
-    (n-1)-gram's rank and its last symbol, ranked again, so no two n-grams
-    share a code.
+    Symbols, in order of first appearance, then each order's n-grams are
+    ranked into small integers, and one count array per order holds a row per
+    sequence. An n-gram is an (n-1)-gram's rank and its last symbol, ranked
+    again, so no two n-grams share a code.
     """
     import numpy as np
 
@@ -59,17 +57,19 @@ def _overlaps(seqs: Sequence[Sequence[str]], max_n: int) -> list[list[list[int]]
     starts = np.arange(len(seq_of))
     # the symbols from each start to the end of its sequence: the highest order of an n-gram starting there
     left = np.concatenate([np.arange(len(s), 0, -1) for s in seqs])
-    # numpy strips a symbol's trailing NULs, which keeps them distinct: tokens hold none, and "\x00" becomes ""
-    vocabulary, codes = np.unique(np.array([x for s in seqs for x in s]), return_inverse=True)
-    symbols, alphabet = codes, len(vocabulary)
+    rank: dict[str, int] = {}
+    symbols = np.array([rank.setdefault(x, len(rank)) for s in seqs for x in s], dtype=np.int64)
+    codes, alphabet = symbols, len(rank)
+    vocabulary = alphabet  # the distinct n-grams of the order
     matches = np.zeros((size, size, max_n), dtype=np.int64)
     for n in range(1, max_n + 1):
         if n > 1:
             keep = left >= n
             starts, left = starts[keep], left[keep]
-            vocabulary, codes = np.unique(codes[keep] * alphabet + symbols[starts + n - 1], return_inverse=True)
-        counts = np.bincount(seq_of[starts] * len(vocabulary) + codes, minlength=size * len(vocabulary))
-        counts = counts.reshape(size, len(vocabulary))
+            distinct, codes = np.unique(codes[keep] * alphabet + symbols[starts + n - 1], return_inverse=True)
+            vocabulary = len(distinct)
+        counts = np.bincount(seq_of[starts] * vocabulary + codes, minlength=size * vocabulary)
+        counts = counts.reshape(size, vocabulary)
         for i, row in enumerate(counts):
             matches[i, i:, n - 1] = np.minimum(row, counts[i:]).sum(axis=1)
     return matches.tolist()
@@ -146,26 +146,11 @@ def cosine(a: Sequence[float], b: Sequence[float]) -> float:
     return _cosine(a, _norm(a), b, _norm(b))
 
 
-@dataclass(frozen=True)
-class PairwiseMatrix:
-    labels: tuple[str, ...]
-    values: tuple[tuple[float, ...], ...]  # values[i][j] = mean(metric(corpus_i, corpus_j))
-    metric: str
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([""] + list(self.labels))
-        for label, row in zip(self.labels, self.values):
-            writer.writerow([label] + [repr(v) for v in row])
-        return buf.getvalue()
-
-
-def pairwise_matrices(corpora: list[TransformedCorpus], vectors: list) -> dict[str, PairwiseMatrix]:
-    """The BLEU, chrF and cosine matrices (keyed as in METRICS) of every ordered corpus pair.
+def pairwise_matrices(corpora: list[TransformedCorpus], vectors: list) -> dict[str, list[list[float]]]:
+    """The BLEU, chrF and cosine matrices (keyed as in METRICS) of every ordered corpus pair, as rows.
 
     vectors[i] is corpus i's embedding array, one numpy row per item in its order;
-    values[i][j] is the mean over ids of the metric with corpus i's text as
+    matrix[i][j] is the mean over ids of the metric with corpus i's text as
     the candidate and corpus j's as the reference, summed in the first
     corpus's id order. Each id's texts share one n-gram count array per order.
     """
@@ -194,10 +179,4 @@ def pairwise_matrices(corpora: list[TransformedCorpus], vectors: list) -> dict[s
                     chrf_cells[row][col].append(_chrf(len(chars[row]), len(chars[col]), char_matches[i][j]))
                     cosine_cells[row][col].append(cos)
 
-    labels = tuple(c.kind.value for c in corpora)
-    return {
-        metric: PairwiseMatrix(
-            labels, tuple(tuple(sum(scores) / len(scores) for scores in row) for row in cells[metric]), metric
-        )
-        for metric in METRICS
-    }
+    return {metric: [[sum(scores) / len(scores) for scores in row] for row in cells[metric]] for metric in METRICS}

@@ -235,7 +235,7 @@ def reference_train(embeddings, labels, cfg, seed):
 
 def fixture_embeddings(name):
     rows = [json.loads(line) for line in (FIXTURES / name).read_text().splitlines()]
-    return np.array([mock_embed(r["text"]).values for r in rows]), [r["group"] for r in rows]
+    return np.array([mock_embed(r["text"]) for r in rows]), [r["group"] for r in rows]
 
 
 # (train settings, seed) of the reference comparisons
@@ -299,7 +299,7 @@ def corpus_for(ds, kind=TransformationKind.ORIGINAL):
 
 def vectors_for(corpus):
     """The mock embeddings of the corpus's texts, one row per item."""
-    return np.array([mock_embed(text).values for _, text in corpus.items])
+    return np.array([mock_embed(text) for _, text in corpus.items])
 
 
 def evaluate_corpus(corpus, labels, splits, cfg):

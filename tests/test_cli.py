@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import io
 import json
 import multiprocessing
@@ -24,9 +25,10 @@ import semsurf.providers as providers
 from semsurf.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, STAGES, main
 from semsurf.config import StageError, config_digest, parse_config
 from semsurf.textmetrics import METRICS
-from semsurf.transform import DEFAULT_PROMPTS, TransformationKind
+from semsurf.transform import DEFAULT_PROMPTS, KIND_ORDER, TransformationKind
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN_139 = Path(__file__).resolve().parent / "golden_dogstory139"
 
 
 def write_config(path, dataset_path, extra=""):
@@ -336,9 +338,10 @@ class TestFullRun:
         assert message in result.output
 
 
-def pt_fixture_config(path, extra=""):
-    """run_mock_pt.conf with the dataset pinned to its absolute path, plus `extra` lines."""
-    text = (FIXTURES / "run_mock_pt.conf").read_text().replace("../../fixtures/", f"{FIXTURES}/")
+def pt_fixture_config(path, extra="", fixture="run_mock_pt.conf"):
+    """The `fixture` config, by default run_mock_pt.conf, with the dataset pinned to its absolute path, plus `extra`
+    lines."""
+    text = (FIXTURES / fixture).read_text().replace("../../fixtures/", f"{FIXTURES}/")
     path.write_text(text + extra)
     return path
 
@@ -389,6 +392,28 @@ class TestEmbedOnce:
         result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(pt_run[0]), "--offline"])
         assert result.exit_code == EXIT_DATA, result.output
         assert "run `semsurf transform`" in result.output
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="the goldens hold repr floats of Python's `sum`, which 3.12 compensates"
+)
+def test_dogstory139_matches_its_goldens(tmp_path, runner):
+    """dogstory139's larger vocabularies pin bits of the similarity matrices that dogstory40 cannot."""
+    conf = pt_fixture_config(tmp_path / "pt139.conf", fixture="run_mock_pt139.conf")
+    run_dir = tmp_path / "run"
+    for stage in ("ingest", "transform", "similarity", "lexical"):
+        result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_OK, (stage, result.output)
+    for name in ("similarity.json", "lexical.json"):
+        assert (run_dir / name).read_bytes() == (GOLDEN_139 / name).read_bytes(), name
+    goldens = sorted(GOLDEN_139.glob("matrix_*.csv"))
+    assert [p.name for p in goldens] == [f"matrix_{m}.csv" for m in sorted(METRICS)]
+    for golden in goldens:
+        assert (run_dir / "reports" / golden.name).read_bytes() == golden.read_bytes(), golden.name
+    # each .npy file byte for byte, header included
+    npy_files = sorted((run_dir / "transformed").glob("*.npy"))
+    digests = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}" for p in npy_files]
+    assert digests == (GOLDEN_139 / "npy_files.sha256").read_text().splitlines()
 
 
 def file_stats(directory):
@@ -575,6 +600,22 @@ class TestOneProducerPerNumber:
                     assert float(cell) == number(label, column), (table, label, column)
                     checked += 1
         assert checked == 3 + 5 * 3 + 8 * 3 + 3 * 3 + 8 * 6 + 8 * 9
+
+    def test_similarity_scores_are_the_matrices_reference_column(self, pt_run):
+        run_dir = pt_run[0]
+        similarity = read_json(run_dir, "similarity.json")
+        checked = 0
+        for metric in METRICS:
+            header, *rows = csv.reader((run_dir / "reports" / f"matrix_{metric}.csv").read_text().splitlines())
+            assert header == ["", *(k.value for k in KIND_ORDER)]
+            assert [label for label, *_ in rows] == header[1:]
+            column = header.index(similarity["reference"])
+            matrix = {label: cells for label, *cells in rows}
+            for kind, scores in similarity["scores"].items():
+                # the CSV's repr floats round-trip full precision
+                assert scores[metric] == float(matrix[kind][column - 1]), (metric, kind)
+                checked += 1
+        assert checked == 3 * 5
 
     def test_lexical_values_are_per_item_and_welch_counts_them(self, pt_run):
         run_dir = pt_run[0]

@@ -24,7 +24,6 @@ import semsurf
 import semsurf.providers as providers
 from semsurf.providers import (
     MOCK_EMBED_DIM,
-    EmbeddingVector,
     GenerationRecord,
     OfflineViolation,
     ProviderClient,
@@ -32,6 +31,7 @@ from semsurf.providers import (
     ProviderError,
     ResponseCache,
     TransportError,
+    _vector_row,
     cache_key_for,
     canonical_request,
     mock_chat,
@@ -62,6 +62,11 @@ def only(outcomes):
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
+
+
+def packed(text):
+    """The mock embedding of `text` as an embedding record holds it."""
+    return struct.pack(f"<{MOCK_EMBED_DIM}d", *mock_embed(text))
 
 
 def mock_cfg(kind):
@@ -252,13 +257,13 @@ class TestMocks:
 
     def test_embed_unit_norm(self):
         v = mock_embed("the quick brown fox")
-        assert v.dimension == MOCK_EMBED_DIM
-        assert sum(x * x for x in v.values) == pytest.approx(1.0, abs=1e-12)
+        assert len(v) == MOCK_EMBED_DIM
+        assert sum(x * x for x in v) == pytest.approx(1.0, abs=1e-12)
 
     def test_embed_similarity_ordering(self):
-        a = mock_embed("the boy is reaching for the cookie jar").values
-        b = mock_embed("the boy reaches for the cookie jar").values
-        c = mock_embed("zzzz qqqq xxxx wwww").values
+        a = mock_embed("the boy is reaching for the cookie jar")
+        b = mock_embed("the boy reaches for the cookie jar")
+        c = mock_embed("zzzz qqqq xxxx wwww")
         assert cosine(a, b) > cosine(a, c)
 
     def test_png_valid(self):
@@ -271,16 +276,24 @@ class TestMocks:
         assert len(raw) == 4  # filter byte + RGB
 
     def test_vector_validation(self):
-        with pytest.raises(ValueError):
-            EmbeddingVector(())
-        with pytest.raises(ValueError):
-            EmbeddingVector((float("nan"),))
-        with pytest.raises(ValueError):
-            EmbeddingVector((0.5, float("-inf")))
-        with pytest.raises(ValueError):
-            EmbeddingVector((float("inf"), float("-inf")))
+        non_finite = (ValueError, "^embedding contains non-finite entries$")
+        cases = {  # (BLOB, declared dimension) -> the error _vector_row raises
+            (b"", None): (ValueError, "^embedding must be non-empty$"),
+            (None, None): (ValueError, "^embedding must be non-empty$"),
+            (struct.pack("<d", float("nan")), None): non_finite,
+            (struct.pack("<2d", 0.5, float("-inf")), None): non_finite,
+            (struct.pack("<2d", float("inf"), float("-inf")), None): non_finite,
+            (struct.pack("<2d", 0.5, 0.25)[:15], None): (ValueError, "^15 bytes are not packed float64$"),
+            (struct.pack("<3d", 0.1, 0.2, 0.3), 4): (ProviderError, "^embedding dimension 3 != declared 4$"),
+        }
+        for (blob, dimension), (error, message) in cases.items():
+            record = GenerationRecord("0" * 64, "{}", None, blob, 1.5, mock_cfg("embed").summary())
+            with pytest.raises(error, match=message):
+                _vector_row(record, dimension)
         # finite entries whose sum overflows
-        assert EmbeddingVector((1e308, 1e308)).dimension == 2
+        blob = struct.pack("<2d", 1e308, 1e308)
+        for dimension in (None, 2):
+            assert _vector_row(GenerationRecord("0" * 64, "{}", None, blob, 1.5, {}), dimension) == blob
 
     @given(st.one_of(st.text(max_size=40), st.text(alphabet="aAbB zZçÇİıßẞΣσς", max_size=12)))
     @settings(max_examples=200, deadline=None)
@@ -293,7 +306,7 @@ class TestMocks:
             idx = int.from_bytes(hashlib.blake2b(tri.encode("utf-8"), digest_size=4).digest(), "big")
             counts[idx % MOCK_EMBED_DIM] += 1.0
         norm = math.sqrt(sum(c * c for c in counts))
-        assert mock_embed(text).values == tuple(c / norm for c in counts)
+        assert mock_embed(text) == [c / norm for c in counts]
 
 
 class TestClientMockPath:
@@ -354,7 +367,7 @@ class TestClientMockPath:
         cache.stores.clear()
         warm = ProviderClient(cache).embed_batch(cfg, ["the boy sees a dog"])
         assert (cache.lookups.total(), cache.stores.total()) == (1, 0)
-        assert warm == cold == [mock_embed("the boy sees a dog").to_bytes()]
+        assert warm == cold == [packed("the boy sees a dog")]
 
     def test_duplicate_texts_are_computed_and_stored_once(self, tmp_path, monkeypatch):
         computed = Counter()
@@ -368,7 +381,7 @@ class TestClientMockPath:
         cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
         texts = ["a dog", "a cat", "a dog", "a bird", "a cat", "a dog"]
         rows = ProviderClient(cache).embed_batch(cfg, texts)
-        assert rows == [mock_embed(text).to_bytes() for text in texts]
+        assert rows == [packed(text) for text in texts]
         assert computed == {"a dog": 1, "a cat": 1, "a bird": 1}
         assert sorted(cache.stores.values()) == [1, 1, 1]
         assert cache.store_transactions == 1
@@ -381,8 +394,8 @@ class TestClientMockPath:
         with closing(sqlite3.connect(tmp_path / "cache" / "responses.sqlite3")) as db:
             [(text, blob)] = db.execute("SELECT response_text, response_image FROM responses").fetchall()
         assert text is None
-        assert blob == struct.pack(f"<{MOCK_EMBED_DIM}d", *mock_embed("a dog in a garden").values)
-        assert EmbeddingVector.from_bytes(blob) == mock_embed("a dog in a garden")
+        assert blob == struct.pack(f"<{MOCK_EMBED_DIM}d", *mock_embed("a dog in a garden"))
+        assert list(struct.unpack(f"<{MOCK_EMBED_DIM}d", blob)) == mock_embed("a dog in a garden")
 
     def test_json_text_vectors_are_still_read(self, tmp_path):
         """The first open packs the JSON-text vector of each embedding row, and of each
@@ -393,7 +406,7 @@ class TestClientMockPath:
         records = {}
         for text in (in_row, in_file, broken):
             canonical = canonical_request({"op": "embed", "model": "m", "input": text})
-            vector = json.dumps(mock_embed(text).values)[: 20 if text == broken else None]
+            vector = json.dumps(mock_embed(text))[: 20 if text == broken else None]
             records[text] = GenerationRecord(cache_key_for(canonical), canonical, vector, None, 1.5, cfg.summary())
         chat = GenerationRecord(cache_key_for("{}"), "{}", "[1.0, 2.0]", None, 1.5, chat_cfg().summary())
         write_version_0_database(tmp_path, [records[in_row], records[broken], chat])
@@ -403,7 +416,7 @@ class TestClientMockPath:
         rows = ProviderClient(cache, offline=True).embed_batch(cfg, [in_row, in_file])
         json_vectors = [json.loads(records[text].response_text) for text in (in_row, in_file)]
         assert rows == [struct.pack(f"<{MOCK_EMBED_DIM}d", *vector) for vector in json_vectors]
-        assert rows == [mock_embed(in_row).to_bytes(), mock_embed(in_file).to_bytes()]
+        assert rows == [packed(in_row), packed(in_file)]
         assert cache.stores.total() == 0
         assert cache.lookup_many([records[broken].cache_key, chat.cache_key]) == {chat.cache_key: chat}
         cache.close()
@@ -481,7 +494,7 @@ class TestOneCachePath:
         cache.stores.clear()
         texts = ["a cat", "a bird", "a dog", "a bird", "a fish", "a cat"]
         rows = client.embed_batch(cfg, texts)
-        assert rows == [mock_embed(text).to_bytes() for text in texts]
+        assert rows == [packed(text) for text in texts]
         assert sorted(cache.lookups.values()) == [1, 1, 1, 1]
         assert computed == {("a dog",): 1, ("a cat",): 1, ("a bird",): 1, ("a fish",): 1}
         assert sorted(cache.stores.values()) == [1, 1]
@@ -862,7 +875,7 @@ class TestConcurrentCalls:
         finally:
             sys.setswitchinterval(interval)
         for k, rows in enumerate(results):
-            expected = [[mock_embed(texts[(k + j + i) % 10]).to_bytes() for i in range(4)] for j in range(0, 30, 3)]
+            expected = [[packed(texts[(k + j + i) % 10]) for i in range(4)] for j in range(0, 30, 3)]
             assert rows == expected
         # the table holds one row per key, and the client no state left by the calls
         keys = sorted(cache_key_for(canonical_request({"op": "embed", "model": "m", "input": t})) for t in texts)
