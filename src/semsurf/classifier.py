@@ -4,14 +4,18 @@ A class-weighted logistic regression head trained by full-batch gradient
 descent over provider embeddings, with stratified early-stopping validation,
 evaluated per seed over the (train ids, test ids) folds it is given: the k
 folds of cross-validation, or the one fold of a fixed split. `prepare` turns
-the folds into row indices, targets, class weights and holdouts once, and
-`evaluate` trains every kind's heads on that one preparation.
+the folds into row indices, targets, class weights and holdouts once, and every
+kind's heads train on that one preparation: `evaluate` one kind's array at a
+time with `train`, or, where all kinds' arrays are small (`stacks`),
+`evaluate_stack` every kind of a fold at once with `train_stack`. Both give
+the same heads bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -20,9 +24,18 @@ from .corpus import GROUP_AD, GROUP_CONTROL, DataError
 
 POSITIVE = GROUP_AD  # ties at score 0.5 resolve to the positive class
 
+# the most bytes of float64 embeddings that every kind's arrays may hold together for classify to train
+# them as one stack; on larger arrays a stacked epoch is slower than one kind's `train` after another
+STACK_BYTES = 1 << 20
+
 
 class TrainingError(DataError):
-    """The training rows of a fold cannot train a head."""
+    """The training rows of a fold cannot train a head. train_stack sets `kind`
+    to the position in its stack of the kind whose head failed."""
+
+    def __init__(self, message: str, kind: int | None = None):
+        super().__init__(message)
+        self.kind = kind
 
 
 @dataclass(frozen=True)
@@ -210,11 +223,86 @@ def train(x: np.ndarray, fold: Fold, cfg: TrainConfig) -> LinearHead:
     return LinearHead(best[1], best[2])
 
 
+def stacks(kinds: int, rows: int, dim: int) -> bool:
+    """Whether `kinds` arrays of rows x dim float64 embeddings train as one
+    stack (`evaluate_stack`): when together they hold at most STACK_BYTES."""
+    return kinds * rows * dim * 8 <= STACK_BYTES
+
+
+def _stack_loss(z: np.ndarray, neg_abs: np.ndarray, rows: Rows, penalty: np.ndarray) -> np.ndarray:
+    """_loss of each kind of a stack: z and neg_abs are (kinds, rows), and penalty is each kind's l2 * (w @ w) / 2."""
+    per_item = np.logaddexp(0.0, neg_abs) + np.maximum(z, 0.0) - z * rows.y
+    return np.add.reduce(rows.weights * per_item, axis=1) / rows.weight_sum + penalty
+
+
+def _penalty(w: np.ndarray, l2: float) -> np.ndarray:
+    """l2 * (w[k] @ w[k]) / 2.0 for each kind's weights w[k]."""
+    return l2 * np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0] / 2.0
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a diverging loss raises TrainingError instead
+def train_stack(x: np.ndarray, fold: Fold, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """`train` on the fold of every kind's array x[k] of the stack x (kinds,
+    rows, dim) at once: the heads' weights (kinds, dim) and biases (kinds,).
+    Each head is train's bit for bit: every product is one batched matmul,
+    which makes each kind's BLAS call that `train` makes, and every sum runs
+    over one kind's row as train's does. Each kind stops early on its own and
+    is not looked at again, though the stack keeps stepping it until every
+    kind has stopped. A failure names the kind's position as its `kind`."""
+    d, v = fold.descent, fold.validation
+    # each kind's rows C-contiguous, as train's are: x[:, index] would space them by every kind's rows, and BLAS
+    # can sum a product over rows of another stride in another order
+    xt, xv = np.take(x, d.index, axis=1), np.take(x, v.index, axis=1)
+    xt_t = xt.transpose(0, 2, 1)
+    kinds = len(x)
+    w = np.zeros((kinds, x.shape[2]))
+    b = np.zeros(kinds)
+    best_loss, best_w, best_b = [math.inf] * kinds, w.copy(), b.copy()
+    patience_left = [cfg.patience] * kinds
+    running = range(kinds)
+    penalty = _penalty(w, cfg.l2)  # the same for an epoch's validation loss and the next epoch's training loss
+    for epoch in range(1, cfg.max_epochs + 1):
+        z = np.matmul(xt, w[:, :, None])[:, :, 0] + b[:, None]
+        neg_abs = -np.abs(z)
+        loss = _stack_loss(z, neg_abs, d, penalty).tolist()
+        resid = d.weights * (_sigmoid(z, neg_abs) - d.y) / d.weight_sum
+        gw = np.matmul(xt_t, resid[:, :, None])[:, :, 0] + cfg.l2 * w
+        gb = np.add.reduce(resid, axis=1)
+        lr = cfg.learning_rate / math.sqrt(epoch)
+        w -= lr * gw
+        b -= lr * gb
+        penalty = _penalty(w, cfg.l2)
+        z = np.matmul(xv, w[:, :, None])[:, :, 0] + b[:, None]
+        val_loss = _stack_loss(z, -np.abs(z), v, penalty).tolist()
+        still_running = []
+        for k in running:
+            if not math.isfinite(loss[k]):
+                raise TrainingError(f"non-finite training loss at epoch {epoch}: {loss[k]}", k)
+            if val_loss[k] < best_loss[k] - 1e-12:
+                best_loss[k], best_w[k], best_b[k] = val_loss[k], w[k], b[k]
+                patience_left[k] = cfg.patience
+            else:
+                patience_left[k] -= 1
+                if patience_left[k] <= 0:
+                    continue
+            still_running.append(k)
+        running = still_running
+        if not running:
+            break
+    finite = np.isfinite(best_w).all(axis=1) & np.isfinite(best_b)
+    if not finite.all():
+        raise TrainingError("non-finite head parameters", int(np.argmin(finite)))
+    return best_w, best_b
+
+
 def predict(head: LinearHead, embeddings: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Labels and raw sigmoid scores; score >= 0.5 classifies as AD."""
     scores = head.scores(np.asarray(embeddings, dtype=np.float64))
-    labels = [POSITIVE if s >= 0.5 else GROUP_CONTROL for s in scores]
-    return labels, scores
+    return _labels(scores), scores
+
+
+def _labels(scores: Iterable[float]) -> list[str]:
+    return [POSITIVE if s >= 0.5 else GROUP_CONTROL for s in scores]
 
 
 def macro_f1(pred: list[str], gold: list[str]) -> float:
@@ -253,6 +341,18 @@ def run_seeds(master_seed: int, n_runs: int) -> list[int]:
     return [master_seed * 10007 + i for i in range(n_runs)]
 
 
+def _record(fold: Fold, pred: list[str]) -> dict:
+    """A fold's classification.json record, from the labels predicted for its test rows."""
+    acc_ad, acc_c = per_class_accuracy(pred, fold.gold)
+    return {"fold": fold.number, "macro_f1": macro_f1(pred, fold.gold), "acc_ad": acc_ad, "acc_c": acc_c}
+
+
+def _run(seed: int, records: list[dict]) -> dict:
+    """A seed's classification.json run: its fold records and their means."""
+    means = {m: float(np.mean([f[m] for f in records])) for m in ("macro_f1", "acc_ad", "acc_c")}
+    return {"seed": seed, **means, "folds": records}
+
+
 def evaluate(vectors: np.ndarray, folds: list[tuple[int, list[Fold]]], cfg: TrainConfig) -> list[dict]:
     """One run per (seed, folds) of prepare's `folds` over one kind's array:
     each fold's head trained on its rows of `vectors` and scored on its test
@@ -268,10 +368,30 @@ def evaluate(vectors: np.ndarray, folds: list[tuple[int, list[Fold]]], cfg: Trai
             except TrainingError as exc:
                 raise TrainingError(f"seed {seed} fold {fold.number}: {exc}") from exc
             pred, _ = predict(head, x[fold.test])
-            acc_ad, acc_c = per_class_accuracy(pred, fold.gold)
-            records.append(
-                {"fold": fold.number, "macro_f1": macro_f1(pred, fold.gold), "acc_ad": acc_ad, "acc_c": acc_c}
-            )
-        means = {m: float(np.mean([f[m] for f in records])) for m in ("macro_f1", "acc_ad", "acc_c")}
-        runs.append({"seed": seed, **means, "folds": records})
+            records.append(_record(fold, pred))
+        runs.append(_run(seed, records))
+    return runs
+
+
+def evaluate_stack(
+    vectors: Iterable[np.ndarray], folds: list[tuple[int, list[Fold]]], cfg: TrainConfig
+) -> list[list[dict]]:
+    """evaluate of each kind's array of `vectors`, all of one shape, with
+    every kind's heads of a fold trained at once by train_stack and scored at
+    once: each kind's runs, as evaluate returns them. Only their stack is kept
+    from `vectors`. A failure names the kind's position in it as its `kind`."""
+    x = np.asarray(np.stack(list(vectors)), dtype=np.float64)
+    runs: list[list[dict]] = [[] for _ in x]
+    for seed, seed_folds in folds:
+        records: list[list[dict]] = [[] for _ in x]
+        for fold in seed_folds:
+            try:
+                w, b = train_stack(x, fold, cfg)
+            except TrainingError as exc:
+                raise TrainingError(f"seed {seed} fold {fold.number}: {exc}", exc.kind) from exc
+            z = np.matmul(np.take(x, fold.test, axis=1), w[:, :, None])[:, :, 0] + b[:, None]
+            for kind_records, scores in zip(records, _sigmoid(z, -np.abs(z)).tolist()):
+                kind_records.append(_record(fold, _labels(scores)))
+        for kind_runs, kind_records in zip(runs, records):
+            kind_runs.append(_run(seed, kind_records))
     return runs

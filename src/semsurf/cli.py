@@ -116,15 +116,20 @@ class RunContext:
                 raise unusable(f"transformed/{kind.value}.jsonl", f"does not match the ids of {first}.jsonl")
         return corpora
 
-    def load_vectors(self, kind: TransformationKind, corpus: TransformedCorpus) -> np.ndarray:
+    def load_vectors(
+        self, kind: TransformationKind, corpus: TransformedCorpus, columns: int | None = None
+    ) -> np.ndarray:
         """The embeddings that `transform` stored for `corpus`, a corpus of
-        load_transformed(embedded=True), one row per item in its order."""
+        load_transformed(embedded=True), one row per item in its order, and
+        `columns` columns where given."""
         import numpy as np
 
         artifact = f"transformed/{kind.value}.npy"
         vectors = self._read(artifact, np.load)
         if vectors.ndim != 2 or len(vectors) != len(corpus.items):
             raise unusable(artifact, f"does not match {kind.value}.jsonl")
+        if columns is not None and vectors.shape[1] != columns:
+            raise unusable(artifact, f"has {vectors.shape[1]} columns where the other kinds' arrays have {columns}")
         return vectors
 
     def _read(self, artifact: str, load: Callable[[Path], T]) -> T:
@@ -360,10 +365,29 @@ def stage_classify(ctx: RunContext) -> None:
     # one draw per seed over those ids, prepared once, trains and tests every kind
     splits = [(seed, partitions(dataset, k, seed, set(ids))) for seed in seeds]
     folds = classifier.prepare(ids, labels, splits, cfg)
-    # each kind's array is loaded in its turn, so classify holds one at a time
-    runs = {
-        kind.value: classifier.evaluate(ctx.load_vectors(kind, corpus), folds, cfg) for kind, corpus in corpora.items()
-    }
+    # every kind's array has the first one's shape: its rows, as every corpus has its ids, and its columns, as
+    # load_vectors checks
+    kinds = list(corpora)
+    rows, columns = ctx.load_vectors(kinds[0], corpora[kinds[0]]).shape
+
+    def vectors(kind: TransformationKind) -> np.ndarray:
+        return ctx.load_vectors(kind, corpora[kind], columns)
+
+    # small arrays train every kind's heads of a fold at once on their stack; larger ones are loaded in their
+    # turn, so classify holds one at a time, and train one kind after another. The heads are the same bits.
+    if classifier.stacks(len(kinds), rows, columns):
+        try:
+            stacked = classifier.evaluate_stack(map(vectors, kinds), folds, cfg)
+        except classifier.TrainingError as exc:
+            raise classifier.TrainingError(f"{kinds[exc.kind].value}: {exc}") from exc
+        runs = {kind.value: kind_runs for kind, kind_runs in zip(kinds, stacked)}
+    else:
+        runs = {}
+        for kind in kinds:
+            try:
+                runs[kind.value] = classifier.evaluate(vectors(kind), folds, cfg)
+            except classifier.TrainingError as exc:
+                raise classifier.TrainingError(f"{kind.value}: {exc}") from exc
     name = protocol(dataset, k)
     ctx.write_json("classification.json", {"protocol": name, "seeds": seeds, "runs": runs})
     click.echo(f"classified {len(runs)} corpora ({name}, {len(seeds)} seeds)")

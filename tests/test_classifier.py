@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import semsurf.classifier as classifier
 from semsurf.classifier import (
     LinearHead,
     TrainConfig,
@@ -13,12 +14,14 @@ from semsurf.classifier import (
     _stratified_holdout,
     class_weights,
     evaluate,
+    evaluate_stack,
     macro_f1,
     per_class_accuracy,
     predict,
     prepare,
     run_seeds,
     train,
+    train_stack,
     weighted_loss_and_grad,
 )
 from semsurf.corpus import GROUP_AD, GROUP_CONTROL, Dataset, Transcript, load_dataset, partitions, protocol
@@ -488,17 +491,53 @@ def kinds_of(ds):
     return {kind: TransformedCorpus(kind, tuple(zip(ds.ids(), kind_texts)), prov) for kind, kind_texts in texts.items()}
 
 
-class TestReferenceEvaluate:
-    """Every kind's runs, prepared once per (seed, fold), equal the per-kind loop's byte for byte."""
+class TestTrainStack:
+    @pytest.mark.parametrize("dim", [3, 7, 256])
+    def test_heads_equal_train_bit_for_bit(self, dim):
+        # narrow rows pin how a fold's rows are gathered: OpenBLAS sums the product of rows of another stride than
+        # train's in another order
+        rng = np.random.default_rng(dim)
+        x = rng.normal(size=(4, 26, dim)) * np.array([0.3, 1.0, 2.0, 5.0])[:, None, None]
+        ids = [str(i) for i in range(26)]
+        labels = {i: GROUP_AD if int(i) % 3 == 0 else GROUP_CONTROL for i in ids}
+        cfg = TrainConfig(learning_rate=5.0, max_epochs=40)
+        [(_, folds)] = prepare(ids, labels, [(1, [(ids[:20], ids[20:]), (ids[6:], ids[:6])])], cfg)
+        for fold in folds:
+            w, b = train_stack(x, fold, cfg)
+            for kind_x, kind_w, kind_b in zip(x, w, b):
+                head = train(kind_x, fold, cfg)
+                assert head.weights.tobytes() == kind_w.tobytes() and head.bias == kind_b
 
-    def check(self, ds, corpora, k, cfg):
+
+def epochs_of(x, fold, cfg):
+    """The epochs that train runs on x for the fold."""
+    epochs = []
+
+    def counting(*args):
+        epochs.append(1)
+        return weighted_loss_and_grad(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifier, "weighted_loss_and_grad", counting)
+        train(x, fold, cfg)
+    return len(epochs)
+
+
+class TestReferenceEvaluate:
+    """Every kind's runs, prepared once per (seed, fold), equal the per-kind loop's byte for byte, whether the kinds
+    train one after another or as one stack."""
+
+    def check(self, ds, corpora, k, cfg, vectors=None):
+        """The check on the corpora's mock embeddings, or on `vectors`, one array per corpus; the prepared folds."""
         ids = next(iter(corpora.values())).ids()
         splits = splits_for(ds, k, run_seeds(42, 10), set(ids))
         folds = prepare(ids, labels_of(ds), splits, cfg)
-        for kind, corpus in corpora.items():
-            vectors = vectors_for(corpus)
-            expected = reference_evaluate(dict(zip(ids, vectors)), labels_of(ds), splits, cfg)
-            assert json.dumps(evaluate(vectors, folds, cfg)) == json.dumps(expected), kind
+        vectors = vectors or [vectors_for(corpus) for corpus in corpora.values()]
+        expected = [reference_evaluate(dict(zip(ids, x)), labels_of(ds), splits, cfg) for x in vectors]
+        for kind, x, kind_expected in zip(corpora, vectors, expected):
+            assert json.dumps(evaluate(x, folds, cfg)) == json.dumps(kind_expected), kind
+        assert json.dumps(evaluate_stack(vectors, folds, cfg)) == json.dumps(expected)
+        return folds
 
     def test_dogstory40_cv(self):
         ds = load_dataset(FIXTURES / "dogstory40.jsonl")
@@ -519,3 +558,29 @@ class TestReferenceEvaluate:
             for kind, corpus in kinds_of(ds).items()
         }
         self.check(ds, corpora, 5, TrainConfig(learning_rate=5.0, max_epochs=20, class_weighting=False))
+
+    def test_kinds_that_stop_at_different_epochs(self):
+        # the stack keeps stepping a kind that has stopped until the last kind stops
+        ds = load_dataset(FIXTURES / "dogstory40.jsonl")
+        corpora, cfg = kinds_of(ds), TrainConfig(learning_rate=5.0, patience=1, max_epochs=40)
+        folds = self.check(ds, corpora, 5, cfg)
+        vectors = [vectors_for(corpus) for corpus in corpora.values()]
+        epochs = [[epochs_of(x, fold, cfg) for x in vectors] for _, seed_folds in folds for fold in seed_folds]
+        assert sum(len(set(fold_epochs)) > 1 for fold_epochs in epochs) >= len(epochs) // 2
+
+    def test_a_kind_that_never_improves_keeps_the_zero_head(self):
+        # Storyboard's vectors, scaled by 1e200, take the first step's validation loss past the float range, and
+        # with a patience of 1 that kind stops there with the head it started from
+        ds = load_dataset(FIXTURES / "dogstory40.jsonl")
+        corpora, cfg = kinds_of(ds), TrainConfig(learning_rate=5.0, patience=1)
+        vectors = [vectors_for(corpus) for corpus in corpora.values()]
+        vectors[2] = vectors[2] * 1e200
+        folds = self.check(ds, corpora, 5, cfg, vectors)
+        for _, seed_folds in folds:
+            for fold in seed_folds:
+                w, b = train_stack(np.stack(vectors), fold, cfg)
+                assert not w[2].any() and b[2] == 0.0
+                assert w[:2].any(axis=1).all() and b[:2].all()  # the other kinds trained
+                for x, kind_w, kind_b in zip(vectors, w, b):
+                    head = train(x, fold, cfg)
+                    assert head.weights.tobytes() == kind_w.tobytes() and head.bias == kind_b

@@ -313,21 +313,29 @@ class TestFullRun:
         assert (run_dir / "reports" / "matrix_bleu.csv").read_text().splitlines()[0] == ",Original,Translated"
 
     @pytest.mark.parametrize(
-        "n_c, split, extra, message",
+        "n_c, split, extra, message, stacked",
         [
-            (0, None, "", "training data must contain both classes"),
-            (8, None, "train.learning_rate = 1e308", "non-finite training loss at epoch 2: inf"),
+            (0, None, "", "training data must contain both classes", True),
+            # every kind diverges at once, and the first in the manifest's order is named, on either path
+            *(
+                (8, None, "train.learning_rate = 1e308",
+                 f"BackTranslated: seed {7 * 10007} fold 0: non-finite training loss at epoch 2: inf", stacked)
+                for stacked in (True, False)
+            ),
             # only AD transcripts in the train split
             (
                 8, {"AD": ["train"] * 8 + ["test"] * 4, "C": "test"}, "",
-                f"seed {7 * 10007} fold 0: training data must contain both classes",
+                f"seed {7 * 10007} fold 0: training data must contain both classes", True,
             ),
             # only C transcripts in the test split: no head can be scored, so none is trained
-            (8, {"AD": "train", "C": "test"}, "", "fixed split test set has no AD transcripts"),
+            (8, {"AD": "train", "C": "test"}, "", "fixed split test set has no AD transcripts", True),
         ],
-        ids=["one class", "diverging loss", "fixed split one class", "fixed split one-class test set"],
+        ids=["one class", "diverging loss", "diverging loss one kind at a time", "fixed split one class",
+             "fixed split one-class test set"],
     )
-    def test_training_failure_exits_2(self, tmp_path, runner, n_c, split, extra, message):
+    def test_training_failure_exits_2(self, tmp_path, runner, monkeypatch, n_c, split, extra, message, stacked):
+        if not stacked:
+            monkeypatch.setattr(classifier, "STACK_BYTES", 0)
         conf = tmp_path / "c.conf"
         write_config(conf, small_dataset(tmp_path, n_ad=12, n_c=n_c, split=split), extra=extra)
         run_dir = tmp_path / "run"
@@ -391,6 +399,44 @@ class TestEmbedOnce:
         conf = pt_fixture_config(tmp_path / "pt.conf", "embed.model = mock-embed-2\n")
         result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(pt_run[0]), "--offline"])
         assert result.exit_code == EXIT_DATA, result.output
+        assert "run `semsurf transform`" in result.output
+
+
+class TestClassifyPaths:
+    def test_stacked_and_per_kind_training_write_the_same_bytes(self, pt_run, tmp_path, runner, monkeypatch):
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        run_dir = tmp_path / "run"
+        shutil.copytree(pt_run[0], run_dir)
+        default, calls = classifier.STACK_BYTES, []
+        train, train_stack = classifier.train, classifier.train_stack
+        monkeypatch.setattr(classifier, "train", lambda *args: calls.append("train") or train(*args))
+        monkeypatch.setattr(classifier, "train_stack", lambda *args: calls.append("train_stack") or train_stack(*args))
+        written = []
+        for limit in (default, 0):
+            monkeypatch.setattr(classifier, "STACK_BYTES", limit)
+            calls.clear()
+            result = runner.invoke(main, ["classify", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+            assert result.exit_code == EXIT_OK, result.output
+            written.append(((run_dir / "classification.json").read_bytes(), calls.count("train_stack"), len(calls)))
+        # 10 seeds x 5 folds: a stack of the 8 kinds per fold at the default, a head per kind and fold at 0
+        assert [calls for _, *calls in written] == [[50, 50], [0, 400]]
+        assert written[0][0] == written[1][0] == (pt_run[0] / "classification.json").read_bytes()
+
+    def test_the_default_stacks_the_picture_corpora_only(self):
+        assert classifier.stacks(8, 40, 256)  # dogstory40: 0.66 MB
+        assert not classifier.stacks(8, 400, 256)  # a 400-item corpus: 6.6 MB
+
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_a_kind_of_other_columns_exits_2(self, pt_run, tmp_path, runner, monkeypatch, stacked):
+        if not stacked:
+            monkeypatch.setattr(classifier, "STACK_BYTES", 0)
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        run_dir = tmp_path / "run"
+        shutil.copytree(pt_run[0], run_dir)
+        np.save(run_dir / "transformed" / "Storyboard.npy", np.zeros((40, 3)))
+        result = runner.invoke(main, ["classify", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "transformed/Storyboard.npy has 3 columns where the other kinds' arrays have 256" in result.output
         assert "run `semsurf transform`" in result.output
 
 
@@ -941,8 +987,8 @@ class TestSharedPartitions:
         for stage in ("ingest", "transform"):
             result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
             assert result.exit_code == EXIT_OK, result.output
-        drawn, held_out, evaluated = [], [], []
-        split_folds, holdout, train = corpus.split_folds, classifier._stratified_holdout, classifier.train
+        drawn, held_out, by_kind = [], [], {}
+        split_folds, holdout, train_stack = corpus.split_folds, classifier._stratified_holdout, classifier.train_stack
 
         def recording_split_folds(transcripts, k, seed):
             drawn.append(seed)
@@ -952,16 +998,19 @@ class TestSharedPartitions:
             held_out.append(args)
             return holdout(*args)
 
-        def recording_train(x, fold, cfg):
+        # these small arrays train as one stack: each call trains every kind's head of a fold
+        def recording_train_stack(x, fold, cfg):
             rows = np.union1d(fold.descent.index, fold.validation.index)
-            evaluated.append((fold, rows.tolist(), fold.test.tolist()))
-            return train(x, fold, cfg)
+            for k in range(len(x)):
+                by_kind.setdefault(k, []).append((fold, rows.tolist(), fold.test.tolist()))
+            return train_stack(x, fold, cfg)
 
         monkeypatch.setattr(corpus, "split_folds", recording_split_folds)
         monkeypatch.setattr(classifier, "_stratified_holdout", recording_holdout)
-        monkeypatch.setattr(classifier, "train", recording_train)
+        monkeypatch.setattr(classifier, "train_stack", recording_train_stack)
         result = runner.invoke(main, ["classify", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
         assert result.exit_code == EXIT_OK, result.output
+        evaluated = [call for calls in by_kind.values() for call in calls]
         cls = read_json(run_dir, "classification.json")
         assert cls["protocol"] == "cv3"
         assert drawn == cls["seeds"]  # once per seed, not once per kind and seed
@@ -1098,7 +1147,7 @@ class TestLenientRun:
         fail_short_summaries(monkeypatch, ["s01", "s06"])
         # `run` classifies in a worker process, so the calls are recorded as JSON lines in a file
         calls = tmp_path / "calls.jsonl"
-        prepare, train = classifier.prepare, classifier.train
+        prepare, train_stack = classifier.prepare, classifier.train_stack
 
         def record(name, value):
             with calls.open("a") as f:
@@ -1111,13 +1160,15 @@ class TestLenientRun:
                     record("prepare", sorted(train + test))
             return prepare(ids, labels, splits, cfg)
 
-        def recording_train(x, fold, cfg):
+        # these small arrays train as one stack: each call trains every kind's head of a fold
+        def recording_train_stack(x, fold, cfg):
             rows = np.concatenate([fold.descent.index, fold.validation.index, fold.test])
-            record("train", [len(x), sorted(set(rows.tolist()))])
-            return train(x, fold, cfg)
+            for kind_x in x:
+                record("train", [len(kind_x), sorted(set(rows.tolist()))])
+            return train_stack(x, fold, cfg)
 
         monkeypatch.setattr(classifier, "prepare", recording_prepare)
-        monkeypatch.setattr(classifier, "train", recording_train)
+        monkeypatch.setattr(classifier, "train_stack", recording_train_stack)
         conf = tmp_path / "c.conf"
         write_config(conf, small_dataset(tmp_path), extra="mode = lenient")
         run_dir = tmp_path / "run"
