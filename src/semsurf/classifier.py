@@ -5,27 +5,30 @@ descent over provider embeddings, with stratified early-stopping validation,
 evaluated per seed over the (train ids, test ids) folds it is given: the k
 folds of cross-validation, or the one fold of a fixed split. `prepare` turns
 the folds into row indices, targets, class weights and holdouts once, and every
-kind's heads train on that one preparation: `evaluate` one kind's array at a
-time with `train`, or, where all kinds' arrays are small (`stacks`),
-`evaluate_stack` every kind of a fold at once with `train_stack`. Both give
-the same heads bit for bit.
+kind's heads train on that one preparation. `evaluate_stack` trains the heads
+of a stack of kinds' arrays at once with `train_stack`, each kind stopping
+early on its own; `chunks` cuts the kinds into stacks of at most `STACK_BYTES`.
+A kind's heads are the same bits in any stack, so how the kinds are chunked
+never shows in the results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 import numpy as np
 
 from .config import TrainConfig
 from .corpus import GROUP_AD, GROUP_CONTROL, DataError
 
+T = TypeVar("T")
+
 POSITIVE = GROUP_AD  # ties at score 0.5 resolve to the positive class
 
-# the most bytes of float64 embeddings that every kind's arrays may hold together for classify to train
-# them as one stack; on larger arrays a stacked epoch is slower than one kind's `train` after another
+# the most bytes of float64 embeddings that the kinds' arrays of one stack may hold together: on larger
+# arrays a stacked epoch is slower than one kind's after another, and every array of a stack is held at once
 STACK_BYTES = 1 << 20
 
 
@@ -36,22 +39,6 @@ class TrainingError(DataError):
     def __init__(self, message: str, kind: int | None = None):
         super().__init__(message)
         self.kind = kind
-
-
-@dataclass(frozen=True)
-class LinearHead:
-    weights: np.ndarray
-    bias: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.weights)) or not math.isfinite(self.bias):
-            raise TrainingError("non-finite head parameters")
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[1] != self.weights.shape[0]:
-            raise ValueError(f"dimension mismatch: {x.shape[1]} vs {self.weights.shape[0]}")
-        z = x @ self.weights + self.bias
-        return _sigmoid(z, -np.abs(z))
 
 
 def _sigmoid(z: np.ndarray, neg_abs: np.ndarray) -> np.ndarray:
@@ -72,38 +59,6 @@ def class_weights(labels: list[str]) -> dict[str, float]:
     n = len(labels)
     k = len(counts)
     return {c: n / (k * cnt) for c, cnt in counts.items()}
-
-
-def weighted_loss_and_grad(
-    w: np.ndarray,
-    b: float,
-    x: np.ndarray,
-    y: np.ndarray,
-    sample_weights: np.ndarray,
-    weight_sum: float,
-    l2: float,
-) -> tuple[float, np.ndarray, float]:
-    """Class-weighted binary cross-entropy with L2 penalty on the weights, and its gradient.
-
-    Loss = sum_i cw_i * BCE_i / sum_i cw_i + l2 * ||w||^2 / 2, where weight_sum = sum_i cw_i.
-    """
-    z = x @ w + b
-    neg_abs = -np.abs(z)
-    loss = _loss(z, neg_abs, w, y, sample_weights, weight_sum, l2)
-    resid = sample_weights * (_sigmoid(z, neg_abs) - y) / weight_sum
-    grad_w = x.T @ resid + l2 * w
-    grad_b = float(resid.sum())
-    return loss, grad_w, grad_b
-
-
-def _loss(
-    z: np.ndarray, neg_abs: np.ndarray, w: np.ndarray, y: np.ndarray, sample_weights: np.ndarray,
-    weight_sum: float, l2: float,
-) -> float:
-    """weighted_loss_and_grad's loss, from the scores z = x @ w + b and neg_abs = -|z|."""
-    # numerically stable log-loss: log(1+exp(-|z|)) + max(z,0) - z*y
-    per_item = np.logaddexp(0.0, neg_abs) + np.maximum(z, 0.0) - z * y
-    return float((sample_weights * per_item).sum() / weight_sum + l2 * (w @ w) / 2.0)
 
 
 def _stratified_holdout(y: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
@@ -193,44 +148,10 @@ def prepare(
     return prepared
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a diverging loss raises TrainingError instead
-def train(x: np.ndarray, fold: Fold, cfg: TrainConfig) -> LinearHead:
-    """A head on the fold's training rows of x: full-batch gradient descent
-    with lr/sqrt(epoch) decay and early stopping on the validation rows' loss.
-    Deterministic."""
-    d, v = fold.descent, fold.validation
-    xt, xv = x[d.index], x[v.index]
-    w = np.zeros(x.shape[1])
-    b = 0.0
-    best = (math.inf, w.copy(), b)
-    patience_left = cfg.patience
-    for epoch in range(1, cfg.max_epochs + 1):
-        loss, gw, gb = weighted_loss_and_grad(w, b, xt, d.y, d.weights, d.weight_sum, cfg.l2)
-        if not math.isfinite(loss):
-            raise TrainingError(f"non-finite training loss at epoch {epoch}: {loss}")
-        lr = cfg.learning_rate / math.sqrt(epoch)
-        w -= lr * gw
-        b -= lr * gb
-        z = xv @ w + b
-        val_loss = _loss(z, -np.abs(z), w, v.y, v.weights, v.weight_sum, cfg.l2)
-        if val_loss < best[0] - 1e-12:
-            best = (val_loss, w.copy(), b)
-            patience_left = cfg.patience
-        else:
-            patience_left -= 1
-            if patience_left <= 0:
-                break
-    return LinearHead(best[1], best[2])
-
-
-def stacks(kinds: int, rows: int, dim: int) -> bool:
-    """Whether `kinds` arrays of rows x dim float64 embeddings train as one
-    stack (`evaluate_stack`): when together they hold at most STACK_BYTES."""
-    return kinds * rows * dim * 8 <= STACK_BYTES
-
-
 def _stack_loss(z: np.ndarray, neg_abs: np.ndarray, rows: Rows, penalty: np.ndarray) -> np.ndarray:
-    """_loss of each kind of a stack: z and neg_abs are (kinds, rows), and penalty is each kind's l2 * (w @ w) / 2."""
+    """Each kind's class-weighted loss on `rows`, from its scores z and neg_abs = -|z|, both (kinds, rows), and
+    penalty, each kind's l2 * (w @ w) / 2."""
+    # numerically stable log-loss: log(1+exp(-|z|)) + max(z,0) - z*y
     per_item = np.logaddexp(0.0, neg_abs) + np.maximum(z, 0.0) - z * rows.y
     return np.add.reduce(rows.weights * per_item, axis=1) / rows.weight_sum + penalty
 
@@ -240,20 +161,40 @@ def _penalty(w: np.ndarray, l2: float) -> np.ndarray:
     return l2 * np.matmul(w[:, None, :], w[:, :, None])[:, 0, 0] / 2.0
 
 
+def _loss_and_grad(
+    w: np.ndarray, b: np.ndarray, xt: np.ndarray, rows: Rows, penalty: np.ndarray, l2: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each kind's class-weighted binary cross-entropy with an L2 penalty on its weights, and its gradient, for
+    the weights w (kinds, dim) and biases b (kinds,) on the stack xt (kinds, rows, dim) of `rows`, where penalty
+    is _penalty(w, l2):
+
+        loss[k] = sum_i cw_i * BCE_ki / sum_i cw_i + l2 * ||w[k]||^2 / 2.
+    """
+    z = np.matmul(xt, w[:, :, None])[:, :, 0] + b[:, None]
+    neg_abs = -np.abs(z)
+    loss = _stack_loss(z, neg_abs, rows, penalty)
+    resid = rows.weights * (_sigmoid(z, neg_abs) - rows.y) / rows.weight_sum
+    gw = np.matmul(xt.transpose(0, 2, 1), resid[:, :, None])[:, :, 0] + l2 * w
+    gb = np.add.reduce(resid, axis=1)
+    return loss, gw, gb
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a diverging loss raises TrainingError instead
 def train_stack(x: np.ndarray, fold: Fold, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """`train` on the fold of every kind's array x[k] of the stack x (kinds,
-    rows, dim) at once: the heads' weights (kinds, dim) and biases (kinds,).
-    Each head is train's bit for bit: every product is one batched matmul,
-    which makes each kind's BLAS call that `train` makes, and every sum runs
-    over one kind's row as train's does. Each kind stops early on its own and
-    is not looked at again, though the stack keeps stepping it until every
-    kind has stopped. A failure names the kind's position as its `kind`."""
+    """The heads of every kind's array x[k] of the stack x (kinds, rows, dim)
+    on the fold's training rows: their weights (kinds, dim) and biases
+    (kinds,), by full-batch gradient descent with lr/sqrt(epoch) decay and
+    early stopping on the validation rows' loss. Deterministic. A kind's head
+    is the same bits in any stack, alone included: every product is one
+    batched matmul, which makes one BLAS call per kind on that kind's rows, and
+    every sum runs over one kind's row. Each kind stops early on its own and is
+    not looked at again, though the stack keeps stepping it until every kind
+    has stopped; a kind that never improves keeps the zero head. A failure
+    names the kind's position as its `kind`."""
     d, v = fold.descent, fold.validation
-    # each kind's rows C-contiguous, as train's are: x[:, index] would space them by every kind's rows, and BLAS
-    # can sum a product over rows of another stride in another order
+    # each kind's rows C-contiguous, as one kind's alone are: x[:, index] would space them by every kind's rows,
+    # and BLAS can sum a product over rows of another stride in another order
     xt, xv = np.take(x, d.index, axis=1), np.take(x, v.index, axis=1)
-    xt_t = xt.transpose(0, 2, 1)
     kinds = len(x)
     w = np.zeros((kinds, x.shape[2]))
     b = np.zeros(kinds)
@@ -262,12 +203,8 @@ def train_stack(x: np.ndarray, fold: Fold, cfg: TrainConfig) -> tuple[np.ndarray
     running = range(kinds)
     penalty = _penalty(w, cfg.l2)  # the same for an epoch's validation loss and the next epoch's training loss
     for epoch in range(1, cfg.max_epochs + 1):
-        z = np.matmul(xt, w[:, :, None])[:, :, 0] + b[:, None]
-        neg_abs = -np.abs(z)
-        loss = _stack_loss(z, neg_abs, d, penalty).tolist()
-        resid = d.weights * (_sigmoid(z, neg_abs) - d.y) / d.weight_sum
-        gw = np.matmul(xt_t, resid[:, :, None])[:, :, 0] + cfg.l2 * w
-        gb = np.add.reduce(resid, axis=1)
+        loss, gw, gb = _loss_and_grad(w, b, xt, d, penalty, cfg.l2)
+        loss = loss.tolist()
         lr = cfg.learning_rate / math.sqrt(epoch)
         w -= lr * gw
         b -= lr * gb
@@ -293,12 +230,6 @@ def train_stack(x: np.ndarray, fold: Fold, cfg: TrainConfig) -> tuple[np.ndarray
     if not finite.all():
         raise TrainingError("non-finite head parameters", int(np.argmin(finite)))
     return best_w, best_b
-
-
-def predict(head: LinearHead, embeddings: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Labels and raw sigmoid scores; score >= 0.5 classifies as AD."""
-    scores = head.scores(np.asarray(embeddings, dtype=np.float64))
-    return _labels(scores), scores
 
 
 def _labels(scores: Iterable[float]) -> list[str]:
@@ -353,33 +284,22 @@ def _run(seed: int, records: list[dict]) -> dict:
     return {"seed": seed, **means, "folds": records}
 
 
-def evaluate(vectors: np.ndarray, folds: list[tuple[int, list[Fold]]], cfg: TrainConfig) -> list[dict]:
-    """One run per (seed, folds) of prepare's `folds` over one kind's array:
-    each fold's head trained on its rows of `vectors` and scored on its test
-    rows, and the run as its classification.json record, the fold scores and
-    their means."""
-    x = np.asarray(vectors, dtype=np.float64)
-    runs = []
-    for seed, seed_folds in folds:
-        records = []
-        for fold in seed_folds:
-            try:
-                head = train(x, fold, cfg)
-            except TrainingError as exc:
-                raise TrainingError(f"seed {seed} fold {fold.number}: {exc}") from exc
-            pred, _ = predict(head, x[fold.test])
-            records.append(_record(fold, pred))
-        runs.append(_run(seed, records))
-    return runs
+def chunks(kinds: list[T], rows: int, columns: int) -> list[list[T]]:
+    """`kinds`, whose arrays are rows x columns float64 embeddings, cut in order into the stacks that
+    evaluate_stack trains one after another: as many kinds as hold at most STACK_BYTES together, and at least one."""
+    size = max(1, STACK_BYTES // max(1, rows * columns * 8))
+    return [kinds[start:start + size] for start in range(0, len(kinds), size)]
 
 
 def evaluate_stack(
     vectors: Iterable[np.ndarray], folds: list[tuple[int, list[Fold]]], cfg: TrainConfig
 ) -> list[list[dict]]:
-    """evaluate of each kind's array of `vectors`, all of one shape, with
-    every kind's heads of a fold trained at once by train_stack and scored at
-    once: each kind's runs, as evaluate returns them. Only their stack is kept
-    from `vectors`. A failure names the kind's position in it as its `kind`."""
+    """One run per (seed, folds) of prepare's `folds` for each kind's array of
+    `vectors`, all of one shape: each fold's heads trained at once by
+    train_stack on its rows and scored at once on its test rows, and each run
+    as its classification.json record, the fold scores and their means. Only
+    their stack is kept from `vectors`. A failure names the kind's position in
+    it as its `kind`."""
     x = np.asarray(np.stack(list(vectors)), dtype=np.float64)
     runs: list[list[dict]] = [[] for _ in x]
     for seed, seed_folds in folds:

@@ -26,6 +26,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import struct
 import sys
 from functools import cached_property
@@ -337,7 +338,9 @@ def stage_similarity(ctx: RunContext) -> None:
     ref_col = ordered.index(reference)
     scores: dict[str, dict[str, float]] = {k.value: {} for k in SIMILARITY_TABLE_KINDS if k in corpora}
     ctx.reports_dir.mkdir(exist_ok=True)
-    vectors = [ctx.load_vectors(k, corpora[k]) for k in ordered]
+    # every kind's array has the first one's columns, as load_vectors checks
+    vectors = [ctx.load_vectors(ordered[0], corpora[ordered[0]])]
+    vectors += [ctx.load_vectors(k, corpora[k], vectors[0].shape[1]) for k in ordered[1:]]
     matrices = textmetrics.pairwise_matrices([corpora[k] for k in ordered], vectors)
     labels = [k.value for k in ordered]
     for metric, matrix in matrices.items():
@@ -369,25 +372,16 @@ def stage_classify(ctx: RunContext) -> None:
     # load_vectors checks
     kinds = list(corpora)
     rows, columns = ctx.load_vectors(kinds[0], corpora[kinds[0]]).shape
-
-    def vectors(kind: TransformationKind) -> np.ndarray:
-        return ctx.load_vectors(kind, corpora[kind], columns)
-
-    # small arrays train every kind's heads of a fold at once on their stack; larger ones are loaded in their
-    # turn, so classify holds one at a time, and train one kind after another. The heads are the same bits.
-    if classifier.stacks(len(kinds), rows, columns):
+    # the kinds train in chunks of small arrays, each chunk's heads of a fold at once, and each chunk's arrays are
+    # loaded in its turn, so classify holds one chunk at a time. A kind's heads are the same bits in any chunk.
+    runs = {}
+    for chunk in classifier.chunks(kinds, rows, columns):
+        vectors = (ctx.load_vectors(kind, corpora[kind], columns) for kind in chunk)
         try:
-            stacked = classifier.evaluate_stack(map(vectors, kinds), folds, cfg)
+            chunk_runs = classifier.evaluate_stack(vectors, folds, cfg)
         except classifier.TrainingError as exc:
-            raise classifier.TrainingError(f"{kinds[exc.kind].value}: {exc}") from exc
-        runs = {kind.value: kind_runs for kind, kind_runs in zip(kinds, stacked)}
-    else:
-        runs = {}
-        for kind in kinds:
-            try:
-                runs[kind.value] = classifier.evaluate(vectors(kind), folds, cfg)
-            except classifier.TrainingError as exc:
-                raise classifier.TrainingError(f"{kind.value}: {exc}") from exc
+            raise classifier.TrainingError(f"{chunk[exc.kind].value}: {exc}") from exc
+        runs.update((kind.value, kind_runs) for kind, kind_runs in zip(chunk, chunk_runs))
     name = protocol(dataset, k)
     ctx.write_json("classification.json", {"protocol": name, "seeds": seeds, "runs": runs})
     click.echo(f"classified {len(runs)} corpora ({name}, {len(seeds)} seeds)")
@@ -630,6 +624,9 @@ def cmd_run(config, run_dir, offline):
 def entry():
     """main() as a program: the console script and `python -m semsurf.cli`. On its way out it
     freezes the heap, so the interpreter's exit does not collect the objects it is about to free."""
+    # numpy's OpenBLAS starts a pool of threads at import, which semsurf's small products never use; one thread
+    # makes numpy's import cheaper. A value the user set wins, and the workers of `run` inherit it.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         main()
     finally:

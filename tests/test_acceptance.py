@@ -12,20 +12,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from semsurf.classifier import (
-    TrainConfig,
-    class_weights,
-    macro_f1,
-    per_class_accuracy,
-    predict,
-    weighted_loss_and_grad,
-)
+from semsurf.classifier import TrainConfig, class_weights
 from semsurf.cli import EXIT_OK, main
 from semsurf.corpus import GROUP_AD, GROUP_CONTROL, load_dataset, partitions
 from semsurf.stattests import pearson, welch_t, wilcoxon_signed_rank
 from semsurf.textmetrics import bleu, chrf
 from semsurf.transform import DEFAULT_PROMPTS
-from tests.test_classifier import fit
+from tests.test_classifier import loss_and_grad, scored
 from tests.test_stattests import brute_force_wilcoxon_p
 from tests.test_textmetrics import oracle_bleu, oracle_chrf, random_sentence
 
@@ -134,17 +127,17 @@ def test_criterion_6_classifier_properties():
         sw = rng.uniform(0.5, 3.0, size=n)
         w = rng.normal(size=d)
         b = float(rng.normal())
-        _, gw, gb = weighted_loss_and_grad(w, b, x, y, sw, sw.sum(), 0.01)
+        _, gw, gb = loss_and_grad(w, b, x, y, sw, 0.01)
         for j in range(d):
             wp, wm = w.copy(), w.copy()
             wp[j] += eps
             wm[j] -= eps
-            lp, _, _ = weighted_loss_and_grad(wp, b, x, y, sw, sw.sum(), 0.01)
-            lm, _, _ = weighted_loss_and_grad(wm, b, x, y, sw, sw.sum(), 0.01)
+            lp, _, _ = loss_and_grad(wp, b, x, y, sw, 0.01)
+            lm, _, _ = loss_and_grad(wm, b, x, y, sw, 0.01)
             num = (lp - lm) / (2 * eps)
             ok &= abs(gw[j] - num) <= 1e-4 * max(1.0, abs(num))
-        lp, _, _ = weighted_loss_and_grad(w, b + eps, x, y, sw, sw.sum(), 0.01)
-        lm, _, _ = weighted_loss_and_grad(w, b - eps, x, y, sw, sw.sum(), 0.01)
+        lp, _, _ = loss_and_grad(w, b + eps, x, y, sw, 0.01)
+        lm, _, _ = loss_and_grad(w, b - eps, x, y, sw, 0.01)
         num_b = (lp - lm) / (2 * eps)
         ok &= abs(gb - num_b) <= 1e-4 * max(1.0, abs(num_b))
 
@@ -152,20 +145,15 @@ def test_criterion_6_classifier_properties():
     rng = np.random.default_rng(0)
     x = np.vstack([rng.normal(3.0, size=(20, 4)), rng.normal(-3.0, size=(20, 4))])
     labels = [GROUP_AD] * 20 + [GROUP_CONTROL] * 20
-    head = fit(x, labels, TrainConfig(max_epochs=50, learning_rate=1.0))
-    ok &= macro_f1(predict(head, x)[0], labels) == 1.0
+    ok &= scored(x, labels, TrainConfig(max_epochs=50, learning_rate=1.0))["macro_f1"] == 1.0
 
     # (c) 1:5 imbalance: strictly higher minority recall with weighting
     rng = np.random.default_rng(11)
     x = np.vstack([rng.normal(0.8, size=(12, 6)), rng.normal(-0.2, size=(60, 6))])
     labels = [GROUP_AD] * 12 + [GROUP_CONTROL] * 60
     base = dict(max_epochs=30, learning_rate=1.0)
-    rec_w = per_class_accuracy(
-        predict(fit(x, labels, TrainConfig(**base, class_weighting=True)), x)[0], labels
-    )[0]
-    rec_u = per_class_accuracy(
-        predict(fit(x, labels, TrainConfig(**base, class_weighting=False)), x)[0], labels
-    )[0]
+    rec_w = scored(x, labels, TrainConfig(**base, class_weighting=True))["acc_ad"]
+    rec_u = scored(x, labels, TrainConfig(**base, class_weighting=False))["acc_ad"]
     ok &= rec_w > rec_u
     ok &= (time.monotonic() - start) < 30.0
     report(6, "Classifier gradient, separable toy, imbalanced-recall properties", ok)

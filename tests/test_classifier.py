@@ -7,22 +7,21 @@ import pytest
 
 import semsurf.classifier as classifier
 from semsurf.classifier import (
-    LinearHead,
+    Rows,
     TrainConfig,
     TrainingError,
+    _labels,
+    _loss_and_grad,
+    _penalty,
     _sigmoid,
     _stratified_holdout,
     class_weights,
-    evaluate,
     evaluate_stack,
     macro_f1,
     per_class_accuracy,
-    predict,
     prepare,
     run_seeds,
-    train,
     train_stack,
-    weighted_loss_and_grad,
 )
 from semsurf.corpus import GROUP_AD, GROUP_CONTROL, Dataset, Transcript, load_dataset, partitions, protocol
 from semsurf.providers import mock_embed
@@ -31,11 +30,31 @@ from semsurf.transform import TransformationKind, TransformedCorpus
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
-def fit(x, labels, cfg, seed=0):
-    """The head that train gives on all rows of x, labelled `labels`, for `seed`'s holdout."""
+def fold_on_every_row(labels, cfg, seed=0):
+    """The prepared fold that trains and tests on every row of arrays labelled `labels`, with `seed`'s holdout."""
     ids = [str(i) for i in range(len(labels))]
-    [(_, [fold])] = prepare(ids, dict(zip(ids, labels)), [(seed, [(ids, [])])], cfg)
-    return train(x, fold, cfg)
+    [(_, [fold])] = prepare(ids, dict(zip(ids, labels)), [(seed, [(ids, ids)])], cfg)
+    return fold
+
+
+def fit(x, labels, cfg, seed=0):
+    """The weights and bias of the head that train_stack gives x, a stack of one kind, on all its rows, labelled
+    `labels`, for `seed`'s holdout."""
+    w, b = train_stack(x[None], fold_on_every_row(labels, cfg, seed), cfg)
+    return w[0], b[0]
+
+
+def scored(x, labels, cfg, seed=0):
+    """The fold record that evaluate_stack gives x, a stack of one kind, trained and tested on all its rows."""
+    [[run]] = evaluate_stack([x], [(seed, [fold_on_every_row(labels, cfg, seed)])], cfg)
+    return run["folds"][0]
+
+
+def loss_and_grad(w, b, x, y, sample_weights, l2):
+    """The loss and gradient of train_stack's epoch for one kind's weights w and bias b on every row of x."""
+    rows = Rows(np.arange(len(x)), y, sample_weights, sample_weights.sum())
+    loss, gw, gb = _loss_and_grad(w[None], np.array([b]), x[None], rows, _penalty(w[None], l2), l2)
+    return float(loss[0]), gw[0], float(gb[0])
 
 
 class TestClassWeights:
@@ -71,17 +90,17 @@ class TestGradient:
             w = rng.normal(size=d)
             b = float(rng.normal())
             l2 = 0.01
-            loss, gw, gb = weighted_loss_and_grad(w, b, x, y, sw, sw.sum(), l2)
+            loss, gw, gb = loss_and_grad(w, b, x, y, sw, l2)
             for j in range(d):
                 wp, wm = w.copy(), w.copy()
                 wp[j] += eps
                 wm[j] -= eps
-                lp, _, _ = weighted_loss_and_grad(wp, b, x, y, sw, sw.sum(), l2)
-                lm, _, _ = weighted_loss_and_grad(wm, b, x, y, sw, sw.sum(), l2)
+                lp, _, _ = loss_and_grad(wp, b, x, y, sw, l2)
+                lm, _, _ = loss_and_grad(wm, b, x, y, sw, l2)
                 num = (lp - lm) / (2 * eps)
                 assert abs(gw[j] - num) <= 1e-4 * max(1.0, abs(num)), (j, gw[j], num)
-            lp, _, _ = weighted_loss_and_grad(w, b + eps, x, y, sw, sw.sum(), l2)
-            lm, _, _ = weighted_loss_and_grad(w, b - eps, x, y, sw, sw.sum(), l2)
+            lp, _, _ = loss_and_grad(w, b + eps, x, y, sw, l2)
+            lm, _, _ = loss_and_grad(w, b - eps, x, y, sw, l2)
             num_b = (lp - lm) / (2 * eps)
             assert abs(gb - num_b) <= 1e-4 * max(1.0, abs(num_b))
 
@@ -90,7 +109,7 @@ class TestGradient:
         x = np.ones((4, 3))
         y = np.array([0.0, 1.0, 0.0, 1.0])
         sw = np.array([1.0, 2.0, 3.0, 4.0])
-        loss, _, _ = weighted_loss_and_grad(np.zeros(3), 0.0, x, y, sw, sw.sum(), 0.0)
+        loss, _, _ = loss_and_grad(np.zeros(3), 0.0, x, y, sw, 0.0)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
 
 
@@ -128,16 +147,14 @@ def separable_data(n_per_class=20, d=4, gap=6.0, seed=0):
 class TestTraining:
     def test_separable_toy_perfect(self):
         x, labels = separable_data()
-        head = fit(x, labels, TrainConfig(max_epochs=50, learning_rate=1.0))
-        pred, _ = predict(head, x)
-        assert macro_f1(pred, labels) == 1.0
+        assert scored(x, labels, TrainConfig(max_epochs=50, learning_rate=1.0))["macro_f1"] == 1.0
 
     def test_deterministic_per_seed(self):
         x, labels = separable_data()
         cfg = TrainConfig()
-        h1 = fit(x, labels, cfg, seed=3)
-        h2 = fit(x, labels, cfg, seed=3)
-        assert np.array_equal(h1.weights, h2.weights) and h1.bias == h2.bias
+        w1, b1 = fit(x, labels, cfg, seed=3)
+        w2, b2 = fit(x, labels, cfg, seed=3)
+        assert np.array_equal(w1, w2) and b1 == b2
 
     def test_single_class_rejected(self):
         x = np.ones((4, 2))
@@ -154,23 +171,21 @@ class TestTraining:
         )
         labels = [GROUP_AD] * n_min + [GROUP_CONTROL] * n_maj
         base_cfg = dict(max_epochs=30, learning_rate=1.0)
-        weighted = fit(x, labels, TrainConfig(**base_cfg, class_weighting=True))
-        unweighted = fit(x, labels, TrainConfig(**base_cfg, class_weighting=False))
-        rec_w = per_class_accuracy(predict(weighted, x)[0], labels)[0]
-        rec_u = per_class_accuracy(predict(unweighted, x)[0], labels)[0]
+        rec_w = scored(x, labels, TrainConfig(**base_cfg, class_weighting=True))["acc_ad"]
+        rec_u = scored(x, labels, TrainConfig(**base_cfg, class_weighting=False))["acc_ad"]
         assert rec_w > rec_u
 
     def test_early_stopping_restores_best(self):
         # huge learning rate diverges after the first steps; early stopping
         # must hand back finite, usable parameters
         x, labels = separable_data(gap=2.0)
-        head = fit(x, labels, TrainConfig(max_epochs=40, learning_rate=50.0))
-        assert np.all(np.isfinite(head.weights))
+        w, b = fit(x, labels, TrainConfig(max_epochs=40, learning_rate=50.0))
+        assert np.all(np.isfinite(w)) and np.isfinite(b)
 
     def test_tie_at_half_is_ad(self):
-        head = LinearHead(np.zeros(2), 0.0)  # every score is exactly 0.5
-        pred, scores = predict(head, np.ones((3, 2)))
-        assert pred == [GROUP_AD] * 3
+        z = np.zeros(3)  # a zero head's score of every row: exactly 0.5
+        scores = _sigmoid(z, -np.abs(z))
+        assert _labels(scores.tolist()) == [GROUP_AD] * 3
         assert np.all(scores == 0.5)
 
     def test_config_validation(self):
@@ -262,10 +277,10 @@ class TestReferenceLoop:
     )
     def test_weights_equal_the_reference_bit_for_bit(self, cfg, seed, fixture):
         x, labels = fixture_embeddings(fixture)
-        head = fit(x, labels, cfg, seed)
+        w, b = fit(x, labels, cfg, seed)
         weights, bias = reference_train(x, labels, cfg, seed)
-        assert head.weights.tobytes() == weights.tobytes()
-        assert head.bias.hex() == bias.hex()
+        assert w.tobytes() == weights.tobytes()
+        assert b.hex() == bias.hex()
 
     def test_sigmoid_equals_the_two_branch_formula(self):
         z = np.array([0.0, -0.0, 30.0, -30.0, 745.0, -745.0, 1e308, -1e308, np.nan])
@@ -306,8 +321,10 @@ def vectors_for(corpus):
 
 
 def evaluate_corpus(corpus, labels, splits, cfg):
-    """The runs that classify records for the corpus: its vectors over the prepared splits."""
-    return evaluate(vectors_for(corpus), prepare(corpus.ids(), labels, splits, cfg), cfg)
+    """The runs that classify records for the corpus: its vectors, as a stack of one kind, over the prepared
+    splits."""
+    [runs] = evaluate_stack([vectors_for(corpus)], prepare(corpus.ids(), labels, splits, cfg), cfg)
+    return runs
 
 
 def labels_of(ds):
@@ -315,7 +332,7 @@ def labels_of(ds):
 
 
 def splits_for(ds, k, seeds, ids):
-    """evaluate's splits, as stage_classify draws them: each seed's partitions over `ids`."""
+    """prepare's splits, as stage_classify draws them: each seed's partitions over `ids`."""
     return [(seed, partitions(ds, k, seed, ids)) for seed in seeds]
 
 
@@ -391,7 +408,7 @@ class TestCrossValidation:
         assert runs == expected
 
 
-# -- the per-kind evaluation loop that prepare and evaluate replaced, kept as their reference: it rebuilt
+# -- the per-kind evaluation loop that prepare and evaluate_stack replaced, kept as their reference: it rebuilt
 # every (seed, fold)'s labels, class weights and holdout for each kind, and stacked its rows from a dict
 
 
@@ -454,12 +471,12 @@ def reference_head(embeddings, labels, cfg, seed):
             patience_left -= 1
             if patience_left <= 0:
                 break
-    return LinearHead(best[1], best[2])
+    return best[1], best[2]
 
 
 def reference_fold(fold, train_ids, test_ids, vectors, labels, cfg, seed):
-    head = reference_head(np.stack([vectors[i] for i in train_ids]), [labels[i] for i in train_ids], cfg, seed)
-    scores = reference_sigmoid(np.stack([vectors[i] for i in test_ids]) @ head.weights + head.bias)
+    w, b = reference_head(np.stack([vectors[i] for i in train_ids]), [labels[i] for i in train_ids], cfg, seed)
+    scores = reference_sigmoid(np.stack([vectors[i] for i in test_ids]) @ w + b)
     pred = [GROUP_AD if s >= 0.5 else GROUP_CONTROL for s in scores]
     gold = [labels[i] for i in test_ids]
     acc_ad, acc_c = per_class_accuracy(pred, gold)
@@ -493,9 +510,9 @@ def kinds_of(ds):
 
 class TestTrainStack:
     @pytest.mark.parametrize("dim", [3, 7, 256])
-    def test_heads_equal_train_bit_for_bit(self, dim):
+    def test_a_kinds_heads_are_the_same_bits_in_any_chunk(self, dim):
         # narrow rows pin how a fold's rows are gathered: OpenBLAS sums the product of rows of another stride than
-        # train's in another order
+        # one kind's alone in another order
         rng = np.random.default_rng(dim)
         x = rng.normal(size=(4, 26, dim)) * np.array([0.3, 1.0, 2.0, 5.0])[:, None, None]
         ids = [str(i) for i in range(26)]
@@ -504,22 +521,24 @@ class TestTrainStack:
         [(_, folds)] = prepare(ids, labels, [(1, [(ids[:20], ids[20:]), (ids[6:], ids[:6])])], cfg)
         for fold in folds:
             w, b = train_stack(x, fold, cfg)
-            for kind_x, kind_w, kind_b in zip(x, w, b):
-                head = train(kind_x, fold, cfg)
-                assert head.weights.tobytes() == kind_w.tobytes() and head.bias == kind_b
+            # the 4 kinds in chunks of 1, as classify trains large arrays, and in chunks of 3 and 1
+            for size in (1, 3):
+                chunks = [train_stack(x[start:start + size], fold, cfg) for start in range(0, len(x), size)]
+                chunk_w, chunk_b = (np.concatenate(part) for part in zip(*chunks))
+                assert chunk_w.tobytes() == w.tobytes() and chunk_b.tobytes() == b.tobytes(), size
 
 
 def epochs_of(x, fold, cfg):
-    """The epochs that train runs on x for the fold."""
+    """The epochs that train_stack runs on x, a stack of one kind, for the fold."""
     epochs = []
 
     def counting(*args):
         epochs.append(1)
-        return weighted_loss_and_grad(*args)
+        return _loss_and_grad(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classifier, "weighted_loss_and_grad", counting)
-        train(x, fold, cfg)
+        mp.setattr(classifier, "_loss_and_grad", counting)
+        train_stack(x[None], fold, cfg)
     return len(epochs)
 
 
@@ -535,7 +554,7 @@ class TestReferenceEvaluate:
         vectors = vectors or [vectors_for(corpus) for corpus in corpora.values()]
         expected = [reference_evaluate(dict(zip(ids, x)), labels_of(ds), splits, cfg) for x in vectors]
         for kind, x, kind_expected in zip(corpora, vectors, expected):
-            assert json.dumps(evaluate(x, folds, cfg)) == json.dumps(kind_expected), kind
+            assert json.dumps(evaluate_stack([x], folds, cfg)) == json.dumps([kind_expected]), kind
         assert json.dumps(evaluate_stack(vectors, folds, cfg)) == json.dumps(expected)
         return folds
 
@@ -582,5 +601,5 @@ class TestReferenceEvaluate:
                 assert not w[2].any() and b[2] == 0.0
                 assert w[:2].any(axis=1).all() and b[:2].all()  # the other kinds trained
                 for x, kind_w, kind_b in zip(vectors, w, b):
-                    head = train(x, fold, cfg)
-                    assert head.weights.tobytes() == kind_w.tobytes() and head.bias == kind_b
+                    [alone_w], [alone_b] = train_stack(x[None], fold, cfg)
+                    assert alone_w.tobytes() == kind_w.tobytes() and alone_b == kind_b

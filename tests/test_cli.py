@@ -407,34 +407,52 @@ class TestClassifyPaths:
         conf = pt_fixture_config(tmp_path / "pt.conf")
         run_dir = tmp_path / "run"
         shutil.copytree(pt_run[0], run_dir)
-        default, calls = classifier.STACK_BYTES, []
-        train, train_stack = classifier.train, classifier.train_stack
-        monkeypatch.setattr(classifier, "train", lambda *args: calls.append("train") or train(*args))
-        monkeypatch.setattr(classifier, "train_stack", lambda *args: calls.append("train_stack") or train_stack(*args))
+        default, stacks = classifier.STACK_BYTES, []
+        train_stack = classifier.train_stack
+        monkeypatch.setattr(classifier, "train_stack", lambda x, *args: stacks.append(len(x)) or train_stack(x, *args))
         written = []
         for limit in (default, 0):
             monkeypatch.setattr(classifier, "STACK_BYTES", limit)
-            calls.clear()
+            stacks.clear()
             result = runner.invoke(main, ["classify", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
             assert result.exit_code == EXIT_OK, result.output
-            written.append(((run_dir / "classification.json").read_bytes(), calls.count("train_stack"), len(calls)))
-        # 10 seeds x 5 folds: a stack of the 8 kinds per fold at the default, a head per kind and fold at 0
-        assert [calls for _, *calls in written] == [[50, 50], [0, 400]]
+            written.append(((run_dir / "classification.json").read_bytes(), len(stacks), set(stacks)))
+        # 10 seeds x 5 folds: a stack of the 8 kinds per fold at the default, a stack of one kind per kind and fold at 0
+        assert [calls for _, *calls in written] == [[50, {8}], [400, {1}]]
         assert written[0][0] == written[1][0] == (pt_run[0] / "classification.json").read_bytes()
 
     def test_the_default_stacks_the_picture_corpora_only(self):
-        assert classifier.stacks(8, 40, 256)  # dogstory40: 0.66 MB
-        assert not classifier.stacks(8, 400, 256)  # a 400-item corpus: 6.6 MB
+        # the chunks of 8 kinds of 256 columns: dogstory40 (0.66 MB) as one stack, dogstory139 (2.3 MB) in stacks
+        # of at most 1 MiB, and a 400-item corpus (6.6 MB) one kind at a time
+        plan = {rows: classifier.chunks([*range(8)], rows, 256) for rows in (40, 139, 400)}
+        assert plan == {40: [[*range(8)]], 139: [[0, 1, 2], [3, 4, 5], [6, 7]], 400: [[i] for i in range(8)]}
 
-    @pytest.mark.parametrize("stacked", [True, False])
-    def test_a_kind_of_other_columns_exits_2(self, pt_run, tmp_path, runner, monkeypatch, stacked):
-        if not stacked:
-            monkeypatch.setattr(classifier, "STACK_BYTES", 0)
+    @pytest.mark.parametrize("stack_bytes", [classifier.STACK_BYTES, 0], ids=["one stack", "one kind at a time"])
+    def test_a_kind_that_fails_is_named_in_any_chunk(self, pt_run, tmp_path, runner, monkeypatch, stack_bytes):
+        # Storyboard, 7th of the 8 kinds, scaled by 1e200: its first step takes the next epoch's training loss past the
+        # float range
+        monkeypatch.setattr(classifier, "STACK_BYTES", stack_bytes)
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        run_dir = tmp_path / "run"
+        shutil.copytree(pt_run[0], run_dir)
+        npy = run_dir / "transformed" / "Storyboard.npy"
+        np.save(npy, np.load(npy) * 1e200)
+        result = runner.invoke(main, ["classify", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "Storyboard: seed 420294 fold 0: non-finite training loss at epoch 2: nan" in result.output
+
+    @pytest.mark.parametrize(
+        "command, stack_bytes",
+        [("classify", classifier.STACK_BYTES), ("classify", 0), ("similarity", classifier.STACK_BYTES)],
+        ids=["classify", "classify one kind at a time", "similarity"],
+    )
+    def test_a_kind_of_other_columns_exits_2(self, pt_run, tmp_path, runner, monkeypatch, command, stack_bytes):
+        monkeypatch.setattr(classifier, "STACK_BYTES", stack_bytes)
         conf = pt_fixture_config(tmp_path / "pt.conf")
         run_dir = tmp_path / "run"
         shutil.copytree(pt_run[0], run_dir)
         np.save(run_dir / "transformed" / "Storyboard.npy", np.zeros((40, 3)))
-        result = runner.invoke(main, ["classify", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        result = runner.invoke(main, [command, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
         assert result.exit_code == EXIT_DATA, result.output
         assert "transformed/Storyboard.npy has 3 columns where the other kinds' arrays have 256" in result.output
         assert "run `semsurf transform`" in result.output
@@ -1384,10 +1402,10 @@ class TestProgram:
     """`python -m semsurf.cli`, as the console script runs it, behaves as `main` does under CliRunner."""
 
     @staticmethod
-    def python(*args):
-        """`python args` with this checkout's semsurf first on the path."""
+    def python(*args, env=os.environ):
+        """`python args` in the environment `env` with this checkout's semsurf first on the path."""
         src = Path(classifier.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(src)}
+        env = {**env, "PYTHONPATH": str(src)}
         return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
     @pytest.mark.parametrize(
@@ -1419,6 +1437,24 @@ class TestProgram:
         proc = self.python("-c", program, stage, "--config", str(conf), "--run-dir", str(tmp_path / "run"))
         assert proc.returncode == code, proc.stderr
         assert proc.stdout.splitlines()[-1] == "frozen True"
+
+    @pytest.mark.parametrize("preset, threads", [(None, "1"), ("4", "4")])
+    def test_entry_runs_one_blas_thread_unless_told_otherwise(self, tmp_path, preset, threads):
+        """numpy reads OPENBLAS_NUM_THREADS when it is imported, after entry() has set it where it was unset."""
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path))
+        program = (
+            "import atexit, os\n"
+            "from semsurf.cli import entry\n"
+            "atexit.register(lambda: print('threads', os.environ.get('OPENBLAS_NUM_THREADS')))\n"
+            "entry()\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = self.python("-c", program, "ingest", "--config", str(conf), "--run-dir", str(tmp_path / "run"), env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"threads {threads}"
 
     def test_the_console_script_is_entry(self):
         pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
