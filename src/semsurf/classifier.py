@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .corpus import GROUP_AD, GROUP_CONTROL, DataError
+from .stattests import CLASSIFICATION_MEASURES, mean
 
 T = TypeVar("T")
 
@@ -274,13 +275,13 @@ def run_seeds(master_seed: int, n_runs: int) -> list[int]:
 
 def _record(fold: Fold, pred: list[str]) -> dict:
     """A fold's classification.json record, from the labels predicted for its test rows."""
-    acc_ad, acc_c = per_class_accuracy(pred, fold.gold)
-    return {"fold": fold.number, "macro_f1": macro_f1(pred, fold.gold), "acc_ad": acc_ad, "acc_c": acc_c}
+    scores = (macro_f1(pred, fold.gold), *per_class_accuracy(pred, fold.gold))
+    return {"fold": fold.number, **dict(zip(CLASSIFICATION_MEASURES, scores))}
 
 
 def _run(seed: int, records: list[dict]) -> dict:
     """A seed's classification.json run: its fold records and their means."""
-    means = {m: float(np.mean([f[m] for f in records])) for m in ("macro_f1", "acc_ad", "acc_c")}
+    means = {m: mean([f[m] for f in records]) for m in CLASSIFICATION_MEASURES}
     return {"seed": seed, **means, "folds": records}
 
 

@@ -3,7 +3,8 @@
 Each subcommand runs one pipeline stage against a run directory; `run`
 executes them all. Stage artifacts are plain files in the run directory, so
 stages are independently re-runnable, and with a warm cache (or mock
-providers) every stage is network-free and byte-deterministic.
+providers) every stage is network-free and byte-deterministic. No stage
+computes a statistic: stats.json is `stattests.summarize` of what `stats` reads.
 
 Each stage declares the artifacts it writes and those it reads, and SHAPES
 declares the shape of each JSON artifact that a stage reads: one that does not
@@ -160,7 +161,7 @@ JSON_VALUES: dict[str, Callable[[object], bool]] = {
     "a non-empty JSON array": lambda v: type(v) is list and v != [],
 }
 ERROR = {"error": "a JSON string"}  # the entry of a test that could not run
-RUN_FIELDS = sorted({"seed", *report.CLASSIFICATION_MEASURES})
+RUN_FIELDS = sorted({"seed", *stattests.CLASSIFICATION_MEASURES})
 WELCH_FIELDS = ("excluded", "mean_ad", "mean_control", "p_value")  # the numbers of a Welch entry that report reads
 
 
@@ -187,7 +188,7 @@ SHAPES = {
         "baseline": K,
         "classification": (
             "an object with keys means (an object), n_runs (an integer)",
-            {"means": {K: numbers(report.CLASSIFICATION_MEASURES)}, "n_runs": "an integer"},
+            {"means": {K: numbers(stattests.CLASSIFICATION_MEASURES)}, "n_runs": "an integer"},
         ),
         "wilcoxon_vs_baseline": {K: ("an object whose p_value is a number", ERROR, {"p_value": "a number"})},
         "welch": {K: dict.fromkeys(lexstats.MEASURES, (
@@ -409,76 +410,11 @@ def stage_lexical(ctx: RunContext) -> None:
     click.echo(f"lexical measures for {len(results)} corpora")
 
 
-def welch_comparison(values: dict[str, list[float | None]]) -> dict:
-    """stats.json's Welch's t entry for one measure's C and AD values; a None
-    (a measure undefined for its document) is dropped and counted as excluded."""
-    c = [v for v in values["C"] if v is not None]
-    a = [v for v in values["AD"] if v is not None]
-    try:
-        res = stattests.welch_t(c, a)
-    except ValueError as exc:  # fewer than 2 values in a group, or no variance in either
-        return {"error": str(exc)}
-    return {
-        "mean_control": stattests._mean(c),
-        "mean_ad": stattests._mean(a),
-        "n_control": len(c),
-        "n_ad": len(a),
-        "excluded": len(values["C"]) + len(values["AD"]) - len(c) - len(a),
-        "statistic": res.statistic,
-        "df": res.df,
-        "p_value": res.p_value,
-    }
-
-
 @stage("stats.json", reads=("similarity.json", "classification.json", "lexical.json"))
 def stage_stats(ctx: RunContext) -> None:
-    sim = ctx.read_json("similarity.json")
-    cls = ctx.read_json("classification.json")
-    lex = ctx.read_json("lexical.json")
-
-    # the Wilcoxon tests pair each kind's runs with the baseline's by seed
-    baseline = K.ORIGINAL.value  # the baseline the classification tables name
-    runs = cls["runs"]
-    if baseline not in runs:
-        raise DataError(f"classification.json has no runs of the baseline {baseline}")
-    for kind, kind_runs in runs.items():
-        if [r["seed"] for r in kind_runs] != cls["seeds"]:
-            raise DataError(f"{kind}: {len(kind_runs)} runs, expected one per seed {cls['seeds']} (unpaired)")
-    n_runs = len(cls["seeds"])
-    means = {
-        kind: {m: sum(r[m] for r in kind_runs) / n_runs for m in report.CLASSIFICATION_MEASURES}
-        for kind, kind_runs in runs.items()
-    }
-    out: dict = {
-        "baseline": baseline,
-        "classification": {"n_runs": n_runs, "means": means},
-        "wilcoxon_vs_baseline": {},
-        "pearson": None,
-        "welch": {kind: {m: welch_comparison(values[m]) for m in lexstats.MEASURES} for kind, values in lex.items()},
-    }
-    base_f1 = [r["macro_f1"] for r in runs[baseline]]
-    for kind, kind_runs in sorted(runs.items()):
-        if kind == baseline:
-            continue
-        f1 = [r["macro_f1"] for r in kind_runs]
-        try:
-            res = stattests.wilcoxon_signed_rank(f1, base_f1)
-        except stattests.DegenerateDataError as exc:
-            out["wilcoxon_vs_baseline"][kind] = {"error": str(exc)}
-            continue
-        out["wilcoxon_vs_baseline"][kind] = {"statistic": res.statistic, "p_value": res.p_value, "method": res.method}
-
-    # semantic similarity vs classification performance across transformations
-    kinds = [k for k in sim["scores"] if k in runs]
-    if len(kinds) >= 3:
-        cosines = [sim["scores"][k]["cosine"] for k in kinds]
-        f1s = [means[k]["macro_f1"] for k in kinds]
-        try:
-            res = stattests.pearson(cosines, f1s)
-            out["pearson"] = {"kinds": kinds, "r": res.statistic, "df": res.df, "p_value": res.p_value}
-        except stattests.DegenerateDataError as exc:
-            out["pearson"] = {"error": str(exc)}
-    ctx.write_json("stats.json", out)
+    sim, cls, lex = (ctx.read_json(name) for name in ("similarity.json", "classification.json", "lexical.json"))
+    # Original is the baseline that the classification tables name
+    ctx.write_json("stats.json", stattests.summarize(sim, cls, lex, baseline=K.ORIGINAL.value))
     click.echo("stats written")
 
 

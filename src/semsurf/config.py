@@ -157,7 +157,7 @@ SCHEMA: dict[str, Key] = {
 
 
 def _entries(path: Path):
-    """(line number, key, value) per setting; '#' starts a comment."""
+    """(line number, key, value) per setting; '#' starts a comment anywhere on a line, values included."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -192,8 +192,9 @@ class Config:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.raw = parse_config(self.path)
-        self.lines = {key: lineno for lineno, key, _ in _entries(self.path)}
+        entries = list(_entries(self.path))  # one read gives the settings, as parse_config does, and their lines
+        self.raw = {key: value for _, key, value in entries}
+        self.lines = {key: lineno for lineno, key, _ in entries}
         for key in self.raw:
             if key not in SCHEMA:
                 raise self.error(key, "unknown key")

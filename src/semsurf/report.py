@@ -14,6 +14,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
+from .stattests import CLASSIFICATION_MEASURES
 from .transform import KIND_ORDER, TransformationKind
 
 
@@ -137,9 +138,6 @@ CLASSIFIER_FOOTER = (
     "Classifier: linear head over provider embeddings (not a fine-tuned BERT); "
     "class-weighted logistic loss, early stopping."
 )
-
-
-CLASSIFICATION_MEASURES = ("macro_f1", "acc_ad", "acc_c")
 
 
 def classification_table(

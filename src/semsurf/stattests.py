@@ -1,15 +1,22 @@
-"""Self-contained statistical tests: Welch's t, Wilcoxon signed-rank, Pearson.
+"""Self-contained statistical tests, Welch's t, Wilcoxon signed-rank and Pearson, and stats.json's `summarize`.
 
 The special functions (regularized incomplete beta, Student-t CDF) are
-implemented here directly, and the normal CDF is the standard library's
+implemented here directly, and the normal tail is the standard library's
 `math.erfc`, so the package carries no heavyweight stats dependency and every
-p-value is traceable to code in this file or to the standard library.
+p-value is traceable to code in this file or to the standard library. `mean`
+takes every average of folds, runs and groups. No file I/O and no numpy here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+from .corpus import DataError
+from .lexstats import MEASURES
+
+CLASSIFICATION_MEASURES = ("macro_f1", "acc_ad", "acc_c")  # of each fold, and of each run as its folds' means
 
 
 class DegenerateDataError(ValueError):
@@ -34,11 +41,6 @@ class StatTestResult:
 _LENTZ_TINY = 1e-300
 _LENTZ_EPS = 1e-15
 _LENTZ_MAX_ITER = 500
-
-
-def normal_cdf(z: float) -> float:
-    # erfc keeps its relative precision in the lower tail, where 1 + erf(x) would cancel
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def _nonzero(v: float) -> float:
@@ -108,7 +110,7 @@ def _t_two_sided_p(t: float, df: float) -> float:
 # tests
 
 
-def _mean(xs: list[float]) -> float:
+def mean(xs: list[float]) -> float:
     """The mean of xs: the correctly rounded sum over n, corrected by the mean of
     the deviations from it, so that the mean of a constant sample is its value."""
     n = len(xs)
@@ -137,7 +139,7 @@ def _scaled_moments(xs: list[float]) -> tuple[float, int, float, int]:
     the values does not underflow to 0.
     """
     xs, e = _unit_scaled(xs)
-    m = _mean(xs)
+    m = mean(xs)
     dev, f = _unit_scaled([x - m for x in xs])
     return m, e, sum(d**2 for d in dev) / (len(xs) - 1), e + f
 
@@ -228,7 +230,7 @@ def wilcoxon_signed_rank(a: list[float], b: list[float]) -> StatTestResult:
         p = min(1.0, 2.0 * min(p_low, p_high))
         return StatTestResult(w_plus, p, "wilcoxon_exact")
 
-    mean = n * (n + 1) / 4.0
+    expected = n * (n + 1) / 4.0
     tie_sizes: dict[float, int] = {}
     for d in diffs:
         tie_sizes[abs(d)] = tie_sizes.get(abs(d), 0) + 1
@@ -236,11 +238,12 @@ def wilcoxon_signed_rank(a: list[float], b: list[float]) -> StatTestResult:
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
     if var <= 0.0:
         raise DegenerateDataError("zero variance after tie correction")
-    num = w_plus - mean
+    num = w_plus - expected
     # continuity correction shrinks |numerator| by 0.5
     num -= 0.5 * (1 if num > 0 else -1 if num < 0 else 0)
     z = num / math.sqrt(var)
-    p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))  # 2 * (1 - normal_cdf(|z|)), without the cancellation
+    # the two-sided normal tail 2 * (1 - Phi(|z|)) as erfc, which keeps its precision where 1 - Phi(|z|) cancels
+    p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
     return StatTestResult(w_plus, p, "wilcoxon_normal")
 
 
@@ -252,7 +255,7 @@ def pearson(x: list[float], y: list[float]) -> StatTestResult:
     if n < 3:
         raise ValueError("pearson requires n >= 3")
     (x, _), (y, _) = _unit_scaled(x), _unit_scaled(y)  # r does not change when one side alone is scaled
-    mx, my = _mean(x), _mean(y)
+    mx, my = mean(x), mean(y)
     dx = [v - mx for v in x]
     dy = [v - my for v in y]
     sxx = sum(d * d for d in dx)
@@ -266,3 +269,64 @@ def pearson(x: list[float], y: list[float]) -> StatTestResult:
         return StatTestResult(r, 0.0, "pearson", df=float(df))
     t = r * math.sqrt(df / (1.0 - r * r))
     return StatTestResult(r, _t_two_sided_p(t, df), "pearson", df=float(df))
+
+
+# ---------------------------------------------------------------------------
+# stats.json
+
+
+def _entry(test, x: list[float], y: list[float], fields: Callable[[StatTestResult], dict]) -> dict:
+    """stats.json's entry for test(x, y): fields(result), or {"error": ...} on too few values, or none that vary."""
+    try:
+        res = test(x, y)
+    except ValueError as exc:
+        return {"error": str(exc)}
+    return fields(res)
+
+
+def welch_comparison(values: dict[str, list[float | None]]) -> dict:
+    """stats.json's Welch's t entry for one measure's C and AD values; a None
+    (a measure undefined for its document) is dropped and counted as excluded."""
+    c = [v for v in values["C"] if v is not None]
+    a = [v for v in values["AD"] if v is not None]
+    return _entry(welch_t, c, a, lambda res: {
+        "mean_control": mean(c), "mean_ad": mean(a), "n_control": len(c), "n_ad": len(a),
+        "excluded": len(values["C"]) + len(values["AD"]) - len(c) - len(a),
+        "statistic": res.statistic, "df": res.df, "p_value": res.p_value,
+    })
+
+
+def summarize(similarity: dict, classification: dict, lexical: dict, baseline: str) -> dict:
+    """stats.json, from the parsed similarity.json, classification.json and lexical.json: each kind's
+    mean scores over its runs, the Wilcoxon test of each other kind's macro-F1 against the baseline's,
+    paired by seed, the Pearson r of cosine and mean macro-F1 across the kinds, and each lexical
+    measure's Welch's t of C against AD. Unpaired runs, or none of the baseline, are a DataError."""
+    runs, seeds = classification["runs"], classification["seeds"]
+    if baseline not in runs:
+        raise DataError(f"classification.json has no runs of the baseline {baseline}")
+    for kind, kind_runs in runs.items():
+        if [r["seed"] for r in kind_runs] != seeds:
+            raise DataError(f"{kind}: {len(kind_runs)} runs, expected one per seed {seeds} (unpaired)")
+    means = {kind: {m: mean([r[m] for r in kind_runs]) for m in CLASSIFICATION_MEASURES}
+             for kind, kind_runs in runs.items()}
+    base_f1 = [r["macro_f1"] for r in runs[baseline]]
+    wilcoxon = {
+        kind: _entry(wilcoxon_signed_rank, [r["macro_f1"] for r in kind_runs], base_f1, lambda res: {
+            "statistic": res.statistic, "p_value": res.p_value, "method": res.method,
+        })
+        for kind, kind_runs in sorted(runs.items()) if kind != baseline
+    }
+    kinds = [k for k in similarity["scores"] if k in runs]
+    correlation = None
+    if len(kinds) >= 3:
+        cosines, f1s = [similarity["scores"][k]["cosine"] for k in kinds], [means[k]["macro_f1"] for k in kinds]
+        correlation = _entry(pearson, cosines, f1s, lambda res: {
+            "kinds": kinds, "r": res.statistic, "df": res.df, "p_value": res.p_value,
+        })
+    return {
+        "baseline": baseline,
+        "classification": {"n_runs": len(seeds), "means": means},
+        "wilcoxon_vs_baseline": wilcoxon,
+        "pearson": correlation,
+        "welch": {kind: {m: welch_comparison(values[m]) for m in MEASURES} for kind, values in lexical.items()},
+    }

@@ -25,6 +25,7 @@ from semsurf.classifier import (
 )
 from semsurf.corpus import GROUP_AD, GROUP_CONTROL, Dataset, Transcript, load_dataset, partitions, protocol
 from semsurf.providers import mock_embed
+from semsurf.stattests import mean
 from semsurf.transform import TransformationKind, TransformedCorpus
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -372,7 +373,7 @@ class TestCrossValidation:
             assert [f["fold"] for f in run["folds"]] == [0, 1, 2, 3]
             assert 0.0 <= run["macro_f1"] <= 1.0
             for m in ("macro_f1", "acc_ad", "acc_c"):
-                assert run[m] == float(np.mean([f[m] for f in run["folds"]]))
+                assert run[m] == mean([f[m] for f in run["folds"]])
 
     def test_cross_validate_deterministic(self):
         ds = mini_dataset()
@@ -492,7 +493,7 @@ def reference_evaluate(vectors_by_id, labels, splits, cfg):
                 folds.append(reference_fold(fold, train_ids, test_ids, vectors_by_id, labels, cfg, seed))
             except TrainingError as exc:
                 raise TrainingError(f"seed {seed} fold {fold}: {exc}") from exc
-        means = {m: float(np.mean([f[m] for f in folds])) for m in ("macro_f1", "acc_ad", "acc_c")}
+        means = {m: mean([f[m] for f in folds]) for m in ("macro_f1", "acc_ad", "acc_c")}
         runs.append({"seed": seed, **means, "folds": folds})
     return runs
 

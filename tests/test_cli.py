@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 from contextlib import closing
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ import semsurf.classifier as classifier
 import semsurf.cli as cli
 import semsurf.corpus as corpus
 import semsurf.providers as providers
+import semsurf.stattests as stattests
 from semsurf.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, STAGES, main
 from semsurf.config import StageError, config_digest, parse_config
 from semsurf.textmetrics import METRICS
@@ -723,6 +725,77 @@ class TestStatsPairing:
     def test_missing_baseline_rejected(self, pt_run, tmp_path, runner):
         output = self.stats_on_edited_classification(pt_run, tmp_path, runner, lambda runs: runs.pop("Original"))
         assert "classification.json has no runs of the baseline Original" in output
+
+
+@pytest.fixture(scope="module")
+def en_run(tmp_path_factory):
+    """One `semsurf run` of the en fixture, a fixed split: its run directory."""
+    root = tmp_path_factory.mktemp("en")
+    conf = pt_fixture_config(root / "en.conf", fixture="run_mock_en.conf")
+    run_dir = root / "run"
+    result = CliRunner().invoke(main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+    assert result.exit_code == EXIT_OK, result.output
+    return run_dir
+
+
+def tie_structure(diffs):
+    """The positions of the zero differences, and the groups of positions of the others whose |d| are equal:
+    what the Wilcoxon test drops, and what it ranks as ties."""
+    positions = {}
+    for i, d in enumerate(diffs):
+        positions.setdefault(abs(d), []).append(i)
+    return positions.pop(0, []), sorted(positions.values())
+
+
+class TestStatsInvariants:
+    """stats.json is stattests.summarize of the run's artifacts, and each of its numbers is the one mean of
+    theirs."""
+
+    @pytest.fixture(params=["pt_run", "en_run"], ids=["cv", "fixed split"])
+    def run_dir(self, request):
+        run = request.getfixturevalue(request.param)
+        return run[0] if request.param == "pt_run" else run
+
+    def test_summarize_agrees_with_the_artifacts(self, run_dir):
+        sim, cls, lex = (read_json(run_dir, name) for name in ("similarity.json", "classification.json", "lexical.json"))
+        stats = stattests.summarize(sim, cls, lex, baseline="Original")
+        assert stats == read_json(run_dir, "stats.json")
+        measures = stattests.CLASSIFICATION_MEASURES
+        for kind, kind_runs in cls["runs"].items():
+            for run in kind_runs:
+                for m in measures:
+                    assert run[m] == stattests.mean([f[m] for f in run["folds"]]), (kind, run["seed"], m)
+            for m in measures:
+                assert stats["classification"]["means"][kind][m] == stattests.mean([r[m] for r in kind_runs]), kind
+        assert stats["classification"]["n_runs"] == len(cls["seeds"]) == 10  # both fixtures set runs = 10
+        assert sorted(stats["wilcoxon_vs_baseline"]) == sorted(set(cls["runs"]) - {"Original"})
+        checked = 0
+        for kind, per_measure in lex.items():
+            for measure, values in per_measure.items():
+                entry = stats["welch"][kind][measure]
+                for side, group in (("control", "C"), ("ad", "AD")):
+                    defined = [v for v in values[group] if v is not None]
+                    assert entry[f"mean_{side}"] == stattests.mean(defined), (kind, measure, side)
+                    assert entry[f"n_{side}"] == len(defined), (kind, measure, side)
+                checked += 1
+        assert sorted(lex) == sorted(cls["runs"]) and checked == 5 * len(lex)
+
+    def test_the_wilcoxon_tests_see_the_ties_of_exact_arithmetic(self, pt_run):
+        """The per-seed macro-F1 differences against the baseline that each Wilcoxon test receives have the zeros
+        and the ties of the same differences taken exactly over the fold scores: mathematically equal means of
+        folds are the same bits."""
+        runs = read_json(pt_run[0], "classification.json")["runs"]
+
+        def exact(run):
+            folds = [Fraction(f["macro_f1"]).limit_denominator(100000) for f in run["folds"]]
+            return sum(folds) / len(folds)
+
+        base = runs.pop("Original")
+        assert len(runs) == 7
+        for kind, kind_runs in runs.items():
+            received = [r["macro_f1"] - b["macro_f1"] for r, b in zip(kind_runs, base)]
+            exact_diffs = [exact(r) - exact(b) for r, b in zip(kind_runs, base)]
+            assert tie_structure(received) == tie_structure(exact_diffs), kind
 
 
 class TestUnusableArtifacts:

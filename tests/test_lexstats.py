@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semsurf.cli import welch_comparison
 from semsurf.lexstats import (
     _WORD_RE,
     _SUFFIX_RULES,
@@ -168,27 +167,3 @@ class TestRatios:
 
     def test_no_tokens_gives_all_none(self):
         assert measures(" ?! ", self.table, self.tagger, 0.0) == dict.fromkeys(MEASURES)
-
-
-class TestGroupCompare:
-    """`stats` compares each lexical measure's C and AD values with welch_comparison."""
-
-    def test_means_and_p(self):
-        res = welch_comparison({"C": [1.0, 2.0, 3.0], "AD": [4.0, 5.0, 6.0]})
-        assert res["mean_control"] == 2.0
-        assert res["mean_ad"] == 5.0
-        assert res["statistic"] < 0.0 and res["df"] == 4.0
-        assert 0.0 < res["p_value"] < 0.05
-
-    def test_none_exclusion(self):
-        res = welch_comparison({"C": [1.0, None, 2.0, 3.0], "AD": [None, 4.0, 5.0]})
-        assert res["n_control"] == 3 and res["n_ad"] == 2
-        assert res["excluded"] == 2
-
-    def test_too_few_defined(self):
-        res = welch_comparison({"C": [1.0, None], "AD": [2.0, 3.0]})
-        assert res == {"error": "welch_t requires at least 2 observations per sample"}
-
-    def test_not_significant_identical(self):
-        res = welch_comparison({"C": [1.0, 2.0], "AD": [1.0, 2.0]})
-        assert res["p_value"] == 1.0

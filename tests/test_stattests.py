@@ -15,9 +15,9 @@ except ImportError:  # scipy serves only as an oracle
 from semsurf.stattests import (
     DegenerateDataError,
     incomplete_beta,
-    normal_cdf,
     pearson,
     t_cdf,
+    welch_comparison,
     welch_t,
     wilcoxon_signed_rank,
     _rank_abs,
@@ -92,17 +92,6 @@ class TestSpecialFunctions:
     def test_t_cdf_df_domain(self):
         with pytest.raises(ValueError):
             t_cdf(1.0, 0.0)
-
-    def test_normal_cdf_symmetry(self):
-        assert normal_cdf(0.0) == 0.5
-        assert normal_cdf(1.96) == pytest.approx(0.9750021, abs=1e-6)
-
-    @pytest.mark.skipif(scipy_stats is None, reason="scipy is not installed")
-    def test_normal_cdf_against_scipy(self):
-        """Relative error at most 1e-13 on [-8, 8], the lower tail included, where 1 + erf(x) cancels."""
-        for i in range(-64, 65):
-            z = i / 8.0
-            assert normal_cdf(z) == pytest.approx(scipy_stats.norm.cdf(z), rel=1e-13, abs=0.0), z
 
 
 class TestWelch:
@@ -226,6 +215,30 @@ class TestWelch:
         assume(stays_normal(a + b, k))
         scaled = [[math.ldexp(v, k) for v in sample] for sample in (a, b)]
         assert outcome(welch_t, a, b) == outcome(welch_t, *scaled)
+
+
+class TestGroupCompare:
+    """summarize compares each lexical measure's C and AD values with welch_comparison."""
+
+    def test_means_and_p(self):
+        res = welch_comparison({"C": [1.0, 2.0, 3.0], "AD": [4.0, 5.0, 6.0]})
+        assert res["mean_control"] == 2.0
+        assert res["mean_ad"] == 5.0
+        assert res["statistic"] < 0.0 and res["df"] == 4.0
+        assert 0.0 < res["p_value"] < 0.05
+
+    def test_none_exclusion(self):
+        res = welch_comparison({"C": [1.0, None, 2.0, 3.0], "AD": [None, 4.0, 5.0]})
+        assert res["n_control"] == 3 and res["n_ad"] == 2
+        assert res["excluded"] == 2
+
+    def test_too_few_defined(self):
+        res = welch_comparison({"C": [1.0, None], "AD": [2.0, 3.0]})
+        assert res == {"error": "welch_t requires at least 2 observations per sample"}
+
+    def test_not_significant_identical(self):
+        res = welch_comparison({"C": [1.0, 2.0], "AD": [1.0, 2.0]})
+        assert res["p_value"] == 1.0
 
 
 class TestWilcoxon:
