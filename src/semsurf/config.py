@@ -172,11 +172,6 @@ def _entries(path: Path):
         yield lineno, key.strip(), value.strip()
 
 
-def parse_config(path: Path) -> dict[str, str]:
-    """The settings of a flat key = value file, unchecked; a repeated key keeps its last value."""
-    return {key: value for _, key, value in _entries(path)}
-
-
 def config_digest(config: dict[str, str]) -> str:
     canonical = json.dumps(config, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -192,8 +187,8 @@ class Config:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        entries = list(_entries(self.path))  # one read gives the settings, as parse_config does, and their lines
-        self.raw = {key: value for _, key, value in entries}
+        entries = list(_entries(self.path))  # one read gives the settings and their lines
+        self.raw = {key: value for _, key, value in entries}  # a repeated key keeps its last value
         self.lines = {key: lineno for lineno, key, _ in entries}
         for key in self.raw:
             if key not in SCHEMA:

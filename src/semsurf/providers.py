@@ -28,7 +28,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 if TYPE_CHECKING:
     import requests
@@ -126,13 +126,13 @@ def _vector_row(record: GenerationRecord, dimension: int | None) -> bytes:
     `dimension` is None, of that dimension."""
     packed = record.response_image or b""  # a record without a BLOB holds no vector
     if len(packed) % 8:
-        raise ValueError(f"{len(packed)} bytes are not packed float64")
+        raise ProviderError(f"{len(packed)} bytes are not packed float64")
     if not packed:
-        raise ValueError("embedding must be non-empty")
+        raise ProviderError("embedding must be non-empty")
     values = struct.unpack(f"<{len(packed) // 8}d", packed)
     # a finite sum means finite entries; only a sum that overflows needs the check entry by entry
     if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-        raise ValueError("embedding contains non-finite entries")
+        raise ProviderError("embedding contains non-finite entries")
     if dimension is not None and len(values) != dimension:
         raise ProviderError(f"embedding dimension {len(values)} != declared {dimension}")
     return packed
@@ -154,8 +154,8 @@ class ResponseCache:
     One connection, guarded by the cache's lock, serves every thread. Each
     store_many commits at once. The database is in WAL mode, so its -wal and
     -shm files sit beside it until close() folds them back in. A database of
-    an earlier version is brought to the current format once, on open (see
-    _upgrade).
+    user_version CACHE_VERSION opens as it is, one without tables is created
+    at that version in one transaction, and any other is refused.
     """
 
     def __init__(self, root: str | Path):
@@ -166,65 +166,38 @@ class ResponseCache:
         db = None
         try:
             db = sqlite3.connect(path, check_same_thread=False, isolation_level=None)
+            empty = self._empty(db)  # before the switch to WAL, which would write to a database it refuses
             db.execute("PRAGMA journal_mode=WAL")
             db.execute("PRAGMA synchronous=NORMAL")
             db.execute("PRAGMA cache_size=-64")  # KiB; each lookup reads one row
-            if db.execute("PRAGMA user_version").fetchone()[0] == 0:
-                self._upgrade(db)
-        except sqlite3.Error as exc:
+            if empty:
+                with db:  # commits, or rolls back on an error
+                    db.execute("BEGIN IMMEDIATE")
+                    if self._empty(db):  # unless another connection created it meanwhile
+                        db.execute(
+                            "CREATE TABLE responses (key TEXT PRIMARY KEY, request TEXT, response_text TEXT,"
+                            " response_image BLOB, created_at REAL, provider TEXT)"
+                        )
+                        db.execute(f"PRAGMA user_version = {CACHE_VERSION}")
+        except (sqlite3.Error, ValueError) as exc:
             if db is not None:
                 db.close()
             raise ValueError(f"cannot open the provider cache {path}: {exc}") from None
         self._db = db
 
-    def _upgrade(self, db: sqlite3.Connection) -> None:
-        """Bring a database of user_version 0 to CACHE_VERSION in one transaction.
-
-        A new database gets its table. An older one also gets the records of
-        the file layout before the database, <root>/<first 2 hex>/<key>.json
-        with the image in a sibling .png, unless it holds their key already;
-        an unreadable file is skipped, and the files are never read again.
-        Each embedding row that holds its vector as JSON text gets it packed
-        as float64. A row without a BLOB that cannot be read, or whose text
-        is no vector, was a miss and is deleted.
-        """
-        with db:  # commits, or rolls back on an error
-            db.execute("BEGIN IMMEDIATE")
-            if db.execute("PRAGMA user_version").fetchone()[0]:
-                return  # another process upgraded it meanwhile
-            db.execute(
-                "CREATE TABLE IF NOT EXISTS responses (key TEXT PRIMARY KEY, request TEXT, response_text TEXT,"
-                " response_image BLOB, created_at REAL, provider TEXT)"
-            )
-            db.executemany("INSERT OR IGNORE INTO responses VALUES (?, ?, ?, ?, ?, ?)", self._old_files())
-            text_rows = db.execute(
-                "SELECT key, response_text, provider FROM responses WHERE response_image IS NULL"
-            ).fetchall()
-            for key, text, provider in text_rows:
-                try:
-                    if json.loads(provider)["kind"] != "embed":
-                        continue
-                    packed = _pack_embedding(json.loads(text))
-                except (ValueError, KeyError, TypeError, ProviderError):
-                    db.execute("DELETE FROM responses WHERE key = ?", (key,))  # a miss, as it was
-                else:
-                    db.execute(
-                        "UPDATE responses SET response_text = NULL, response_image = ? WHERE key = ?", (packed, key)
-                    )
-            db.execute(f"PRAGMA user_version = {CACHE_VERSION}")
-
-    def _old_files(self) -> Iterator[tuple]:
-        """The row of each readable record file of the layout before the database."""
-        for path in sorted(self.root.glob("[0-9a-f][0-9a-f]/*.json")):
-            try:
-                obj = json.loads(path.read_text(encoding="utf-8"))
-                image = path.with_suffix(".png").read_bytes() if obj["has_image"] else None
-                record = GenerationRecord(
-                    obj["cache_key"], obj["request"], obj["response_text"], image, obj["created_at"], obj["provider"]
-                )
-            except (OSError, ValueError, KeyError, TypeError):
-                continue  # an unreadable record stays a miss
-            yield self._row(record)
+    @staticmethod
+    def _empty(db: sqlite3.Connection) -> bool:
+        """True for a database without tables, False for one of CACHE_VERSION, and
+        ValueError for any other."""
+        # one statement reads both from one snapshot, whatever another connection commits meanwhile
+        version, tables = db.execute(
+            "SELECT user_version, (SELECT COUNT(*) FROM sqlite_master) FROM pragma_user_version"
+        ).fetchone()
+        if version == CACHE_VERSION:
+            return False
+        if version or tables:
+            raise ValueError(f"it is of format {version}, not {CACHE_VERSION}; move it aside to start a new cache")
+        return True
 
     def lookup_many(self, keys: Sequence[str]) -> dict[str, GenerationRecord]:
         """The records the cache holds for `keys`, read with one query per
@@ -551,7 +524,7 @@ class ProviderClient:
         for key, record in found.items():
             try:
                 outcomes[key] = check(record), key
-            except (ProviderError, ValueError) as exc:
+            except ProviderError as exc:
                 outcomes[key] = exc
         if cfg.is_mock:
             records = []

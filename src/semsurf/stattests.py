@@ -205,10 +205,10 @@ EXACT_WILCOXON_MAX_N = 20
 def wilcoxon_signed_rank(a: list[float], b: list[float]) -> StatTestResult:
     """Paired two-sided Wilcoxon signed-rank test.
 
-    Zero differences are dropped. Exact p (full sign-pattern distribution)
-    when the effective n is at most EXACT_WILCOXON_MAX_N and the |d| are
-    distinct; otherwise a normal approximation with tie and continuity
-    corrections.
+    Zero differences are dropped, and tied |d| share their mid-rank. Exact p
+    (full sign-pattern distribution of the mid-ranks) when the effective n is
+    at most EXACT_WILCOXON_MAX_N; otherwise a normal approximation with tie
+    and continuity corrections.
     """
     if len(a) != len(b):
         raise ValueError("wilcoxon_signed_rank requires equal-length samples")
@@ -217,14 +217,13 @@ def wilcoxon_signed_rank(a: list[float], b: list[float]) -> StatTestResult:
         raise DegenerateDataError("all paired differences are zero")
     n = len(diffs)
     ranks = _rank_abs(diffs)
-    w_plus = sum(r for d, r in zip(diffs, ranks) if d > 0)
-    distinct = len({abs(d) for d in diffs}) == n
+    w_plus = sum((r for d, r in zip(diffs, ranks) if d > 0), 0.0)
 
-    if n <= EXACT_WILCOXON_MAX_N and distinct:
-        int_ranks = [int(r) for r in ranks]
-        counts = _wplus_distribution(int_ranks)
+    if n <= EXACT_WILCOXON_MAX_N:
+        # a mid-rank is a multiple of 1/2, so the doubled ranks and 2 W+ are integers, summed exactly
+        counts = _wplus_distribution([int(2 * r) for r in ranks])
         total = 2**n
-        w = int(round(w_plus))
+        w = int(2 * w_plus)
         p_low = sum(counts[: w + 1]) / total
         p_high = sum(counts[w:]) / total
         p = min(1.0, 2.0 * min(p_low, p_high))

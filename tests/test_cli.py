@@ -25,9 +25,10 @@ import semsurf.corpus as corpus
 import semsurf.providers as providers
 import semsurf.stattests as stattests
 from semsurf.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, STAGES, main
-from semsurf.config import StageError, config_digest, parse_config
+from semsurf.config import Config, StageError, config_digest
 from semsurf.textmetrics import METRICS
 from semsurf.transform import DEFAULT_PROMPTS, KIND_ORDER, TransformationKind
+from tests.test_providers import write_database
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN_139 = Path(__file__).resolve().parent / "golden_dogstory139"
@@ -83,15 +84,22 @@ def runner():
 class TestConfigParsing:
     def test_parse(self, tmp_path):
         p = tmp_path / "c.conf"
-        p.write_text("a = 1\n# full comment\nb = two words  # trailing\n\n")
-        assert parse_config(p) == {"a": "1", "b": "two words"}
+        p.write_text(
+            "dataset = my data.jsonl  # trailing\n# full comment\n\nchat.endpoint = mock:chat\n"
+            "embed.endpoint = mock:embed\nenabled = Original\n"
+        )
+        assert Config(p).raw == {
+            "dataset": "my data.jsonl", "chat.endpoint": "mock:chat", "embed.endpoint": "mock:embed",
+            "enabled": "Original",
+        }
 
     def test_missing_equals(self, tmp_path):
         p = tmp_path / "c.conf"
-        p.write_text("just a line\n")
+        p.write_text("dataset = d.jsonl\njust a line\n")
         with pytest.raises(StageError) as err:
-            parse_config(p)
+            Config(p)
         assert err.value.exit_code == EXIT_USAGE
+        assert str(err.value) == f"{p}:2: expected 'key = value'"
 
     def test_digest_stable(self):
         assert config_digest({"a": "1", "b": "2"}) == config_digest({"b": "2", "a": "1"})
@@ -523,26 +531,31 @@ class TestProviderCache:
         assert [p.name for p in (run_dir / "cache").iterdir()] == ["responses.sqlite3"]
 
     def test_malformed_embed_response_exits_3(self, tmp_path, runner, monkeypatch):
-        class EmptyEmbeddings:
-            def post(self, url, json=None, headers=None, timeout=None):
-                return ShortSummaryFailures.Response(200, {"data": []})
+        """An embedding response without a vector, or whose vector fails its check, is a provider error."""
+        cases = [  # (response body, message)
+            ({"data": []}, "malformed embed response: IndexError('list index out of range')"),
+            ({"data": [{"embedding": [float("nan"), 1.0]}]}, "embedding contains non-finite entries"),
+            ({"data": [{"embedding": []}]}, "embedding must be non-empty"),
+        ]
 
-        session = EmptyEmbeddings()
-        monkeypatch.setattr(cli, "ProviderClient", functools.partial(providers.ProviderClient, session=session))
+        class Embeddings:
+            def post(self, url, json=None, headers=None, timeout=None):
+                return ShortSummaryFailures.Response(200, body)
+
+        monkeypatch.setattr(cli, "ProviderClient", functools.partial(providers.ProviderClient, session=Embeddings()))
         conf = tmp_path / "c.conf"
         write_config(conf, small_dataset(tmp_path))
         conf.write_text(conf.read_text().replace("mock:embed", "http://localhost:9/v1/embeddings"))
-        run_dir = tmp_path / "run"
-        for stage, code in (("ingest", EXIT_OK), ("transform", EXIT_PROVIDER)):
-            result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir)])
-            assert result.exit_code == code, result.output
-        assert result.output.splitlines()[-1] == (
-            "provider error: malformed embed response: IndexError('list index out of range')"
-        )
-        assert not list((run_dir / "transformed").glob("*.npy"))
-        with closing(sqlite3.connect(run_dir / "cache" / "responses.sqlite3")) as db:
-            kinds = {json.loads(provider)["kind"] for provider, in db.execute("SELECT provider FROM responses")}
-        assert "embed" not in kinds
+        for i, (body, message) in enumerate(cases):
+            run_dir = tmp_path / f"run{i}"
+            for stage, code in (("ingest", EXIT_OK), ("transform", EXIT_PROVIDER)):
+                result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir)])
+                assert result.exit_code == code, result.output
+            assert result.output.splitlines()[-1] == f"provider error: {message}"
+            assert not list((run_dir / "transformed").glob("*.npy"))
+            with closing(sqlite3.connect(run_dir / "cache" / "responses.sqlite3")) as db:
+                kinds = {json.loads(provider)["kind"] for provider, in db.execute("SELECT provider FROM responses")}
+            assert "embed" not in kinds
 
     def test_a_cache_that_is_not_a_database_exits_2(self, tmp_path, runner):
         conf = tmp_path / "c.conf"
@@ -558,6 +571,30 @@ class TestProviderCache:
             f"error: cannot open the provider cache {database}: file is not a database"
         ]
         assert database.read_text() == "not a database\n"
+        assert not (run_dir / "transformed").exists()
+
+    @pytest.mark.parametrize("version", [0, 2])
+    def test_a_cache_of_another_format_exits_2(self, tmp_path, runner, version):
+        """A cache database with a table at user_version 0, as semsurf wrote before the version, or at any
+        other version is refused and left as it was."""
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path))
+        run_dir = tmp_path / "run"
+        database = run_dir / "cache" / "responses.sqlite3"
+        database.parent.mkdir(parents=True)
+        record = providers.GenerationRecord("0" * 64, "{}", "a reply", None, 1.5, {"kind": "chat"})
+        write_database(database.parent, [record], version)
+        for stage, code in (("ingest", EXIT_OK), ("transform", EXIT_DATA)):
+            result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+            assert result.exit_code == code, result.output
+        assert result.output.splitlines() == [
+            f"error: cannot open the provider cache {database}: it is of format {version}, not 1;"
+            " move it aside to start a new cache"
+        ]
+        with closing(sqlite3.connect(database)) as db:
+            assert db.execute("PRAGMA user_version").fetchone() == (version,)
+            assert db.execute("SELECT * FROM responses").fetchall() == [providers.ResponseCache._row(record)]
+        assert [p.name for p in database.parent.iterdir()] == ["responses.sqlite3"]
         assert not (run_dir / "transformed").exists()
 
 

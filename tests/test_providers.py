@@ -1,5 +1,4 @@
 import base64
-import dataclasses
 import hashlib
 import json
 import math
@@ -23,6 +22,7 @@ from hypothesis import strategies as st
 import semsurf
 import semsurf.providers as providers
 from semsurf.providers import (
+    CACHE_VERSION,
     MOCK_EMBED_DIM,
     GenerationRecord,
     OfflineViolation,
@@ -189,35 +189,6 @@ class TestCache:
         cache.close()
         assert [p.name for p in tmp_path.iterdir()] == ["responses.sqlite3"]
 
-    def test_old_layout_record_is_a_hit(self, tmp_path):
-        """The first open copies each readable record of the earlier file layout into
-        the database, unless the database holds its key; the files are left as they
-        are and never read again."""
-        old = self.record(text="img", image=mock_text_to_image("a dog"))
-        corrupt = self.record(text="corrupt")
-        in_both = self.record(text="the database's")
-        path = write_old_file(tmp_path, old)
-        write_old_file(tmp_path, corrupt).write_text("{not json")
-        write_old_file(tmp_path, dataclasses.replace(in_both, response_text="the file's"))
-        write_version_0_database(tmp_path, [in_both])
-        old_files = {p: p.stat().st_mtime_ns for p in tmp_path.glob("*/*")}
-        cache = ResponseCache(tmp_path)
-        keys = [old.cache_key, corrupt.cache_key, in_both.cache_key]
-        assert cache.lookup_many(keys) == {old.cache_key: old, in_both.cache_key: in_both}
-        cache.close()
-        assert {p: p.stat().st_mtime_ns for p in tmp_path.glob("*/*")} == old_files
-        path.unlink()
-        path.with_suffix(".png").unlink()
-        database = tmp_path / "responses.sqlite3"
-        before = database.stat().st_mtime_ns, database.stat().st_size, database.read_bytes()
-        reopened = ResponseCache(tmp_path)
-        assert reopened.lookup_many(keys) == {old.cache_key: old, in_both.cache_key: in_both}
-        reopened.close()
-        # a second open writes nothing
-        assert (database.stat().st_mtime_ns, database.stat().st_size, database.read_bytes()) == before
-        with closing(sqlite3.connect(database)) as db:
-            assert db.execute("PRAGMA user_version").fetchone() == (1,)
-
     def test_threads_share_the_connection(self, tmp_path):
         cache = ResponseCache(tmp_path)
         records = [[self.record(text=f"thread {t} record {i}") for i in range(25)] for t in range(8)]
@@ -236,6 +207,59 @@ class TestCache:
         reopened = ResponseCache(tmp_path)
         assert [[lookup(reopened, rec.cache_key) for rec in recs] for recs in records] == records
         reopened.close()
+
+    def test_a_cache_created_meanwhile_is_opened(self, tmp_path):
+        """An opener that found the database empty opens it as it is when another opener created it
+        before the first one's transaction began."""
+
+        class Late(ResponseCache):
+            def _empty(self, db):
+                empty = ResponseCache._empty(db)
+                if empty:  # the check before the transaction: another opener creates the cache now
+                    ResponseCache(self.root).close()
+                return empty
+
+        rec = self.record()
+        cache = Late(tmp_path)
+        cache.store_many([rec])
+        assert lookup(cache, rec.cache_key) == rec
+        cache.close()
+        with closing(sqlite3.connect(tmp_path / "responses.sqlite3")) as db:
+            assert db.execute("PRAGMA user_version").fetchone() == (CACHE_VERSION,)
+            assert db.execute("SELECT name FROM sqlite_master WHERE type = 'table'").fetchall() == [("responses",)]
+
+    @pytest.mark.parametrize("version", [0, 2])
+    def test_a_database_of_another_format_is_refused(self, tmp_path, version):
+        """A database with a table at user_version 0, as semsurf wrote before the version, or at
+        any version but CACHE_VERSION is refused, and left as it was."""
+        rec = self.record()
+        write_database(tmp_path, [rec], version)
+        database = tmp_path / "responses.sqlite3"
+        before = database.read_bytes()
+        with pytest.raises(ValueError) as err:
+            ResponseCache(tmp_path)
+        assert str(err.value) == (
+            f"cannot open the provider cache {database}: it is of format {version}, not 1;"
+            " move it aside to start a new cache"
+        )
+        assert database.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["responses.sqlite3"]
+
+    def test_files_of_the_layout_before_the_database_are_ignored(self, tmp_path):
+        """Record files <first 2 hex>/<key>.json beside no database are never read: the cache is
+        created empty, at CACHE_VERSION, and the files are left as they are."""
+        rec = self.record()
+        old = tmp_path / rec.cache_key[:2] / f"{rec.cache_key}.json"
+        old.parent.mkdir()
+        old.write_text(json.dumps({"cache_key": rec.cache_key, "response_text": rec.response_text}))
+        before = old.read_bytes(), old.stat().st_mtime_ns
+        cache = ResponseCache(tmp_path)
+        assert cache.lookup_many([rec.cache_key]) == {}
+        cache.close()
+        assert (old.read_bytes(), old.stat().st_mtime_ns) == before
+        with closing(sqlite3.connect(tmp_path / "responses.sqlite3")) as db:
+            assert db.execute("PRAGMA user_version").fetchone() == (CACHE_VERSION,)
+            assert db.execute("SELECT COUNT(*) FROM responses").fetchone() == (0,)
 
     def test_not_a_database(self, tmp_path):
         (tmp_path / "responses.sqlite3").write_text("not a database\n")
@@ -276,19 +300,19 @@ class TestMocks:
         assert len(raw) == 4  # filter byte + RGB
 
     def test_vector_validation(self):
-        non_finite = (ValueError, "^embedding contains non-finite entries$")
-        cases = {  # (BLOB, declared dimension) -> the error _vector_row raises
-            (b"", None): (ValueError, "^embedding must be non-empty$"),
-            (None, None): (ValueError, "^embedding must be non-empty$"),
+        non_finite = "^embedding contains non-finite entries$"
+        cases = {  # (BLOB, declared dimension) -> the message of the ProviderError _vector_row raises
+            (b"", None): "^embedding must be non-empty$",
+            (None, None): "^embedding must be non-empty$",
             (struct.pack("<d", float("nan")), None): non_finite,
             (struct.pack("<2d", 0.5, float("-inf")), None): non_finite,
             (struct.pack("<2d", float("inf"), float("-inf")), None): non_finite,
-            (struct.pack("<2d", 0.5, 0.25)[:15], None): (ValueError, "^15 bytes are not packed float64$"),
-            (struct.pack("<3d", 0.1, 0.2, 0.3), 4): (ProviderError, "^embedding dimension 3 != declared 4$"),
+            (struct.pack("<2d", 0.5, 0.25)[:15], None): "^15 bytes are not packed float64$",
+            (struct.pack("<3d", 0.1, 0.2, 0.3), 4): "^embedding dimension 3 != declared 4$",
         }
-        for (blob, dimension), (error, message) in cases.items():
+        for (blob, dimension), message in cases.items():
             record = GenerationRecord("0" * 64, "{}", None, blob, 1.5, mock_cfg("embed").summary())
-            with pytest.raises(error, match=message):
+            with pytest.raises(ProviderError, match=message):
                 _vector_row(record, dimension)
         # finite entries whose sum overflows
         blob = struct.pack("<2d", 1e308, 1e308)
@@ -397,47 +421,12 @@ class TestClientMockPath:
         assert blob == struct.pack(f"<{MOCK_EMBED_DIM}d", *mock_embed("a dog in a garden"))
         assert list(struct.unpack(f"<{MOCK_EMBED_DIM}d", blob)) == mock_embed("a dog in a garden")
 
-    def test_json_text_vectors_are_still_read(self, tmp_path):
-        """The first open packs the JSON-text vector of each embedding row, and of each
-        old-layout vector file, as float64, bit for bit the vector the JSON holds; a
-        row whose text is no vector is deleted, and a row of another kind is kept."""
-        cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
-        in_row, in_file, broken = "a vector row of JSON text", "an old-layout vector file", "a broken vector row"
-        records = {}
-        for text in (in_row, in_file, broken):
-            canonical = canonical_request({"op": "embed", "model": "m", "input": text})
-            vector = json.dumps(mock_embed(text))[: 20 if text == broken else None]
-            records[text] = GenerationRecord(cache_key_for(canonical), canonical, vector, None, 1.5, cfg.summary())
-        chat = GenerationRecord(cache_key_for("{}"), "{}", "[1.0, 2.0]", None, 1.5, chat_cfg().summary())
-        write_version_0_database(tmp_path, [records[in_row], records[broken], chat])
-        path = write_old_file(tmp_path, records[in_file])
-        before = path.read_bytes(), path.stat().st_mtime_ns
-        cache = CountingCache(tmp_path)
-        rows = ProviderClient(cache, offline=True).embed_batch(cfg, [in_row, in_file])
-        json_vectors = [json.loads(records[text].response_text) for text in (in_row, in_file)]
-        assert rows == [struct.pack(f"<{MOCK_EMBED_DIM}d", *vector) for vector in json_vectors]
-        assert rows == [packed(in_row), packed(in_file)]
-        assert cache.stores.total() == 0
-        assert cache.lookup_many([records[broken].cache_key, chat.cache_key]) == {chat.cache_key: chat}
-        cache.close()
-        assert (path.read_bytes(), path.stat().st_mtime_ns) == before
-        path.unlink()
-        database = tmp_path / "responses.sqlite3"
-        with closing(sqlite3.connect(database)) as db:
-            assert db.execute("SELECT response_text, response_image FROM responses WHERE key = ?",
-                              (records[in_row].cache_key,)).fetchall() == [(None, rows[0])]
-        before = database.stat().st_mtime_ns, database.stat().st_size, database.read_bytes()
-        reopened = ResponseCache(tmp_path)
-        assert ProviderClient(reopened, offline=True).embed_batch(cfg, [in_file, in_row]) == rows[::-1]
-        reopened.close()
-        assert (database.stat().st_mtime_ns, database.stat().st_size, database.read_bytes()) == before
-
     def test_a_record_without_a_vector_fails_its_embedding(self, tmp_path):
         cfg = ProviderConfig(kind="embed", endpoint="mock:e", model="m")
         canonical = canonical_request({"op": "embed", "model": "m", "input": "a dog"})
         cache = ResponseCache(tmp_path)
         cache.store_many([GenerationRecord(cache_key_for(canonical), canonical, "[1.0]", None, 1.5, cfg.summary())])
-        with pytest.raises(ValueError, match="embedding must be non-empty"):
+        with pytest.raises(ProviderError, match="embedding must be non-empty"):
             ProviderClient(cache).embed_batch(cfg, ["a dog"])
         cache.close()
 
@@ -889,28 +878,15 @@ class TestConcurrentCalls:
         cache.close()
 
 
-def write_old_file(root, record):
-    """`record` as the file layout before the database held it: <root>/<first 2 hex>/<key>.json,
-    the image in a sibling .png. The path of the .json file."""
-    path = root / record.cache_key[:2] / f"{record.cache_key}.json"
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps({
-        "cache_key": record.cache_key, "request": record.request, "response_text": record.response_text,
-        "has_image": record.response_image is not None, "created_at": record.created_at, "provider": record.provider,
-    }))
-    if record.response_image is not None:
-        path.with_suffix(".png").write_bytes(record.response_image)
-    return path
-
-
-def write_version_0_database(root, records):
-    """A cache database as versions before its user_version wrote it, holding `records`."""
+def write_database(root, records, user_version):
+    """A cache database of `user_version` holding `records`; 0 is how semsurf wrote one before the version."""
     with closing(sqlite3.connect(root / "responses.sqlite3")) as db:
         db.execute(
             "CREATE TABLE responses (key TEXT PRIMARY KEY, request TEXT, response_text TEXT,"
             " response_image BLOB, created_at REAL, provider TEXT)"
         )
         db.executemany("INSERT INTO responses VALUES (?, ?, ?, ?, ?, ?)", map(ResponseCache._row, records))
+        db.execute(f"PRAGMA user_version = {user_version}")
         db.commit()
 
 def test_cli_import_leaves_requests_unloaded():

@@ -265,12 +265,26 @@ class TestWilcoxon:
             assert res.method == "wilcoxon_exact"
             assert res.p_value == pytest.approx(brute_force_wilcoxon_p(d), abs=1e-12)
 
-    def test_normal_branch_on_ties(self):
+    def test_exact_on_ties(self):
+        """Tied |d| share their mid-rank, and the p of the exact null of the mid-ranks is the enumeration's."""
         a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        b = [0.0, 1.0, 2.0, 3.0, 4.0, 7.0]  # |d| ties force the approximation
+        b = [0.0, 1.0, 2.0, 3.0, 4.0, 7.0]  # six |d| of 1
         res = wilcoxon_signed_rank(a, b)
-        assert res.method == "wilcoxon_normal"
-        assert 0.0 <= res.p_value <= 1.0
+        assert (res.statistic, res.p_value, res.method) == (17.5, 0.21875, "wilcoxon_exact")
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.randint(2, 12)
+            d = [rng.choice([-3, -2, -1, 1, 2, 3]) * rng.choice([0.5, 1.0]) for _ in range(n)]
+            res = wilcoxon_signed_rank(d, [0.0] * n)
+            assert res.method == "wilcoxon_exact"
+            assert res.p_value == pytest.approx(brute_force_wilcoxon_p(d), abs=1e-12)
+
+    def test_statistic_is_a_float(self):
+        """W+ is a float also when no difference is positive, so stats.json writes 0.0 beside 7.5."""
+        for a, b in (([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]), ([1.0] * 25, [2.0] * 25)):
+            res = wilcoxon_signed_rank(a, b)
+            assert res.statistic == 0.0 and type(res.statistic) is float
+            assert type(wilcoxon_signed_rank(b, a).statistic) is float
 
     def test_normal_close_to_exact_at_n20(self):
         rng = random.Random(42)
