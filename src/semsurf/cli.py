@@ -3,8 +3,9 @@
 Each subcommand runs one pipeline stage against a run directory; `run`
 executes them all. Stage artifacts are plain files in the run directory, so
 stages are independently re-runnable, and with a warm cache (or mock
-providers) every stage is network-free and byte-deterministic. No stage
-computes a statistic: stats.json is `stattests.summarize` of what `stats` reads.
+providers) every stage is network-free and byte-deterministic. `report` writes
+stats.json, `stattests.summarize` of what it reads, and formats every table
+from that one dict; no stage reads stats.json.
 
 Each stage declares the artifacts it writes and those it reads, and SHAPES
 declares the shape of each JSON artifact that a stage reads: one that does not
@@ -18,7 +19,8 @@ order, that fails decides the exit code; the others in its wave still finish
 and may write their own artifacts.
 
 Exit codes: 0 ok, 1 usage error (any config error, reported before a stage
-runs), 2 data error, 3 provider/transport error.
+runs), 2 data error (also an OSError, such as a run directory that cannot be
+written), 3 provider/transport error.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import struct
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 import click
 
@@ -153,21 +155,12 @@ def unusable(artifact: str, problem: str) -> StageError:
 JSON_VALUES: dict[str, Callable[[object], bool]] = {
     "a number": lambda v: type(v) in (int, float),
     "an array of numbers and nulls": lambda v: type(v) is list and all(x is None or type(x) in (int, float) for x in v),
-    "an integer": lambda v: type(v) is int,
     "a boolean": lambda v: type(v) is bool,
-    "a JSON string": lambda v: type(v) is str,
     "a JSON object": lambda v: type(v) is dict,
     "a JSON array": lambda v: type(v) is list,
     "a non-empty JSON array": lambda v: type(v) is list and v != [],
 }
-ERROR = {"error": "a JSON string"}  # the entry of a test that could not run
 RUN_FIELDS = sorted({"seed", *stattests.CLASSIFICATION_MEASURES})
-WELCH_FIELDS = ("excluded", "mean_ad", "mean_control", "p_value")  # the numbers of a Welch entry that report reads
-
-
-def numbers(keys: Iterable[str]) -> tuple[str, dict]:
-    """The shape of an object holding a number at each of `keys`."""
-    return f"an object of numbers {', '.join(sorted(keys))}", dict.fromkeys(keys, "a number")
 
 
 SHAPES = {
@@ -176,24 +169,15 @@ SHAPES = {
         {**dict.fromkeys(("count", "mean_tokens", "std_tokens"), "a number"), "degenerate": "a boolean"},
     )),
     "transformed/manifest.json": {"kinds": [K], "embed": "a JSON object"},
-    "similarity.json": {"reference": K, "scores": {K: numbers(textmetrics.METRICS)}},
+    "similarity.json": {"reference": K, "scores": {K: (
+        f"an object of numbers {', '.join(textmetrics.METRICS)}", dict.fromkeys(textmetrics.METRICS, "a number"),
+    )}},
     "lexical.json": {K: dict.fromkeys(lexstats.MEASURES, (
         '{"AD": [...], "C": [...]}', dict.fromkeys(GROUPS, "an array of numbers and nulls"),
     ))},
     "classification.json": {
         "runs": {K: (f"a list of objects of numbers {', '.join(RUN_FIELDS)}", [dict.fromkeys(RUN_FIELDS, "a number")])},
         "seeds": "a non-empty JSON array",
-    },
-    "stats.json": {
-        "baseline": K,
-        "classification": (
-            "an object with keys means (an object), n_runs (an integer)",
-            {"means": {K: numbers(stattests.CLASSIFICATION_MEASURES)}, "n_runs": "an integer"},
-        ),
-        "wilcoxon_vs_baseline": {K: ("an object whose p_value is a number", ERROR, {"p_value": "a number"})},
-        "welch": {K: dict.fromkeys(lexstats.MEASURES, (
-            f"an error or {numbers(WELCH_FIELDS)[0]}", ERROR, dict.fromkeys(WELCH_FIELDS, "a number"),
-        ))},
     },
 }
 
@@ -207,8 +191,8 @@ def _check(artifact: str, shape, value, path: tuple = (), whole: tuple | None = 
     """Exit 2 as `unusable` on the first part of `value`, the JSON at `path` in the artifact, that does
     not have its `shape`, one of: a phrase of JSON_VALUES; K, a kind's name; [shape], an array of it;
     {K: shape}, an object whose keys are kind names; {key: shape, ...}, an object holding each key, whose
-    missing key, below the top level, fails as its value; (phrase, shape, ...), one of the shapes, with
-    `phrase` naming a failure inside it. `whole` is the (path, phrase) of the innermost one around `path`."""
+    missing key, below the top level, fails as its value; (phrase, shape), the shape, with `phrase` naming
+    a failure inside it. `whole` is the (path, phrase) of the innermost one around `path`."""
     if isinstance(shape, str):
         if not JSON_VALUES[shape](value):
             at, phrase = whole or (path, shape)
@@ -223,13 +207,8 @@ def _check(artifact: str, shape, value, path: tuple = (), whole: tuple | None = 
         for i, item in enumerate(value):
             _check(artifact, shape[0], item, (*path, i), whole)
     elif isinstance(shape, tuple):
-        phrase, *options = shape
-        for option in options:
-            try:
-                return _check(artifact, option, value, path, (path, phrase))
-            except StageError as exc:
-                error = exc
-        raise error
+        phrase, inner = shape
+        _check(artifact, inner, value, path, (path, phrase))
     elif K in shape:
         _check(artifact, "a JSON object", value, path, whole)
         for name in value:  # every key, before any value
@@ -410,23 +389,14 @@ def stage_lexical(ctx: RunContext) -> None:
     click.echo(f"lexical measures for {len(results)} corpora")
 
 
-@stage("stats.json", reads=("similarity.json", "classification.json", "lexical.json"))
-def stage_stats(ctx: RunContext) -> None:
-    sim, cls, lex = (ctx.read_json(name) for name in ("similarity.json", "classification.json", "lexical.json"))
-    # Original is the baseline that the classification tables name
-    ctx.write_json("stats.json", stattests.summarize(sim, cls, lex, baseline=K.ORIGINAL.value))
-    click.echo("stats written")
-
-
-@stage(reads=("dataset_stats.json", "similarity.json", "stats.json"))
+@stage("stats.json", reads=("dataset_stats.json", "similarity.json", "classification.json", "lexical.json"))
 def stage_report(ctx: RunContext) -> None:
-    per_group = ctx.read_json("dataset_stats.json")
-    sim = ctx.read_json("similarity.json")
-    stats = ctx.read_json("stats.json")
-    classification = stats["classification"]
-    if stats["baseline"] not in classification["means"]:
-        raise unusable("stats.json", f"key classification/means lacks the baseline {stats['baseline']}")
+    per_group, sim, cls, lex = (ctx.read_json(name) for name in READS["report"])
+    # Original is the baseline that the classification tables name
+    baseline = K.ORIGINAL
+    stats = stattests.summarize(sim, cls, lex, baseline=baseline.value)
     ctx.reports_dir.mkdir(exist_ok=True)
+    ctx.write_json("stats.json", stats)
 
     def write(table: report.ReportTable, name: str) -> None:
         for fmt in ("md", "csv", "json"):
@@ -436,9 +406,8 @@ def stage_report(ctx: RunContext) -> None:
     scores = {K(k): v for k, v in sim["scores"].items()}
     write(report.similarity_table(scores, K(sim["reference"])), "similarity")
 
-    means = {K(kind): m for kind, m in classification["means"].items()}
-    n_runs = classification["n_runs"]
-    baseline = K(stats["baseline"])
+    means = {K(kind): m for kind, m in stats["classification"]["means"].items()}
+    n_runs = stats["classification"]["n_runs"]
     p_values = {K(kind): r["p_value"] for kind, r in stats["wilcoxon_vs_baseline"].items() if "p_value" in r}
     write(report.classification_table(means, baseline, p_values, n_runs), "classification")
     back_kinds = [K.ORIGINAL, K.TRANSLATED, K.BACK_TRANSLATED]
@@ -472,7 +441,7 @@ def _run_stage(fn: Callable[[RunContext], int | None], config: str, run_dir: str
     except TransformError as exc:
         click.echo(f"transform error: {exc}", err=True)
         return EXIT_PROVIDER
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a run directory that cannot be made or written, say
         click.echo(f"error: {exc}", err=True)
         return EXIT_DATA
     finally:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from .providers import DEFAULT_MAX_WORKERS, ProviderConfig
-from .transform import DEFAULT_PROMPTS, KIND_ORDER, PIVOT_LANGUAGE, PipelineConfig, TransformationKind
+from .transform import DEFAULT_PROMPTS, KIND_ORDER, PIVOT_LANGUAGE, STEPS, PipelineConfig, TransformationKind
 
 # config role -> provider kind
 ROLES = {"chat": "chat", "translate": "translate", "embed": "embed", "t2i": "text_to_image", "i2t": "image_to_text"}
@@ -238,9 +238,20 @@ class Config:
             raise self.error(f"{role}.endpoint", f"required key is missing ({reason})")
 
     def check_language(self, language: str) -> None:
-        """A corpus not in the pivot language is translated, so it needs a translate provider."""
+        """A corpus not in the pivot language is translated, so it needs a translate provider, and the kinds made
+        from its English text need Translated, the reference that similarity scores them against."""
         if language != PIVOT_LANGUAGE:
             self.require("translate", f"the corpus language is {language!r}")
+            english = {TransformationKind.TRANSLATED}
+            for step in STEPS:  # in run order, so a step's source is classed before it
+                if step.source in english:
+                    english.add(step.kind)
+            made = [kind.value for kind in KIND_ORDER if kind in english and kind in self["enabled"]]
+            if made and TransformationKind.TRANSLATED not in self["enabled"]:
+                raise self.error("enabled", (
+                    f"lists {', '.join(made)} but not Translated, which a corpus in {language!r} needs as the"
+                    " reference of the kinds made from its English text"
+                ))
 
     def pipeline(self, language: str) -> PipelineConfig:
         self.check_language(language)

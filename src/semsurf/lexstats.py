@@ -2,7 +2,7 @@
 
 Covers tokenization, type-token ratio, average Zipf frequency against a
 TSV frequency table, and a lexicon + suffix-rule baseline POS tagger. The
-`stats` stage compares the per-document measures between groups.
+`report` stage compares the per-document measures between groups.
 """
 
 from __future__ import annotations

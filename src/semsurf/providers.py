@@ -48,6 +48,8 @@ CACHE_VERSION = 1  # PRAGMA user_version of a cache database in the current form
 
 LOOKUP_CHUNK = 500  # keys per SELECT ... IN (...), well below SQLite's bound on query parameters
 
+BUSY_TIMEOUT_S = 5.0  # how long a cache statement waits for another connection's lock (sqlite3's default)
+
 T = TypeVar("T")
 
 
@@ -165,11 +167,11 @@ class ResponseCache:
         self._lock = threading.Lock()
         db = None
         try:
-            db = sqlite3.connect(path, check_same_thread=False, isolation_level=None)
+            db = sqlite3.connect(path, timeout=BUSY_TIMEOUT_S, check_same_thread=False, isolation_level=None)
             empty = self._empty(db)  # before the switch to WAL, which would write to a database it refuses
-            db.execute("PRAGMA journal_mode=WAL")
+            self._switch_to_wal(db)
             db.execute("PRAGMA synchronous=NORMAL")
-            db.execute("PRAGMA cache_size=-64")  # KiB; each lookup reads one row
+            db.execute("PRAGMA cache_size=-64")  # KiB; a lookup_many query reads each of its LOOKUP_CHUNK rows once
             if empty:
                 with db:  # commits, or rolls back on an error
                     db.execute("BEGIN IMMEDIATE")
@@ -184,6 +186,20 @@ class ResponseCache:
                 db.close()
             raise ValueError(f"cannot open the provider cache {path}: {exc}") from None
         self._db = db
+
+    @staticmethod
+    def _switch_to_wal(db: sqlite3.Connection) -> None:
+        """PRAGMA journal_mode=WAL, retried for up to BUSY_TIMEOUT_S while another connection locks the
+        database: unlike other statements, the switch fails at once on a lock instead of waiting for it."""
+        deadline = time.monotonic() + BUSY_TIMEOUT_S
+        while True:
+            try:
+                db.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if str(exc) != "database is locked" or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
 
     @staticmethod
     def _empty(db: sqlite3.Connection) -> bool:

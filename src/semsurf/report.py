@@ -2,9 +2,10 @@
 POS group comparisons, and back-translation summaries, emitted as Markdown,
 CSV, or JSON with significance marks and provenance footers.
 
-The tables format the numbers of the run's artifacts (dataset_stats.json,
-similarity.json, stats.json). The one number they derive is the dataset
-table's total, the sum of the two group counts.
+The tables format the numbers of dataset_stats.json, similarity.json and
+stattests.summarize, which the report stage also writes to stats.json. The
+one number they derive is the dataset table's total, the sum of the two group
+counts.
 """
 
 from __future__ import annotations

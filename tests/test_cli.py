@@ -1,4 +1,5 @@
 import csv
+import errno
 import functools
 import hashlib
 import io
@@ -116,13 +117,18 @@ class TestStageOrdering:
         assert result.exit_code == EXIT_DATA
         assert "ingest" in result.output
 
-    def test_stats_before_similarity_fails(self, tmp_path, runner):
-        conf = tmp_path / "c.conf"
-        write_config(conf, small_dataset(tmp_path))
-        result = runner.invoke(
-            main, ["stats", "--config", str(conf), "--run-dir", str(tmp_path / "run")]
-        )
-        assert result.exit_code == EXIT_DATA
+    def test_stats_before_similarity_fails(self, pt_run, tmp_path, runner):
+        """`report` computes the statistics from similarity.json too, so it needs it beside classify's and
+        lexical's artifacts, and writes neither stats.json nor a table without it."""
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in set(REPORT_INPUTS) - {"similarity.json"}:
+            shutil.copy(pt_run[0] / name, run_dir / name)
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        result = runner.invoke(main, ["report", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert result.output.splitlines() == ["error: missing artifact similarity.json; run `semsurf similarity` first"]
+        assert not (run_dir / "stats.json").exists() and not (run_dir / "reports").exists()
 
     def test_report_before_similarity_fails(self, tmp_path, runner):
         conf = tmp_path / "c.conf"
@@ -132,7 +138,7 @@ class TestStageOrdering:
             result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir)])
             assert result.exit_code == code, result.output
         assert "missing artifact similarity.json; run `semsurf similarity` first" in result.output
-        assert not (run_dir / "reports").exists()
+        assert not (run_dir / "reports").exists() and not (run_dir / "stats.json").exists()
 
     def test_missing_dataset_key(self, tmp_path, runner):
         conf = tmp_path / "c.conf"
@@ -599,8 +605,8 @@ class TestProviderCache:
 
 
 def test_stages_without_embeddings_leave_numpy_unloaded(pt_run, tmp_path):
-    """The stages that read no embeddings, ingest, transform (which writes them), lexical, stats and
-    report, in one process, never import numpy and write what `semsurf run` wrote."""
+    """The stages that read no embeddings, ingest, transform (which writes them), lexical and report,
+    in one process, never import numpy and write what `semsurf run` wrote."""
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     for name in ("similarity.json", "classification.json"):
@@ -609,7 +615,7 @@ def test_stages_without_embeddings_leave_numpy_unloaded(pt_run, tmp_path):
     code = (
         "import sys\n"
         "from semsurf.cli import main\n"
-        "for stage in ('ingest', 'transform', 'lexical', 'stats', 'report'):\n"
+        "for stage in ('ingest', 'transform', 'lexical', 'report'):\n"
         "    try:\n"
         "        main([stage, '--config', sys.argv[1], '--run-dir', sys.argv[2], '--offline'])\n"
         "    except SystemExit as exc:\n"
@@ -666,9 +672,38 @@ def read_json(run_dir, name):
     return json.loads((run_dir / name).read_text())
 
 
+REPORT_INPUTS = ("dataset_stats.json", "similarity.json", "classification.json", "lexical.json")
+
+
+def table_cells(reports, table):
+    """Each format's (label, column, cell) triples of reports/table_<table>: the CSV text, the JSON value and the
+    Markdown text of each cell."""
+    cells = {}
+    header, *rows = csv.reader((reports / f"table_{table}.csv").read_text().splitlines())
+    cells["csv"] = [(label, column, cell) for label, *row in rows for column, cell in zip(header[1:], row)]
+    obj = json.loads((reports / f"table_{table}.json").read_text())
+    cells["json"] = [
+        (row["label"], column, cell["value"]) for row in obj["rows"] for column, cell in zip(obj["columns"], row["cells"])
+    ]
+    lines = [line for line in (reports / f"table_{table}.md").read_text().splitlines() if line.startswith("| ")]
+    header, *rows = ([cell.strip() for cell in line.strip("|").split("|")] for line in lines)
+    cells["md"] = [(label, column, cell) for label, *row in rows for column, cell in zip(header[1:], row)]
+    return cells
+
+
 class TestOneProducerPerNumber:
-    def test_every_table_number_is_an_artifact_number(self, pt_run):
-        run_dir = pt_run[0]
+    def test_every_table_number_is_an_artifact_number(self, pt_run, en_run):
+        """Every number of every table, in each format, is the number of the artifact that it formats: at full
+        precision in the CSV and JSON tables, and at the cell's display precision, bold and stars stripped, in the
+        Markdown ones."""
+        checked = [self.check_tables(run_dir) for run_dir in (pt_run[0], en_run)]
+        # the dataset row's 3 counts, 3 scores of each of the 5 similarity kinds, and 3 means, 6 lexical and 9 POS
+        # numbers of each kind: 8 kinds of the pt corpus, with 3 in the backtranslation table, and 6 of the en one
+        assert checked == [3 + 5 * 3 + 8 * 3 + 3 * 3 + 8 * 6 + 8 * 9, 3 + 5 * 3 + 6 * 3 + 6 * 6 + 6 * 9]
+
+    @staticmethod
+    def check_tables(run_dir) -> int:
+        """Check the tables of `run_dir`; the number of cells checked in each format."""
         per_group = read_json(run_dir, "dataset_stats.json")
         scores = read_json(run_dir, "similarity.json")["scores"]
         stats = read_json(run_dir, "stats.json")
@@ -685,24 +720,32 @@ class TestOneProducerPerNumber:
             measure, side = column.rsplit("_", 1)
             return stats["welch"][kind][measure][welch_fields[side]]
 
-        source = {  # table -> (row label, column) -> the number the cell shows
-            "dataset": lambda name, column: counts[column],
-            "similarity": lambda kind, column: scores[kind][metrics[column]],
-            "classification": cls_mean,
-            "backtranslation": cls_mean,
-            "lexical": welch,
-            "pos": welch,
+        source = {  # table -> (the number a cell shows, by row label and column; its Markdown decimals)
+            "dataset": (lambda name, column: counts[column], None),
+            "similarity": (lambda kind, column: scores[kind][metrics[column]], 2),
+            "classification": (cls_mean, 3),
+            "backtranslation": (cls_mean, 3),
+            "lexical": (welch, 3),
+            "pos": (welch, 3),
         }
         checked = 0
-        for table, number in source.items():
-            header, *rows = csv.reader((run_dir / "reports" / f"table_{table}.csv").read_text().splitlines())
-            for label, *cells in rows:
-                for column, cell in zip(header[1:], cells):
-                    if column.startswith("Length"):  # text: mean(±std) tokens
-                        continue
-                    assert float(cell) == number(label, column), (table, label, column)
-                    checked += 1
-        assert checked == 3 + 5 * 3 + 8 * 3 + 3 * 3 + 8 * 6 + 8 * 9
+        for table, (number, decimals) in source.items():
+            if not (run_dir / "reports" / f"table_{table}.csv").exists():
+                continue  # the backtranslation table of an English corpus, which is not translated
+            cells = table_cells(run_dir / "reports", table)
+            # the formats hold the same cells, and each shows the number it formats
+            assert [cell[:2] for cell in cells["csv"]] == [cell[:2] for cell in cells["json"]]
+            assert [cell[:2] for cell in cells["csv"]] == [cell[:2] for cell in cells["md"]]
+            for (label, column, text), (*_, value), (*_, shown) in zip(cells["csv"], cells["json"], cells["md"]):
+                if column.startswith("Length"):  # text: mean(±std) tokens
+                    continue
+                expected = number(label, column)
+                assert float(text) == value == expected, (table, label, column)
+                assert shown.strip("*") == (repr(expected) if decimals is None else f"{expected:.{decimals}f}"), (
+                    table, label, column,
+                )
+                checked += 1
+        return checked
 
     def test_similarity_scores_are_the_matrices_reference_column(self, pt_run):
         run_dir = pt_run[0]
@@ -736,20 +779,20 @@ class TestOneProducerPerNumber:
 
 
 class TestStatsPairing:
-    """`stats` checks the pairing the Wilcoxon tests rely on before it writes stats.json."""
+    """`report` checks the pairing the Wilcoxon tests rely on before it writes stats.json or a table."""
 
     def stats_on_edited_classification(self, pt_run, tmp_path, runner, edit):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        for name in ("similarity.json", "classification.json", "lexical.json"):
+        for name in REPORT_INPUTS:
             shutil.copy(pt_run[0] / name, run_dir / name)
         cls = read_json(run_dir, "classification.json")
         edit(cls["runs"])
         (run_dir / "classification.json").write_text(json.dumps(cls))
         conf = pt_fixture_config(tmp_path / "pt.conf")
-        result = runner.invoke(main, ["stats", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        result = runner.invoke(main, ["report", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
         assert result.exit_code == EXIT_DATA, result.output
-        assert not (run_dir / "stats.json").exists()
+        assert not (run_dir / "stats.json").exists() and not (run_dir / "reports").exists()
         return result.output
 
     def test_unpaired_counts_rejected(self, pt_run, tmp_path, runner):
@@ -762,6 +805,34 @@ class TestStatsPairing:
     def test_missing_baseline_rejected(self, pt_run, tmp_path, runner):
         output = self.stats_on_edited_classification(pt_run, tmp_path, runner, lambda runs: runs.pop("Original"))
         assert "classification.json has no runs of the baseline Original" in output
+
+
+class TestOperatingSystemErrors:
+    """A stage that the operating system refuses exits 2 with one `error:` line, not a traceback."""
+
+    def test_a_reports_file_exits_2(self, pt_run, tmp_path, runner):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in REPORT_INPUTS:
+            shutil.copy(pt_run[0] / name, run_dir / name)
+        (run_dir / "reports").write_text("")
+        conf = pt_fixture_config(tmp_path / "pt.conf")
+        result = runner.invoke(main, ["report", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert result.output.splitlines() == [f"error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: "
+                                              f"'{run_dir / 'reports'}'"]
+        assert not (run_dir / "stats.json").exists()
+
+    def test_a_run_dir_below_a_file_exits_2(self, tmp_path, runner):
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        run_dir = blocker / "run"
+        result = runner.invoke(main, ["ingest", "--config", str(conf), "--run-dir", str(run_dir)])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert result.output.splitlines() == [f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: "
+                                              f"'{run_dir}'"]
 
 
 @pytest.fixture(scope="module")
@@ -881,42 +952,33 @@ class TestUnusableArtifacts:
              "unknown reference", "unknown scores kind"],
     )
     def test_stats_exits_2_naming_the_producer(self, pt_run, tmp_path, runner, artifact, content, message):
+        """`report` exits 2 on an input it cannot read, before it writes stats.json or a table."""
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        for name in ("similarity.json", "classification.json", "lexical.json"):
+        for name in REPORT_INPUTS:
             shutil.copy(pt_run[0] / name, run_dir / name)
         (run_dir / artifact).write_text(content)
         conf = pt_fixture_config(tmp_path / "pt.conf")
-        result = runner.invoke(main, ["stats", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        result = runner.invoke(main, ["report", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
         assert result.exit_code == EXIT_DATA, result.output
         assert result.output.splitlines() == [f"error: {message}"]
-        assert not (run_dir / "stats.json").exists()
+        assert not (run_dir / "stats.json").exists() and not (run_dir / "reports").exists()
 
     @pytest.mark.parametrize(
         "artifact, edit, message",
         [
             ("similarity.json", lambda sim: sim["scores"].update(Bogus=sim["scores"]["ShortSummary"]),
              "similarity.json key scores holds 'Bogus', which is not a transformation kind; run `semsurf similarity`"),
-            ("stats.json", lambda stats: stats.update(baseline="Bogus"),
-             "stats.json key baseline holds 'Bogus', which is not a transformation kind; run `semsurf stats`"),
-            ("stats.json", lambda stats: stats["classification"]["means"].update(Bogus={}),
-             "stats.json key classification/means holds 'Bogus', which is not a transformation kind; "
-             "run `semsurf stats`"),
-            ("stats.json", lambda stats: stats["wilcoxon_vs_baseline"].update(Bogus={}),
-             "stats.json key wilcoxon_vs_baseline holds 'Bogus', which is not a transformation kind; "
-             "run `semsurf stats`"),
-            ("stats.json", lambda stats: stats["welch"].update(Bogus={}),
-             "stats.json key welch holds 'Bogus', which is not a transformation kind; run `semsurf stats`"),
             ("dataset_stats.json", lambda per_group: per_group["AD"].pop("mean_tokens"),
              "dataset_stats.json key AD is not an object of numbers count, mean_tokens, std_tokens and a boolean "
              "degenerate; run `semsurf ingest`"),
         ],
-        ids=["scores kind", "baseline", "means kind", "wilcoxon kind", "welch kind", "dataset stats without a mean"],
+        ids=["scores kind", "dataset stats without a mean"],
     )
     def test_report_exits_2_on_an_unknown_kind(self, pt_run, tmp_path, runner, artifact, edit, message):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        for name in ("dataset_stats.json", "similarity.json", "stats.json"):
+        for name in REPORT_INPUTS:
             shutil.copy(pt_run[0] / name, run_dir / name)
         obj = read_json(run_dir, artifact)
         edit(obj)
@@ -925,53 +987,7 @@ class TestUnusableArtifacts:
         result = runner.invoke(main, ["report", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
         assert result.exit_code == EXIT_DATA, result.output
         assert result.output.splitlines() == [f"error: {message}"]
-        assert not (run_dir / "reports").exists()
-
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda stats: stats.update(classification={}),
-             "key classification is not an object with keys means (an object), n_runs (an integer)"),
-            (lambda stats: stats["classification"].pop("n_runs"),
-             "key classification is not an object with keys means (an object), n_runs (an integer)"),
-            (lambda stats: stats["classification"].update(n_runs="10"),
-             "key classification is not an object with keys means (an object), n_runs (an integer)"),
-            (lambda stats: stats["classification"].update(means=[]),
-             "key classification is not an object with keys means (an object), n_runs (an integer)"),
-            (lambda stats: stats["classification"]["means"]["Translated"].pop("acc_c"),
-             "entry classification/means/Translated is not an object of numbers acc_ad, acc_c, macro_f1"),
-            (lambda stats: stats["classification"]["means"].update(Translated=0.5),
-             "entry classification/means/Translated is not an object of numbers acc_ad, acc_c, macro_f1"),
-            (lambda stats: stats["classification"]["means"].pop("Original"),
-             "key classification/means lacks the baseline Original"),
-            (lambda stats: stats["wilcoxon_vs_baseline"].update(Translated=0.04),
-             "entry wilcoxon_vs_baseline/Translated is not an object whose p_value is a number"),
-            (lambda stats: stats["wilcoxon_vs_baseline"]["Translated"].update(p_value=None),
-             "entry wilcoxon_vs_baseline/Translated is not an object whose p_value is a number"),
-            (lambda stats: stats["welch"]["Original"].update(ttr={"p_value": "x"}),
-             "entry welch/Original/ttr is not an error or an object of numbers excluded, mean_ad, mean_control, "
-             "p_value"),
-            (lambda stats: stats["welch"].update(Original=[]),
-             "entry welch/Original/ttr is not an error or an object of numbers excluded, mean_ad, mean_control, "
-             "p_value"),
-        ],
-        ids=["no classification keys", "no n_runs", "n_runs string", "means list", "means entry lacks a measure",
-             "means entry number", "no baseline means", "wilcoxon entry number", "wilcoxon p_value null",
-             "welch p_value string", "welch kind list"],
-    )
-    def test_report_exits_2_on_a_wrong_classification_shape(self, pt_run, tmp_path, runner, edit, message):
-        run_dir = tmp_path / "run"
-        run_dir.mkdir()
-        for name in ("dataset_stats.json", "similarity.json", "stats.json"):
-            shutil.copy(pt_run[0] / name, run_dir / name)
-        stats = read_json(run_dir, "stats.json")
-        edit(stats)
-        (run_dir / "stats.json").write_text(json.dumps(stats))
-        conf = pt_fixture_config(tmp_path / "pt.conf")
-        result = runner.invoke(main, ["report", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
-        assert result.exit_code == EXIT_DATA, result.output
-        assert result.output.splitlines() == [f"error: stats.json {message}; run `semsurf stats`"]
-        assert not (run_dir / "reports").exists()
+        assert not (run_dir / "reports").exists() and not (run_dir / "stats.json").exists()
 
     def test_classify_exits_2_on_a_manifest_without_kinds(self, pt_run, tmp_path, runner):
         run_dir = tmp_path / "run"
@@ -1165,6 +1181,7 @@ CONFIG_ERRORS = {
     "no Original": ("enabled = ShortSummary", None, "enabled"),
     "missing frequency table": ("frequency_table = no_such.tsv", None, "frequency_table"),
     "translate missing for pt": (None, "translate.endpoint", "translate.endpoint"),
+    "kinds made from English without Translated for pt": ("enabled = Original, Storyboard", None, "enabled"),
     "t2i missing for ImageDescription": (None, "t2i.endpoint", "t2i.endpoint"),
     "i2t missing for ImageDescription": (None, "i2t.endpoint", "i2t.endpoint"),
     "master_seed below 0": ("master_seed = -1", None, "master_seed"),
@@ -1212,6 +1229,26 @@ class TestConfigErrors:
             main, ["ingest", "--config", str(conf), "--run-dir", str(tmp_path / "run")]
         )
         assert result.exit_code == EXIT_OK, result.output
+
+    def test_transform_needs_translated_for_kinds_made_from_english(self, tmp_path, runner):
+        """A corpus not in English is scored against its Translated text, so `transform`, as `ingest`, exits 1 on an
+        `enabled` without Translated but with a kind made from the English text; an English corpus needs none."""
+        conf = tmp_path / "c.conf"
+        run_dir = tmp_path / "run"
+        args = ["--config", str(conf), "--run-dir", str(run_dir), "--offline"]
+        write_config(conf, small_dataset(tmp_path))
+        assert runner.invoke(main, ["ingest", *args]).exit_code == EXIT_OK
+        write_config(conf, small_dataset(tmp_path), extra="enabled = Original, Storyboard, ShortSummary")
+        line = conf.read_text().splitlines().index("enabled = Original, Storyboard, ShortSummary") + 1
+        result = runner.invoke(main, ["transform", *args])
+        assert result.exit_code == EXIT_USAGE, result.output
+        assert result.output.splitlines() == [
+            f"error: {conf}:{line}: enabled: lists ShortSummary, Storyboard but not Translated, which a corpus in "
+            "'pt' needs as the reference of the kinds made from its English text"
+        ]
+        assert not (run_dir / "transformed").exists()
+        write_config(conf, small_dataset(tmp_path, language="en"), extra="enabled = Original, Storyboard, ShortSummary")
+        assert runner.invoke(main, ["ingest", *args]).exit_code == EXIT_OK
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_removed_key_is_unknown(self, tmp_path, runner, key):
@@ -1364,8 +1401,8 @@ def test_dataset_name_defaults_to_file_stem(tmp_path, runner):
 class TestRunSchedule:
     """`run` runs the stages of a wave at once, in worker processes, and writes what running them in turn writes."""
 
-    def test_stages_form_five_waves(self):
-        assert cli.waves() == [["ingest"], ["transform"], ["similarity", "classify", "lexical"], ["stats"], ["report"]]
+    def test_stages_form_four_waves(self):
+        assert cli.waves() == [["ingest"], ["transform"], ["similarity", "classify", "lexical"], ["report"]]
 
     def test_declared_reads_are_what_each_stage_asks_for(self, tmp_path, runner, monkeypatch):
         asked = {name: set() for name, _ in STAGES}
@@ -1404,7 +1441,7 @@ class TestRunSchedule:
             outputs.append((out.stdout.replace(str(run_dir), "<run>").splitlines(), files))
         (lines, files), (lines_3, files_3) = outputs
         assert [line.split()[0] for line in lines] == [
-            "ingested", "transformed", "similarity", "classified", "lexical", "stats", "reports"
+            "ingested", "transformed", "similarity", "classified", "lexical", "reports"
         ]
         assert lines_3 == lines
         assert files_3.keys() == files.keys() and len(files) > 30
@@ -1452,7 +1489,7 @@ class TestRunSchedule:
 
     def test_the_first_failure_in_stage_order_decides(self, tmp_path, runner, monkeypatch):
         """A corrupt embedding array fails similarity and classify, not lexical; `run` reports
-        similarity's error, as `semsurf similarity` alone does, and stops before stats."""
+        similarity's error, as `semsurf similarity` alone does, and stops before report."""
         transform = dict(STAGES)["transform"]
 
         def corrupting_transform(ctx):
@@ -1503,7 +1540,7 @@ class TestRunSchedule:
         assert result.exit_code == EXIT_OK, result.output
         assert submitted == ["similarity", "classify", "lexical"]
         assert [line.split()[0] for line in result.stdout.splitlines()] == [
-            "ingested", "transformed", "similarity", "classified", "lexical", "stats", "reports"
+            "ingested", "transformed", "similarity", "classified", "lexical", "reports"
         ]
         assert json.loads((run_dir / "run_manifest.json").read_text())["stages"] == [name for name, _ in STAGES]
 
@@ -1565,6 +1602,13 @@ class TestProgram:
         proc = self.python("-c", program, "ingest", "--config", str(conf), "--run-dir", str(tmp_path / "run"), env=env)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"threads {threads}"
+
+    def test_the_readme_lists_every_command(self):
+        """README's command block shows `run`, then each stage of cli.STAGES, in table order."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        assert [line.split()[1] for line in block.splitlines()] == ["run", *(name for name, _ in STAGES)]
+        assert sorted(main.commands) == sorted(["run", *(name for name, _ in STAGES)])
 
     def test_the_console_script_is_entry(self):
         pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()

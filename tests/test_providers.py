@@ -228,6 +228,23 @@ class TestCache:
             assert db.execute("PRAGMA user_version").fetchone() == (CACHE_VERSION,)
             assert db.execute("SELECT name FROM sqlite_master WHERE type = 'table'").fetchall() == [("responses",)]
 
+    def test_a_new_cache_opens_once_another_connection_releases_its_write_lock(self, tmp_path):
+        """The switch to WAL waits, as the other statements do, for a write lock that another connection
+        holds on the new database, here for about 0.3 s."""
+        database = tmp_path / "responses.sqlite3"
+        other = sqlite3.connect(database, check_same_thread=False, isolation_level=None)
+        other.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.3, other.commit)
+        release.start()
+        try:
+            ResponseCache(tmp_path).close()
+        finally:
+            release.join()
+            other.close()
+        with closing(sqlite3.connect(database)) as db:
+            assert db.execute("PRAGMA user_version").fetchone() == (CACHE_VERSION,)
+            assert db.execute("SELECT name FROM sqlite_master WHERE type = 'table'").fetchall() == [("responses",)]
+
     @pytest.mark.parametrize("version", [0, 2])
     def test_a_database_of_another_format_is_refused(self, tmp_path, version):
         """A database with a table at user_version 0, as semsurf wrote before the version, or at
