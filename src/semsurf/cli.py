@@ -34,7 +34,7 @@ import struct
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
 import click
 
@@ -105,32 +105,37 @@ class RunContext:
     def load_ingested(self) -> Dataset:
         return load_dataset(self.need("dataset.jsonl"), "jsonl", name=self.config["dataset_name"])
 
-    def load_transformed(self, embedded: bool = False) -> dict[TransformationKind, TransformedCorpus]:
-        """The corpora that the last `transform` listed in its manifest, Original among them, each with the first
-        one's ids in its order: the ids every stage pairs. `embedded` also requires them embedded as configured."""
+    def read_transformed(self, embedded: bool = False) -> Iterator[tuple[TransformationKind, TransformedCorpus]]:
+        """Each corpus that the last `transform` listed in its manifest, Original among them, in manifest order and
+        each with the first one's ids in its order: the ids every stage pairs. `embedded` also requires them
+        embedded as configured. Errors are found in manifest order: the manifest, embed and Original checks come
+        before any corpus is read, and each corpus is read and checked against the first one's ids before it is
+        yielded, so a later corpus that cannot be read or does not match exits 2 after the earlier ones came out.
+        The reader keeps no corpus it yielded, so a caller that keeps none holds one at a time."""
         manifest = self.read_json("transformed/manifest.json")
         if embedded and manifest["embed"] != self.config.providers["embed"].summary():
             raise unusable("transformed/*.npy", "was embedded before embed.* changed")
         if K.ORIGINAL.value not in manifest["kinds"]:
             raise unusable("transformed/manifest.json", f"does not list {K.ORIGINAL.value}")
-        corpora = {K(k): self._read(f"transformed/{k}.jsonl", TransformedCorpus.load) for k in manifest["kinds"]}
-        for kind, corpus in corpora.items():
-            if corpus.ids() != next(iter(corpora.values())).ids():
-                first = manifest["kinds"][0]
-                raise unusable(f"transformed/{kind.value}.jsonl", f"does not match the ids of {first}.jsonl")
-        return corpora
+        ids = None
+        for name in manifest["kinds"]:
+            corpus = self._read(f"transformed/{name}.jsonl", TransformedCorpus.load)
+            if ids is None:
+                ids = corpus.ids()
+            elif corpus.ids() != ids:
+                raise unusable(f"transformed/{name}.jsonl", f"does not match the ids of {manifest['kinds'][0]}.jsonl")
+            yield K(name), corpus
+            del corpus  # before the next one is read
 
-    def load_vectors(
-        self, kind: TransformationKind, corpus: TransformedCorpus, columns: int | None = None
-    ) -> np.ndarray:
-        """The embeddings that `transform` stored for `corpus`, a corpus of
-        load_transformed(embedded=True), one row per item in its order, and
-        `columns` columns where given."""
+    def load_vectors(self, kind: TransformationKind, rows: int, columns: int | None = None) -> np.ndarray:
+        """The embeddings that `transform` stored for the kind's corpus, one of
+        read_transformed(embedded=True) with `rows` items, one row per item in
+        its order, and `columns` columns where given."""
         import numpy as np
 
         artifact = f"transformed/{kind.value}.npy"
         vectors = self._read(artifact, np.load)
-        if vectors.ndim != 2 or len(vectors) != len(corpus.items):
+        if vectors.ndim != 2 or len(vectors) != rows:
             raise unusable(artifact, f"does not match {kind.value}.jsonl")
         if columns is not None and vectors.shape[1] != columns:
             raise unusable(artifact, f"has {vectors.shape[1]} columns where the other kinds' arrays have {columns}")
@@ -311,7 +316,7 @@ def stage_transform(ctx: RunContext) -> None:
 
 @stage("similarity.json", reads=("transformed",))
 def stage_similarity(ctx: RunContext) -> None:
-    corpora = ctx.load_transformed(embedded=True)
+    corpora = dict(ctx.read_transformed(embedded=True))
     reference = K.TRANSLATED if K.TRANSLATED in corpora else K.ORIGINAL
     ordered = [k for k in KIND_ORDER if k in corpora]
     # the scores against the reference are the matrix's reference column
@@ -319,8 +324,9 @@ def stage_similarity(ctx: RunContext) -> None:
     scores: dict[str, dict[str, float]] = {k.value: {} for k in SIMILARITY_TABLE_KINDS if k in corpora}
     ctx.reports_dir.mkdir(exist_ok=True)
     # every kind's array has the first one's columns, as load_vectors checks
-    vectors = [ctx.load_vectors(ordered[0], corpora[ordered[0]])]
-    vectors += [ctx.load_vectors(k, corpora[k], vectors[0].shape[1]) for k in ordered[1:]]
+    rows = len(corpora[ordered[0]].items)
+    vectors = [ctx.load_vectors(ordered[0], rows)]
+    vectors += [ctx.load_vectors(k, rows, vectors[0].shape[1]) for k in ordered[1:]]
     matrices = textmetrics.pairwise_matrices([corpora[k] for k in ordered], vectors)
     labels = [k.value for k in ordered]
     for metric, matrix in matrices.items():
@@ -339,24 +345,26 @@ def stage_classify(ctx: RunContext) -> None:
     from . import classifier
 
     dataset = ctx.load_ingested()
-    corpora = ctx.load_transformed(embedded=True)
+    # a head trains on stored embeddings, so of the corpora classify keeps only their kinds and the ids they all list
+    # in one order, the rows of each kind's array; it reads them one at a time and drops each before the next
+    kinds = []
+    for kind, corpus in ctx.read_transformed(embedded=True):
+        kinds.append(kind)
+        ids = corpus.ids()
+        del corpus
     seeds = classifier.run_seeds(ctx.config["master_seed"], ctx.config["runs"])
     k, cfg = ctx.config["k"], ctx.config.train
-    # every corpus lists Original's ids in its order: the rows of each kind's array
-    ids = corpora[K.ORIGINAL].ids()
     labels = {t.id: t.group for t in dataset.transcripts}
     # one draw per seed over those ids, prepared once, trains and tests every kind
     splits = [(seed, partitions(dataset, k, seed, set(ids))) for seed in seeds]
     folds = classifier.prepare(ids, labels, splits, cfg)
-    # every kind's array has the first one's shape: its rows, as every corpus has its ids, and its columns, as
-    # load_vectors checks
-    kinds = list(corpora)
-    rows, columns = ctx.load_vectors(kinds[0], corpora[kinds[0]]).shape
+    # every kind's array has the first one's shape: a row per id, and its columns, as load_vectors checks
+    rows, columns = ctx.load_vectors(kinds[0], len(ids)).shape
     # the kinds train in chunks of small arrays, each chunk's heads of a fold at once, and each chunk's arrays are
     # loaded in its turn, so classify holds one chunk at a time. A kind's heads are the same bits in any chunk.
     runs = {}
     for chunk in classifier.chunks(kinds, rows, columns):
-        vectors = (ctx.load_vectors(kind, corpora[kind], columns) for kind in chunk)
+        vectors = (ctx.load_vectors(kind, rows, columns) for kind in chunk)
         try:
             chunk_runs = classifier.evaluate_stack(vectors, folds, cfg)
         except classifier.TrainingError as exc:
@@ -372,7 +380,7 @@ def stage_classify(ctx: RunContext) -> None:
 @stage("lexical.json", reads=("dataset.jsonl", "transformed"))
 def stage_lexical(ctx: RunContext) -> None:
     dataset = ctx.load_ingested()
-    corpora = ctx.load_transformed()
+    corpora = dict(ctx.read_transformed())
     groups = {t.id: t.group for t in dataset.transcripts}
     freq = lexstats.FrequencyTable.load(ctx.resolve(ctx.config["frequency_table"]))
     tagger = lexstats.BaselineTagger.load(ctx.resolve(ctx.config["pos_lexicon"]))
@@ -398,9 +406,14 @@ def stage_report(ctx: RunContext) -> None:
     ctx.reports_dir.mkdir(exist_ok=True)
     ctx.write_json("stats.json", stats)
 
-    def write(table: report.ReportTable, name: str) -> None:
+    def write(table: report.ReportTable | None, name: str) -> None:
+        """The table in each format, or, for None, no file of it: a rerun drops the table of kinds now gone."""
         for fmt in ("md", "csv", "json"):
-            (ctx.reports_dir / f"table_{name}.{fmt}").write_text(report.emit(table, fmt))
+            path = ctx.reports_dir / f"table_{name}.{fmt}"
+            if table is None:
+                path.unlink(missing_ok=True)
+            else:
+                path.write_text(report.emit(table, fmt))
 
     write(report.dataset_table(ctx.config["dataset_name"], per_group), "dataset")
     scores = {K(k): v for k, v in sim["scores"].items()}
@@ -411,9 +424,10 @@ def stage_report(ctx: RunContext) -> None:
     p_values = {K(kind): r["p_value"] for kind, r in stats["wilcoxon_vs_baseline"].items() if "p_value" in r}
     write(report.classification_table(means, baseline, p_values, n_runs), "classification")
     back_kinds = [K.ORIGINAL, K.TRANSLATED, K.BACK_TRANSLATED]
+    back = None
     if all(k in means for k in back_kinds):
-        back_means = {k: means[k] for k in back_kinds}
-        write(report.classification_table(back_means, baseline, p_values, n_runs), "backtranslation")
+        back = report.classification_table({k: means[k] for k in back_kinds}, baseline, p_values, n_runs)
+    write(back, "backtranslation")
 
     comparisons = {K(kind): measures for kind, measures in stats["welch"].items()}
     notes = ["zipf: mean log10 frequency per billion words; OOV floor applies."]

@@ -20,17 +20,19 @@ import json
 import math
 import os
 import re
-import sqlite3
 import struct
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
+# sqlite3, concurrent.futures and requests load where the cache opens and HTTP misses are sent, so a stage
+# that calls no provider loads none of them
 if TYPE_CHECKING:
+    import sqlite3
+
     import requests
 
 PROVIDER_KINDS = ("chat", "translate", "embed", "text_to_image", "image_to_text")
@@ -161,6 +163,8 @@ class ResponseCache:
     """
 
     def __init__(self, root: str | Path):
+        import sqlite3
+
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.root / "responses.sqlite3"
@@ -191,6 +195,8 @@ class ResponseCache:
     def _switch_to_wal(db: sqlite3.Connection) -> None:
         """PRAGMA journal_mode=WAL, retried for up to BUSY_TIMEOUT_S while another connection locks the
         database: unlike other statements, the switch fails at once on a lock instead of waiting for it."""
+        import sqlite3
+
         deadline = time.monotonic() + BUSY_TIMEOUT_S
         while True:
             try:
@@ -558,6 +564,8 @@ class ProviderClient:
             for key in misses:
                 outcomes[key] = OfflineViolation(f"cache miss for {key} with transport disabled")
         elif misses:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=min(self.max_workers, len(misses))) as pool:
                 futures = {key: pool.submit(send, key) for key in misses}
             for key, future in futures.items():

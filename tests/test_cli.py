@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from contextlib import closing
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +29,7 @@ import semsurf.stattests as stattests
 from semsurf.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, STAGES, main
 from semsurf.config import Config, StageError, config_digest
 from semsurf.textmetrics import METRICS
-from semsurf.transform import DEFAULT_PROMPTS, KIND_ORDER, TransformationKind
+from semsurf.transform import DEFAULT_PROMPTS, KIND_ORDER, TransformationKind, TransformedCorpus
 from tests.test_providers import write_database
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -1037,7 +1038,17 @@ class TestUnusableArtifacts:
         ]
         assert not (run_dir / "lexical.json").exists()
 
-    def test_lexical_exits_2_on_a_record_without_kind(self, pt_run, tmp_path, runner):
+    @pytest.mark.parametrize("stage, output", [
+        ("lexical", "lexical.json"), ("classify", "classification.json"), ("similarity", "similarity.json"),
+    ], ids=["lexical", "classify", "similarity"])
+    @pytest.mark.parametrize("field, problem", [
+        ("kind", "KeyError: 'kind'"),
+        # a derived kind's item must name what it was made from
+        ("provenance", "ValueError: ShortSummary: items without provenance: ['pt005']"),
+    ], ids=["no kind", "no provenance"])
+    def test_a_record_without_kind_or_provenance_exits_2(self, pt_run, tmp_path, runner, stage, output, field,
+                                                         problem):
+        """Each stage that reads the corpora, all at once or one at a time, makes the same checks of them."""
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         shutil.copy(pt_run[0] / "dataset.jsonl", run_dir)
@@ -1045,15 +1056,15 @@ class TestUnusableArtifacts:
         jsonl = run_dir / "transformed" / "ShortSummary.jsonl"
         lines = jsonl.read_text().splitlines(keepends=True)
         record = json.loads(lines[4])
-        del record["kind"]
+        del record[field]
         jsonl.write_text("".join(lines[:4] + [json.dumps(record) + "\n"] + lines[5:]))
         conf = pt_fixture_config(tmp_path / "pt.conf")
-        result = runner.invoke(main, ["lexical", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
         assert result.exit_code == EXIT_DATA, result.output
         assert result.output.splitlines() == [
-            "error: transformed/ShortSummary.jsonl cannot be read (KeyError: 'kind'); run `semsurf transform`"
+            f"error: transformed/ShortSummary.jsonl cannot be read ({problem}); run `semsurf transform`"
         ]
-        assert not (run_dir / "lexical.json").exists()
+        assert not (run_dir / output).exists()
 
     def test_classify_exits_2_on_a_truncated_array(self, pt_run, tmp_path, runner):
         run_dir = tmp_path / "run"
@@ -1543,6 +1554,80 @@ class TestRunSchedule:
             "ingested", "transformed", "similarity", "classified", "lexical", "reports"
         ]
         assert json.loads((run_dir / "run_manifest.json").read_text())["stages"] == [name for name, _ in STAGES]
+
+
+def test_importing_the_cli_leaves_the_cache_modules_unloaded(pt_run, tmp_path):
+    """Only the cache imports sqlite3, and only HTTP misses concurrent.futures: neither the import of the CLI
+    nor the stages that call no provider, in one process, load either, and those stages write what `semsurf run`
+    wrote."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for name in ("dataset.jsonl", "dataset_stats.json", "transformed"):
+        copy = shutil.copytree if (pt_run[0] / name).is_dir() else shutil.copy
+        copy(pt_run[0] / name, run_dir / name)
+    conf = pt_fixture_config(tmp_path / "pt.conf")
+    code = (
+        "import sys\n"
+        "from semsurf.cli import main\n"
+        "modules = ('sqlite3', 'concurrent.futures')\n"
+        "print(*(m in sys.modules for m in modules))\n"
+        "for stage in ('similarity', 'classify', 'lexical', 'report'):\n"
+        "    try:\n"
+        "        main([stage, '--config', sys.argv[1], '--run-dir', sys.argv[2], '--offline'])\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, (stage, exc.code)\n"
+        "print(*(m in sys.modules for m in modules))\n"
+    )
+    src = Path(classifier.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(conf), str(run_dir)], env=env, capture_output=True, text=True, check=True
+    )
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False False", "False False")
+    assert not (run_dir / "cache").exists()
+    for name in ("similarity.json", "classification.json", "lexical.json", "stats.json"):
+        assert (run_dir / name).read_bytes() == (pt_run[0] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stage, held", [("classify", [0] * 8), ("lexical", list(range(8)))])
+def test_classify_holds_one_corpus_at_a_time(pt_run, tmp_path, runner, monkeypatch, stage, held):
+    """classify reads the corpora one at a time and keeps none of them, so when it reads a kind's corpus no
+    other is alive; lexical, which keeps them all, has every earlier kind's alive."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    shutil.copy(pt_run[0] / "dataset.jsonl", run_dir)
+    shutil.copytree(pt_run[0] / "transformed", run_dir / "transformed")
+    loaded = []  # a weak reference to each corpus read (a corpus, which holds a dict, cannot be hashed)
+    alive = []  # how many of them are alive as each next one starts to load
+    load = TransformedCorpus.load.__func__
+
+    def tracked(cls, path):
+        alive.append(sum(ref() is not None for ref in loaded))
+        corpus = load(cls, path)
+        loaded.append(weakref.ref(corpus))
+        return corpus
+
+    monkeypatch.setattr(TransformedCorpus, "load", classmethod(tracked))
+    conf = pt_fixture_config(tmp_path / "pt.conf")
+    result = runner.invoke(main, [stage, "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+    assert result.exit_code == EXIT_OK, result.output
+    assert alive == held
+    output = {"classify": "classification.json", "lexical": "lexical.json"}[stage]
+    assert (run_dir / output).read_bytes() == (pt_run[0] / output).read_bytes()
+
+
+def test_a_rerun_without_the_backtranslation_kinds_drops_their_table(pt_run, tmp_path, runner):
+    """A run of fewer kinds into the directory of a full one leaves no backtranslation table of the full one's."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(pt_run[0], run_dir)
+    assert len(list((run_dir / "reports").glob("table_backtranslation.*"))) == 3
+    conf = pt_fixture_config(tmp_path / "pt.conf", extra="enabled = Original, Translated, ShortSummary\n")
+    result = runner.invoke(main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+    assert result.exit_code == EXIT_OK, result.output
+    assert list((run_dir / "reports").glob("table_backtranslation.*")) == []
+    classification = (run_dir / "reports" / "table_classification.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in classification[1:]] == ["Original", "Translated", "ShortSummary"]
 
 
 class TestProgram:
