@@ -4,8 +4,9 @@ Each subcommand runs one pipeline stage against a run directory; `run`
 executes them all. Stage artifacts are plain files in the run directory, so
 stages are independently re-runnable, and with a warm cache (or mock
 providers) every stage is network-free and byte-deterministic. `report` writes
-stats.json, `stattests.summarize` of what it reads, and formats every table
-from that one dict; no stage reads stats.json.
+stats.json, `stattests.summarize` of what it reads, and every table of
+`report.tables` from that one dict, deleting the files of a table that is
+None; no stage reads stats.json.
 
 Each stage declares the artifacts it writes and those it reads, and SHAPES
 declares the shape of each JSON artifact that a stage reads: one that does not
@@ -164,6 +165,7 @@ JSON_VALUES: dict[str, Callable[[object], bool]] = {
     "a JSON object": lambda v: type(v) is dict,
     "a JSON array": lambda v: type(v) is list,
     "a non-empty JSON array": lambda v: type(v) is list and v != [],
+    "an [id, message] pair": lambda v: type(v) is list and len(v) == 2 and all(type(x) is str for x in v),
 }
 RUN_FIELDS = sorted({"seed", *stattests.CLASSIFICATION_MEASURES})
 
@@ -173,7 +175,9 @@ SHAPES = {
         "an object of numbers count, mean_tokens, std_tokens and a boolean degenerate",
         {**dict.fromkeys(("count", "mean_tokens", "std_tokens"), "a number"), "degenerate": "a boolean"},
     )),
-    "transformed/manifest.json": {"kinds": [K], "embed": "a JSON object"},
+    "transformed/manifest.json": {
+        "kinds": [K], "embed": "a JSON object", "failures": {K: ["an [id, message] pair"]},
+    },
     "similarity.json": {"reference": K, "scores": {K: (
         f"an object of numbers {', '.join(textmetrics.METRICS)}", dict.fromkeys(textmetrics.METRICS, "a number"),
     )}},
@@ -397,43 +401,24 @@ def stage_lexical(ctx: RunContext) -> None:
     click.echo(f"lexical measures for {len(results)} corpora")
 
 
-@stage("stats.json", reads=("dataset_stats.json", "similarity.json", "classification.json", "lexical.json"))
+@stage("stats.json", reads=(
+    "dataset_stats.json", "similarity.json", "classification.json", "lexical.json", "transformed",
+))
 def stage_report(ctx: RunContext) -> None:
-    per_group, sim, cls, lex = (ctx.read_json(name) for name in READS["report"])
+    per_group, sim, cls, lex = (ctx.read_json(name) for name in READS["report"][:-1])
+    failures = ctx.read_json("transformed/manifest.json")["failures"]
     # Original is the baseline that the classification tables name
-    baseline = K.ORIGINAL
-    stats = stattests.summarize(sim, cls, lex, baseline=baseline.value)
+    stats = stattests.summarize(sim, cls, lex, baseline=K.ORIGINAL.value)
     ctx.reports_dir.mkdir(exist_ok=True)
     ctx.write_json("stats.json", stats)
-
-    def write(table: report.ReportTable | None, name: str) -> None:
-        """The table in each format, or, for None, no file of it: a rerun drops the table of kinds now gone."""
-        for fmt in ("md", "csv", "json"):
+    # a table that the run lacks the kinds of has no files, so a rerun drops an earlier run's; other files stay
+    for name, table in report.tables(per_group, sim, stats, ctx.config["dataset_name"], failures).items():
+        for fmt in report.FORMATS:
             path = ctx.reports_dir / f"table_{name}.{fmt}"
             if table is None:
                 path.unlink(missing_ok=True)
             else:
                 path.write_text(report.emit(table, fmt))
-
-    write(report.dataset_table(ctx.config["dataset_name"], per_group), "dataset")
-    scores = {K(k): v for k, v in sim["scores"].items()}
-    write(report.similarity_table(scores, K(sim["reference"])), "similarity")
-
-    means = {K(kind): m for kind, m in stats["classification"]["means"].items()}
-    n_runs = stats["classification"]["n_runs"]
-    p_values = {K(kind): r["p_value"] for kind, r in stats["wilcoxon_vs_baseline"].items() if "p_value" in r}
-    write(report.classification_table(means, baseline, p_values, n_runs), "classification")
-    back_kinds = [K.ORIGINAL, K.TRANSLATED, K.BACK_TRANSLATED]
-    back = None
-    if all(k in means for k in back_kinds):
-        back = report.classification_table({k: means[k] for k in back_kinds}, baseline, p_values, n_runs)
-    write(back, "backtranslation")
-
-    comparisons = {K(kind): measures for kind, measures in stats["welch"].items()}
-    notes = ["zipf: mean log10 frequency per billion words; OOV floor applies."]
-    write(report.group_measure_table("Lexical measures", ["ttr", "zipf"], comparisons, notes), "lexical")
-    notes = ["Baseline lexicon+suffix tagger; pnr per noun, adv/part per token."]
-    write(report.group_measure_table("Part-of-speech measures", ["pnr", "adv", "part"], comparisons, notes), "pos")
     click.echo(f"reports -> {ctx.reports_dir}")
 
 

@@ -2,10 +2,12 @@
 POS group comparisons, and back-translation summaries, emitted as Markdown,
 CSV, or JSON with significance marks and provenance footers.
 
-The tables format the numbers of dataset_stats.json, similarity.json and
-stattests.summarize, which the report stage also writes to stats.json. The
-one number they derive is the dataset table's total, the sum of the two group
-counts.
+`tables` is the one list of the tables: the report stage writes each in
+FORMATS as reports/table_<name>.<fmt>, and deletes the files of one that is
+None. They format the numbers of dataset_stats.json, similarity.json and
+stattests.summarize, which the report stage also writes to stats.json, read
+as parsed, kinds by name. The one number they derive is the dataset table's
+total, the sum of the two group counts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 from .stattests import CLASSIFICATION_MEASURES
-from .transform import KIND_ORDER, TransformationKind
+from .transform import KIND_ORDER, TransformationKind as K
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,9 @@ class ReportTable:
         for label, cells in self.rows:
             if len(cells) != len(self.columns):
                 raise ValueError(f"row {label!r} has {len(cells)} cells, expected {len(self.columns)}")
+
+
+FORMATS = ("md", "csv", "json")  # those that emit renders
 
 
 def emit(table: ReportTable, fmt: str) -> str:
@@ -92,15 +97,17 @@ def emit(table: ReportTable, fmt: str) -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def _ordered(kinds) -> list[TransformationKind]:
-    return [k for k in KIND_ORDER if k in kinds]
+def _ordered(kinds) -> list[str]:
+    """The kind names among `kinds`, in KIND_ORDER."""
+    return [k.value for k in KIND_ORDER if k.value in kinds]
 
 
 DATASET_FOOTER = "Token lengths: lowercased Unicode word tokenizer; sample (n-1) std."
 
 
-def dataset_table(name: str, per_group: dict[str, dict]) -> ReportTable:
-    """The row of `name` from the per-group entries of dataset_stats.json."""
+def dataset_table(name: str, per_group: dict[str, dict], failures: dict[str, list] | None = None) -> ReportTable:
+    """The row of `name` from the per-group entries of dataset_stats.json. `failures`, those of
+    transformed/manifest.json, adds a line naming the ids that lenient mode dropped from every analysis."""
     groups = [per_group[g] for g in ("AD", "C")]
     lengths = [
         f"{s['mean_tokens']:.0f}(±{s['std_tokens']:.0f})" + (" (degenerate)" if s["degenerate"] else "")
@@ -108,12 +115,12 @@ def dataset_table(name: str, per_group: dict[str, dict]) -> ReportTable:
     ]
     counts = [s["count"] for s in groups]
     cells = [Cell(n) for n in counts] + [Cell(sum(counts))] + [Cell(text) for text in lengths]
-    return ReportTable(
-        title="Dataset statistics",
-        columns=["AD", "Control", "Total", "Length AD", "Length Control"],
-        rows=[(name, cells)],
-        footer=[DATASET_FOOTER],
-    )
+    footer = [DATASET_FOOTER]
+    if failures:
+        dropped = "; ".join(f"{', '.join(i for i, _ in failures[kind])} failed {kind}" for kind in _ordered(failures))
+        footer.append(f"Counted above but left out of every analysis (mode = lenient): {dropped}.")
+    columns = ["AD", "Control", "Total", "Length AD", "Length Control"]
+    return ReportTable("Dataset statistics", columns, [(name, cells)], footer)
 
 
 SIMILARITY_FOOTER = (
@@ -122,16 +129,16 @@ SIMILARITY_FOOTER = (
 )
 
 
-def similarity_table(
-    scores: dict[TransformationKind, dict[str, float]],
-    reference: TransformationKind,
-) -> ReportTable:
-    """Per-transformation mean chrF/BLEU/cosine against the reference corpus."""
+def similarity_table(scores: dict[str, dict[str, float]], reference: str) -> ReportTable | None:
+    """Per-transformation mean chrF/BLEU/cosine against the reference corpus, as in similarity.json;
+    None without scores."""
+    if not scores:
+        return None
     rows = [
-        (kind.value, [Cell(scores[kind][m], precision=2) for m in ("chrf", "bleu", "cosine")])
+        (kind, [Cell(scores[kind][m], precision=2) for m in ("chrf", "bleu", "cosine")])
         for kind in _ordered(scores)
     ]
-    footer = [f"Reference corpus: {reference.value}.", SIMILARITY_FOOTER]
+    footer = [f"Reference corpus: {reference}.", SIMILARITY_FOOTER]
     return ReportTable("Similarity scores", ["chrF", "BLEU", "Cosine"], rows, footer)
 
 
@@ -141,19 +148,16 @@ CLASSIFIER_FOOTER = (
 )
 
 
-def classification_table(
-    means: dict[TransformationKind, dict[str, float]],
-    baseline: TransformationKind,
-    p_values: dict[TransformationKind, float],
-    n_runs: int,
-) -> ReportTable:
-    """Mean macro-F1 and per-class accuracies across paired runs, with
-    significance stars and per-column bold maxima.
-
-    `means` holds each kind's means over its `n_runs` runs and `p_values`
-    each kind's Wilcoxon signed-rank p-value vs. the baseline, both as in
-    stats.json; a kind without a p-value gets no stars.
-    """
+def classification_table(stats: dict, kinds: list[str] | None = None) -> ReportTable | None:
+    """Mean macro-F1 and per-class accuracies of `kinds`, by default every kind with runs, across
+    paired runs, from stats.json's dict, with significance stars and per-column bold maxima; None
+    unless every one of `kinds` has runs. A kind without a Wilcoxon p-value gets no stars."""
+    means, baseline = stats["classification"]["means"], stats["baseline"]
+    if kinds is not None:
+        if not all(kind in means for kind in kinds):
+            return None
+        means = {kind: means[kind] for kind in kinds}
+    p_values = {kind: r["p_value"] for kind, r in stats["wilcoxon_vs_baseline"].items() if "p_value" in r}
     maxima = {m: max(kind_means[m] for kind_means in means.values()) for m in CLASSIFICATION_MEASURES}
 
     rows = []
@@ -166,42 +170,35 @@ def classification_table(
             Cell(means[kind][m], bold=means[kind][m] == maxima[m], stars=stars if i == 0 else "", precision=3)
             for i, m in enumerate(CLASSIFICATION_MEASURES)
         ]
-        rows.append((kind.value, cells))
+        rows.append((kind, cells))
     footer = [
-        f"Mean metrics across {n_runs} paired runs. Baseline: {baseline.value}. "
+        f"Mean metrics across {stats['classification']['n_runs']} paired runs. Baseline: {baseline}. "
         "Stars: Wilcoxon signed-rank improvement over baseline (* p<0.05, ** p<0.01).",
         CLASSIFIER_FOOTER,
     ]
-    return ReportTable(
-        "Classification results",
-        ["macro-F1", "Accuracy (AD)", "Accuracy (C)"],
-        rows,
-        footer,
-    )
+    return ReportTable("Classification results", ["macro-F1", "Accuracy (AD)", "Accuracy (C)"], rows, footer)
 
 
 def group_measure_table(
     title: str,
     measures: list[str],
-    comparisons: dict[TransformationKind, dict[str, dict]],
+    welch: dict[str, dict[str, dict]],
     footer_notes: list[str] | None = None,
 ) -> ReportTable:
-    """C mean / AD mean / p per measure; the triple is bold when p < 0.05.
-
-    `comparisons` holds each kind's Welch entries of stats.json, by measure.
-    """
+    """C mean / AD mean / p per measure, from stats.json's Welch entries of each kind; the triple is
+    bold when p < 0.05."""
     columns = []
     for m in measures:
         columns += [f"{m}_C", f"{m}_AD", f"{m}_p"]
     rows = []
     excluded_notes = []
-    for kind in _ordered(comparisons):
+    for kind in _ordered(welch):
         cells = []
         for m in measures:
-            comp = comparisons[kind][m]
+            comp = welch[kind][m]
             if "error" in comp:
                 cells += [Cell(None)] * 3
-                excluded_notes.append(f"{kind.value}/{m}: undefined for this corpus.")
+                excluded_notes.append(f"{kind}/{m}: undefined for this corpus.")
                 continue
             bold = comp["p_value"] < 0.05
             cells += [
@@ -209,10 +206,27 @@ def group_measure_table(
             ]
             if comp["excluded"]:
                 excluded_notes.append(
-                    f"{kind.value}/{m}: {comp['excluded']} document(s) excluded (undefined measure)."
+                    f"{kind}/{m}: {comp['excluded']} document(s) excluded (undefined measure)."
                 )
-        rows.append((kind.value, cells))
+        rows.append((kind, cells))
     footer = ["Welch's t-test, two-sided; bold marks p < 0.05 (strict)."]
     footer += excluded_notes
     footer += footer_notes or []
     return ReportTable(title, columns, rows, footer)
+
+
+def tables(per_group: dict, similarity: dict, stats: dict, name: str, failures: dict) -> dict[str, ReportTable | None]:
+    """Every table of the report, by the name of its files table_<name>.<fmt>, from the parsed
+    dataset_stats.json and similarity.json, stats.json's dict, the dataset's name and the manifest's
+    failures; None for a table whose kinds the run lacks."""
+    welch = stats["welch"]
+    return {
+        "dataset": dataset_table(name, per_group, failures),
+        "similarity": similarity_table(similarity["scores"], similarity["reference"]),
+        "classification": classification_table(stats),
+        "backtranslation": classification_table(stats, [K.ORIGINAL.value, K.TRANSLATED.value, K.BACK_TRANSLATED.value]),
+        "lexical": group_measure_table("Lexical measures", ["ttr", "zipf"], welch,
+                                       ["zipf: mean log10 frequency per billion words; OOV floor applies."]),
+        "pos": group_measure_table("Part-of-speech measures", ["pnr", "adv", "part"], welch,
+                                   ["Baseline lexicon+suffix tagger; pnr per noun, adv/part per token."]),
+    }

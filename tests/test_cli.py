@@ -25,6 +25,7 @@ import semsurf.classifier as classifier
 import semsurf.cli as cli
 import semsurf.corpus as corpus
 import semsurf.providers as providers
+import semsurf.report as report
 import semsurf.stattests as stattests
 from semsurf.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, STAGES, main
 from semsurf.config import Config, StageError, config_digest
@@ -123,8 +124,7 @@ class TestStageOrdering:
         lexical's artifacts, and writes neither stats.json nor a table without it."""
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        for name in set(REPORT_INPUTS) - {"similarity.json"}:
-            shutil.copy(pt_run[0] / name, run_dir / name)
+        copy_report_inputs(pt_run[0], run_dir, skip={"similarity.json"})
         conf = pt_fixture_config(tmp_path / "pt.conf")
         result = runner.invoke(main, ["report", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
         assert result.exit_code == EXIT_DATA, result.output
@@ -673,7 +673,16 @@ def read_json(run_dir, name):
     return json.loads((run_dir / name).read_text())
 
 
-REPORT_INPUTS = ("dataset_stats.json", "similarity.json", "classification.json", "lexical.json")
+REPORT_INPUTS = (
+    "dataset_stats.json", "similarity.json", "classification.json", "lexical.json", "transformed/manifest.json",
+)
+
+
+def copy_report_inputs(src, run_dir, skip=()):
+    """Copy the artifacts that `report` reads, but those of `skip`, from the run directory `src` into `run_dir`."""
+    (run_dir / "transformed").mkdir(parents=True)
+    for name in set(REPORT_INPUTS) - set(skip):
+        shutil.copy(src / name, run_dir / name)
 
 
 def table_cells(reports, table):
@@ -785,8 +794,7 @@ class TestStatsPairing:
     def stats_on_edited_classification(self, pt_run, tmp_path, runner, edit):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        for name in REPORT_INPUTS:
-            shutil.copy(pt_run[0] / name, run_dir / name)
+        copy_report_inputs(pt_run[0], run_dir)
         cls = read_json(run_dir, "classification.json")
         edit(cls["runs"])
         (run_dir / "classification.json").write_text(json.dumps(cls))
@@ -814,8 +822,7 @@ class TestOperatingSystemErrors:
     def test_a_reports_file_exits_2(self, pt_run, tmp_path, runner):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        for name in REPORT_INPUTS:
-            shutil.copy(pt_run[0] / name, run_dir / name)
+        copy_report_inputs(pt_run[0], run_dir)
         (run_dir / "reports").write_text("")
         conf = pt_fixture_config(tmp_path / "pt.conf")
         result = runner.invoke(main, ["report", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
@@ -956,8 +963,7 @@ class TestUnusableArtifacts:
         """`report` exits 2 on an input it cannot read, before it writes stats.json or a table."""
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        for name in REPORT_INPUTS:
-            shutil.copy(pt_run[0] / name, run_dir / name)
+        copy_report_inputs(pt_run[0], run_dir)
         (run_dir / artifact).write_text(content)
         conf = pt_fixture_config(tmp_path / "pt.conf")
         result = runner.invoke(main, ["report", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
@@ -979,8 +985,7 @@ class TestUnusableArtifacts:
     def test_report_exits_2_on_an_unknown_kind(self, pt_run, tmp_path, runner, artifact, edit, message):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        for name in REPORT_INPUTS:
-            shutil.copy(pt_run[0] / name, run_dir / name)
+        copy_report_inputs(pt_run[0], run_dir)
         obj = read_json(run_dir, artifact)
         edit(obj)
         (run_dir / artifact).write_text(json.dumps(obj))
@@ -1000,7 +1005,8 @@ class TestUnusableArtifacts:
         result = runner.invoke(main, ["classify", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
         assert result.exit_code == EXIT_DATA, result.output
         assert result.output.splitlines() == [
-            "error: transformed/manifest.json is not a JSON object with keys kinds, embed; run `semsurf transform`"
+            "error: transformed/manifest.json is not a JSON object with keys kinds, embed, failures; "
+            "run `semsurf transform`"
         ]
         assert not (run_dir / "classification.json").exists()
 
@@ -1369,6 +1375,12 @@ class TestLenientRun:
         assert len(fold_rows) == 8 * 4 * 3  # kinds x seeds x folds
         assert all(rows == (len(kept), list(range(len(kept)))) for rows in fold_rows)
         assert sorted(cls["runs"]) == sorted(manifest["kinds"])
+        # the dataset table counts every transcript, and names the two that every analysis left out
+        dataset_table = (run_dir / "reports" / "table_dataset.md").read_text().splitlines()
+        assert dataset_table[4].startswith("| clitest | 4 | 8 | 12 | ")
+        assert dataset_table[-1] == (
+            "*Counted above but left out of every analysis (mode = lenient): s01, s06 failed ShortSummary.*"
+        )
 
     def test_failures_are_listed_in_source_order(self, tmp_path, runner, monkeypatch):
         session = ShortSummaryFailures(["s06", "s01"])  # s01's request waits for s06 to fail
@@ -1617,17 +1629,41 @@ def test_classify_holds_one_corpus_at_a_time(pt_run, tmp_path, runner, monkeypat
     assert (run_dir / output).read_bytes() == (pt_run[0] / output).read_bytes()
 
 
-def test_a_rerun_without_the_backtranslation_kinds_drops_their_table(pt_run, tmp_path, runner):
-    """A run of fewer kinds into the directory of a full one leaves no backtranslation table of the full one's."""
+def test_report_writes_exactly_the_listed_tables(pt_run, tmp_path, runner):
+    """`report` writes each table of report.tables in every format and no other table, and a rerun of it leaves
+    every other file of reports/ as it was."""
     run_dir = tmp_path / "run"
     shutil.copytree(pt_run[0], run_dir)
-    assert len(list((run_dir / "reports").glob("table_backtranslation.*"))) == 3
-    conf = pt_fixture_config(tmp_path / "pt.conf", extra="enabled = Original, Translated, ShortSummary\n")
+    reports = run_dir / "reports"
+    inputs = [read_json(run_dir, name) for name in ("dataset_stats.json", "similarity.json", "stats.json")]
+    listed = report.tables(*inputs, "dogstory40", read_json(run_dir, "transformed/manifest.json")["failures"])
+    assert list(listed) == ["dataset", "similarity", "classification", "backtranslation", "lexical", "pos"]
+    written = {f"table_{name}.{fmt}": report.emit(table, fmt)
+               for name, table in listed.items() if table is not None for fmt in report.FORMATS}
+    assert {p.name: p.read_text() for p in reports.glob("table_*")} == written
+    (reports / "notes.md").write_text("kept\n")
+    before = {p.name: p.read_bytes() for p in reports.iterdir()}
+    conf = pt_fixture_config(tmp_path / "pt.conf")
+    result = runner.invoke(main, ["report", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+    assert result.exit_code == EXIT_OK, result.output
+    assert {p.name: p.read_bytes() for p in reports.iterdir()} == before
+
+
+@pytest.mark.parametrize("table, enabled", [
+    ("similarity", "Original, Translated"),  # no kind derived from the reference
+    ("backtranslation", "Original, Translated, ShortSummary"),
+], ids=["similarity", "backtranslation"])
+def test_a_rerun_without_a_tables_kinds_drops_it(pt_run, tmp_path, runner, table, enabled):
+    """A run of fewer kinds into the directory of a full one leaves no file of a table that lacks its kinds."""
+    run_dir = tmp_path / "run"
+    shutil.copytree(pt_run[0], run_dir)
+    assert len(list((run_dir / "reports").glob(f"table_{table}.*"))) == 3
+    conf = pt_fixture_config(tmp_path / "pt.conf", extra=f"enabled = {enabled}\n")
     result = runner.invoke(main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
     assert result.exit_code == EXIT_OK, result.output
-    assert list((run_dir / "reports").glob("table_backtranslation.*")) == []
+    assert list((run_dir / "reports").glob(f"table_{table}.*")) == []
     classification = (run_dir / "reports" / "table_classification.csv").read_text().splitlines()
-    assert [row.split(",")[0] for row in classification[1:]] == ["Original", "Translated", "ShortSummary"]
+    assert [row.split(",")[0] for row in classification[1:]] == enabled.split(", ")
 
 
 class TestProgram:

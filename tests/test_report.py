@@ -11,9 +11,6 @@ from semsurf.report import (
     group_measure_table,
     similarity_table,
 )
-from semsurf.transform import TransformationKind
-
-K = TransformationKind
 
 
 class TestCell:
@@ -89,17 +86,31 @@ class TestDatasetTable:
         t = dataset_table("tiny", {"AD": self.group(1, 50.0, 0.0, degenerate=True), "C": self.group(2, 60.0, 5.0)})
         assert "(degenerate)" in t.rows[0][1][3].value
 
+    def test_lenient_failures_named_in_the_footer(self):
+        per_group = {"AD": self.group(2, 50.0, 1.0), "C": self.group(2, 60.0, 5.0)}
+        assert dataset_table("tiny", per_group, {}).footer == dataset_table("tiny", per_group).footer
+        failures = {"Storyboard": [["d2", "boom"]], "ShortSummary": [["d0", "boom"], ["d3", "boom"]]}
+        t = dataset_table("tiny", per_group, failures)
+        assert t.footer[1:] == [
+            "Counted above but left out of every analysis (mode = lenient): d0, d3 failed ShortSummary; "
+            "d2 failed Storyboard."
+        ]
+
 
 class TestSimilarityTable:
     def test_row_order_and_precision(self):
         scores = {
-            K.STORYBOARD: {"bleu": 0.1234, "chrf": 0.5678, "cosine": 0.9},
-            K.SHORT_SUMMARY: {"bleu": 0.2, "chrf": 0.3, "cosine": 0.4},
+            "Storyboard": {"bleu": 0.1234, "chrf": 0.5678, "cosine": 0.9},
+            "ShortSummary": {"bleu": 0.2, "chrf": 0.3, "cosine": 0.4},
         }
-        t = similarity_table(scores, K.TRANSLATED)
+        t = similarity_table(scores, "Translated")
         assert [label for label, _ in t.rows] == ["ShortSummary", "Storyboard"]
         assert t.rows[1][1][0].display() == "0.57"  # chrF first column
         assert any("Translated" in note for note in t.footer)
+
+    def test_no_scores_no_table(self):
+        # a run of Original and Translated only: no kind is derived from the reference
+        assert similarity_table({}, "Translated") is None
 
 
 def means(macro_f1, acc=0.5):
@@ -107,29 +118,49 @@ def means(macro_f1, acc=0.5):
     return {"macro_f1": macro_f1, "acc_ad": acc, "acc_c": acc}
 
 
+def stats(kind_means, p_values, n_runs):
+    """The entries of stats.json that the classification tables read, with Original as the baseline."""
+    return {
+        "baseline": "Original",
+        "classification": {"n_runs": n_runs, "means": kind_means},
+        "wilcoxon_vs_baseline": {
+            kind: {"p_value": p_values[kind]} if kind in p_values else {"error": "all differences are zero"}
+            for kind in kind_means if kind != "Original"
+        },
+    }
+
+
 class TestClassificationTable:
     def test_bold_maximum_and_stars(self):
-        kinds = {K.ORIGINAL: means(0.505), K.SHORT_SUMMARY: means(0.605)}
-        t = classification_table(kinds, K.ORIGINAL, {K.SHORT_SUMMARY: 2 / 64}, 6)
+        kinds = {"Original": means(0.505), "ShortSummary": means(0.605)}
+        t = classification_table(stats(kinds, {"ShortSummary": 2 / 64}, 6))
         by_label = dict(t.rows)
         assert by_label["ShortSummary"][0].bold  # column maximum
         assert not by_label["Original"][0].bold
         assert by_label["ShortSummary"][0].stars == "*"
         assert by_label["Original"][0].stars == ""
         assert t.footer[0].startswith("Mean metrics across 6 paired runs. Baseline: Original.")
-        t = classification_table(kinds, K.ORIGINAL, {K.SHORT_SUMMARY: 0.009}, 6)
+        t = classification_table(stats(kinds, {"ShortSummary": 0.009}, 6))
         assert dict(t.rows)["ShortSummary"][0].stars == "**"
 
     def test_no_stars_for_worse(self):
-        kinds = {K.ORIGINAL: means(0.605), K.STORYBOARD: means(0.305)}
-        t = classification_table(kinds, K.ORIGINAL, {K.STORYBOARD: 2 / 64}, 6)
+        kinds = {"Original": means(0.605), "Storyboard": means(0.305)}
+        t = classification_table(stats(kinds, {"Storyboard": 2 / 64}, 6))
         assert dict(t.rows)["Storyboard"][0].stars == ""
 
     def test_ties_all_bold(self):
         # identical paired values: stats.json records no p-value
-        t = classification_table({K.ORIGINAL: means(0.5), K.SHORT_SUMMARY: means(0.5)}, K.ORIGINAL, {}, 3)
+        t = classification_table(stats({"Original": means(0.5), "ShortSummary": means(0.5)}, {}, 3))
         assert all(row[1][0].bold for row in t.rows)
         assert all(row[1][0].stars == "" for row in t.rows)
+
+    def test_kinds_select_rows_and_maxima(self):
+        kinds = {"Original": means(0.5), "ShortSummary": means(0.9), "Translated": means(0.6, acc=0.7)}
+        t = classification_table(stats(kinds, {}, 3), ["Original", "Translated"])
+        by_label = dict(t.rows)
+        assert list(by_label) == ["Original", "Translated"]
+        assert by_label["Translated"][0].bold  # the maximum of the selected kinds
+        assert classification_table(stats(kinds, {}, 3), ["Original", "BackTranslated"]) is None
 
 
 class TestGroupMeasureTable:
@@ -144,21 +175,21 @@ class TestGroupMeasureTable:
         t = group_measure_table(
             "Lexical",
             ["ttr"],
-            {K.ORIGINAL: {"ttr": self.comp(0.01)}, K.SHORT_SUMMARY: {"ttr": self.comp(0.2)}},
+            {"Original": {"ttr": self.comp(0.01)}, "ShortSummary": {"ttr": self.comp(0.2)}},
         )
         by_label = dict(t.rows)
         assert all(c.bold for c in by_label["Original"])
         assert not any(c.bold for c in by_label["ShortSummary"])
 
     def test_boundary_p_not_bold(self):
-        t = group_measure_table("L", ["ttr"], {K.ORIGINAL: {"ttr": self.comp(0.05)}})
+        t = group_measure_table("L", ["ttr"], {"Original": {"ttr": self.comp(0.05)}})
         assert not any(c.bold for c in t.rows[0][1])
 
     def test_excluded_footnote(self):
-        t = group_measure_table("L", ["pnr"], {K.ORIGINAL: {"pnr": self.comp(0.5, excluded=3)}})
+        t = group_measure_table("L", ["pnr"], {"Original": {"pnr": self.comp(0.5, excluded=3)}})
         assert any("3 document(s) excluded" in n for n in t.footer)
 
     def test_undefined_measure_dashes(self):
-        t = group_measure_table("L", ["pnr"], {K.ORIGINAL: {"pnr": {"error": "both samples have zero variance"}}})
+        t = group_measure_table("L", ["pnr"], {"Original": {"pnr": {"error": "both samples have zero variance"}}})
         assert all(c.value is None for c in t.rows[0][1])
         assert any("undefined" in n for n in t.footer)

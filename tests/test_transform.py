@@ -202,6 +202,35 @@ class TestPipeline:
         with pytest.raises(TransformError, match="t2i and i2t"):
             run_pipeline(dataset("en"), PipelineConfig(**c), client)
 
+    @pytest.mark.parametrize("language, missing, enabled, message", [
+        # ShortSummary is made from the English text, so it needs Translated
+        ("pt", ["translate"], {K.ORIGINAL, K.SHORT_SUMMARY}, "non-English dataset requires a translate provider"),
+        ("pt", ["image_to_text"], {K.ORIGINAL, K.IMAGE_DESCRIPTION}, "ImageDescription requires t2i and i2t providers"),
+        ("en", ["text_to_image", "image_to_text"], {K.IMAGE_DESCRIPTION},
+         "ImageDescription requires t2i and i2t providers"),
+    ], ids=["translate for a kind made from the English text", "i2t", "t2i and i2t"])
+    def test_a_needed_provider_missing_fails_before_any_step(self, client, monkeypatch, language, missing, enabled,
+                                                             message):
+        failing_chat(monkeypatch, lambda kind, text: True)  # a step that ran would fail with its own message
+        c = cfgs()
+        for name in missing:
+            c[name] = None
+        with pytest.raises(TransformError) as err:
+            run_pipeline(dataset(language), PipelineConfig(**c, enabled=enabled), client)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("language, missing, enabled, produced", [
+        ("en", ["translate"], set(KIND_ORDER), set(KIND_ORDER) - {K.TRANSLATED, K.BACK_TRANSLATED}),
+        ("pt", ["translate"], {K.ORIGINAL}, {K.ORIGINAL}),
+        ("pt", ["text_to_image", "image_to_text"], {K.ORIGINAL, K.STORYBOARD}, {K.ORIGINAL, K.STORYBOARD}),
+    ], ids=["English needs no translate", "Original alone", "no ImageDescription"])
+    def test_a_provider_no_enabled_kind_needs_may_be_missing(self, client, language, missing, enabled, produced):
+        c = cfgs()
+        for name in missing:
+            c[name] = None
+        out, _ = run_pipeline(dataset(language), PipelineConfig(**c, enabled=enabled), client)
+        assert set(out) == produced
+
     def test_deterministic_given_same_cache(self, tmp_path):
         ds = dataset("pt")
         runs = []
