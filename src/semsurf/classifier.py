@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, TypeVar
 
 import numpy as np
@@ -62,16 +63,32 @@ def class_weights(labels: list[str]) -> dict[str, float]:
     return {c: n / (k * cnt) for c, cnt in counts.items()}
 
 
-def _stratified_holdout(y: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    """Boolean mask of validation rows, at least one per class when possible."""
-    mask = np.zeros(len(y), dtype=bool)
+@lru_cache(maxsize=16)
+def _permutations(seed: int, sizes: tuple[int, ...]) -> tuple[list[int], ...]:
+    """A permutation of range(n) for each n of sizes, in turn, from one generator: those that
+    np.random.default_rng(seed).permutation draws. The folds of a seed whose classes have the same sizes draw the
+    same ones, so they are drawn once. Callers must not change them."""
+    # loaded here, not with this module, which the parent of `run`'s workers imports and never draws a holdout in
+    from ._pcg64 import Generator
+
+    rng = Generator(seed)
+    return tuple(rng.permutation(n) for n in sizes)
+
+
+def _stratified_holdout(y: np.ndarray, fraction: float, seed: int) -> np.ndarray:
+    """Boolean mask of validation rows, at least one per class when possible: the first rows of each class, in the
+    order of a permutation of them, one generator of the seed's drawing every class's in class order."""
+    held = []
     for cls in np.unique(y):
         idx = np.flatnonzero(y == cls)
         n_val = max(1, int(round(len(idx) * fraction)))
         if n_val >= len(idx):
             n_val = len(idx) - 1
         if n_val > 0:
-            mask[rng.permutation(idx)[:n_val]] = True
+            held.append((idx, n_val))
+    mask = np.zeros(len(y), dtype=bool)
+    for (idx, n_val), order in zip(held, _permutations(seed, tuple(len(idx) for idx, _ in held))):
+        mask[idx[order[:n_val]]] = True
     return mask
 
 
@@ -115,7 +132,7 @@ def _prepare_fold(
     else:
         sw = np.ones(len(train_labels))
 
-    val_mask = _stratified_holdout(y, cfg.validation_fraction, np.random.default_rng(seed))
+    val_mask = _stratified_holdout(y, cfg.validation_fraction, seed)
     descent = _rows(index[~val_mask], y[~val_mask], sw[~val_mask])
     validation = _rows(index[val_mask], y[val_mask], sw[val_mask])
     if len(set(descent.y)) < 2:

@@ -48,7 +48,9 @@ class Key:
     shown: str | None = None  # the README's wording for a default that is not a literal
 
 
-def _number(convert, what: str, low=None, high=None):
+def _number(convert, what: str, low=None, high=None, above=None):
+    """A parser of `convert` numbers, finite for floats, in [low, high] and above `above`, where each is set."""
+
     def parse(raw: str):
         try:
             value = convert(raw)
@@ -60,6 +62,8 @@ def _number(convert, what: str, low=None, high=None):
             raise ValueError(f"expected {what} >= {low}")
         if high is not None and value > high:
             raise ValueError(f"expected {what} <= {high}")
+        if above is not None and value <= above:
+            raise ValueError(f"expected {what} > {above}")
         return value
 
     return parse
@@ -125,12 +129,13 @@ class TrainConfig:
             raise ValueError("validation_fraction must be in (0, 0.5)")
 
 
-# train.<TrainConfig field> -> parser
+# train.<TrainConfig field> -> parser; a patience below 1 acts as 1, a learning rate of 0 leaves every head at zero,
+# and a negative one, or a negative l2, makes descent grow the loss or the weights
 TRAIN_KEYS = {
     "max_epochs": INT,
-    "patience": INT,
-    "learning_rate": FLOAT,
-    "l2": FLOAT,
+    "patience": _number(int, "an integer", 1),
+    "learning_rate": _number(float, "a number", above=0),
+    "l2": _number(float, "a number", 0),
     "validation_fraction": FLOAT,
     "class_weighting": _bool,
 }

@@ -1,11 +1,13 @@
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import semsurf.classifier as classifier
+from semsurf._pcg64 import Generator
 from semsurf.classifier import (
     Rows,
     TrainConfig,
@@ -13,6 +15,7 @@ from semsurf.classifier import (
     _labels,
     _loss_and_grad,
     _penalty,
+    _permutations,
     _sigmoid,
     _stratified_holdout,
     class_weights,
@@ -56,6 +59,70 @@ def loss_and_grad(w, b, x, y, sample_weights, l2):
     rows = Rows(np.arange(len(x)), y, sample_weights, sample_weights.sum())
     loss, gw, gb = _loss_and_grad(w[None], np.array([b]), x[None], rows, _penalty(w[None], l2), l2)
     return float(loss[0]), gw[0], float(gb[0])
+
+
+def numpy_holdout(y, fraction, rng):
+    """The holdout as it was drawn before semsurf computed numpy's stream itself: rng is np.random.default_rng(seed)."""
+    mask = np.zeros(len(y), dtype=bool)
+    for cls in np.unique(y):
+        idx = np.flatnonzero(y == cls)
+        n_val = max(1, int(round(len(idx) * fraction)))
+        if n_val >= len(idx):
+            n_val = len(idx) - 1
+        if n_val > 0:
+            mask[rng.permutation(idx)[:n_val]] = True
+    return mask
+
+
+# seed 0, the fixture runs' seeds 420294-420303, seeds of one to five 32-bit words, and random ones below 2**300
+ORACLE_SEEDS = [
+    0, 1, *range(420294, 420304), 2**32 - 1, 2**32, 2**64 + 7, 2**128, 2**128 + 12345,
+    *(random.Random(bits).randrange(2**bits) for bits in (40, 100, 160, 220, 260, 300)),
+]
+
+
+class TestPermutationStream:
+    """_pcg64.Generator draws what np.random.default_rng(seed).permutation draws, here against the installed numpy."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_matches_numpy(self, seed):
+        for n in (0, 1, 2, 3, 7, 26, 64, 256, 1000):
+            assert Generator(seed).permutation(n) == np.random.default_rng(seed).permutation(np.arange(n)).tolist(), n
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS[::4])
+    def test_one_generator_draws_numpys_next_permutations(self, seed):
+        ours, theirs = Generator(seed), np.random.default_rng(seed)
+        for n in (5, 64, 3, 256, 2, 17):
+            assert ours.permutation(n) == theirs.permutation(np.arange(n)).tolist(), n
+
+    def test_pinned_without_numpy(self):
+        """The first fixture run seed's stream, written out, so a numpy that changed its stream cannot move it."""
+        assert Generator(420294).permutation(10) == [8, 6, 0, 9, 1, 5, 7, 3, 4, 2]
+
+    def test_holdout_matches_numpys(self):
+        # a class of one row holds none out and draws nothing, whichever class it is
+        for y in ([0.0] + [1.0] * 9, [1.0] * 9 + [0.0], [0.0, 1.0], [1.0] * 6):
+            y = np.array(y)
+            expected = numpy_holdout(y, 0.2, np.random.default_rng(420294))
+            assert np.array_equal(_stratified_holdout(y, 0.2, 420294), expected), y
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(2, 120))
+            y = (rng.random(n) < rng.uniform(0.05, 0.95)).astype(float)
+            fraction = float(rng.uniform(0.01, 0.49))
+            seed = int(rng.integers(0, 2**40))
+            expected = numpy_holdout(y, fraction, np.random.default_rng(seed))
+            assert np.array_equal(_stratified_holdout(y, fraction, seed), expected), (n, fraction, seed)
+
+    def test_folds_of_equal_class_sizes_share_the_draws(self):
+        """The holdouts of two folds whose classes have the same sizes take the same positions of each class's
+        rows, whichever rows those are, so the draws are reused."""
+        y1 = np.array([0.0] * 12 + [1.0] * 5)
+        y2 = np.array([1.0, 0.0] * 5 + [0.0] * 7)
+        first, second = _stratified_holdout(y1, 0.2, 420294), _stratified_holdout(y2, 0.2, 420294)
+        for cls in (0.0, 1.0):
+            assert first[y1 == cls].tolist() == second[y2 == cls].tolist()
+        assert _permutations(420294, (12, 5)) is _permutations(420294, (12, 5))
 
 
 class TestClassWeights:
@@ -226,7 +293,7 @@ def reference_train(embeddings, labels, cfg, seed):
         sw = np.array([cw[lab] for lab in labels])
     else:
         sw = np.ones(len(labels))
-    val_mask = _stratified_holdout(y, cfg.validation_fraction, np.random.default_rng(seed))
+    val_mask = _stratified_holdout(y, cfg.validation_fraction, seed)
     xt, yt, st = x[~val_mask], y[~val_mask], sw[~val_mask]
     xv, yv, sv = x[val_mask], y[val_mask], sw[val_mask]
     if len(set(yt)) < 2:
@@ -445,8 +512,7 @@ def reference_head(embeddings, labels, cfg, seed):
     else:
         sw = np.ones(len(labels))
 
-    rng = np.random.default_rng(seed)
-    val_mask = _stratified_holdout(y, cfg.validation_fraction, rng)
+    val_mask = numpy_holdout(y, cfg.validation_fraction, np.random.default_rng(seed))
     xt, yt, st = x[~val_mask], y[~val_mask], sw[~val_mask]
     xv, yv, sv = x[val_mask], y[val_mask], sw[val_mask]
     if len(set(yt)) < 2:

@@ -1204,6 +1204,11 @@ CONFIG_ERRORS = {
     "master_seed below 0": ("master_seed = -1", None, "master_seed"),
     "nan zipf_oov_floor": ("zipf_oov_floor = nan", None, "zipf_oov_floor"),
     "infinite l2": ("train.l2 = inf", None, "train.l2"),
+    "negative l2": ("train.l2 = -1", None, "train.l2"),
+    "patience 0": ("train.patience = 0", None, "train.patience"),
+    "negative patience": ("train.patience = -3", None, "train.patience"),
+    "learning_rate 0": ("train.learning_rate = 0", None, "train.learning_rate"),
+    "negative learning_rate": ("train.learning_rate = -1", None, "train.learning_rate"),
     "embed.dimension 0": ("embed.dimension = 0", None, "embed.dimension"),
     "negative embed.dimension": ("embed.dimension = -256", None, "embed.dimension"),
     "chat.max_tokens 0": ("chat.max_tokens = 0", None, "chat.max_tokens"),
@@ -1569,9 +1574,9 @@ class TestRunSchedule:
 
 
 def test_importing_the_cli_leaves_the_cache_modules_unloaded(pt_run, tmp_path):
-    """Only the cache imports sqlite3, and only HTTP misses concurrent.futures: neither the import of the CLI
-    nor the stages that call no provider, in one process, load either, and those stages write what `semsurf run`
-    wrote."""
+    """Only the cache imports sqlite3, and only HTTP misses concurrent.futures, and classify draws its holdouts
+    without numpy.random: neither the import of the CLI nor the stages that call no provider, in one process, load
+    any of them, and those stages write what `semsurf run` wrote."""
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     for name in ("dataset.jsonl", "dataset_stats.json", "transformed"):
@@ -1581,7 +1586,7 @@ def test_importing_the_cli_leaves_the_cache_modules_unloaded(pt_run, tmp_path):
     code = (
         "import sys\n"
         "from semsurf.cli import main\n"
-        "modules = ('sqlite3', 'concurrent.futures')\n"
+        "modules = ('sqlite3', 'concurrent.futures', 'numpy.random')\n"
         "print(*(m in sys.modules for m in modules))\n"
         "for stage in ('similarity', 'classify', 'lexical', 'report'):\n"
         "    try:\n"
@@ -1596,7 +1601,7 @@ def test_importing_the_cli_leaves_the_cache_modules_unloaded(pt_run, tmp_path):
         [sys.executable, "-c", code, str(conf), str(run_dir)], env=env, capture_output=True, text=True, check=True
     )
     lines = out.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("False False", "False False")
+    assert (lines[0], lines[-1]) == ("False False False", "False False False")
     assert not (run_dir / "cache").exists()
     for name in ("similarity.json", "classification.json", "lexical.json", "stats.json"):
         assert (run_dir / name).read_bytes() == (pt_run[0] / name).read_bytes(), name
