@@ -79,7 +79,7 @@ def _stratified_holdout(y: np.ndarray, fraction: float, seed: int) -> np.ndarray
     """Boolean mask of validation rows, at least one per class when possible: the first rows of each class, in the
     order of a permutation of them, one generator of the seed's drawing every class's in class order."""
     held = []
-    for cls in np.unique(y):
+    for cls in sorted(set(y.tolist())):  # the classes as np.unique orders them; np.unique would load numpy.ma
         idx = np.flatnonzero(y == cls)
         n_val = max(1, int(round(len(idx) * fraction)))
         if n_val >= len(idx):

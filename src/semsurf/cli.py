@@ -45,7 +45,8 @@ from .corpus import GROUPS, DataError, Dataset, dataset_stats, load_dataset, par
 from .providers import OfflineViolation, ProviderClient, ProviderError, ResponseCache, TransportError
 from .transform import KIND_ORDER, TransformationKind, TransformedCorpus, TransformError, run_pipeline
 
-# numpy, and classifier, which needs it, load inside the stages that read embeddings, so the others start faster
+# numpy, and classifier, which needs it, load inside the stages that read embeddings, and hashlib where transform
+# computes cache keys and mock digests (providers.py), so the other stages start faster and smaller
 if TYPE_CHECKING:
     import numpy as np
 

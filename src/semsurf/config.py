@@ -8,14 +8,13 @@ and every error names the key and, for a key present in the file, its line.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .providers import DEFAULT_MAX_WORKERS, ProviderConfig
+from .providers import DEFAULT_MAX_WORKERS, ProviderConfig, cache_key_for
 from .transform import DEFAULT_PROMPTS, KIND_ORDER, PIVOT_LANGUAGE, STEPS, PipelineConfig, TransformationKind
 
 # config role -> provider kind
@@ -48,8 +47,9 @@ class Key:
     shown: str | None = None  # the README's wording for a default that is not a literal
 
 
-def _number(convert, what: str, low=None, high=None, above=None):
-    """A parser of `convert` numbers, finite for floats, in [low, high] and above `above`, where each is set."""
+def _number(convert, what: str, low=None, high=None, above=None, below=None):
+    """A parser of `convert` numbers, finite for floats, in [low, high], above `above` and below `below`, where each
+    is set."""
 
     def parse(raw: str):
         try:
@@ -64,6 +64,8 @@ def _number(convert, what: str, low=None, high=None, above=None):
             raise ValueError(f"expected {what} <= {high}")
         if above is not None and value <= above:
             raise ValueError(f"expected {what} > {above}")
+        if below is not None and value >= below:
+            raise ValueError(f"expected {what} < {below}")
         return value
 
     return parse
@@ -129,14 +131,15 @@ class TrainConfig:
             raise ValueError("validation_fraction must be in (0, 0.5)")
 
 
-# train.<TrainConfig field> -> parser; a patience below 1 acts as 1, a learning rate of 0 leaves every head at zero,
-# and a negative one, or a negative l2, makes descent grow the loss or the weights
+# train.<TrainConfig field> -> parser; each checks its key's bounds, TrainConfig's own included, so that an error names
+# the key and its line. A patience below 1 acts as 1, a learning rate of 0 leaves every head at zero, and a negative
+# one, or a negative l2, makes descent grow the loss or the weights
 TRAIN_KEYS = {
-    "max_epochs": INT,
+    "max_epochs": _number(int, "an integer", 1),
     "patience": _number(int, "an integer", 1),
     "learning_rate": _number(float, "a number", above=0),
     "l2": _number(float, "a number", 0),
-    "validation_fraction": FLOAT,
+    "validation_fraction": _number(float, "a number", above=0, below=0.5),
     "class_weighting": _bool,
 }
 
@@ -178,8 +181,8 @@ def _entries(path: Path):
 
 
 def config_digest(config: dict[str, str]) -> str:
-    canonical = json.dumps(config, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """The sha256 hex digest of the settings as sorted JSON, computed as a cache key is."""
+    return cache_key_for(json.dumps(config, sort_keys=True))
 
 
 class Config:
@@ -226,10 +229,7 @@ class Config:
         if TransformationKind.IMAGE_DESCRIPTION in self["enabled"]:
             self.require("t2i", "ImageDescription is enabled")
             self.require("i2t", "ImageDescription is enabled")
-        try:
-            self.train = TrainConfig(**{field: self[f"train.{field}"] for field in TRAIN_KEYS})
-        except ValueError as exc:
-            raise ConfigError(f"{self.path}: train: {exc}") from None
+        self.train = TrainConfig(**{field: self[f"train.{field}"] for field in TRAIN_KEYS})
 
     def __getitem__(self, key: str):
         return self.values[key]

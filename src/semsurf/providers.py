@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import base64
 import functools
-import hashlib
 import json
 import math
 import os
@@ -28,8 +27,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
-# sqlite3, concurrent.futures and requests load where the cache opens and HTTP misses are sent, so a stage
-# that calls no provider loads none of them
+# hashlib (and with it OpenSSL's libcrypto) loads where a cache key or a mock digest is computed, sqlite3 where
+# the cache opens, concurrent.futures and requests where HTTP misses are sent, so a stage that calls no provider
+# loads none of them
 if TYPE_CHECKING:
     import sqlite3
 
@@ -148,6 +148,8 @@ def canonical_request(payload: dict) -> str:
 
 
 def cache_key_for(canonical: str) -> str:
+    import hashlib
+
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -272,6 +274,8 @@ class ResponseCache:
 
 
 def _digest(*parts: str) -> bytes:
+    import hashlib
+
     h = hashlib.sha256()
     for p in parts:
         h.update(p.encode("utf-8"))
@@ -304,6 +308,8 @@ def mock_translate(text: str, source: str, target: str) -> str:
 
 @functools.lru_cache(maxsize=1 << 15)
 def _trigram_bucket(tri: str) -> int:
+    import hashlib
+
     digest = hashlib.blake2b(tri.encode("utf-8"), digest_size=4).digest()
     return int.from_bytes(digest, "big") % MOCK_EMBED_DIM
 
@@ -348,6 +354,8 @@ def mock_text_to_image(prompt: str) -> bytes:
 
 
 def mock_image_to_text(image: bytes, prompt: str) -> str:
+    import hashlib
+
     d = hashlib.sha256(image).hexdigest()[:16]
     return f"A scene rendered from digest {d}. {prompt.split('.')[0]}."
 
@@ -453,6 +461,8 @@ class ProviderClient:
         self, cfg: ProviderConfig, images: Sequence[bytes], prompt: str
     ) -> list[tuple[str, str] | Exception]:
         """The caption of each of `images`, each a PNG, under `prompt`."""
+        import hashlib
+
         payloads = [
             {"op": "image_to_text", "model": cfg.model, "image_sha256": hashlib.sha256(image).hexdigest(),
              "prompt": prompt}

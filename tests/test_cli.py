@@ -108,6 +108,11 @@ class TestConfigParsing:
         assert config_digest({"a": "1", "b": "2"}) == config_digest({"b": "2", "a": "1"})
         assert config_digest({"a": "1"}) != config_digest({"a": "2"})
 
+    def test_digest_is_pinned(self):
+        """The sha256 hex digest of the settings as sorted, ASCII-escaped JSON, as run_manifest.json records it."""
+        raw = {"k": "5", "dataset": "data/corpus.jsonl", "prompt.ShortSummary": "Resuma em português."}
+        assert config_digest(raw) == "6b8880339ebba471ef001e17b03a96fef1b8023bc0f4d38e7a3b87c50475a646"
+
 
 class TestStageOrdering:
     def test_transform_before_ingest_fails(self, tmp_path, runner):
@@ -1209,6 +1214,8 @@ CONFIG_ERRORS = {
     "negative patience": ("train.patience = -3", None, "train.patience"),
     "learning_rate 0": ("train.learning_rate = 0", None, "train.learning_rate"),
     "negative learning_rate": ("train.learning_rate = -1", None, "train.learning_rate"),
+    "max_epochs 0": ("train.max_epochs = 0", None, "train.max_epochs"),
+    "validation_fraction 0.5": ("train.validation_fraction = 0.5", None, "train.validation_fraction"),
     "embed.dimension 0": ("embed.dimension = 0", None, "embed.dimension"),
     "negative embed.dimension": ("embed.dimension = -256", None, "embed.dimension"),
     "chat.max_tokens 0": ("chat.max_tokens = 0", None, "chat.max_tokens"),
@@ -1574,36 +1581,40 @@ class TestRunSchedule:
 
 
 def test_importing_the_cli_leaves_the_cache_modules_unloaded(pt_run, tmp_path):
-    """Only the cache imports sqlite3, and only HTTP misses concurrent.futures, and classify draws its holdouts
-    without numpy.random: neither the import of the CLI nor the stages that call no provider, in one process, load
-    any of them, and those stages write what `semsurf run` wrote."""
+    """Only the cache imports sqlite3, only HTTP misses concurrent.futures, and only cache keys and mock digests
+    hashlib (and its OpenSSL _hashlib); classify draws its holdouts without numpy.random and finds its classes
+    without numpy.ma. Neither the import of the CLI nor the stages that call no provider, in one process, load any
+    of them, and those stages write what `semsurf run` wrote; transform, the control, does load hashlib."""
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    for name in ("dataset.jsonl", "dataset_stats.json", "transformed"):
-        copy = shutil.copytree if (pt_run[0] / name).is_dir() else shutil.copy
-        copy(pt_run[0] / name, run_dir / name)
+    shutil.copytree(pt_run[0] / "transformed", run_dir / "transformed")
     conf = pt_fixture_config(tmp_path / "pt.conf")
     code = (
         "import sys\n"
         "from semsurf.cli import main\n"
-        "modules = ('sqlite3', 'concurrent.futures', 'numpy.random')\n"
-        "print(*(m in sys.modules for m in modules))\n"
-        "for stage in ('similarity', 'classify', 'lexical', 'report'):\n"
-        "    try:\n"
-        "        main([stage, '--config', sys.argv[1], '--run-dir', sys.argv[2], '--offline'])\n"
-        "    except SystemExit as exc:\n"
-        "        assert exc.code == 0, (stage, exc.code)\n"
-        "print(*(m in sys.modules for m in modules))\n"
+        "modules = ('sqlite3', 'concurrent.futures', 'numpy.random', 'hashlib', '_hashlib', 'numpy.ma')\n"
+        "def stages(*names):\n"
+        "    for stage in names:\n"
+        "        try:\n"
+        "            main([stage, '--config', sys.argv[1], '--run-dir', sys.argv[2], '--offline'])\n"
+        "        except SystemExit as exc:\n"
+        "            assert exc.code == 0, (stage, exc.code)\n"
+        "    print('loaded:', *(m for m in modules if m in sys.modules))\n"
+        "print('loaded:', *(m for m in modules if m in sys.modules))\n"
+        "stages('ingest', 'similarity', 'classify', 'lexical', 'report')\n"
+        "sys.argv[2] += '-transform'\n"
+        "stages('ingest', 'transform')\n"
     )
     src = Path(classifier.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-c", code, str(conf), str(run_dir)], env=env, capture_output=True, text=True, check=True
     )
-    lines = out.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("False False False", "False False False")
+    loaded = [line for line in out.stdout.splitlines() if line.startswith("loaded:")]
+    assert loaded == ["loaded:", "loaded:", "loaded: sqlite3 hashlib _hashlib"], out.stdout
     assert not (run_dir / "cache").exists()
-    for name in ("similarity.json", "classification.json", "lexical.json", "stats.json"):
+    for name in ("dataset.jsonl", "dataset_stats.json", "similarity.json", "classification.json", "lexical.json",
+                 "stats.json"):
         assert (run_dir / name).read_bytes() == (pt_run[0] / name).read_bytes(), name
 
 

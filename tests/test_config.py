@@ -109,7 +109,9 @@ def test_role_keys_fill_provider_config(tmp_path):
         ("k = 1", "c.conf:6: k: '1': expected an integer >= 2"),
         ("chat.temperature = -1", "c.conf:6: chat.temperature: '-1': expected a number >= 0"),
         ("train.class_weighting = True", "c.conf:6: train.class_weighting: 'True': expected true|false"),
-        ("train.validation_fraction = 0.7", "c.conf: train: validation_fraction must be in (0, 0.5)"),
+        ("train.validation_fraction = 0.7", "c.conf:6: train.validation_fraction: '0.7': expected a number < 0.5"),
+        ("train.validation_fraction = 0", "c.conf:6: train.validation_fraction: '0': expected a number > 0"),
+        ("train.max_epochs = 0", "c.conf:6: train.max_epochs: '0': expected an integer >= 1"),
     ],
 )
 def test_error_names_key_and_line(tmp_path, line, message):

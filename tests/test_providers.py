@@ -115,6 +115,12 @@ class TestCanonicalization:
         assert k1 != k2
         assert len(k1) == 64
 
+    def test_key_is_pinned(self):
+        """The sha256 hex digest of the canonical UTF-8 JSON: a change here makes every stored record miss."""
+        canonical = canonical_request({"op": "embed", "model": "mock-embed", "input": "O cão ladrou."})
+        assert canonical == '{"input":"O cão ladrou.","model":"mock-embed","op":"embed"}'
+        assert cache_key_for(canonical) == "df53b15b7e5bc823d007b053caa04d5838cb8c93a6a0c3478f75733e7d39409c"
+
 
 class TestCache:
     def record(self, key=None, text="hello", image=None):
