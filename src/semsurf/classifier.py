@@ -21,6 +21,7 @@ from typing import Iterable, TypeVar
 
 import numpy as np
 
+from ._pcg64 import Generator
 from .config import TrainConfig
 from .corpus import GROUP_AD, GROUP_CONTROL, DataError
 from .stattests import CLASSIFICATION_MEASURES, mean
@@ -68,9 +69,6 @@ def _permutations(seed: int, sizes: tuple[int, ...]) -> tuple[list[int], ...]:
     """A permutation of range(n) for each n of sizes, in turn, from one generator: those that
     np.random.default_rng(seed).permutation draws. The folds of a seed whose classes have the same sizes draw the
     same ones, so they are drawn once. Callers must not change them."""
-    # loaded here, not with this module, which the parent of `run`'s workers imports and never draws a holdout in
-    from ._pcg64 import Generator
-
     rng = Generator(seed)
     return tuple(rng.permutation(n) for n in sizes)
 

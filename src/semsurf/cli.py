@@ -17,7 +17,9 @@ stages of a larger wave run at once, in up to `max_workers` worker processes,
 which take them in stage order, so the table lists a wave's cheapest stage
 last. Their output is written in stage order, and the first of them, in stage
 order, that fails decides the exit code; the others in its wave still finish
-and may write their own artifacts.
+and may write their own artifacts. A worker that ends abruptly, killed say,
+loses the results it had not returned, and where the first of them would be
+written, `run` exits 2 naming the stages whose results were lost.
 
 Exit codes: 0 ok, 1 usage error (any config error, reported before a stage
 runs), 2 data error (also an OSError, such as a run directory that cannot be
@@ -46,7 +48,8 @@ from .providers import OfflineViolation, ProviderClient, ProviderError, Response
 from .transform import KIND_ORDER, TransformationKind, TransformedCorpus, TransformError, run_pipeline
 
 # numpy, and classifier, which needs it, load inside the stages that read embeddings, and hashlib where transform
-# computes cache keys and mock digests (providers.py), so the other stages start faster and smaller
+# computes cache keys and mock digests (providers.py), so the other stages, and `run`'s own process, which runs
+# no stage that reads embeddings, start faster and smaller
 if TYPE_CHECKING:
     import numpy as np
 
@@ -483,22 +486,32 @@ def _run_captured(name: str, config: str, run_dir: str, offline: bool) -> tuple[
 def _run_wave(ctx: RunContext, names: list[str], config: str, run_dir: str, offline: bool) -> int:
     """Run the stages `names` at once on min(max_workers, len(names)) worker processes.
     Their output is written in the order of `names`, up to the first that failed, whose exit
-    code is returned; 0 when none failed."""
+    code is returned; 0 when none failed. A worker that ends abruptly loses the results of the
+    stages it had not returned: in their place the first of them writes one error line, naming
+    them all, and returns 2."""
     import multiprocessing
     import threading
     from concurrent.futures import ProcessPoolExecutor
-
-    from . import classifier  # noqa: F401  (and numpy: imported once here, each forked worker inherits them)
+    from concurrent.futures.process import BrokenProcessPool
 
     if "client" in vars(ctx):
         ctx.client.cache.close()  # an SQLite connection must not cross a fork; no later stage of `run` calls a provider
     # a fork copies only the thread that calls it, so a lock that another thread holds would stay held in the worker
     fork = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
     mp_context = multiprocessing.get_context("fork" if fork else "spawn")
+    results: list[tuple[int, str, str] | None] = []
     with ProcessPoolExecutor(min(ctx.config["max_workers"], len(names)), mp_context=mp_context) as pool:
-        futures = [pool.submit(_run_captured, name, config, run_dir, offline) for name in names]
-        results = [future.result() for future in futures]
-    for code, out, err in results:
+        for future in [pool.submit(_run_captured, name, config, run_dir, offline) for name in names]:
+            try:
+                results.append(future.result())
+            except BrokenProcessPool:
+                results.append(None)
+    lost = [name for name, result in zip(names, results) if result is None]
+    for result in results:
+        if result is None:
+            click.echo(f"error: a worker process ended abruptly; the results of {', '.join(lost)} were lost", err=True)
+            return EXIT_DATA
+        code, out, err = result
         click.echo(out, nl=False)
         click.echo(err, nl=False, err=True)
         if code != EXIT_OK:
@@ -530,7 +543,8 @@ def entry():
     """main() as a program: the console script and `python -m semsurf.cli`. On its way out it
     freezes the heap, so the interpreter's exit does not collect the objects it is about to free."""
     # numpy's OpenBLAS starts a pool of threads at import, which semsurf's small products never use; one thread
-    # makes numpy's import cheaper. A value the user set wins, and the workers of `run` inherit it.
+    # makes numpy's import cheaper. A value the user set wins, and the workers of `run`, which import numpy
+    # themselves where their stage reads embeddings, inherit it.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         main()

@@ -502,6 +502,15 @@ def test_dogstory139_matches_its_goldens(tmp_path, runner):
     assert digests == (GOLDEN_139 / "npy_files.sha256").read_text().splitlines()
 
 
+def run_files(run_dir, skip=("cache",)):
+    """The bytes of each file under `run_dir`, by relative path, but of those under the top-level names `skip`."""
+    return {
+        str(p.relative_to(run_dir)): p.read_bytes()
+        for p in sorted(run_dir.rglob("*"))
+        if p.is_file() and p.relative_to(run_dir).parts[0] not in skip
+    }
+
+
 def file_stats(directory):
     """Inode, mtime and size of every file under `directory`."""
     return {p: (st.st_ino, st.st_mtime_ns, st.st_size) for p in directory.rglob("*") for st in [p.stat()]}
@@ -642,6 +651,44 @@ def test_stages_without_embeddings_leave_numpy_unloaded(pt_run, tmp_path):
     assert tables == sorted(p.name for p in (run_dir / "reports").iterdir())
     for name in tables:
         assert (run_dir / "reports" / name).read_bytes() == (pt_run[0] / "reports" / name).read_bytes(), name
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="counts the OS threads in /proc/self/status")
+def test_run_leaves_numpy_to_its_workers(pt_run, tmp_path):
+    """`run` itself runs no stage that reads embeddings, so its process never imports numpy, nor starts the
+    OpenBLAS threads that a user's OPENBLAS_NUM_THREADS=2 asks for: every worker forks from one OS thread, and
+    the run writes what `pt_run` wrote."""
+    run_dir = tmp_path / "run"
+    conf = pt_fixture_config(tmp_path / "pt.conf")
+    code = (
+        "import os, sys\n"
+        "from semsurf.cli import main\n"
+        "fork, threads = os.fork, []\n"
+        "def recording_fork():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        threads.append(next(line.split()[1] for line in status if line.startswith('Threads:')))\n"
+        "    return fork()\n"
+        "os.fork = recording_fork\n"
+        "try:\n"
+        "    main(['run', '--config', sys.argv[1], '--run-dir', sys.argv[2], '--offline'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print('threads at fork:', *threads)\n"
+        "print('loaded:', *(m for m in ('numpy', 'semsurf.classifier') if m in sys.modules))\n"
+    )
+    src = Path(classifier.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "2"}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(conf), str(run_dir)], env=env, capture_output=True, text=True, check=True
+    )
+    *_, forks, loaded = out.stdout.splitlines()
+    threads = forks.removeprefix("threads at fork:").split()
+    assert threads and set(threads) == {"1"}, out.stdout  # one fork per worker, each from the main thread alone
+    assert loaded == "loaded:", out.stdout
+    written, expected = run_files(run_dir), run_files(pt_run[0])
+    assert written.keys() == expected.keys() and len(written) > 30
+    for name in written:
+        assert written[name] == expected[name], name
 
 
 @pytest.mark.parametrize("shape", [(0, 256), (1, 256), (40, 256)], ids=["0 rows", "1 row", "40 rows"])
@@ -1468,11 +1515,7 @@ class TestRunSchedule:
                 [sys.executable, "-m", "semsurf.cli", *args], env=env, capture_output=True, text=True, timeout=300
             )
             assert out.returncode == EXIT_OK and out.stderr == "", out.stderr
-            files = {
-                str(p.relative_to(run_dir)): p.read_bytes()
-                for p in sorted(run_dir.rglob("*"))
-                if p.is_file() and p.relative_to(run_dir).parts[0] not in ("cache", "run_manifest.json")
-            }
+            files = run_files(run_dir, skip=("cache", "run_manifest.json"))
             outputs.append((out.stdout.replace(str(run_dir), "<run>").splitlines(), files))
         (lines, files), (lines_3, files_3) = outputs
         assert [line.split()[0] for line in lines] == [
@@ -1578,6 +1621,35 @@ class TestRunSchedule:
             "ingested", "transformed", "similarity", "classified", "lexical", "reports"
         ]
         assert json.loads((run_dir / "run_manifest.json").read_text())["stages"] == [name for name, _ in STAGES]
+
+    @pytest.mark.parametrize("dying, written, lost", [
+        ("lexical", ["similarity", "classified"], "lexical"),
+        ("similarity", [], "similarity, classify, lexical"),
+    ])
+    def test_a_worker_that_ends_abruptly_exits_2_naming_what_was_lost(
+        self, tmp_path, runner, monkeypatch, dying, written, lost
+    ):
+        """A worker that ends abruptly, as on a kill or a crash in native code, loses its stage's results and
+        those of the stages it had not returned. `run` writes the output of the stages before them, prints one
+        error line naming them, exits 2 and runs no later wave. One worker takes the stages one after another,
+        so which are lost is fixed."""
+
+        def dying_stage(ctx):
+            os._exit(9)  # in the forked worker, which inherits this table
+
+        monkeypatch.setattr(cli, "STAGES", [(n, dying_stage if n == dying else f) for n, f in STAGES])
+        conf = tmp_path / "c.conf"
+        write_config(conf, small_dataset(tmp_path), extra="max_workers = 1")
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, ["run", "--config", str(conf), "--run-dir", str(run_dir), "--offline"])
+        assert result.exit_code == EXIT_DATA, result.output
+        assert "Traceback" not in result.output
+        assert result.stderr.splitlines() == [
+            f"error: a worker process ended abruptly; the results of {lost} were lost"
+        ]
+        assert [line.split()[0] for line in result.stdout.splitlines()] == ["ingested", "transformed", *written]
+        assert not (run_dir / "stats.json").exists() and not (run_dir / "run_manifest.json").exists()
+        assert multiprocessing.active_children() == []
 
 
 def test_importing_the_cli_leaves_the_cache_modules_unloaded(pt_run, tmp_path):
